@@ -16,6 +16,7 @@ import numpy as np
 from . import generators
 from .errors import NumericError, ParseError, ValidationError
 from .family import (
+    DEFAULT_RANK_TOL,
     canonical_dual,
     classify,
     frame_bounds,
@@ -54,6 +55,8 @@ def _parse_vector(text, dim):
         raise ValidationError(f"bad vector {text!r}: {exc}") from exc
     if vec.size != dim:
         raise ValidationError(f"vector has {vec.size} entries, family needs {dim}")
+    if not np.isfinite(vec).all():
+        raise ValidationError(f"bad vector {text!r}: entries must be finite")
     return vec
 
 
@@ -99,10 +102,7 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     family = load_family(args.input)
     report = classify(family, args.rank_tol)
-    ratio = riesz_inequality_check(
-        family, trials=args.trials, seed=_resolve_seed(args.seed),
-        rank_tol=args.rank_tol,
-    )
+    ratio = riesz_inequality_check(family, rank_tol=args.rank_tol)
     hs, hs_bound = frame_operator_hs_norm_bound(family)
     doc = {
         "experiment": f"analyze:{os.path.basename(args.input)}",
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana = sub.add_parser("analyze", help="classify a family and its duals")
     p_ana.add_argument("--input", required=True)
     p_ana.add_argument("--out")
-    p_ana.add_argument("--rank-tol", type=float, default=1e-10)
+    p_ana.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p_ana.add_argument("--trials", type=int, default=64)
     p_ana.add_argument("--seed", type=int)
     p_ana.set_defaults(func=cmd_analyze)
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--seed", type=int)
     p_inv.add_argument("--lambda", dest="lam", type=float, default=2.0)
     p_inv.add_argument("--schedule", default="prefix:all")
-    p_inv.add_argument("--rank-tol", type=float, default=1e-10)
+    p_inv.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p_inv.add_argument("--out", required=True)
     p_inv.set_defaults(func=cmd_invert)
 

@@ -9,8 +9,8 @@ of each map turns every derived object into dense matrix algebra:
 * analysis matrix   T* = T^H,
 * frame operator    S = T T^H, Hermitian positive semidefinite.
 
-Optimal frame bounds are always reported: the extreme eigenvalues of S,
-equivalently the extreme squared singular values of T.
+Optimal frame bounds and rank decisions all come from one cached thin SVD
+T = U diag(s) V^H per family (``HSFrameFamily.svd``); bounds are extreme s^2.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,11 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-10
 
 
+def numerical_rank(sigma: np.ndarray, rank_tol: float) -> int:
+    """Number of singular values (sorted descending) above rank_tol * max."""
+    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+
+
 class HSMap:
     """One frame element: a linear map from H into d_k x d_k matrices.
 
@@ -68,6 +74,8 @@ class HSMap:
             )
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValidationError(f"map images must be nonempty, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValidationError("map images must be finite (no NaN or inf entries)")
         arr.flags.writeable = False
         self.images = arr
 
@@ -143,6 +151,17 @@ class HSFrameFamily:
         t.flags.writeable = False
         return t
 
+    @cached_property
+    def svd(self) -> "ThinSVD":
+        """Thin SVD of the synthesis matrix, computed once per family."""
+        try:
+            svd = ThinSVD(*np.linalg.svd(self.synthesis_matrix, full_matrices=False))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"SVD of the synthesis matrix failed: {exc}") from exc
+        for a in svd:
+            a.flags.writeable = False
+        return svd
+
     @classmethod
     def from_synthesis_matrix(cls, dim_h, dim_k, tmat) -> "HSFrameFamily":
         """Rebuild a family from a dense synthesis matrix."""
@@ -165,6 +184,14 @@ class HSFrameFamily:
             f"<HSFrameFamily dim_h={self.dim_h} dim_k={self.dim_k} "
             f"count={self.count}>"
         )
+
+
+class ThinSVD(NamedTuple):
+    """T = u @ diag(s) @ vh with s descending; the arrays are read-only."""
+
+    u: np.ndarray  # (dim_h, k), k = min(dim_h, columns of T)
+    s: np.ndarray  # (k,)
+    vh: np.ndarray  # (k, columns of T)
 
 
 class CoefficientSequence:
@@ -224,7 +251,7 @@ class FrameReport:
 
 @dataclass(frozen=True)
 class RieszCheck:
-    """Worst-case synthesis ratios found by sampling coefficient sequences."""
+    """Exact extreme synthesis ratios |T c|^2 / |c|^2 over nonzero c."""
 
     min_ratio: float
     max_ratio: float
@@ -275,12 +302,10 @@ def frame_operator(family: HSFrameFamily) -> np.ndarray:
 
 
 def frame_bounds(family: HSFrameFamily) -> tuple[float, float]:
-    """Optimal bounds: the extreme eigenvalues of the frame operator."""
-    try:
-        w = np.linalg.eigvalsh(frame_operator(family))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue computation failed: {exc}") from exc
-    return max(float(w[0]), 0.0), float(w[-1])
+    """Optimal bounds (s_{dim_h}^2, s_max^2); lower 0.0 when T has < dim_h columns."""
+    s = family.svd.s
+    lower = float(s[-1]) ** 2 if s.size == family.dim_h else 0.0
+    return lower, float(s[0]) ** 2
 
 
 def classify(family: HSFrameFamily, rank_tol: float = DEFAULT_RANK_TOL) -> FrameReport:
@@ -293,19 +318,11 @@ def classify(family: HSFrameFamily, rank_tol: float = DEFAULT_RANK_TOL) -> Frame
     """
     if not 0.0 < rank_tol < 1.0:
         raise ValidationError(f"rank_tol must be in (0, 1), got {rank_tol!r}")
-    t = family.synthesis_matrix
-    sigma = np.linalg.svd(t, compute_uv=False)
-    smax = float(sigma[0])
-    if smax > 0.0:
-        kept = sigma[sigma > rank_tol * smax]
-        rank = int(kept.size)
-        pinv_norm = 1.0 / float(kept[-1])
-    else:
-        rank = 0
-        pinv_norm = math.inf
+    sigma = family.svd.s
+    rank = numerical_rank(sigma, rank_tol)
     lower, upper = frame_bounds(family)
     is_frame = rank == family.dim_h
-    is_riesz = is_frame and rank == t.shape[1]
+    is_riesz = is_frame and rank == family.synthesis_matrix.shape[1]
     return FrameReport(
         lower_bound=lower,
         upper_bound=upper,
@@ -314,50 +331,30 @@ def classify(family: HSFrameFamily, rank_tol: float = DEFAULT_RANK_TOL) -> Frame
         riesz=is_riesz,
         complete=is_frame,
         riesz_lower=float(sigma[-1]) ** 2 if is_riesz else None,
-        riesz_upper=smax**2 if is_riesz else None,
-        synthesis_norm=smax,
-        pseudo_inverse_norm=pinv_norm,
+        riesz_upper=upper if is_riesz else None,
+        synthesis_norm=float(sigma[0]),
+        pseudo_inverse_norm=1.0 / float(sigma[rank - 1]) if rank else math.inf,
     )
 
 
 def riesz_inequality_check(
-    family: HSFrameFamily,
-    trials: int = 64,
-    seed: int = 0,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    family: HSFrameFamily, rank_tol: float = DEFAULT_RANK_TOL
 ) -> RieszCheck:
-    """Sample the two-sided synthesis inequality and judge the Riesz property.
+    """Exact extreme ratios |T c|^2 / |c|^2 and ``classify``'s Riesz verdict.
 
-    Samples random coefficient sequences plus the extreme right singular
-    directions of the synthesis matrix (including a kernel direction when
-    one exists), and returns the worst ratios ``|T c|^2 / |c|^2``.  The
-    verdict is positive when the smallest ratio stays away from zero and
-    the family is complete.
+    The minimum is s_min^2, exactly 0.0 when T is wide; the maximum s_max^2.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    t = family.synthesis_matrix
-    ncols = t.shape[1]
-    _, _, vh = np.linalg.svd(t, full_matrices=True)
-    samples = [vh[0].conj(), vh[-1].conj()]
-    for _ in range(trials):
-        c = rng.standard_normal(ncols) + 1j * rng.standard_normal(ncols)
-        samples.append(c / np.linalg.norm(c))
-    ratios = [float(np.linalg.norm(t @ c) ** 2) / float(np.linalg.norm(c) ** 2)
-              for c in samples]
-    lo, hi = min(ratios), max(ratios)
-    w = np.linalg.eigvalsh(frame_operator(family))
-    complete = float(w[0]) > rank_tol * float(w[-1])
-    verdict = complete and lo > rank_tol * hi
-    return RieszCheck(min_ratio=lo, max_ratio=hi, riesz=verdict)
+    s = family.svd.s
+    lo = float(s[-1]) ** 2 if s.size == family.synthesis_matrix.shape[1] else 0.0
+    return RieszCheck(
+        min_ratio=lo,
+        max_ratio=float(s[0]) ** 2,
+        riesz=classify(family, rank_tol).riesz,
+    )
 
 
 def _require_frame(family: HSFrameFamily, rank_tol: float) -> None:
-    t = family.synthesis_matrix
-    sigma = np.linalg.svd(t, compute_uv=False)
-    smax = float(sigma[0])
-    rank = int(np.count_nonzero(sigma > rank_tol * smax)) if smax > 0 else 0
+    rank = numerical_rank(family.svd.s, rank_tol)
     if rank != family.dim_h:
         raise NotAFrameError(
             f"family is not a frame: synthesis rank {rank} < dim_h {family.dim_h} "
@@ -370,10 +367,9 @@ def canonical_dual(
 ) -> HSFrameFamily:
     """Dual family {G_j S^-1}; its bounds are the inverted original bounds."""
     _require_frame(family, rank_tol)
-    s = frame_operator(family)
-    sinv = np.linalg.inv(s)
+    svd = family.svd
     return HSFrameFamily.from_synthesis_matrix(
-        family.dim_h, family.dim_k, sinv @ family.synthesis_matrix
+        family.dim_h, family.dim_k, (svd.u / svd.s) @ svd.vh
     )
 
 
@@ -384,7 +380,8 @@ def reconstruct(
     fv = _check_vector(family, f)
     _require_frame(family, rank_tol)
     sf = synthesize(family, analyze(family, fv))
-    return np.linalg.solve(frame_operator(family), sf)
+    u, s = family.svd.u, family.svd.s
+    return u @ ((u.conj().T @ sf) / s**2)
 
 
 def verify_alternate_dual(
@@ -434,8 +431,7 @@ def frame_operator_hs_norm_bound(family: HSFrameFamily) -> tuple[float, float]:
     cardinality entering it is the dimension of H (equal for the identity,
     where the inequality is tight).
     """
-    s = frame_operator(family)
-    hs = float(np.linalg.norm(s))
+    hs = float(np.linalg.norm(family.svd.s**2))  # |S|_F
     b = frame_bounds(family)[1]
     bound = b * math.sqrt(family.dim_h)
     if hs > bound * (1.0 + 1e-12) + 1e-15:

@@ -23,7 +23,15 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ValidationError
-from .family import HSFrameFamily, classify, frame_bounds, frame_operator
+from .family import (
+    DEFAULT_RANK_TOL,
+    HSFrameFamily,
+    ThinSVD,
+    classify,
+    frame_bounds,
+    frame_operator,
+    numerical_rank,
+)
 
 __all__ = [
     "PerturbationConstants",
@@ -178,19 +186,21 @@ def _unit_samples(rng, dim: int, trials: int) -> list[np.ndarray]:
     return out
 
 
-def _extremal_left_singular(mat: np.ndarray) -> list[np.ndarray]:
-    u, _, _ = np.linalg.svd(mat)
-    return [u[:, 0], u[:, -1]]
-
-
-def _extremal_right_singular(mat: np.ndarray) -> list[np.ndarray]:
-    _, _, vh = np.linalg.svd(mat, full_matrices=True)
-    return [vh[0].conj(), vh[-1].conj()]
-
-
-def _extremal_eigvecs(herm: np.ndarray) -> list[np.ndarray]:
-    _, vecs = np.linalg.eigh(herm)
+def _extreme_columns(vecs: np.ndarray) -> list[np.ndarray]:
+    """First and last column: the extreme singular or eigen directions."""
     return [vecs[:, 0], vecs[:, -1]]
+
+
+def _extremal_right_singular(vh: np.ndarray) -> list[np.ndarray]:
+    """Top and bottom right singular vectors from a thin SVD's ``vh``; for a
+    wide matrix a kernel vector stands in for the bottom one."""
+    if vh.shape[0] == vh.shape[1]:
+        return [vh[0].conj(), vh[-1].conj()]
+    # e_j minus its projection on the row space has norm^2 >= 1 - rows/cols
+    j = int(np.argmin(np.linalg.norm(vh, axis=0)))
+    kernel = -(vh.conj().T @ vh[:, j])
+    kernel[j] += 1.0
+    return [vh[0].conj(), kernel / np.linalg.norm(kernel)]
 
 
 def _gen_eig_max(num: np.ndarray, den: np.ndarray) -> float | None:
@@ -228,17 +238,18 @@ def cc_lemma_check(
     dim = um.shape[0]
     eye = np.eye(dim)
     dev = eye - um
-    sig_u = np.linalg.svd(um, compute_uv=False)
+    _, sig_u, vh_u = np.linalg.svd(um, full_matrices=False)
+    _, sig_dev, vh_dev = np.linalg.svd(dev, full_matrices=False)
     sigma_min, sigma_max = float(sig_u[-1]), float(sig_u[0])
-    dev_norm = float(np.linalg.norm(dev, ord=2))
+    dev_norm = float(sig_dev[0])
 
     envelope = lambda1 + lambda2 * sigma_min
     certified = dev_norm <= envelope * (1.0 + _CERT_RTOL) + 1e-15
 
     rng = np.random.default_rng(seed)
     samples = _unit_samples(rng, dim, trials)
-    samples += _extremal_right_singular(dev)
-    samples += _extremal_right_singular(um)
+    samples += _extremal_right_singular(vh_dev)
+    samples += _extremal_right_singular(vh_u)
     margin = math.inf
     witness = None
     for x in samples:
@@ -279,34 +290,31 @@ def cc_lemma_check(
     )
 
 
-def _restricted_ratio_cert(delta: np.ndarray, base: np.ndarray, bound: float) -> bool:
+def _restricted_ratio_cert(delta: np.ndarray, base: ThinSVD, bound: float) -> bool:
     """Certify |delta c| <= bound * |base c| for every c, exactly.
 
-    Needs ker(base) inside ker(delta); on the complement the supremum of
-    the ratio is a single operator norm after whitening by the singular
-    values of ``base``.
+    Needs ker(base) inside ker(delta), tested as |delta - delta V_r^H V_r|_2
+    without a full V; on the complement the supremum of the ratio is a single
+    operator norm after whitening by the singular values of ``base``.
     """
-    u, s, vh = np.linalg.svd(base, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
+    smax = float(base.s[0])
     if smax == 0.0:
         return float(np.linalg.norm(delta, ord=2)) <= 1e-14
-    keep = s > 1e-14 * smax
-    rank = int(np.count_nonzero(keep))
-    vfull = vh.conj().T
-    if rank < vfull.shape[1]:
-        kernel = vfull[:, rank:]
-        if float(np.linalg.norm(delta @ kernel, ord=2)) > 1e-12 * smax:
+    rank = numerical_rank(base.s, 1e-14)
+    v_r = base.vh[:rank]
+    restricted = delta @ v_r.conj().T
+    if rank < delta.shape[1]:
+        if float(np.linalg.norm(delta - restricted @ v_r, ord=2)) > 1e-12 * smax:
             return False
-    whitened = delta @ vfull[:, :rank] / s[:rank]
-    ratio = float(np.linalg.norm(whitened, ord=2))
+    ratio = float(np.linalg.norm(restricted / base.s[:rank], ord=2))
     return ratio <= bound * (1.0 + _CERT_RTOL) + 1e-14
 
 
 def _exact_certificate(
     mode: str,
     constants: PerturbationConstants,
-    t_g: np.ndarray,
-    t_c: np.ndarray,
+    family: HSFrameFamily,
+    candidate: HSFrameFamily,
     s_g: np.ndarray,
     s_c: np.ndarray,
 ) -> bool:
@@ -316,7 +324,9 @@ def _exact_certificate(
     active = [v for v in (l1, l2, mu, nu) if v > 0.0]
     if len(active) > 1:
         return False
-    scale = max(float(np.linalg.norm(t_g, ord=2)), 1.0)
+    t_g = family.synthesis_matrix
+    t_c = candidate.synthesis_matrix
+    scale = max(float(family.svd.s[0]), 1.0)
 
     if mode == "analysis":
         delta = (t_g - t_c).conj().T  # acts on H
@@ -339,9 +349,9 @@ def _exact_certificate(
         if mu > 0.0:
             return float(np.linalg.norm(delta, ord=2)) <= mu * (1.0 + _CERT_RTOL) + 1e-14
         if l1 > 0.0:
-            return _restricted_ratio_cert(delta, t_g, l1)
+            return _restricted_ratio_cert(delta, family.svd, l1)
         if l2 > 0.0:
-            return _restricted_ratio_cert(delta, t_c, l2)
+            return _restricted_ratio_cert(delta, candidate.svd, l2)
         return float(np.linalg.norm(delta, ord=2)) <= 1e-13 * scale
 
     # frame-operator mode
@@ -397,16 +407,16 @@ def check_condition(
     t_c = candidate.synthesis_matrix
     s_g = frame_operator(family)
     s_c = frame_operator(candidate)
-    certified = _exact_certificate(mode, constants, t_g, t_c, s_g, s_c)
+    certified = _exact_certificate(mode, constants, family, candidate, s_g, s_c)
 
     l1, l2, mu, nu = constants.lambda1, constants.lambda2, constants.mu, constants.nu
     rng = np.random.default_rng(seed)
     if mode in ("synthesis", "synthesis-coefficient"):
         delta = t_g - t_c
         samples = _unit_samples(rng, t_g.shape[1], trials)
-        samples += _extremal_right_singular(delta)
-        samples += _extremal_right_singular(t_g)
-        samples += _extremal_right_singular(t_c)
+        samples += _extremal_right_singular(np.linalg.svd(delta, full_matrices=False)[2])
+        samples += _extremal_right_singular(family.svd.vh)
+        samples += _extremal_right_singular(candidate.svd.vh)
 
         def lhs_rhs(c):
             lhs = float(np.linalg.norm(delta @ c))
@@ -420,9 +430,9 @@ def check_condition(
     elif mode == "analysis":
         delta_h = (t_g - t_c).conj().T
         samples = _unit_samples(rng, family.dim_h, trials)
-        samples += _extremal_left_singular(t_g - t_c)
-        samples += _extremal_eigvecs(s_g)
-        samples += _extremal_eigvecs(s_c)
+        samples += _extreme_columns(np.linalg.svd(t_g - t_c, full_matrices=False)[0])
+        samples += _extreme_columns(family.svd.u)  # eigenvectors of S
+        samples += _extreme_columns(candidate.svd.u)
 
         def lhs_rhs(f):
             lhs = float(np.linalg.norm(delta_h @ f))
@@ -436,9 +446,9 @@ def check_condition(
     else:  # frame-operator
         d_op = s_g - s_c
         samples = _unit_samples(rng, family.dim_h, trials)
-        samples += _extremal_eigvecs(d_op)
-        samples += _extremal_eigvecs(s_g)
-        samples += _extremal_eigvecs(s_c)
+        samples += _extreme_columns(np.linalg.eigh(d_op)[1])
+        samples += _extreme_columns(family.svd.u)
+        samples += _extreme_columns(candidate.svd.u)
 
         def lhs_rhs(f):
             lhs = float(np.linalg.norm(d_op @ f))
@@ -491,8 +501,8 @@ def perturb_family(
     * blockwise: like additive-analysis but supported on a subset of
       indices (random nonempty subset unless given).
     """
-    if magnitude < 0.0:
-        raise ValidationError(f"magnitude must be >= 0, got {magnitude}")
+    if not 0.0 <= magnitude < math.inf:
+        raise ValidationError(f"magnitude must be finite and >= 0, got {magnitude}")
     t = family.synthesis_matrix
     rng = np.random.default_rng(seed)
     if mode == "scale":
@@ -533,7 +543,7 @@ def riesz_stability_check(
     constants: PerturbationConstants,
     trials: int = 64,
     seed: int = 0,
-    rank_tol: float = 1e-10,
+    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> RieszStabilityVerdict:
     """Riesz bases stay Riesz under the synthesis-level condition.
 

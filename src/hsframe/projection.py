@@ -31,12 +31,14 @@ from .errors import (
     ValidationError,
 )
 from .family import (
+    DEFAULT_RANK_TOL,
     CoefficientSequence,
     HSFrameFamily,
     _check_vector,
     _require_frame,
     frame_bounds,
     frame_operator,
+    numerical_rank,
 )
 
 __all__ = [
@@ -56,8 +58,6 @@ __all__ = [
     "uniform_bound_scan",
     "kernel_consistency",
 ]
-
-DEFAULT_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,11 @@ def subspace_basis(
     """Orthonormal basis of span{adjoint ranges of the first n maps}."""
     if not 1 <= n <= family.count:
         raise ValidationError(f"prefix length {n} outside 1..{family.count}")
-    b = _prefix_columns(family, n)
-    u, s, _ = np.linalg.svd(b, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > rank_tol * smax)) if smax > 0 else 0
+    if n == family.count:  # the whole family: reuse its factorization
+        u, s = family.svd.u, family.svd.s
+    else:
+        u, s, _ = np.linalg.svd(_prefix_columns(family, n), full_matrices=False)
+    rank = numerical_rank(s, rank_tol)
     q = u[:, :rank].copy()
     q.flags.writeable = False
     return SubspaceBasis(q=q, rank=rank, n=n, rank_tol=rank_tol)
@@ -258,26 +259,23 @@ def find_oversampling(
     family: HSFrameFamily,
     n: int,
     lam: float,
-    lower: float | None = None,
     rank_tol: float = DEFAULT_RANK_TOL,
     basis: SubspaceBasis | None = None,
 ) -> int:
-    """Smallest m >= 0 with lambda_min(Q_n^H S_{n+m} Q_n) >= lower/lam.
+    """Smallest m >= 0 with lambda_min(Q_n^H S_{n+m} Q_n) >= A/lam.
 
     Always terminates: at m = count - n the compressed operator is the
     restriction of the full frame operator, whose smallest eigenvalue is at
-    least the optimal lower bound.
+    least the optimal lower bound A.
     """
-    if lam <= 1.0:
+    if not lam > 1.0:
         raise ValidationError(f"lambda must be > 1, got {lam}")
-    if lower is None:
-        _require_frame(family, rank_tol)
-        lower = frame_bounds(family)[0]
+    _require_frame(family, rank_tol)
     if basis is None:
         basis = subspace_basis(family, n, rank_tol)
     if basis.rank == 0:
         return 0
-    target = lower / lam
+    target = frame_bounds(family)[0] / lam
     for m in range(family.count - n + 1):
         sec = _compressed_prefix_operator(family, basis, n + m)
         if float(np.linalg.eigvalsh(sec)[0]) >= target:
@@ -304,7 +302,7 @@ def oversampled_inverse_apply(
     basis = subspace_basis(family, n, rank_tol)
     if basis.rank == 0:
         return np.zeros_like(fv)
-    m = find_oversampling(family, n, lam, lower=a, rank_tol=rank_tol, basis=basis)
+    m = find_oversampling(family, n, lam, rank_tol=rank_tol, basis=basis)
     sec = _compressed_prefix_operator(family, basis, n + m)
     evals = np.linalg.eigvalsh(sec)
     lam_min, lam_max = float(evals[0]), float(evals[-1])
@@ -346,11 +344,10 @@ def convergence_sweep(
     continues.
     """
     fv = _check_vector(family, f)
-    if lam <= 1.0:
+    if not lam > 1.0:
         raise ValidationError(f"lambda must be > 1, got {lam}")
     schedule.validate_for(family)
     _require_frame(family, rank_tol)
-    a, _ = frame_bounds(family)
     s = frame_operator(family)
     s_cho = cho_factor(s)
     ground = cho_solve(s_cho, fv)
@@ -365,7 +362,7 @@ def convergence_sweep(
             err_plain = float(np.linalg.norm(plain - ground))
 
             m_n = find_oversampling(
-                family, n, lam, lower=a, rank_tol=rank_tol, basis=section.basis
+                family, n, lam, rank_tol=rank_tol, basis=section.basis
             )
             over = oversampled_inverse_apply(family, n, lam, fv, rank_tol=rank_tol)
             err_over = float(np.linalg.norm(over - ground))

@@ -103,7 +103,7 @@ def family_from_document(doc) -> HSFrameFamily:
         raise ParseError(f"unsupported scalar type {doc['scalar']!r}")
     dim_h, dim_k, count = doc["dim_h"], doc["dim_k"], doc["count"]
     for name, value in (("dim_h", dim_h), ("dim_k", dim_k), ("count", count)):
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     operators = doc["operators"]
     if not isinstance(operators, list) or len(operators) != count:

@@ -210,7 +210,7 @@ class TestClassify:
 
 class TestRieszInequalityCheck:
     def test_onb_ratios_are_one(self):
-        check = riesz_inequality_check(onb_family(3), trials=16, seed=1)
+        check = riesz_inequality_check(onb_family(3))
         assert check.min_ratio == pytest.approx(1.0, rel=1e-12)
         assert check.max_ratio == pytest.approx(1.0, rel=1e-12)
         assert check.riesz
@@ -221,20 +221,20 @@ class TestRieszInequalityCheck:
         if not rep.riesz:
             fam = onb_family(4)
             rep = classify(fam)
-        check = riesz_inequality_check(fam, trials=64, seed=3)
+        check = riesz_inequality_check(fam)
         assert check.riesz
         assert check.min_ratio >= rep.riesz_lower - 1e-9
         assert check.max_ratio <= rep.riesz_upper + 1e-9
 
     def test_kernel_vector_drives_ratio_to_zero(self):
-        check = riesz_inequality_check(MB, trials=16, seed=5)
+        check = riesz_inequality_check(MB)
         assert not check.riesz
         assert check.min_ratio <= 1e-12 * check.max_ratio
 
     def test_agrees_with_classify(self):
         for seed in range(30):
             fam = seeded_family(seed)
-            assert classify(fam).riesz == riesz_inequality_check(fam, seed=seed).riesz
+            assert classify(fam).riesz == riesz_inequality_check(fam).riesz
 
 
 class TestCanonicalDual:

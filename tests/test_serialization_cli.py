@@ -350,3 +350,54 @@ class TestFormatting:
         for _ in range(200):
             x = float(rng.standard_normal() * 10.0 ** rng.integers(-12, 12))
             assert float(format_sig(x)) == x
+
+
+class TestInputBoundary:
+    @pytest.fixture
+    def fam_path(self, tmp_path):
+        path = tmp_path / "fam.json"
+        save_family(random_family(4, 1, 6, SpectrumSpec.flat(), seed=2), str(path))
+        return path
+
+    @pytest.mark.parametrize("command", ["analyze", "invert"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_family_entry_rejected(
+        self, fam_path, tmp_path, capsys, command, value
+    ):
+        doc = json.loads(read(fam_path))
+        doc["operators"][1][2][0][0][1] = value
+        fam_path.write_text(json.dumps(doc))
+        code = main([command, "--input", str(fam_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["dim_h", "dim_k", "count"])
+    def test_bool_dimension_rejected(self, tmp_path, key):
+        path = tmp_path / "one.json"
+        save_family(onb_family(1), str(path))
+        doc = json.loads(read(path))
+        doc[key] = True
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--input", str(path)]) == 2
+
+    def test_nan_lambda_rejected(self, fam_path, tmp_path):
+        code = main([
+            "invert", "--input", str(fam_path), "--lambda", "nan",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_nan_magnitude_rejected(self, fam_path):
+        code = main([
+            "perturb", "--input", str(fam_path), "--mode", "additive-analysis",
+            "--magnitude", "nan",
+        ])
+        assert code == 2
+
+    def test_nan_vector_entry_rejected(self, fam_path, tmp_path):
+        code = main([
+            "invert", "--input", str(fam_path), "--vector", "1,nan,0,0",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
