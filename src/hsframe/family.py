@@ -16,6 +16,7 @@ T = U diag(s) V^H per family (``HSFrameFamily.svd``); bounds are extreme s^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -51,6 +52,16 @@ __all__ = [
 
 #: Relative cutoff (against the largest singular value) for rank decisions.
 DEFAULT_RANK_TOL = 1e-10
+
+
+def check_rank_tol(rank_tol) -> None:
+    """Reject a rank tolerance that is not a real number in (0, 1), NaN included."""
+    if (
+        isinstance(rank_tol, bool)
+        or not isinstance(rank_tol, numbers.Real)
+        or not 0.0 < rank_tol < 1.0
+    ):
+        raise ValidationError(f"rank_tol must be in (0, 1), got {rank_tol!r}")
 
 
 def numerical_rank(sigma: np.ndarray, rank_tol: float) -> int:
@@ -316,8 +327,7 @@ def classify(family: HSFrameFamily, rank_tol: float = DEFAULT_RANK_TOL) -> Frame
     trivial kernel (so its column count cannot exceed ``dim_h``).  Rank
     decisions use ``rank_tol`` relative to the largest singular value.
     """
-    if not 0.0 < rank_tol < 1.0:
-        raise ValidationError(f"rank_tol must be in (0, 1), got {rank_tol!r}")
+    check_rank_tol(rank_tol)
     sigma = family.svd.s
     rank = numerical_rank(sigma, rank_tol)
     lower, upper = frame_bounds(family)
@@ -354,6 +364,7 @@ def riesz_inequality_check(
 
 
 def _require_frame(family: HSFrameFamily, rank_tol: float) -> None:
+    check_rank_tol(rank_tol)
     rank = numerical_rank(family.svd.s, rank_tol)
     if rank != family.dim_h:
         raise NotAFrameError(

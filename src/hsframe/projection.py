@@ -13,6 +13,18 @@ S^-1 f of the full family:
 * oversampled:  (P_n S_{n+m(n)})^-1 P_n f, where m(n) is the smallest
   oversampling amount that pushes the smallest eigenvalue of the compressed
   operator above A/lambda.
+
+A sweep is one pass over the schedule.  Each prefix gets one basis Q_n and
+one product G = Q_n^H T, and every compression Q_n^H S_k Q_n (k >= n) is the
+Gram matrix of the first k blocks of G.  Since H_n is contained in H_{n+1}
+and S_k <= S_{k+1}, Cauchy interlacing makes lambda_min of the compression
+non-increasing in n and non-decreasing in k, so k(n) = n + m(n) never
+decreases along the schedule and each search starts at the previous k.  The
+skip is guarded: when the compression at k - 1 already reaches A/lambda,
+the search rescans from k = n, so m(n) is always the answer of the
+one-step-at-a-time scan.  That happens through roundoff, or when a rank
+decision breaks the nesting: a direction kept in H_n can fall below
+rank_tol * sigma_max, and out of H_{n+1}, once a large map arrives.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -36,6 +49,7 @@ from .family import (
     HSFrameFamily,
     _check_vector,
     _require_frame,
+    check_rank_tol,
     frame_bounds,
     frame_operator,
     numerical_rank,
@@ -159,6 +173,7 @@ def subspace_basis(
     """Orthonormal basis of span{adjoint ranges of the first n maps}."""
     if not 1 <= n <= family.count:
         raise ValidationError(f"prefix length {n} outside 1..{family.count}")
+    check_rank_tol(rank_tol)
     if n == family.count:  # the whole family: reuse its factorization
         u, s = family.svd.u, family.svd.s
     else:
@@ -169,6 +184,28 @@ def subspace_basis(
     return SubspaceBasis(q=q, rank=rank, n=n, rank_tol=rank_tol)
 
 
+def _gram(w: np.ndarray) -> np.ndarray:
+    """Hermitian part of w w^H."""
+    sec = w @ w.conj().T
+    return (sec + sec.conj().T) / 2.0
+
+
+def _check_floor(n: int, evals: np.ndarray) -> None:
+    """Reject a plain section whose smallest eigenvalue is lost in roundoff."""
+    floor = 16.0 * evals.size * np.finfo(float).eps * float(evals[-1])
+    if float(evals[0]) <= floor:
+        raise SectionSingularError(
+            f"sectional operator at n={n} is numerically singular "
+            f"(eigenvalue {evals[0]:.3e} vs top {evals[-1]:.3e}); "
+            "rank_tol is too loose for this family"
+        )
+
+
+def _check_lambda(lam) -> None:
+    if not lam > 1.0:
+        raise ValidationError(f"lambda must be > 1, got {lam}")
+
+
 def sectional_operator(
     family: HSFrameFamily, n: int, basis: SubspaceBasis
 ) -> np.ndarray:
@@ -177,18 +214,9 @@ def sectional_operator(
     Positive definite there by construction; a numerically vanishing
     eigenvalue means the rank tolerance used for the basis was too loose.
     """
-    w = basis.q.conj().T @ _prefix_columns(family, n)
-    sec = w @ w.conj().T
-    sec = (sec + sec.conj().T) / 2.0
+    sec = _gram(basis.q.conj().T @ _prefix_columns(family, n))
     if basis.rank > 0:
-        lam = np.linalg.eigvalsh(sec)
-        floor = 16.0 * basis.rank * np.finfo(float).eps * float(lam[-1])
-        if float(lam[0]) <= floor:
-            raise SectionSingularError(
-                f"sectional operator at n={n} is numerically singular "
-                f"(eigenvalue {lam[0]:.3e} vs top {lam[-1]:.3e}); "
-                "rank_tol is too loose for this family"
-            )
+        _check_floor(n, np.linalg.eigvalsh(sec))
     return sec
 
 
@@ -201,28 +229,89 @@ def project(basis: SubspaceBasis, f) -> np.ndarray:
 
 
 class _Section:
-    """Factored sectional solve y -> Q (Q^H S_n Q)^-1 Q^H y, reused per n."""
+    """One prefix n: its basis Q_n and G = Q_n^H T.
 
-    def __init__(self, family: HSFrameFamily, n: int, rank_tol: float):
-        self.family = family
+    Every compression Q_n^H S_k Q_n (k >= n) is the Gram matrix of the first
+    k blocks of G, and its eigenvalues are computed at most once per k.  The
+    plain section k = n is checked and Cholesky-factored on first use.
+    """
+
+    def __init__(
+        self,
+        family: HSFrameFamily,
+        n: int,
+        rank_tol: float,
+        basis: SubspaceBasis | None = None,
+    ):
         self.n = n
-        self.basis = subspace_basis(family, n, rank_tol)
-        if self.basis.rank > 0:
-            sec = sectional_operator(family, n, self.basis)
-            try:
-                self._cho = cho_factor(sec)
-            except LinAlgError as exc:
-                raise SectionSingularError(
-                    f"sectional operator at n={n} is not positive definite"
-                ) from exc
-        else:
-            self._cho = None
+        self.count = family.count
+        self.basis = subspace_basis(family, n, rank_tol) if basis is None else basis
+        self._blk = family.dim_k * family.dim_k
+        self._g = self.basis.q.conj().T @ family.synthesis_matrix
+        self._evals: dict[int, np.ndarray] = {}
 
-    def inv_apply(self, vec: np.ndarray) -> np.ndarray:
-        if self._cho is None:
-            return np.zeros_like(vec)
+    def compressed(self, k: int) -> np.ndarray:
+        """Q_n^H S_k Q_n."""
+        return _gram(self._g[:, : k * self._blk])
+
+    def evals(self, k: int) -> np.ndarray:
+        if k not in self._evals:
+            self._evals[k] = np.linalg.eigvalsh(self.compressed(k))
+        return self._evals[k]
+
+    @cached_property
+    def _cho(self):
+        _check_floor(self.n, self.evals(self.n))
+        try:
+            return cho_factor(self.compressed(self.n))
+        except LinAlgError as exc:
+            raise SectionSingularError(
+                f"sectional operator at n={self.n} is not positive definite"
+            ) from exc
+
+    def inv_apply(self, y: np.ndarray) -> np.ndarray:
+        """Q (Q^H S_n Q)^-1 Q^H y, for a vector or for each column of y."""
+        if self.basis.rank == 0:
+            return np.zeros_like(y)
         q = self.basis.q
-        return q @ cho_solve(self._cho, q.conj().T @ vec)
+        return q @ cho_solve(self._cho, q.conj().T @ y)
+
+    def oversampling(self, target: float, start: int) -> int:
+        """Smallest k >= n with lambda_min(Q_n^H S_k Q_n) >= target, at most count.
+
+        The scan starts at ``start``.  A sweep passes the previous prefix's
+        k: by interlacing, every smaller k falls short for this prefix too.
+        The skip is trusted only when k = start - 1 does fall short;
+        otherwise roundoff or a rank decision broke the nesting and the scan
+        restarts at k = n.
+        """
+        k = start
+        if k > self.n and self.evals(k - 1)[0] >= target:
+            k = self.n
+        while k < self.count and self.evals(k)[0] < target:
+            k += 1
+        return k
+
+    def oversampled_apply(
+        self, k: int, bounds: tuple[float, float], lam: float, y: np.ndarray
+    ) -> np.ndarray:
+        """(Q^H S_k Q)^-1 Q^H y mapped back to H, after asserting that the
+        compression's spectrum lies in [A/lam, B]."""
+        a, b = bounds
+        evals = self.evals(k)
+        lam_min, lam_max = float(evals[0]), float(evals[-1])
+        slack = 1e-12 * max(1.0, b)
+        if lam_max > b + slack:
+            raise InternalConsistencyError(
+                f"compressed operator norm {lam_max} exceeds upper bound {b}"
+            )
+        if lam_min < a / lam - slack:
+            raise InternalConsistencyError(
+                f"compressed operator smallest eigenvalue {lam_min} below "
+                f"certified level {a / lam}"
+            )
+        q = self.basis.q
+        return q @ np.linalg.solve(self.compressed(k), q.conj().T @ y)
 
 
 def projection_formula(
@@ -247,14 +336,6 @@ def plain_inverse_apply(
     return _Section(family, n, rank_tol).inv_apply(fv)
 
 
-def _compressed_prefix_operator(
-    family: HSFrameFamily, basis: SubspaceBasis, length: int
-) -> np.ndarray:
-    w = basis.q.conj().T @ _prefix_columns(family, length)
-    sec = w @ w.conj().T
-    return (sec + sec.conj().T) / 2.0
-
-
 def find_oversampling(
     family: HSFrameFamily,
     n: int,
@@ -268,19 +349,12 @@ def find_oversampling(
     restriction of the full frame operator, whose smallest eigenvalue is at
     least the optimal lower bound A.
     """
-    if not lam > 1.0:
-        raise ValidationError(f"lambda must be > 1, got {lam}")
+    _check_lambda(lam)
     _require_frame(family, rank_tol)
-    if basis is None:
-        basis = subspace_basis(family, n, rank_tol)
-    if basis.rank == 0:
+    section = _Section(family, n, rank_tol, basis)
+    if section.basis.rank == 0:
         return 0
-    target = frame_bounds(family)[0] / lam
-    for m in range(family.count - n + 1):
-        sec = _compressed_prefix_operator(family, basis, n + m)
-        if float(np.linalg.eigvalsh(sec)[0]) >= target:
-            return m
-    return family.count - n
+    return section.oversampling(frame_bounds(family)[0] / lam, n) - n
 
 
 def oversampled_inverse_apply(
@@ -297,27 +371,14 @@ def oversampled_inverse_apply(
     failure raises, since it would indicate a bug rather than bad data.
     """
     fv = _check_vector(family, f)
+    _check_lambda(lam)
     _require_frame(family, rank_tol)
-    a, b = frame_bounds(family)
-    basis = subspace_basis(family, n, rank_tol)
-    if basis.rank == 0:
+    bounds = frame_bounds(family)
+    section = _Section(family, n, rank_tol)
+    if section.basis.rank == 0:
         return np.zeros_like(fv)
-    m = find_oversampling(family, n, lam, rank_tol=rank_tol, basis=basis)
-    sec = _compressed_prefix_operator(family, basis, n + m)
-    evals = np.linalg.eigvalsh(sec)
-    lam_min, lam_max = float(evals[0]), float(evals[-1])
-    slack = 1e-12 * max(1.0, b)
-    if lam_max > b + slack:
-        raise InternalConsistencyError(
-            f"compressed operator norm {lam_max} exceeds upper bound {b}"
-        )
-    if lam_min < a / lam - slack:
-        raise InternalConsistencyError(
-            f"compressed operator smallest eigenvalue {lam_min} below "
-            f"certified level {a / lam}"
-        )
-    y = np.linalg.solve(sec, basis.q.conj().T @ fv)
-    return basis.q @ y
+    k = section.oversampling(bounds[0] / lam, n)
+    return section.oversampled_apply(k, bounds, lam, fv)
 
 
 def _nan_record(n: int) -> ConvergenceRecord:
@@ -341,58 +402,59 @@ def convergence_sweep(
     errors, the two equivalent vanishing criteria (operator deficiency
     crit2 and tail energy crit3), and the coefficient-level residual of
     the strong method.  A singular section flags its record and the sweep
-    continues.
+    continues.  One pass: each prefix gets one basis and one ``_Section``,
+    and its oversampling search starts at the previous prefix's k.
     """
     fv = _check_vector(family, f)
-    if not lam > 1.0:
-        raise ValidationError(f"lambda must be > 1, got {lam}")
+    _check_lambda(lam)
     schedule.validate_for(family)
     _require_frame(family, rank_tol)
+    bounds = frame_bounds(family)
     s = frame_operator(family)
     s_cho = cho_factor(s)
     ground = cho_solve(s_cho, fv)
     t = family.synthesis_matrix
     blk = family.dim_k * family.dim_k
+    # column j is G_j* G_j f; the strong residual compares S_n^-1 and S^-1 on it
+    coeffs = (t.conj().T @ fv).reshape(family.count, blk)
+    w = np.einsum("hjb,jb->hj", t.reshape(family.dim_h, family.count, blk), coeffs)
+    s_inv_w = cho_solve(s_cho, w)
 
     records = []
+    k = 1
     for n in schedule:
+        section = _Section(family, n, rank_tol)
         try:
-            section = _Section(family, n, rank_tol)
             plain = section.inv_apply(fv)
-            err_plain = float(np.linalg.norm(plain - ground))
-
-            m_n = find_oversampling(
-                family, n, lam, rank_tol=rank_tol, basis=section.basis
-            )
-            over = oversampled_inverse_apply(family, n, lam, fv, rank_tol=rank_tol)
-            err_over = float(np.linalg.norm(over - ground))
-
-            prefix = t[:, : n * blk]
-            s_n_plain = prefix @ (prefix.conj().T @ plain)
-            crit2 = float(np.linalg.norm(s @ plain - s_n_plain))
-            tail = t[:, n * blk :]
-            crit3 = float(np.linalg.norm(tail.conj().T @ plain) ** 2)
-
-            strong = 0.0
-            for j in range(n):
-                block = t[:, j * blk : (j + 1) * blk]
-                w_j = block @ (block.conj().T @ fv)
-                diff = section.inv_apply(w_j) - cho_solve(s_cho, w_j)
-                strong += abs(np.vdot(diff, fv)) ** 2
-            records.append(
-                ConvergenceRecord(
-                    n=n,
-                    m_n=m_n,
-                    r_n=section.basis.rank,
-                    err_plain=err_plain,
-                    err_oversampled=err_over,
-                    crit2=crit2,
-                    crit3=crit3,
-                    strong_residual=float(strong),
-                )
-            )
         except SectionSingularError:
             records.append(_nan_record(n))
+            continue
+        if section.basis.rank == 0:
+            m_n, over = 0, np.zeros_like(fv)
+        else:
+            k = section.oversampling(bounds[0] / lam, max(n, k))
+            m_n = k - n
+            over = section.oversampled_apply(k, bounds, lam, fv)
+
+        prefix = t[:, : n * blk]
+        s_n_plain = prefix @ (prefix.conj().T @ plain)
+        crit2 = float(np.linalg.norm(s @ plain - s_n_plain))
+        tail = t[:, n * blk :]
+        crit3 = float(np.linalg.norm(tail.conj().T @ plain) ** 2)
+        diff = section.inv_apply(w[:, :n]) - s_inv_w[:, :n]
+        strong = float(np.sum(np.abs(diff.conj().T @ fv) ** 2))
+        records.append(
+            ConvergenceRecord(
+                n=n,
+                m_n=m_n,
+                r_n=section.basis.rank,
+                err_plain=float(np.linalg.norm(plain - ground)),
+                err_oversampled=float(np.linalg.norm(over - ground)),
+                crit2=crit2,
+                crit3=crit3,
+                strong_residual=strong,
+            )
+        )
     return records
 
 

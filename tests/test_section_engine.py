@@ -1,0 +1,125 @@
+"""One-pass section engine: exact answers of the linear scan, bounded cost."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hsframe import (
+    SectionSchedule,
+    SpectrumSpec,
+    ValidationError,
+    convergence_sweep,
+    find_oversampling,
+    frame_bounds,
+    frame_operator,
+    from_scalar_frame,
+    oversampled_inverse_apply,
+    random_family,
+    subspace_basis,
+)
+from conftest import complex_unit
+
+RANK_TOL = 1e-10
+
+
+def numpy_basis(fam, n):
+    """Orthonormal basis of the prefix's column space, by numpy's own SVD."""
+    u, sig, _ = np.linalg.svd(fam.synthesis_matrix[:, : n * fam.dim_k**2],
+                              full_matrices=False)
+    return u[:, : int(np.count_nonzero(sig > RANK_TOL * sig[0]))]
+
+
+def linear_scan_m(fam, n, lam):
+    """Smallest m with lambda_min(Q_n^H S_{n+m} Q_n) >= A/lam, tried one m at a time."""
+    q = numpy_basis(fam, n)
+    if q.shape[1] == 0:
+        return 0
+    t, blk = fam.synthesis_matrix, fam.dim_k**2
+    target = frame_bounds(fam)[0] / lam
+    for k in range(n, fam.count + 1):
+        w = q.conj().T @ t[:, : k * blk]
+        sec = w @ w.conj().T
+        if np.linalg.eigvalsh((sec + sec.conj().T) / 2.0)[0] >= target:
+            return k - n
+    return fam.count - n
+
+
+@st.composite
+def sweep_cases(draw):
+    dim_h = draw(st.integers(1, 8))
+    dim_k = draw(st.integers(1, 2))
+    count = draw(st.integers(-(-dim_h // dim_k**2), 10))
+    spectrum = SpectrumSpec.geometric(draw(st.floats(0.2, 1.0)))
+    fam = random_family(dim_h, dim_k, count, spectrum,
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    lam = draw(st.floats(1.1, 8.0, exclude_min=True, exclude_max=True))
+    return fam, lam
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sweep_cases())
+def test_sweep_matches_linear_scan(case):
+    fam, lam = case
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    ground = np.linalg.solve(frame_operator(fam), f)
+    scale = float(np.linalg.norm(ground))
+    records = convergence_sweep(fam, SectionSchedule.full(fam.count), f, lam=lam)
+    for r in records:
+        assert not r.flagged
+        assert r.r_n == numpy_basis(fam, r.n).shape[1]
+        assert r.m_n == linear_scan_m(fam, r.n, lam)
+        assert r.m_n == find_oversampling(fam, r.n, lam)
+        over = oversampled_inverse_apply(fam, r.n, lam, f)
+        assert float(np.linalg.norm(over - ground)) == pytest.approx(
+            r.err_oversampled, rel=1e-9, abs=1e-9 * scale
+        )
+    assert records[-1].err_plain <= 1e-8 * scale
+    assert records[-1].err_oversampled <= 1e-8 * scale
+
+
+def test_rank_drop_makes_the_search_rescan():
+    """H_3 does not contain H_2: the tiny e2 direction counts at n = 2 but
+    falls below rank_tol * sigma_max once the large third map arrives, so
+    k(n) decreases and the skip guard must restart the scan at k = n."""
+    fam = from_scalar_frame([[1, 0], [0, 1e-6], [1e5, 0], [0, 1]])
+    records = convergence_sweep(fam, SectionSchedule.full(4), [1.0, 1.0])
+    assert [r.r_n for r in records] == [1, 2, 1, 2]
+    assert [r.m_n for r in records] == [0, 2, 0, 0]
+    assert [r.m_n for r in records] == [
+        linear_scan_m(fam, n, 2.0) for n in range(1, 5)
+    ]
+
+
+def test_sweep_cost_is_bounded(monkeypatch):
+    """O(rows + count) eigen-solves and one SVD per row for a whole sweep."""
+    fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    calls = {"eig": 0, "svd": 0}
+
+    def counting(kind, orig):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return orig(*args, **kwargs)
+
+        return wrapped
+
+    for name, kind in (("eigh", "eig"), ("eigvalsh", "eig"), ("svd", "svd")):
+        monkeypatch.setattr(np.linalg, name, counting(kind, getattr(np.linalg, name)))
+    records = convergence_sweep(fam, SectionSchedule.full(fam.count), f)
+    rows = len(records)
+    assert any(r.m_n > 0 for r in records)  # the search does real work
+    assert calls["eig"] <= 3 * rows + fam.count
+    assert calls["svd"] <= rows
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, 1.5, float("nan"), "1e-10", True])
+def test_rank_tol_checked_at_every_entry(rank_tol):
+    fam = random_family(4, 1, 6, SpectrumSpec.flat(), seed=2)
+    f = np.ones(4)
+    with pytest.raises(ValidationError, match="rank_tol"):
+        subspace_basis(fam, 2, rank_tol)
+    with pytest.raises(ValidationError, match="rank_tol"):
+        find_oversampling(fam, 2, 2.0, rank_tol=rank_tol)
+    with pytest.raises(ValidationError, match="rank_tol"):
+        convergence_sweep(fam, SectionSchedule.full(6), f, rank_tol=rank_tol)

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -40,6 +41,21 @@ def strip_timestamp_json(text):
 
 
 class TestFamilyFile:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, tmp_path, enabled):
+        path, bad = tmp_path / "fam.json", tmp_path / "bad.json"
+        bad.write_text("{ not json")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            save_family(onb_family(2), str(path))
+            load_family(str(path))
+            with pytest.raises(ParseError):
+                load_family(str(bad))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
     def test_round_trip_bit_exact(self, tmp_path):
         fam = random_family(5, 2, 3, SpectrumSpec.geometric(0.6), seed=11)
         path = tmp_path / "fam.json"
@@ -166,6 +182,19 @@ class TestAnalyzeCommand:
         assert not doc["frame_report"]["frame"]
         assert not doc["frame_report"]["complete"]
         assert doc["canonical_dual"] is None
+
+    def test_all_zero_family_report_is_strict_json(self, tmp_path):
+        fam = HSFrameFamily([np.zeros((2, 1, 1)), np.zeros((2, 1, 1))])
+        fam_path = tmp_path / "zero.json"
+        save_family(fam, str(fam_path))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(fam_path), "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(read(out), parse_constant=reject)
+        assert doc["frame_report"]["pseudo_inverse_norm"] is None
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["analyze", "--input", str(tmp_path / "nope.json")]) == 4
@@ -387,6 +416,17 @@ class TestInputBoundary:
         ])
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "invert"])
+    @pytest.mark.parametrize("value", ["0", "1.5", "nan"])
+    def test_bad_rank_tol_rejected(self, fam_path, tmp_path, capsys, command, value):
+        code = main([
+            command, "--input", str(fam_path), "--rank-tol", value,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "rank_tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_nan_magnitude_rejected(self, fam_path):
         code = main([
