@@ -18,6 +18,7 @@ from .errors import NumericError, ParseError, ValidationError
 from .family import (
     DEFAULT_RANK_TOL,
     canonical_dual,
+    check_trials,
     classify,
     frame_bounds,
     frame_operator_hs_norm_bound,
@@ -100,6 +101,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    check_trials(args.trials)  # used only for frames, but rejected for any input
     family = load_family(args.input)
     report = classify(family, args.rank_tol)
     ratio = riesz_inequality_check(family, rank_tol=args.rank_tol)

@@ -64,6 +64,16 @@ def check_rank_tol(rank_tol) -> None:
         raise ValidationError(f"rank_tol must be in (0, 1), got {rank_tol!r}")
 
 
+def check_trials(trials) -> None:
+    """Reject a sample count that is not an integer >= 0."""
+    if (
+        isinstance(trials, bool)
+        or not isinstance(trials, numbers.Integral)
+        or trials < 0
+    ):
+        raise ValidationError(f"trials must be an integer >= 0, got {trials!r}")
+
+
 def numerical_rank(sigma: np.ndarray, rank_tol: float) -> int:
     """Number of singular values (sorted descending) above rank_tol * max."""
     return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
@@ -78,7 +88,7 @@ class HSMap:
     """
 
     def __init__(self, images):
-        arr = np.array(images, dtype=np.complex128)
+        arr = np.array(images, dtype=np.complex128, order="C")
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValidationError(
                 f"map images must have shape (dim_h, d_k, d_k), got {arr.shape}"
@@ -414,6 +424,7 @@ def verify_alternate_dual(
         or candidate.dim_k != family.dim_k
     ):
         raise ValidationError("candidate dual must match the family's sizes")
+    check_trials(trials)
     rng = np.random.default_rng(seed)
     max_residual = 0.0
     identity_gap = 0.0

@@ -1,32 +1,49 @@
 """Stability of frame families under perturbation.
 
-The conditions compare a deviation norm against a combination
-lambda1 * (original term) + lambda2 * (perturbed term) + mu * (plain norm)
-on four levels: per-vector analysis sums, synthesis of coefficient
-sequences, the frame operators themselves, and synthesis differences used
-as a surjectivity argument.  Admissible constants (small enough against
-the lower bound) then force the perturbed family to be a frame, with
+Every condition here has one form: |D x| <= sum_i c_i |A_i x| for all x,
+where D is a deviation operator, each A_i an operator of the base family
+(T, S) or of the perturbed one (T~, S~) or the identity, and the c_i are
+the constants lambda1, lambda2, mu, nu.  The paper applies it on four
+levels:
+
+* analysis: D = (T - T~)^H on H, with lambda1 T^H, lambda2 T~^H, mu I;
+* synthesis and synthesis-coefficient: D = T - T~ on coefficient
+  sequences, with lambda1 T, lambda2 T~, mu I;
+* frame-operator: D = S - S~ on H, with lambda1 S, lambda2 S~, mu T^H,
+  nu T~^H.
+
+The Casazza-Christensen lemma (``cc_lemma_check``) is the same form with
+D = I - U, lambda1 I and lambda2 U.  Admissible constants (small enough
+against the lower bound) force the perturbed family to be a frame, with
 closed-form bounds on the analysis/synthesis levels.
 
-Verification is two-tier: when at most one constant is nonzero the
-condition is a norm comparison that factorizations decide exactly
-("certified"); otherwise it is sampled on random vectors together with
-every extremal singular/eigen direction of the operators involved.
+D is factored once: a thin SVD, or ``eigh`` in frame-operator mode where D
+is Hermitian.  The thin SVD of each A_i comes from the family's cached one
+(T^H = V s U^H, S = U s^2 U^H).  When at most one constant is active the
+condition is decided exactly ("certified"): sigma_max(D) <= c for the
+identity, otherwise D whitened by the singular values of A must have norm
+<= c, with ker A inside ker D.  Every condition is also sampled in one
+batch: random unit vectors, D's extreme directions and the extreme right
+singular vectors of the lambda1/lambda2 operators.  The empirical margin
+is the smallest slack over the samples, the witness the worst violating
+sample.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ValidationError
 from .family import (
     DEFAULT_RANK_TOL,
     HSFrameFamily,
     ThinSVD,
+    check_trials,
     classify,
     frame_bounds,
     frame_operator,
@@ -62,8 +79,13 @@ class PerturbationConstants:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "mu", "nu"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not 0.0 <= value < math.inf
+            ):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -178,17 +200,56 @@ def _check_pair(family: HSFrameFamily, other: HSFrameFamily) -> None:
         raise ValidationError("families must share dim_h, dim_k and count")
 
 
-def _unit_samples(rng, dim: int, trials: int) -> list[np.ndarray]:
-    out = []
-    for _ in range(trials):
-        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        out.append(x / np.linalg.norm(x))
-    return out
+class _Term(NamedTuple):
+    """One summand c |A x| of a condition; ``op`` None stands for the identity."""
+
+    c: float
+    op: np.ndarray | None
+    svd: ThinSVD | None
 
 
-def _extreme_columns(vecs: np.ndarray) -> list[np.ndarray]:
-    """First and last column: the extreme singular or eigen directions."""
-    return [vecs[:, 0], vecs[:, -1]]
+def _adjoint_svd(svd: ThinSVD) -> ThinSVD:
+    """T = U s V^H, so T^H = V s U^H."""
+    return ThinSVD(svd.vh.conj().T, svd.s, svd.u.conj().T)
+
+
+def _frame_operator_svd(svd: ThinSVD) -> ThinSVD:
+    """T = U s V^H, so S = T T^H = U s^2 U^H."""
+    return ThinSVD(svd.u, svd.s**2, svd.u.conj().T)
+
+
+def _condition(
+    mode: str,
+    family: HSFrameFamily,
+    candidate: HSFrameFamily,
+    constants: PerturbationConstants,
+) -> tuple[np.ndarray, list[_Term]]:
+    """D and the terms of |D x| <= sum_i c_i |A_i x| for one mode.
+
+    The first term is always lambda1 with an operator of the base family.
+    """
+    l1, l2, mu, nu = constants.lambda1, constants.lambda2, constants.mu, constants.nu
+    t_g, t_c = family.synthesis_matrix, candidate.synthesis_matrix
+    svd_g, svd_c = family.svd, candidate.svd
+    if mode == "analysis":
+        return (t_g - t_c).conj().T, [
+            _Term(l1, t_g.conj().T, _adjoint_svd(svd_g)),
+            _Term(l2, t_c.conj().T, _adjoint_svd(svd_c)),
+            _Term(mu, None, None),
+        ]
+    if mode in ("synthesis", "synthesis-coefficient"):
+        return t_g - t_c, [
+            _Term(l1, t_g, svd_g),
+            _Term(l2, t_c, svd_c),
+            _Term(mu, None, None),
+        ]
+    s_g, s_c = frame_operator(family), frame_operator(candidate)
+    return s_g - s_c, [
+        _Term(l1, s_g, _frame_operator_svd(svd_g)),
+        _Term(l2, s_c, _frame_operator_svd(svd_c)),
+        _Term(mu, t_g.conj().T, _adjoint_svd(svd_g)),
+        _Term(nu, t_c.conj().T, _adjoint_svd(svd_c)),
+    ]
 
 
 def _extremal_right_singular(vh: np.ndarray) -> list[np.ndarray]:
@@ -203,15 +264,82 @@ def _extremal_right_singular(vh: np.ndarray) -> list[np.ndarray]:
     return [vh[0].conj(), kernel / np.linalg.norm(kernel)]
 
 
-def _gen_eig_max(num: np.ndarray, den: np.ndarray) -> float | None:
-    """Largest generalized eigenvalue of (num, den); None if den is not PD."""
-    num = (num + num.conj().T) / 2.0
-    den = (den + den.conj().T) / 2.0
-    try:
-        vals = sla.eigh(num, den, eigvals_only=True)
-    except (sla.LinAlgError, ValueError):
-        return None
-    return float(vals[-1])
+def _factor_deviation(d: np.ndarray, hermitian: bool) -> tuple[float, list[np.ndarray]]:
+    """sigma_max(D) and D's two extreme directions, from one factorization:
+    the extreme eigenvectors when D is Hermitian, else the extreme right
+    singular vectors."""
+    if hermitian:
+        w, vecs = np.linalg.eigh(d)
+        return max(-float(w[0]), float(w[-1])), [vecs[:, 0], vecs[:, -1]]
+    _, s, vh = np.linalg.svd(d, full_matrices=False)
+    return float(s[0]), _extremal_right_singular(vh)
+
+
+def _restricted_ratio_cert(delta: np.ndarray, base: ThinSVD, bound: float) -> bool:
+    """Certify |delta c| <= bound * |base c| for every c, exactly.
+
+    Needs ker(base) inside ker(delta), tested as |delta - delta V_r^H V_r|_2
+    without a full V; on the complement the supremum of the ratio is a single
+    operator norm after whitening by the singular values of ``base``.
+    """
+    smax = float(base.s[0])
+    if smax == 0.0:
+        return float(np.linalg.norm(delta, ord=2)) <= 1e-14
+    rank = numerical_rank(base.s, 1e-14)
+    v_r = base.vh[:rank]
+    restricted = delta @ v_r.conj().T
+    if rank < delta.shape[1]:
+        if float(np.linalg.norm(delta - restricted @ v_r, ord=2)) > 1e-12 * smax:
+            return False
+    ratio = float(np.linalg.norm(restricted / base.s[:rank], ord=2))
+    return ratio <= bound * (1.0 + _CERT_RTOL) + 1e-14
+
+
+def _certified(d: np.ndarray, d_norm: float, terms: list[_Term]) -> bool:
+    """Decide the condition exactly when at most one constant is active;
+    False means 'not certified' (the condition may still hold empirically)."""
+    active = [t for t in terms if t.c > 0.0]
+    if not active:  # D must vanish at the scale of the base family's operator
+        return d_norm <= 1e-13 * max(float(terms[0].svd.s[0]), 1.0)
+    if len(active) > 1:
+        return False
+    (term,) = active
+    if term.op is None:
+        return d_norm <= term.c * (1.0 + _CERT_RTOL) + 1e-14
+    return _restricted_ratio_cert(d, term.svd, term.c)
+
+
+def _sampled_margin(
+    d: np.ndarray,
+    d_dirs: list[np.ndarray],
+    terms: list[_Term],
+    trials: int,
+    seed: int,
+) -> tuple[float, np.ndarray | None]:
+    """Smallest sum_i c_i |A_i x| - |D x| over the samples, and the worst
+    sample when it violates the condition.
+
+    The samples are the columns of one array: ``trials`` random unit
+    vectors, D's extreme directions ``d_dirs`` and the extreme right
+    singular vectors of the lambda1 and lambda2 operators.
+    """
+    z = np.random.default_rng(seed).standard_normal((trials, 2, d.shape[1]))
+    x = z[:, 0] + 1j * z[:, 1]
+    dirs = list(d_dirs)
+    for t in terms[:2]:
+        if t.svd is not None:
+            dirs += _extremal_right_singular(t.svd.vh)
+    x = np.hstack(
+        [(x / np.linalg.norm(x, axis=1, keepdims=True)).T, np.column_stack(dirs)]
+    )
+    rhs = np.zeros(x.shape[1])
+    for t in terms:
+        if t.c > 0.0:
+            rhs += t.c * np.linalg.norm(x if t.op is None else t.op @ x, axis=0)
+    gap = rhs - np.linalg.norm(d @ x, axis=0)
+    worst = int(np.argmin(gap))
+    margin = float(gap[worst])
+    return margin, (x[:, worst] if margin < -_MARGIN_TOL else None)
 
 
 def cc_lemma_check(
@@ -232,35 +360,19 @@ def cc_lemma_check(
     """
     if not (0.0 <= lambda1 < 1.0 and 0.0 <= lambda2 < 1.0):
         raise ValidationError("lambda1, lambda2 must lie in [0, 1)")
+    check_trials(trials)
     um = np.asarray(u, dtype=np.complex128)
     if um.ndim != 2 or um.shape[0] != um.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {um.shape}")
-    dim = um.shape[0]
-    eye = np.eye(dim)
-    dev = eye - um
-    _, sig_u, vh_u = np.linalg.svd(um, full_matrices=False)
-    _, sig_dev, vh_dev = np.linalg.svd(dev, full_matrices=False)
-    sigma_min, sigma_max = float(sig_u[-1]), float(sig_u[0])
-    dev_norm = float(sig_dev[0])
+    dev = np.eye(um.shape[0]) - um
+    svd_u = ThinSVD(*np.linalg.svd(um, full_matrices=False))
+    sigma_min, sigma_max = float(svd_u.s[-1]), float(svd_u.s[0])
+    dev_norm, dev_dirs = _factor_deviation(dev, hermitian=False)
 
     envelope = lambda1 + lambda2 * sigma_min
     certified = dev_norm <= envelope * (1.0 + _CERT_RTOL) + 1e-15
-
-    rng = np.random.default_rng(seed)
-    samples = _unit_samples(rng, dim, trials)
-    samples += _extremal_right_singular(vh_dev)
-    samples += _extremal_right_singular(vh_u)
-    margin = math.inf
-    witness = None
-    for x in samples:
-        lhs = float(np.linalg.norm(um @ x - x))
-        rhs = lambda1 * float(np.linalg.norm(x)) + lambda2 * float(
-            np.linalg.norm(um @ x)
-        )
-        if rhs - lhs < margin:
-            margin = rhs - lhs
-            if margin < -_MARGIN_TOL:
-                witness = x
+    terms = [_Term(lambda1, None, None), _Term(lambda2, um, svd_u)]
+    margin, witness = _sampled_margin(dev, dev_dirs, terms, trials, seed)
     satisfied = certified or margin >= -_MARGIN_TOL
 
     fwd = ((1.0 - lambda1) / (1.0 + lambda2), (1.0 + lambda1) / (1.0 - lambda2))
@@ -290,92 +402,6 @@ def cc_lemma_check(
     )
 
 
-def _restricted_ratio_cert(delta: np.ndarray, base: ThinSVD, bound: float) -> bool:
-    """Certify |delta c| <= bound * |base c| for every c, exactly.
-
-    Needs ker(base) inside ker(delta), tested as |delta - delta V_r^H V_r|_2
-    without a full V; on the complement the supremum of the ratio is a single
-    operator norm after whitening by the singular values of ``base``.
-    """
-    smax = float(base.s[0])
-    if smax == 0.0:
-        return float(np.linalg.norm(delta, ord=2)) <= 1e-14
-    rank = numerical_rank(base.s, 1e-14)
-    v_r = base.vh[:rank]
-    restricted = delta @ v_r.conj().T
-    if rank < delta.shape[1]:
-        if float(np.linalg.norm(delta - restricted @ v_r, ord=2)) > 1e-12 * smax:
-            return False
-    ratio = float(np.linalg.norm(restricted / base.s[:rank], ord=2))
-    return ratio <= bound * (1.0 + _CERT_RTOL) + 1e-14
-
-
-def _exact_certificate(
-    mode: str,
-    constants: PerturbationConstants,
-    family: HSFrameFamily,
-    candidate: HSFrameFamily,
-    s_g: np.ndarray,
-    s_c: np.ndarray,
-) -> bool:
-    """Try to decide the condition exactly; False means 'not certified'
-    (the condition may still hold empirically)."""
-    l1, l2, mu, nu = constants.lambda1, constants.lambda2, constants.mu, constants.nu
-    active = [v for v in (l1, l2, mu, nu) if v > 0.0]
-    if len(active) > 1:
-        return False
-    t_g = family.synthesis_matrix
-    t_c = candidate.synthesis_matrix
-    scale = max(float(family.svd.s[0]), 1.0)
-
-    if mode == "analysis":
-        delta = (t_g - t_c).conj().T  # acts on H
-        if mu > 0.0:
-            return float(np.linalg.norm(delta, ord=2)) <= mu * (1.0 + _CERT_RTOL) + 1e-14
-        num = delta.conj().T @ delta
-        if l1 > 0.0:
-            top = _gen_eig_max(num, s_g)
-        elif l2 > 0.0:
-            top = _gen_eig_max(num, s_c)
-        else:
-            return float(np.linalg.norm(delta, ord=2)) <= 1e-13 * scale
-        if top is None:
-            return False
-        bound = l1 if l1 > 0.0 else l2
-        return top <= bound**2 * (1.0 + _CERT_RTOL) + 1e-14
-
-    if mode in ("synthesis", "synthesis-coefficient"):
-        delta = t_g - t_c  # acts on coefficient space
-        if mu > 0.0:
-            return float(np.linalg.norm(delta, ord=2)) <= mu * (1.0 + _CERT_RTOL) + 1e-14
-        if l1 > 0.0:
-            return _restricted_ratio_cert(delta, family.svd, l1)
-        if l2 > 0.0:
-            return _restricted_ratio_cert(delta, candidate.svd, l2)
-        return float(np.linalg.norm(delta, ord=2)) <= 1e-13 * scale
-
-    # frame-operator mode
-    d_op = s_g - s_c
-    num = d_op.conj().T @ d_op
-    if mu > 0.0:
-        top = _gen_eig_max(num, s_g)
-        bound = mu
-    elif nu > 0.0:
-        top = _gen_eig_max(num, s_c)
-        bound = nu
-    elif l1 > 0.0:
-        top = _gen_eig_max(num, s_g @ s_g)
-        bound = l1
-    elif l2 > 0.0:
-        top = _gen_eig_max(num, s_c @ s_c)
-        bound = l2
-    else:
-        return float(np.linalg.norm(d_op, ord=2)) <= 1e-13 * scale**2
-    if top is None:
-        return False
-    return top <= bound**2 * (1.0 + _CERT_RTOL) + 1e-14
-
-
 def check_condition(
     mode: str,
     family: HSFrameFamily,
@@ -388,7 +414,7 @@ def check_condition(
 
     ``certified`` is set only when an exact factorization decides the
     condition; the empirical margin (min of RHS - LHS over all samples) is
-    always reported, along with the first violating sample if any.
+    always reported, along with the worst violating sample if any.
     Predicted bounds are filled for the analysis/synthesis modes, which
     admit closed-form bounds; the frame-operator and synthesis-coefficient
     conditions guarantee frame-ness only.
@@ -396,86 +422,23 @@ def check_condition(
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
     _check_pair(family, candidate)
+    check_trials(trials)
     a_g, b_g = frame_bounds(family)
     actual = frame_bounds(candidate)
-    if mode == "frame-operator":
-        check_admissible(constants, a_g, bessel_of_candidate=actual[1], mode=mode)
-    else:
-        check_admissible(constants, a_g, mode=mode)
+    check_admissible(constants, a_g, bessel_of_candidate=actual[1], mode=mode)
 
-    t_g = family.synthesis_matrix
-    t_c = candidate.synthesis_matrix
-    s_g = frame_operator(family)
-    s_c = frame_operator(candidate)
-    certified = _exact_certificate(mode, constants, family, candidate, s_g, s_c)
-
-    l1, l2, mu, nu = constants.lambda1, constants.lambda2, constants.mu, constants.nu
-    rng = np.random.default_rng(seed)
-    if mode in ("synthesis", "synthesis-coefficient"):
-        delta = t_g - t_c
-        samples = _unit_samples(rng, t_g.shape[1], trials)
-        samples += _extremal_right_singular(np.linalg.svd(delta, full_matrices=False)[2])
-        samples += _extremal_right_singular(family.svd.vh)
-        samples += _extremal_right_singular(candidate.svd.vh)
-
-        def lhs_rhs(c):
-            lhs = float(np.linalg.norm(delta @ c))
-            rhs = (
-                l1 * float(np.linalg.norm(t_g @ c))
-                + l2 * float(np.linalg.norm(t_c @ c))
-                + mu * float(np.linalg.norm(c))
-            )
-            return lhs, rhs
-
-    elif mode == "analysis":
-        delta_h = (t_g - t_c).conj().T
-        samples = _unit_samples(rng, family.dim_h, trials)
-        samples += _extreme_columns(np.linalg.svd(t_g - t_c, full_matrices=False)[0])
-        samples += _extreme_columns(family.svd.u)  # eigenvectors of S
-        samples += _extreme_columns(candidate.svd.u)
-
-        def lhs_rhs(f):
-            lhs = float(np.linalg.norm(delta_h @ f))
-            rhs = (
-                l1 * float(np.linalg.norm(t_g.conj().T @ f))
-                + l2 * float(np.linalg.norm(t_c.conj().T @ f))
-                + mu * float(np.linalg.norm(f))
-            )
-            return lhs, rhs
-
-    else:  # frame-operator
-        d_op = s_g - s_c
-        samples = _unit_samples(rng, family.dim_h, trials)
-        samples += _extreme_columns(np.linalg.eigh(d_op)[1])
-        samples += _extreme_columns(family.svd.u)
-        samples += _extreme_columns(candidate.svd.u)
-
-        def lhs_rhs(f):
-            lhs = float(np.linalg.norm(d_op @ f))
-            rhs = (
-                l1 * float(np.linalg.norm(s_g @ f))
-                + l2 * float(np.linalg.norm(s_c @ f))
-                + mu * float(np.linalg.norm(t_g.conj().T @ f))
-                + nu * float(np.linalg.norm(t_c.conj().T @ f))
-            )
-            return lhs, rhs
-
-    margin = math.inf
-    witness = None
-    for x in samples:
-        lhs, rhs = lhs_rhs(x)
-        if rhs - lhs < margin:
-            margin = rhs - lhs
-            if margin < -_MARGIN_TOL and witness is None:
-                witness = x
-
+    d, terms = _condition(mode, family, candidate, constants)
+    d_norm, d_dirs = _factor_deviation(d, hermitian=mode == "frame-operator")
+    margin, witness = _sampled_margin(d, d_dirs, terms, trials, seed)
     if mode in ("analysis", "synthesis"):
-        predicted = predicted_bounds(a_g, b_g, l1, l2, mu)
+        predicted = predicted_bounds(
+            a_g, b_g, constants.lambda1, constants.lambda2, constants.mu
+        )
     else:
         predicted = None
     return PerturbationVerdict(
         mode=mode,
-        certified=certified,
+        certified=_certified(d, d_norm, terms),
         empirical_margin=margin,
         witness=witness,
         predicted_bounds=predicted,

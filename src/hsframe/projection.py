@@ -51,7 +51,6 @@ from .family import (
     _require_frame,
     check_rank_tol,
     frame_bounds,
-    frame_operator,
     numerical_rank,
 )
 
@@ -410,15 +409,13 @@ def convergence_sweep(
     schedule.validate_for(family)
     _require_frame(family, rank_tol)
     bounds = frame_bounds(family)
-    s = frame_operator(family)
-    s_cho = cho_factor(s)
-    ground = cho_solve(s_cho, fv)
+    u, sigma = family.svd.u, family.svd.s
+    ground = u @ ((u.conj().T @ fv) / sigma**2)
     t = family.synthesis_matrix
+    t_h = t.conj().T
     blk = family.dim_k * family.dim_k
-    # column j is G_j* G_j f; the strong residual compares S_n^-1 and S^-1 on it
-    coeffs = (t.conj().T @ fv).reshape(family.count, blk)
-    w = np.einsum("hjb,jb->hj", t.reshape(family.dim_h, family.count, blk), coeffs)
-    s_inv_w = cho_solve(s_cho, w)
+    coeffs = (t_h @ fv).reshape(family.count, blk)  # row j is G_j f
+    ground_coeffs = t_h @ ground
 
     records = []
     k = 1
@@ -436,13 +433,15 @@ def convergence_sweep(
             m_n = k - n
             over = section.oversampled_apply(k, bounds, lam, fv)
 
-        prefix = t[:, : n * blk]
-        s_n_plain = prefix @ (prefix.conj().T @ plain)
-        crit2 = float(np.linalg.norm(s @ plain - s_n_plain))
-        tail = t[:, n * blk :]
-        crit3 = float(np.linalg.norm(tail.conj().T @ plain) ** 2)
-        diff = section.inv_apply(w[:, :n]) - s_inv_w[:, :n]
-        strong = float(np.sum(np.abs(diff.conj().T @ fv) ** 2))
+        y = t_h @ plain  # G_j x_n for every j
+        cut = n * blk
+        crit2 = float(np.linalg.norm(t[:, cut:] @ y[cut:]))  # |(S - S_n) x_n|
+        crit3 = float(np.linalg.norm(y[cut:]) ** 2)
+        # S_n^-1 P_n and S^-1 are self-adjoint, so the strong residual's
+        # <(S_n^-1 P_n - S^-1) G_j* G_j f, f> is <G_j f, G_j (x_n - S^-1 f)>
+        err_coeffs = (y - ground_coeffs)[:cut].reshape(n, blk)
+        inner = np.sum(coeffs[:n].conj() * err_coeffs, axis=1)
+        strong = float(np.sum(np.abs(inner) ** 2))
         records.append(
             ConvergenceRecord(
                 n=n,
@@ -511,10 +510,14 @@ def kernel_consistency(
     if len(coeffs) != family.count or coeffs.dim_k != family.dim_k:
         raise ValidationError("coefficient sequence does not match the family")
     schedule.validate_for(family)
+    check_rank_tol(rank_tol)
     t = family.synthesis_matrix
     blk = family.dim_k * family.dim_k
     c_vec = coeffs.stacked()
-    g, *_ = np.linalg.lstsq(t.conj().T, c_vec, rcond=None)
+    svd = family.svd
+    rank = numerical_rank(svd.s, rank_tol)
+    # g = (T^H)^+ c from T = U s V^H: the analysis part of c is T^H g
+    g = svd.u[:, :rank] @ ((svd.vh[:rank] @ c_vec) / svd.s[:rank])
     kernel_vec = c_vec - t.conj().T @ g
     kernel_norm = float(np.linalg.norm(kernel_vec))
 

@@ -78,11 +78,9 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def family_to_document(family: HSFrameFamily) -> dict:
+    # images is C-contiguous complex128, so the float64 view pairs (re, im)
     operators = [
-        [
-            [[[float(z.real), float(z.imag)] for z in row] for row in image]
-            for image in m.images
-        ]
+        m.images.view(np.float64).reshape(*m.images.shape, 2).tolist()
         for m in family.maps
     ]
     return {

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsframe import (
+    CoefficientSequence,
     HSFrameFamily,
     SectionSchedule,
     SpectrumSpec,
@@ -17,12 +19,14 @@ from hsframe import (
     frame_bounds,
     frame_operator,
     frame_operator_hs_norm_bound,
+    kernel_consistency,
     random_family,
     reconstruct,
     riesz_family,
     riesz_inequality_check,
     save_family,
 )
+from hsframe import projection
 from hsframe.cli import main
 from conftest import complex_unit
 
@@ -60,24 +64,33 @@ def test_wide_family_min_ratio_is_exactly_zero():
 
 
 def test_family_is_factored_once(monkeypatch):
+    """One SVD of T, and no other factorization, least-squares or Cholesky
+    solve of T, T^H or S, across every caller of the cached factorization."""
     fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
     t = fam.synthesis_matrix
     s = frame_operator(fam)
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    coeffs = CoefficientSequence.from_stacked(
+        complex_unit(np.random.default_rng(1), t.shape[1]), fam.dim_k
+    )
     calls = []
 
     def counting(orig):
         def wrapped(a, *args, **kwargs):
             a_arr = np.asarray(a)
-            for whole in (t, s):
+            for whole in (t, t.conj().T, s):
                 if a_arr.shape == whole.shape and np.allclose(a_arr, whole):
                     calls.append(orig.__name__)
             return orig(a, *args, **kwargs)
 
         return wrapped
 
-    for name in ("svd", "eigh", "eigvalsh"):
+    for name in ("svd", "eigh", "eigvalsh", "cholesky", "lstsq"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    for module in (scipy.linalg, projection):  # projection binds cho_factor itself
+        for name in ("cho_factor", "cholesky"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
     classify(fam)
     frame_bounds(fam)
     riesz_inequality_check(fam)
@@ -85,6 +98,7 @@ def test_family_is_factored_once(monkeypatch):
     reconstruct(fam, f)
     frame_operator_hs_norm_bound(fam)
     convergence_sweep(fam, SectionSchedule.full(fam.count), f)
+    kernel_consistency(fam, coeffs, SectionSchedule.full(fam.count))
     assert calls == ["svd"]
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsframe import (
+    HSFrameFamily,
     PerturbationConstants,
     SpectrumSpec,
     ValidationError,
@@ -17,6 +20,7 @@ from hsframe import (
     random_family,
     riesz_family,
     riesz_stability_check,
+    verify_alternate_dual,
 )
 from conftest import complex_unit, seeded_family
 from oracle_scalar import ScalarFrameOracle
@@ -230,6 +234,59 @@ class TestCheckCondition:
             check_condition("analysis", g, g, PerturbationConstants(mu=1.5))
 
 
+@st.composite
+def left_perturbed_pairs(draw):
+    """A frame with singular values in [1, 2] and the candidate (I - E) T with
+    |E| <= 0.02: ker T lies in ker(T - T~), so every supremum below is finite
+    and every single constant at (1 + 1e-6) times it is admissible."""
+    dim_h = draw(st.integers(1, 5))
+    dim_k = draw(st.integers(1, 2))
+    count = draw(st.integers(-(-dim_h // dim_k**2), 5))
+    ncols = count * dim_k * dim_k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u, _ = np.linalg.qr(gauss(dim_h, dim_h))
+    v, _ = np.linalg.qr(gauss(ncols, dim_h))
+    t = (u * rng.uniform(1.0, 2.0, dim_h)) @ v.conj().T
+    e = gauss(dim_h, dim_h)
+    e *= draw(st.floats(1e-3, 0.02)) / np.linalg.norm(e, ord=2)
+    return (
+        HSFrameFamily.from_synthesis_matrix(dim_h, dim_k, t),
+        HSFrameFamily.from_synthesis_matrix(dim_h, dim_k, (np.eye(dim_h) - e) @ t),
+    )
+
+
+def dense_condition(mode, fam, cand):
+    """D and the operator of each constant, built densely."""
+    t, tc = fam.synthesis_matrix, cand.synthesis_matrix
+    if mode == "analysis":
+        ops = {"lambda1": t.conj().T, "lambda2": tc.conj().T, "mu": np.eye(fam.dim_h)}
+        return (t - tc).conj().T, ops
+    if mode != "frame-operator":
+        return t - tc, {"lambda1": t, "lambda2": tc, "mu": np.eye(t.shape[1])}
+    s, sc = t @ t.conj().T, tc @ tc.conj().T
+    return s - sc, {"lambda1": s, "lambda2": sc, "mu": t.conj().T, "nu": tc.conj().T}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(left_perturbed_pairs())
+def test_single_constant_certificate_is_sharp(pair):
+    """With one active constant c, certified holds exactly when c is at least
+    the supremum of |D x| / |A x|, here computed as |D A^+|."""
+    fam, cand = pair
+    for mode in ("analysis", "synthesis", "frame-operator", "synthesis-coefficient"):
+        d, ops = dense_condition(mode, fam, cand)
+        for name, a in ops.items():
+            sup = float(np.linalg.norm(d @ np.linalg.pinv(a), ord=2))
+            for factor in (1.0 + 1e-6, 1.0 - 1e-6):
+                constants = PerturbationConstants(**{name: sup * factor})
+                verdict = check_condition(mode, fam, cand, constants, trials=8)
+                assert verdict.certified == (factor > 1.0), (mode, name, sup)
+
+
 class TestPerturbFamily:
     def test_zero_magnitude_identity(self):
         g = seeded_family(12)
@@ -265,6 +322,23 @@ class TestPerturbFamily:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValidationError):
             perturb_family(seeded_family(15), "scale", -0.1)
+
+
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "mu", "nu"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, True, "0.1"])
+def test_constants_must_be_finite_reals(name, value):
+    with pytest.raises(ValidationError, match=name):
+        PerturbationConstants(**{name: value})
+
+
+def test_negative_trials_rejected():
+    g = onb_family(2)
+    with pytest.raises(ValidationError, match="trials"):
+        check_condition("analysis", g, g, PerturbationConstants(), trials=-1)
+    with pytest.raises(ValidationError, match="trials"):
+        cc_lemma_check(np.eye(2), 0.1, 0.0, trials=-1)
+    with pytest.raises(ValidationError, match="trials"):
+        verify_alternate_dual(g, g, trials=-1)
 
 
 class TestSoundness:

@@ -45,6 +45,28 @@ def linear_scan_m(fam, n, lam):
     return fam.count - n
 
 
+def brute_force_diagnostics(fam, n, f):
+    """crit2, crit3 and the strong residual from dense solves on numpy's basis."""
+    t, blk = fam.synthesis_matrix, fam.dim_k**2
+    s = t @ t.conj().T
+    prefix, tail = t[:, : n * blk], t[:, n * blk :]
+    s_n = prefix @ prefix.conj().T
+    q = numpy_basis(fam, n)
+
+    def sectional_inverse(y):
+        return q @ np.linalg.solve(q.conj().T @ s_n @ q, q.conj().T @ y)
+
+    x_n = sectional_inverse(f)
+    crit2 = float(np.linalg.norm((s - s_n) @ x_n))
+    crit3 = float(np.linalg.norm(tail.conj().T @ x_n) ** 2)
+    strong = 0.0
+    for j in range(n):
+        block = t[:, j * blk : (j + 1) * blk]
+        w = block @ (block.conj().T @ f)  # G_j* G_j f
+        strong += abs(np.vdot(f, sectional_inverse(w) - np.linalg.solve(s, w))) ** 2
+    return crit2, crit3, strong
+
+
 @st.composite
 def sweep_cases(draw):
     dim_h = draw(st.integers(1, 8))
@@ -73,6 +95,12 @@ def test_sweep_matches_linear_scan(case):
         over = oversampled_inverse_apply(fam, r.n, lam, f)
         assert float(np.linalg.norm(over - ground)) == pytest.approx(
             r.err_oversampled, rel=1e-9, abs=1e-9 * scale
+        )
+        crit2, crit3, strong = brute_force_diagnostics(fam, r.n, f)
+        assert r.crit2 == pytest.approx(crit2, rel=1e-10, abs=1e-10 * scale)
+        assert r.crit3 == pytest.approx(crit3, rel=1e-10, abs=1e-10 * scale**2)
+        assert r.strong_residual == pytest.approx(
+            strong, rel=1e-10, abs=1e-10 * scale**2
         )
     assert records[-1].err_plain <= 1e-8 * scale
     assert records[-1].err_oversampled <= 1e-8 * scale

@@ -66,6 +66,31 @@ class TestFamilyFile:
         save_family(loaded, str(tmp_path / "fam2.json"))
         assert read(path) == read(tmp_path / "fam2.json")
 
+    def test_saved_text_is_pinned(self, tmp_path):
+        """Signed zeros, subnormals and 1e-300 keep their shortest repr, and a
+        Fortran-ordered image array is written in index order."""
+        images = np.empty((3, 1, 1), dtype=np.complex128)
+        images.real = np.array([-0.0, 0.1, -1e-300]).reshape(3, 1, 1)
+        images.imag = np.array([1e-300, -0.0, 5e-324]).reshape(3, 1, 1)
+        path = tmp_path / "tiny.json"
+        fam = HSFrameFamily([np.asfortranarray(images), np.ones((3, 1, 1))])
+        save_family(fam, str(path))
+        entries = ["-0.0, 1e-300", "0.1, -0.0", "-1e-300, 5e-324"] + ["1.0, 0.0"] * 3
+
+        def image(entry):
+            re, im = entry.split(", ")
+            return f"   [\n    [\n     [\n      {re},\n      {im}\n     ]\n    ]\n   ]"
+
+        def op(part):
+            return "  [\n" + ",\n".join(image(e) for e in part) + "\n  ]"
+
+        header = (
+            '{\n "format_version": 1,\n "dim_h": 3,\n "dim_k": 1,\n "count": 2,\n'
+            ' "scalar": "complex128",\n "operators": [\n'
+        )
+        want = header + op(entries[:3]) + ",\n" + op(entries[3:]) + "\n ]\n}\n"
+        assert read(path) == want
+
     def test_truncated_file_is_parse_error(self, tmp_path):
         fam = onb_family(3)
         path = tmp_path / "fam.json"
@@ -441,3 +466,30 @@ class TestInputBoundary:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--mu", "--lambda1", "--lambda2", "--nu"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_constant_rejected(self, fam_path, tmp_path, capsys, flag, value):
+        code = main([
+            "perturb", "--input", str(fam_path), "--mode", "additive-analysis",
+            "--magnitude", "0.1", flag, value, "--out", str(tmp_path / "p.json"),
+        ])
+        assert code == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("command", ["perturb", "analyze"])
+    def test_negative_trials_rejected(self, fam_path, tmp_path, capsys, command):
+        extra = ["--mode", "scale", "--magnitude", "0.1"] if command == "perturb" else []
+        code = main([
+            command, "--input", str(fam_path), *extra, "--trials", "-3",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "trials" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_negative_trials_rejected_for_non_frame(self, tmp_path):
+        path = tmp_path / "line.json"
+        save_family(from_scalar_frame([[1, 0], [2, 0]]), str(path))
+        assert main(["analyze", "--input", str(path), "--trials", "-3"]) == 2
