@@ -22,11 +22,11 @@ is Hermitian.  The thin SVD of each A_i comes from the family's cached one
 (T^H = V s U^H, S = U s^2 U^H).  When at most one constant is active the
 condition is decided exactly ("certified"): sigma_max(D) <= c for the
 identity, otherwise D whitened by the singular values of A must have norm
-<= c, with ker A inside ker D.  Every condition is also sampled in one
-batch: random unit vectors, D's extreme directions and the extreme right
-singular vectors of the lambda1/lambda2 operators.  The empirical margin
-is the smallest slack over the samples, the witness the worst violating
-sample.
+<= c, with ker A inside ker D (exactly, on H).  Every condition is also
+sampled in one batch: random unit vectors, D's extreme directions and the
+extreme right singular vectors of the lambda1/lambda2 operators.  The
+empirical margin is the smallest slack over the samples, the witness the
+worst violating sample.
 """
 
 from __future__ import annotations
@@ -201,21 +201,37 @@ def _check_pair(family: HSFrameFamily, other: HSFrameFamily) -> None:
 
 
 class _Term(NamedTuple):
-    """One summand c |A x| of a condition; ``op`` None stands for the identity."""
+    """One summand c |A x| of a condition; ``op`` None stands for the identity.
+
+    Otherwise ``s`` and ``vh`` are A's singular values and right singular
+    vectors, and ``kernel_tol`` bounds |D x| on the numerical kernel of A.
+    """
 
     c: float
     op: np.ndarray | None
-    svd: ThinSVD | None
+    s: np.ndarray | None = None
+    vh: np.ndarray | None = None
+    kernel_tol: float = 0.0
 
 
-def _adjoint_svd(svd: ThinSVD) -> ThinSVD:
-    """T = U s V^H, so T^H = V s U^H."""
-    return ThinSVD(svd.vh.conj().T, svd.s, svd.u.conj().T)
+def _svd_term(c: float, op: np.ndarray, svd: ThinSVD) -> _Term:
+    """c |A x| where ``svd`` is A's own thin SVD, as for T on coefficient
+    sequences: there ker T is structural, and D need only vanish on it up
+    to 1e-12 |T|."""
+    return _Term(c, op, svd.s, svd.vh, 1e-12 * float(svd.s[0]))
 
 
-def _frame_operator_svd(svd: ThinSVD) -> ThinSVD:
-    """T = U s V^H, so S = T T^H = U s^2 U^H."""
-    return ThinSVD(svd.u, svd.s**2, svd.u.conj().T)
+def _h_term(c: float, op: np.ndarray, svd: ThinSVD, power: int) -> _Term:
+    """c |A x| on H for A = T^H (power 1) or S = T T^H (power 2), read from
+    T = U s V^H: A = (V or U) s^power U^H.
+
+    The numerical kernel is cut on A's own singular values, s^2 for S, the
+    scale the dense D = S - S~ resolves.  D must vanish exactly on it: for
+    the candidate's operator the condition fails there in exact arithmetic
+    (D x is the base family's T^H x or S x, nonzero for a frame), and for
+    the base family's operator those directions are below what D resolves.
+    """
+    return _Term(c, op, svd.s**power, svd.u.conj().T, 0.0)
 
 
 def _condition(
@@ -233,22 +249,22 @@ def _condition(
     svd_g, svd_c = family.svd, candidate.svd
     if mode == "analysis":
         return (t_g - t_c).conj().T, [
-            _Term(l1, t_g.conj().T, _adjoint_svd(svd_g)),
-            _Term(l2, t_c.conj().T, _adjoint_svd(svd_c)),
-            _Term(mu, None, None),
+            _h_term(l1, t_g.conj().T, svd_g, 1),
+            _h_term(l2, t_c.conj().T, svd_c, 1),
+            _Term(mu, None),
         ]
     if mode in ("synthesis", "synthesis-coefficient"):
         return t_g - t_c, [
-            _Term(l1, t_g, svd_g),
-            _Term(l2, t_c, svd_c),
-            _Term(mu, None, None),
+            _svd_term(l1, t_g, svd_g),
+            _svd_term(l2, t_c, svd_c),
+            _Term(mu, None),
         ]
     s_g, s_c = frame_operator(family), frame_operator(candidate)
     return s_g - s_c, [
-        _Term(l1, s_g, _frame_operator_svd(svd_g)),
-        _Term(l2, s_c, _frame_operator_svd(svd_c)),
-        _Term(mu, t_g.conj().T, _adjoint_svd(svd_g)),
-        _Term(nu, t_c.conj().T, _adjoint_svd(svd_c)),
+        _h_term(l1, s_g, svd_g, 2),
+        _h_term(l2, s_c, svd_c, 2),
+        _h_term(mu, t_g.conj().T, svd_g, 1),
+        _h_term(nu, t_c.conj().T, svd_c, 1),
     ]
 
 
@@ -275,24 +291,22 @@ def _factor_deviation(d: np.ndarray, hermitian: bool) -> tuple[float, list[np.nd
     return float(s[0]), _extremal_right_singular(vh)
 
 
-def _restricted_ratio_cert(delta: np.ndarray, base: ThinSVD, bound: float) -> bool:
-    """Certify |delta c| <= bound * |base c| for every c, exactly.
+def _restricted_ratio_cert(delta: np.ndarray, term: _Term) -> bool:
+    """Certify |delta x| <= c |A x| for every x, exactly, when A != 0.
 
-    Needs ker(base) inside ker(delta), tested as |delta - delta V_r^H V_r|_2
-    without a full V; on the complement the supremum of the ratio is a single
-    operator norm after whitening by the singular values of ``base``.
+    Needs ker A (singular values at most 1e-14 of the largest) inside ker
+    delta, tested as |delta - delta V_r^H V_r|_2 <= ``kernel_tol`` without a
+    full V; on the complement the supremum of the ratio is a single operator
+    norm after whitening by A's singular values.
     """
-    smax = float(base.s[0])
-    if smax == 0.0:
-        return float(np.linalg.norm(delta, ord=2)) <= 1e-14
-    rank = numerical_rank(base.s, 1e-14)
-    v_r = base.vh[:rank]
+    rank = numerical_rank(term.s, 1e-14)
+    v_r = term.vh[:rank]
     restricted = delta @ v_r.conj().T
     if rank < delta.shape[1]:
-        if float(np.linalg.norm(delta - restricted @ v_r, ord=2)) > 1e-12 * smax:
+        if float(np.linalg.norm(delta - restricted @ v_r, ord=2)) > term.kernel_tol:
             return False
-    ratio = float(np.linalg.norm(restricted / base.s[:rank], ord=2))
-    return ratio <= bound * (1.0 + _CERT_RTOL) + 1e-14
+    ratio = float(np.linalg.norm(restricted / term.s[:rank], ord=2))
+    return ratio <= term.c * (1.0 + _CERT_RTOL) + 1e-14
 
 
 def _certified(d: np.ndarray, d_norm: float, terms: list[_Term]) -> bool:
@@ -300,13 +314,15 @@ def _certified(d: np.ndarray, d_norm: float, terms: list[_Term]) -> bool:
     False means 'not certified' (the condition may still hold empirically)."""
     active = [t for t in terms if t.c > 0.0]
     if not active:  # D must vanish at the scale of the base family's operator
-        return d_norm <= 1e-13 * max(float(terms[0].svd.s[0]), 1.0)
+        return d_norm <= 1e-13 * max(float(terms[0].s[0]), 1.0)
     if len(active) > 1:
         return False
     (term,) = active
     if term.op is None:
         return d_norm <= term.c * (1.0 + _CERT_RTOL) + 1e-14
-    return _restricted_ratio_cert(d, term.svd, term.c)
+    if term.s[0] == 0.0:  # A = 0, so D must vanish
+        return d_norm <= 1e-14
+    return _restricted_ratio_cert(d, term)
 
 
 def _sampled_margin(
@@ -327,8 +343,8 @@ def _sampled_margin(
     x = z[:, 0] + 1j * z[:, 1]
     dirs = list(d_dirs)
     for t in terms[:2]:
-        if t.svd is not None:
-            dirs += _extremal_right_singular(t.svd.vh)
+        if t.vh is not None:
+            dirs += _extremal_right_singular(t.vh)
     x = np.hstack(
         [(x / np.linalg.norm(x, axis=1, keepdims=True)).T, np.column_stack(dirs)]
     )
@@ -371,7 +387,7 @@ def cc_lemma_check(
 
     envelope = lambda1 + lambda2 * sigma_min
     certified = dev_norm <= envelope * (1.0 + _CERT_RTOL) + 1e-15
-    terms = [_Term(lambda1, None, None), _Term(lambda2, um, svd_u)]
+    terms = [_Term(lambda1, None), _svd_term(lambda2, um, svd_u)]
     margin, witness = _sampled_margin(dev, dev_dirs, terms, trials, seed)
     satisfied = certified or margin >= -_MARGIN_TOL
 

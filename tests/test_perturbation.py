@@ -271,20 +271,88 @@ def dense_condition(mode, fam, cand):
     return s - sc, {"lambda1": s, "lambda2": sc, "mu": t.conj().T, "nu": tc.conj().T}
 
 
+def assert_sharp(fam, cand, cases):
+    """For each (mode, constant), certified holds exactly when the constant
+    is at least the supremum of |D x| / |A x|, here computed as |D A^+|."""
+    for mode, name in cases:
+        d, ops = dense_condition(mode, fam, cand)
+        sup = float(np.linalg.norm(d @ np.linalg.pinv(ops[name]), ord=2))
+        for factor in (1.0 + 1e-6, 1.0 - 1e-6):
+            constants = PerturbationConstants(**{name: sup * factor})
+            verdict = check_condition(mode, fam, cand, constants, trials=8)
+            assert verdict.certified == (factor > 1.0), (mode, name, sup, factor)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(left_perturbed_pairs())
 def test_single_constant_certificate_is_sharp(pair):
-    """With one active constant c, certified holds exactly when c is at least
-    the supremum of |D x| / |A x|, here computed as |D A^+|."""
     fam, cand = pair
-    for mode in ("analysis", "synthesis", "frame-operator", "synthesis-coefficient"):
-        d, ops = dense_condition(mode, fam, cand)
-        for name, a in ops.items():
-            sup = float(np.linalg.norm(d @ np.linalg.pinv(a), ord=2))
-            for factor in (1.0 + 1e-6, 1.0 - 1e-6):
-                constants = PerturbationConstants(**{name: sup * factor})
-                verdict = check_condition(mode, fam, cand, constants, trials=8)
-                assert verdict.certified == (factor > 1.0), (mode, name, sup)
+    assert_sharp(fam, cand, [
+        (mode, name)
+        for mode in ("analysis", "synthesis", "frame-operator", "synthesis-coefficient")
+        for name in dense_condition(mode, fam, cand)[1]
+    ])
+
+
+def diagonal_pair(sigma, tau):
+    """Scalar families with T = [diag(sigma) 0] and T~ = [diag(tau) 0]: D and
+    every operator are exact, however ill-conditioned, and the zero column
+    gives T a kernel."""
+    n = len(sigma)
+    t, tc = np.zeros((n, n + 1)), np.zeros((n, n + 1))
+    t[:, :n], tc[:, :n] = np.diag(sigma), np.diag(tau)
+    return (
+        HSFrameFamily.from_synthesis_matrix(n, 1, t),
+        HSFrameFamily.from_synthesis_matrix(n, 1, tc),
+    )
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 1e-6])
+def test_certificate_is_sharp_on_ill_conditioned_families(ratio):
+    """sigma_min / sigma_max down to 1e-6, so S has condition 1e12; the
+    weak direction alone decides every supremum (nu is inadmissible here)."""
+    fam, cand = diagonal_pair([1.0, ratio], [1.0, 1.2 * ratio])
+    assert_sharp(fam, cand, [
+        ("analysis", "lambda1"), ("analysis", "lambda2"), ("analysis", "mu"),
+        ("synthesis", "lambda1"), ("synthesis", "lambda2"),
+        ("frame-operator", "lambda1"), ("frame-operator", "lambda2"),
+        ("frame-operator", "mu"),
+    ])
+
+
+@pytest.mark.parametrize("name", ["lambda1", "lambda2"])
+def test_frame_operator_below_resolution_is_not_certified(name):
+    """With sigma_min / sigma_max = 1e-8 the weak direction of S is at 1e-16
+    of its norm, below what the dense D = S - S~ resolves; a constant under
+    the supremum must not be certified."""
+    fam, cand = diagonal_pair([1e3, 1e-5], [1e3, 1.2e-5])
+    d, ops = dense_condition("frame-operator", fam, cand)
+    sup = float(np.max(np.abs(np.diag(d)) / np.abs(np.diag(ops[name]))))
+    constants = PerturbationConstants(**{name: sup * (1.0 - 1e-6)})
+    assert not check_condition("frame-operator", fam, cand, constants).certified
+
+
+def test_coupling_to_the_weak_direction_is_not_certified():
+    """S = U diag(1e6, 1e-10) U^H and S~ = S - 1e-7 (u1 u2^H + u2 u1^H):
+    |D u2| = 1e-7 against 0.5 |S u2| = 5e-11."""
+    fam, _ = diagonal_pair([1e3, 1e-5], [1e3, 1e-5])
+    s_c = np.diag([1e6, 1e-10]) - 1e-7 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    t_c = np.hstack([np.linalg.cholesky(s_c), np.zeros((2, 1))])
+    cand = HSFrameFamily.from_synthesis_matrix(2, 1, t_c)
+    verdict = check_condition(
+        "frame-operator", fam, cand, PerturbationConstants(lambda1=0.5)
+    )
+    assert not verdict.certified
+    assert verdict.empirical_margin < 0.0 and verdict.witness is not None
+
+
+def test_singular_candidate_is_not_certified():
+    """ker S~ is not inside ker D when the base family is a frame."""
+    fam, cand = diagonal_pair([1e3, 1e-5], [1e3, 0.0])
+    for mode in ("analysis", "frame-operator"):
+        verdict = check_condition(mode, fam, cand, PerturbationConstants(lambda2=0.5))
+        assert not verdict.certified, mode
+        assert verdict.witness is not None, mode
 
 
 class TestPerturbFamily:
