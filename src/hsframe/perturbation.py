@@ -309,12 +309,18 @@ def _restricted_ratio_cert(delta: np.ndarray, term: _Term) -> bool:
     return ratio <= term.c * (1.0 + _CERT_RTOL) + 1e-14
 
 
+def _vanishing_tol(terms: list[_Term]) -> float:
+    """With no active constant the condition is D = 0; this is how small
+    |D| must be, at the scale of the base family's operator."""
+    return 1e-13 * max(float(terms[0].s[0]), 1.0)
+
+
 def _certified(d: np.ndarray, d_norm: float, terms: list[_Term]) -> bool:
     """Decide the condition exactly when at most one constant is active;
     False means 'not certified' (the condition may still hold empirically)."""
     active = [t for t in terms if t.c > 0.0]
-    if not active:  # D must vanish at the scale of the base family's operator
-        return d_norm <= 1e-13 * max(float(terms[0].s[0]), 1.0)
+    if not active:
+        return d_norm <= _vanishing_tol(terms)
     if len(active) > 1:
         return False
     (term,) = active
@@ -331,9 +337,10 @@ def _sampled_margin(
     terms: list[_Term],
     trials: int,
     seed: int,
+    witness_tol: float,
 ) -> tuple[float, np.ndarray | None]:
     """Smallest sum_i c_i |A_i x| - |D x| over the samples, and the worst
-    sample when it violates the condition.
+    sample when it violates the condition by more than ``witness_tol``.
 
     The samples are the columns of one array: ``trials`` random unit
     vectors, D's extreme directions ``d_dirs`` and the extreme right
@@ -355,7 +362,7 @@ def _sampled_margin(
     gap = rhs - np.linalg.norm(d @ x, axis=0)
     worst = int(np.argmin(gap))
     margin = float(gap[worst])
-    return margin, (x[:, worst] if margin < -_MARGIN_TOL else None)
+    return margin, (x[:, worst] if margin < -witness_tol else None)
 
 
 def cc_lemma_check(
@@ -388,7 +395,7 @@ def cc_lemma_check(
     envelope = lambda1 + lambda2 * sigma_min
     certified = dev_norm <= envelope * (1.0 + _CERT_RTOL) + 1e-15
     terms = [_Term(lambda1, None), _svd_term(lambda2, um, svd_u)]
-    margin, witness = _sampled_margin(dev, dev_dirs, terms, trials, seed)
+    margin, witness = _sampled_margin(dev, dev_dirs, terms, trials, seed, _MARGIN_TOL)
     satisfied = certified or margin >= -_MARGIN_TOL
 
     fwd = ((1.0 - lambda1) / (1.0 + lambda2), (1.0 + lambda1) / (1.0 - lambda2))
@@ -445,7 +452,10 @@ def check_condition(
 
     d, terms = _condition(mode, family, candidate, constants)
     d_norm, d_dirs = _factor_deviation(d, hermitian=mode == "frame-operator")
-    margin, witness = _sampled_margin(d, d_dirs, terms, trials, seed)
+    # with no constant active a witness must beat the certificate's own slack
+    active = any(t.c > 0.0 for t in terms)
+    witness_tol = _MARGIN_TOL if active else _vanishing_tol(terms)
+    margin, witness = _sampled_margin(d, d_dirs, terms, trials, seed, witness_tol)
     if mode in ("analysis", "synthesis"):
         predicted = predicted_bounds(
             a_g, b_g, constants.lambda1, constants.lambda2, constants.mu

@@ -2,11 +2,17 @@
 
 Families are stored as JSON: ``operators[j][i]`` is the d_k x d_k matrix
 the j-th map assigns to the i-th basis vector, every complex entry a
-``[re, im]`` pair.  Floats are written in Python's shortest round-trip
-form, so load(save(F)) reproduces F bit for bit.  Report numerics use 17
-significant digits for the same reason; JSON reports are strict, with a
-non-finite value written as ``null``.  All writes go through a
-temporary file plus rename.
+``[re, im]`` pair.  The file format is unchanged since format_version 1:
+a family file is exactly ``json.dumps(family_to_document(F), indent=1)``
+plus a newline.  The writer emits those bytes without json's encoder,
+whose ``indent`` mode is pure Python.  The text of one operator differs
+between maps only in its floats, so it is built once per family as a
+template with ``%r`` at every float, filled per map and written one map at
+a time.  ``%r`` of a float is ``float.__repr__``, the shortest round-trip
+form json writes, so load(save(F)) reproduces F bit for bit.  Report
+numerics use 17 significant digits for the same reason; JSON reports are
+strict, with a non-finite value written as ``null``.  All writes go
+through a temporary file plus rename.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 
 import numpy as np
@@ -64,17 +71,28 @@ def format_sig(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated chunks through a temporary file plus rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hsframe-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _metadata(family: HSFrameFamily) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "dim_h": family.dim_h,
+        "dim_k": family.dim_k,
+        "count": family.count,
+        "scalar": "complex128",
+    }
 
 
 def family_to_document(family: HSFrameFamily) -> dict:
@@ -83,14 +101,7 @@ def family_to_document(family: HSFrameFamily) -> dict:
         m.images.view(np.float64).reshape(*m.images.shape, 2).tolist()
         for m in family.maps
     ]
-    return {
-        "format_version": FORMAT_VERSION,
-        "dim_h": family.dim_h,
-        "dim_k": family.dim_k,
-        "count": family.count,
-        "scalar": "complex128",
-        "operators": operators,
-    }
+    return {**_metadata(family), "operators": operators}
 
 
 def family_from_document(doc) -> HSFrameFamily:
@@ -134,8 +145,8 @@ def family_from_document(doc) -> HSFrameFamily:
 
 @contextlib.contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector while a family document is built
-    or parsed.  The document's tens of thousands of lists hold no reference
+    """Pause the cyclic garbage collector while a family file is parsed.
+    The parsed document's tens of thousands of lists hold no reference
     cycles, so a collection pass over them reclaims nothing.  Measured on a
     2-vCPU Xeon with CPython 3.11: ``load_family`` of a 128/2/128 family
     took 0.21 s with the collector running and 0.15 s with it paused."""
@@ -148,10 +159,32 @@ def _collector_paused():
             gc.enable()
 
 
+def _template(shape: tuple[int, ...], depth: int) -> str:
+    """What ``json.dumps(indent=1)`` writes for a nested float list of this
+    shape at nesting ``depth``, with ``%r`` in place of every float."""
+    if not shape:
+        return "%r"
+    pad = "\n" + " " * (depth + 1)
+    item = _template(shape[1:], depth + 1)
+    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * depth + "]"
+
+
+def _family_text(family: HSFrameFamily) -> Iterator[str]:
+    """``json.dumps(family_to_document(family), indent=1)`` and a newline,
+    one operator at a time."""
+    fields = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in _metadata(family).items()]
+    yield "{\n " + ",\n ".join(fields) + ',\n "operators": [\n  '
+    # every map has images of one shape, stored C-contiguous and finite
+    template = _template(family.maps[0].images.shape + (2,), 2)
+    for j, m in enumerate(family.maps):
+        if j:
+            yield ",\n  "
+        yield template % tuple(m.images.view(np.float64).ravel().tolist())
+    yield "\n ]\n}\n"
+
+
 def save_family(family: HSFrameFamily, path: str) -> None:
-    with _collector_paused():
-        text = json.dumps(family_to_document(family), indent=1)
-    _atomic_write_text(path, text + "\n")
+    _atomic_write(path, _family_text(family))
 
 
 def load_family(path: str) -> HSFrameFamily:
@@ -199,7 +232,7 @@ def write_convergence_csv(
                 ]
             )
         )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines), "\n"))
 
 
 def _finite_or_null(value):
@@ -216,4 +249,4 @@ def _finite_or_null(value):
 def write_json_report(path: str, doc: dict) -> None:
     """Strict JSON: a non-finite float (e.g. an infinite norm) is written as null."""
     text = json.dumps(_finite_or_null(doc), indent=1, allow_nan=False)
-    _atomic_write_text(path, text + "\n")
+    _atomic_write(path, (text, "\n"))

@@ -355,6 +355,18 @@ def test_singular_candidate_is_not_certified():
         assert verdict.witness is not None, mode
 
 
+def test_certified_vanishing_deviation_has_no_witness():
+    """With no constant the condition is D = 0, certified up to 1e-13 |S|;
+    a sample inside that slack (here |D| = 1e-10 against |S| = 1e4) is no
+    witness against the certificate."""
+    fam = from_scalar_frame([[100.0, 0.0], [0.0, 1.0]])
+    cand = from_scalar_frame([[np.sqrt(1e4 + 1e-10), 0.0], [0.0, 1.0]])
+    verdict = check_condition("frame-operator", fam, cand, PerturbationConstants())
+    assert verdict.certified
+    assert -1e-9 < verdict.empirical_margin < 0.0
+    assert verdict.witness is None
+
+
 class TestPerturbFamily:
     def test_zero_magnitude_identity(self):
         g = seeded_family(12)

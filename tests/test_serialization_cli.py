@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsframe import (
     HSFrameFamily,
@@ -17,6 +19,8 @@ from hsframe import (
 )
 from hsframe.cli import main
 from hsframe.serialization import family_to_document, format_sig
+
+EDGE_FLOATS = (-0.0, 5e-324, 1e-300, -1e-300, 1e16, 1e22, 1.7976931348623157e308, 0.1)
 
 
 def read(path):
@@ -90,6 +94,43 @@ class TestFamilyFile:
         )
         want = header + op(entries[:3]) + ",\n" + op(entries[3:]) + "\n ]\n}\n"
         assert read(path) == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+        fortran=st.booleans(),
+    )
+    def test_saved_text_equals_json_dumps(self, tmp_path_factory, dims, seed, fortran):
+        """The writer's text is json.dumps(indent=1) of the document, for
+        normal entries mixed with signed zeros, subnormals, huge and tiny
+        values, whatever the memory order of the images."""
+        dim_h, dim_k, count = dims
+        rng = np.random.default_rng(seed)
+        entries = rng.standard_normal(count * dim_h * dim_k * dim_k * 2)
+        edge = rng.random(entries.size) < 0.4
+        signs = rng.choice([-1.0, 1.0], edge.sum())
+        entries[edge] = rng.choice(EDGE_FLOATS, edge.sum()) * signs
+        images = entries.view(np.complex128).reshape(count, dim_h, dim_k, dim_k)
+        fam = HSFrameFamily([np.asfortranarray(im) if fortran else im for im in images])
+        path = tmp_path_factory.mktemp("writer") / "fam.json"
+        save_family(fam, str(path))
+        assert read(path) == json.dumps(family_to_document(fam), indent=1) + "\n"
+
+    def test_writer_does_not_run_json_encoder(self, tmp_path, monkeypatch):
+        """json.dumps(indent=...) falls back to the pure-Python encoder, which
+        made saving most of the cost of ``generate``."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        fam = random_family(6, 2, 6, SpectrumSpec.geometric(0.6), seed=5)
+        path = tmp_path / "fam.json"
+        save_family(fam, str(path))
+        loaded = load_family(str(path))
+        for m_in, m_out in zip(fam.maps, loaded.maps):
+            assert np.array_equal(m_in.images, m_out.images)
 
     def test_truncated_file_is_parse_error(self, tmp_path):
         fam = onb_family(3)
