@@ -8,6 +8,7 @@ HSFRAME_SEED environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -298,8 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

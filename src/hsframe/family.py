@@ -386,12 +386,20 @@ def _require_frame(family: HSFrameFamily, rank_tol: float) -> None:
 def canonical_dual(
     family: HSFrameFamily, rank_tol: float = DEFAULT_RANK_TOL
 ) -> HSFrameFamily:
-    """Dual family {G_j S^-1}; its bounds are the inverted original bounds."""
+    """Dual family {G_j S^-1}; its bounds are the inverted original bounds.
+
+    Its synthesis matrix is U diag(1/s) V^H, so the dual carries that thin
+    SVD (reversed to keep s descending) and is never factored again.
+    """
     _require_frame(family, rank_tol)
     svd = family.svd
-    return HSFrameFamily.from_synthesis_matrix(
+    dual = HSFrameFamily.from_synthesis_matrix(
         family.dim_h, family.dim_k, (svd.u / svd.s) @ svd.vh
     )
+    inv_s = 1.0 / svd.s
+    inv_s.flags.writeable = False
+    dual.svd = ThinSVD(svd.u[:, ::-1], inv_s[::-1], svd.vh[::-1])
+    return dual
 
 
 def reconstruct(

@@ -14,17 +14,18 @@ S^-1 f of the full family:
   oversampling amount that pushes the smallest eigenvalue of the compressed
   operator above A/lambda.
 
-A sweep is one pass over the schedule.  Each prefix gets one basis Q_n and
-one product G = Q_n^H T, and every compression Q_n^H S_k Q_n (k >= n) is the
-Gram matrix of the first k blocks of G.  Since H_n is contained in H_{n+1}
-and S_k <= S_{k+1}, Cauchy interlacing makes lambda_min of the compression
-non-increasing in n and non-decreasing in k, so k(n) = n + m(n) never
-decreases along the schedule and each search starts at the previous k.  The
-skip is guarded: when the compression at k - 1 already reaches A/lambda,
-the search rescans from k = n, so m(n) is always the answer of the
-one-step-at-a-time scan.  That happens through roundoff, or when a rank
-decision breaks the nesting: a direction kept in H_n can fall below
-rank_tol * sigma_max, and out of H_{n+1}, once a large map arrives.
+A sweep is one pass over the schedule with one running factorization: prefix
+n's thin SVD U s V^H is taken of [U' diag(s'), T_{n'+1..n}] (n' the previous
+prefix), which has T_n's Gram matrix.  With Q_n = U[:, :r_n] the plain
+section Q_n^H S_n Q_n is diag(s_r^2), and each compression at k > n adds the
+Gram matrix of blocks n+1..k of Q_n^H T.  By Cauchy interlacing (H_n in
+H_{n+1}, S_k <= S_{k+1}), lambda_min of the compression is non-increasing in
+n and non-decreasing in k, so k(n) = n + m(n) never decreases and each search
+starts at the previous k.  The skip is guarded: when the compression at
+k - 1 already reaches A/lambda, the search rescans from k = n, so m(n) is
+always the one-step-at-a-time scan's answer.  That happens through roundoff,
+or when a rank decision breaks the nesting: a direction kept in H_n can fall
+below rank_tol * sigma_max, and out of H_{n+1}, once a large map arrives.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .core import as_vector
 from .errors import (
@@ -120,12 +120,13 @@ class SectionSchedule:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal basis of a section space H_n."""
+    """Orthonormal basis of a section space H_n and its singular values."""
 
     q: np.ndarray  # (dim_h, rank), orthonormal columns
     rank: int
     n: int
     rank_tol: float
+    sigma: np.ndarray  # (rank,), descending: Q^H S_n Q = diag(sigma^2)
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,6 @@ class KernelConsistencyReport:
     co_vanish: bool
 
 
-def _prefix_columns(family: HSFrameFamily, n: int) -> np.ndarray:
-    blk = family.dim_k * family.dim_k
-    return family.synthesis_matrix[:, : n * blk]
-
-
 def subspace_basis(
     family: HSFrameFamily, n: int, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SubspaceBasis:
@@ -173,20 +169,30 @@ def subspace_basis(
     if not 1 <= n <= family.count:
         raise ValidationError(f"prefix length {n} outside 1..{family.count}")
     check_rank_tol(rank_tol)
-    if n == family.count:  # the whole family: reuse its factorization
-        u, s = family.svd.u, family.svd.s
-    else:
-        u, s, _ = np.linalg.svd(_prefix_columns(family, n), full_matrices=False)
-    rank = numerical_rank(s, rank_tol)
-    q = u[:, :rank].copy()
-    q.flags.writeable = False
-    return SubspaceBasis(q=q, rank=rank, n=n, rank_tol=rank_tol)
+    return next(_prefix_bases(family, (n,), rank_tol))
 
 
-def _gram(w: np.ndarray) -> np.ndarray:
-    """Hermitian part of w w^H."""
-    sec = w @ w.conj().T
-    return (sec + sec.conj().T) / 2.0
+def _prefix_bases(family: HSFrameFamily, ns, rank_tol: float):
+    """Basis of each prefix in the increasing ``ns``, from one running SVD.
+
+    [U' diag(s'), T[:, n' blk : n blk]] has T_n's Gram matrix, so its U and s
+    are T_n's.  Every column of U' s' is kept, so rank drops stay exact; the
+    whole family reads its cached SVD.
+    """
+    t = family.synthesis_matrix
+    blk = family.dim_k * family.dim_k
+    us, prev = t[:, :0], 0
+    for n in ns:
+        if n == family.count:
+            u, s = family.svd.u, family.svd.s
+        else:
+            cols = np.hstack([us, t[:, prev * blk : n * blk]])
+            u, s, _ = np.linalg.svd(cols, full_matrices=False)
+        us, prev = u * s, n
+        rank = numerical_rank(s, rank_tol)
+        q, sigma = u[:, :rank].copy(), s[:rank].copy()
+        q.flags.writeable = sigma.flags.writeable = False
+        yield SubspaceBasis(q=q, rank=rank, n=n, rank_tol=rank_tol, sigma=sigma)
 
 
 def _check_floor(n: int, evals: np.ndarray) -> None:
@@ -205,18 +211,24 @@ def _check_lambda(lam) -> None:
         raise ValidationError(f"lambda must be > 1, got {lam}")
 
 
+def _section_for(family: HSFrameFamily, n: int, basis: SubspaceBasis) -> "_Section":
+    if basis.n != n:
+        raise ValidationError(f"basis is for prefix {basis.n}, not {n}")
+    return _Section(family, basis)
+
+
 def sectional_operator(
     family: HSFrameFamily, n: int, basis: SubspaceBasis
 ) -> np.ndarray:
-    """Compression Q_n^H S_n Q_n of the sectional frame operator to H_n.
+    """Compression Q_n^H S_n Q_n = diag(sigma^2) of S_n to H_n.
 
     Positive definite there by construction; a numerically vanishing
     eigenvalue means the rank tolerance used for the basis was too loose.
     """
-    sec = _gram(basis.q.conj().T @ _prefix_columns(family, n))
+    section = _section_for(family, n, basis)
     if basis.rank > 0:
-        _check_floor(n, np.linalg.eigvalsh(sec))
-    return sec
+        _check_floor(n, section.evals(n))
+    return section.compressed(n)
 
 
 def project(basis: SubspaceBasis, f) -> np.ndarray:
@@ -228,52 +240,48 @@ def project(basis: SubspaceBasis, f) -> np.ndarray:
 
 
 class _Section:
-    """One prefix n: its basis Q_n and G = Q_n^H T.
+    """One prefix n: Q_n, s_r and the tail of Q_n^H T; Q_n^H S_n Q_n = diag(s_r^2).
 
-    Every compression Q_n^H S_k Q_n (k >= n) is the Gram matrix of the first
-    k blocks of G, and its eigenvalues are computed at most once per k.  The
-    plain section k = n is checked and Cholesky-factored on first use.
+    Each compression at k > n adds the Gram matrix of blocks n+1..k of
+    Q_n^H T; its eigenvalues are computed at most once per k, and the last
+    one built is kept for the solve.
     """
 
-    def __init__(
-        self,
-        family: HSFrameFamily,
-        n: int,
-        rank_tol: float,
-        basis: SubspaceBasis | None = None,
-    ):
-        self.n = n
-        self.count = family.count
-        self.basis = subspace_basis(family, n, rank_tol) if basis is None else basis
+    def __init__(self, family: HSFrameFamily, basis: SubspaceBasis):
+        self.n = basis.n
+        self.basis = basis
+        self._family = family
         self._blk = family.dim_k * family.dim_k
-        self._g = self.basis.q.conj().T @ family.synthesis_matrix
-        self._evals: dict[int, np.ndarray] = {}
+        self._sig2 = basis.sigma**2
+        self._evals: dict[int, np.ndarray] = {self.n: self._sig2[::-1]}
+        self._built = (None, None)  # the last compression built, (k, matrix)
+
+    @cached_property
+    def _tail(self) -> np.ndarray:
+        """Blocks n+1..count of Q_n^H T."""
+        t = self._family.synthesis_matrix
+        return self.basis.q.conj().T @ t[:, self.n * self._blk :]
 
     def compressed(self, k: int) -> np.ndarray:
         """Q_n^H S_k Q_n."""
-        return _gram(self._g[:, : k * self._blk])
+        if self._built[0] != k:
+            w = self._tail[:, : (k - self.n) * self._blk]
+            gram = w @ w.conj().T
+            self._built = k, np.diag(self._sig2) + (gram + gram.conj().T) / 2.0
+        return self._built[1]
 
     def evals(self, k: int) -> np.ndarray:
         if k not in self._evals:
             self._evals[k] = np.linalg.eigvalsh(self.compressed(k))
         return self._evals[k]
 
-    @cached_property
-    def _cho(self):
-        _check_floor(self.n, self.evals(self.n))
-        try:
-            return cho_factor(self.compressed(self.n))
-        except LinAlgError as exc:
-            raise SectionSingularError(
-                f"sectional operator at n={self.n} is not positive definite"
-            ) from exc
-
     def inv_apply(self, y: np.ndarray) -> np.ndarray:
-        """Q (Q^H S_n Q)^-1 Q^H y, for a vector or for each column of y."""
+        """Q (Q^H S_n Q)^-1 Q^H y = Q (Q^H y / s_r^2) for a vector y."""
         if self.basis.rank == 0:
             return np.zeros_like(y)
+        _check_floor(self.n, self._evals[self.n])
         q = self.basis.q
-        return q @ cho_solve(self._cho, q.conj().T @ y)
+        return q @ ((q.conj().T @ y) / self._sig2)
 
     def oversampling(self, target: float, start: int) -> int:
         """Smallest k >= n with lambda_min(Q_n^H S_k Q_n) >= target, at most count.
@@ -287,7 +295,7 @@ class _Section:
         k = start
         if k > self.n and self.evals(k - 1)[0] >= target:
             k = self.n
-        while k < self.count and self.evals(k)[0] < target:
+        while k < self._family.count and self.evals(k)[0] < target:
             k += 1
         return k
 
@@ -316,15 +324,10 @@ class _Section:
 def projection_formula(
     family: HSFrameFamily, n: int, basis: SubspaceBasis, f
 ) -> np.ndarray:
-    """P_n f computed the long way: sum over j <= n of S_n^-1 G_j* G_j f."""
+    """P_n f computed the long way: S_n^-1 of sum over j <= n of G_j* G_j f."""
     fv = _check_vector(family, f)
-    if basis.rank == 0:
-        return np.zeros_like(fv)
-    acc = np.zeros(family.dim_h, dtype=np.complex128)
-    for j in range(n):
-        acc += family.maps[j].adjoint_apply(family.maps[j](fv))
-    sec = sectional_operator(family, n, basis)
-    return basis.q @ np.linalg.solve(sec, basis.q.conj().T @ acc)
+    prefix = family.synthesis_matrix[:, : n * family.dim_k**2]
+    return _section_for(family, n, basis).inv_apply(prefix @ (prefix.conj().T @ fv))
 
 
 def plain_inverse_apply(
@@ -332,7 +335,7 @@ def plain_inverse_apply(
 ) -> np.ndarray:
     """S_n^-1 P_n f with the sectional inverse taken on H_n only."""
     fv = _check_vector(family, f)
-    return _Section(family, n, rank_tol).inv_apply(fv)
+    return _Section(family, subspace_basis(family, n, rank_tol)).inv_apply(fv)
 
 
 def find_oversampling(
@@ -350,7 +353,7 @@ def find_oversampling(
     """
     _check_lambda(lam)
     _require_frame(family, rank_tol)
-    section = _Section(family, n, rank_tol, basis)
+    section = _section_for(family, n, basis or subspace_basis(family, n, rank_tol))
     if section.basis.rank == 0:
         return 0
     return section.oversampling(frame_bounds(family)[0] / lam, n) - n
@@ -373,7 +376,7 @@ def oversampled_inverse_apply(
     _check_lambda(lam)
     _require_frame(family, rank_tol)
     bounds = frame_bounds(family)
-    section = _Section(family, n, rank_tol)
+    section = _Section(family, subspace_basis(family, n, rank_tol))
     if section.basis.rank == 0:
         return np.zeros_like(fv)
     k = section.oversampling(bounds[0] / lam, n)
@@ -401,8 +404,9 @@ def convergence_sweep(
     errors, the two equivalent vanishing criteria (operator deficiency
     crit2 and tail energy crit3), and the coefficient-level residual of
     the strong method.  A singular section flags its record and the sweep
-    continues.  One pass: each prefix gets one basis and one ``_Section``,
-    and its oversampling search starts at the previous prefix's k.
+    continues.  One pass: each prefix gets its basis from one running
+    factorization and one ``_Section``, and its oversampling search starts
+    at the previous prefix's k.
     """
     fv = _check_vector(family, f)
     _check_lambda(lam)
@@ -419,8 +423,9 @@ def convergence_sweep(
 
     records = []
     k = 1
-    for n in schedule:
-        section = _Section(family, n, rank_tol)
+    for basis in _prefix_bases(family, schedule, rank_tol):
+        n = basis.n
+        section = _Section(family, basis)
         try:
             plain = section.inv_apply(fv)
         except SectionSingularError:
@@ -473,20 +478,17 @@ def uniform_bound_scan(
         raise ValidationError(f"index {index} outside 0..{family.count - 1}")
     _require_frame(family, rank_tol)
     w = family.maps[index].adjoint_apply(family.maps[index](fv))
-    ns, values = [], []
-    for n in range(index + 1, family.count + 1):
-        ns.append(n)
+    ns, values = tuple(range(index + 1, family.count + 1)), []
+    for basis in _prefix_bases(family, ns, rank_tol):
         try:
-            values.append(
-                float(np.linalg.norm(_Section(family, n, rank_tol).inv_apply(w)))
-            )
+            values.append(float(np.linalg.norm(_Section(family, basis).inv_apply(w))))
         except SectionSingularError:
             values.append(math.nan)
     finite = [v for v in values if not math.isnan(v)]
     return UniformBoundProfile(
         index=index,
         c_max=max(finite) if finite else math.nan,
-        ns=tuple(ns),
+        ns=ns,
         values=tuple(values),
     )
 
@@ -521,14 +523,12 @@ def kernel_consistency(
     kernel_vec = c_vec - t.conj().T @ g
     kernel_norm = float(np.linalg.norm(kernel_vec))
 
-    ns, r_full, r_kernel, gaps = [], [], [], []
-    for n in schedule:
-        ns.append(n)
+    r_full, r_kernel, gaps = [], [], []
+    for basis in _prefix_bases(family, schedule, rank_tol):
+        section, cut = _Section(family, basis), basis.n * blk
         try:
-            section = _Section(family, n, rank_tol)
-            prefix = t[:, : n * blk]
-            x_n = section.inv_apply(prefix @ c_vec[: n * blk])
-            y_n = section.inv_apply(prefix @ kernel_vec[: n * blk])
+            x_n = section.inv_apply(t[:, :cut] @ c_vec[:cut])
+            y_n = section.inv_apply(t[:, :cut] @ kernel_vec[:cut])
             r_full.append(float(np.linalg.norm(x_n - g)))
             r_kernel.append(float(np.linalg.norm(y_n)))
             gaps.append(float(np.linalg.norm(project(section.basis, g) - g)))
@@ -542,7 +542,7 @@ def kernel_consistency(
         and (r_full[-1] <= scale) == (r_kernel[-1] <= scale)
     )
     return KernelConsistencyReport(
-        ns=tuple(ns),
+        ns=schedule.lengths,
         residual_full=tuple(r_full),
         residual_kernel=tuple(r_kernel),
         projection_gap=tuple(gaps),

@@ -137,3 +137,33 @@ def test_spectral_identities(fam):
         assert frame_bounds(canonical_dual(fam)) == pytest.approx(
             (1.0 / b, 1.0 / a), rel=1e-8
         )
+
+
+def test_analyze_factors_the_family_once(tmp_path, monkeypatch):
+    """The canonical dual carries U diag(1/s) V^H as its factorization, so
+    ``analyze`` on a frame runs one SVD in all."""
+    fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
+    fam_path = tmp_path / "fam.json"
+    save_family(fam, str(fam_path))
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--input", str(fam_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["canonical_dual"] is not None
+    assert calls == [fam.synthesis_matrix.shape]
+
+    dual = canonical_dual(fam)
+    u, s, vh = dual.svd
+    fresh = svd(dual.synthesis_matrix, compute_uv=False)
+    assert np.allclose(s, fresh, rtol=1e-12, atol=0)
+    assert np.allclose((u * s) @ vh, dual.synthesis_matrix, rtol=0, atol=1e-12 * s[0])
+    assert not any(a.flags.writeable for a in dual.svd)
+    assert frame_bounds(dual) == pytest.approx(
+        (1.0 / frame_bounds(fam)[1], 1.0 / frame_bounds(fam)[0]), rel=1e-12
+    )

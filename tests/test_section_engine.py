@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsframe import (
+    HSFrameFamily,
     SectionSchedule,
     SpectrumSpec,
     ValidationError,
@@ -16,8 +18,10 @@ from hsframe import (
     from_scalar_frame,
     oversampled_inverse_apply,
     random_family,
+    sectional_operator,
     subspace_basis,
 )
+from hsframe import projection
 from conftest import complex_unit
 
 RANK_TOL = 1e-10
@@ -151,3 +155,93 @@ def test_rank_tol_checked_at_every_entry(rank_tol):
         find_oversampling(fam, 2, 2.0, rank_tol=rank_tol)
     with pytest.raises(ValidationError, match="rank_tol"):
         convergence_sweep(fam, SectionSchedule.full(6), f, rank_tol=rank_tol)
+
+
+@st.composite
+def gapped_prefixes(draw):
+    """A family of random rank and conditioning (singular values spread over
+    up to six decades, well clear of RANK_TOL) and a gapped schedule."""
+    dim_h = draw(st.integers(1, 8))
+    dim_k = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 10))
+    ncols = count * dim_k * dim_k
+    rank = draw(st.integers(1, min(dim_h, ncols)))
+    decay = draw(st.floats(0.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    scales = 10.0 ** (-decay * np.linspace(0.0, 1.0, rank))
+    t = (gauss(dim_h, rank) * scales) @ gauss(rank, ncols)
+    fam = HSFrameFamily.from_synthesis_matrix(dim_h, dim_k, t)
+    ns = draw(st.lists(st.integers(1, count), min_size=1, unique=True))
+    return fam, SectionSchedule(tuple(sorted(ns)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(gapped_prefixes())
+def test_running_factorization_matches_direct_svd(case):
+    """Each prefix factored from the previous one has numpy's singular
+    values and rank for that prefix."""
+    fam, schedule = case
+    bases = list(projection._prefix_bases(fam, schedule, RANK_TOL))
+    assert [b.n for b in bases] == list(schedule)
+    for basis in bases:
+        direct = np.linalg.svd(
+            fam.synthesis_matrix[:, : basis.n * fam.dim_k**2], compute_uv=False
+        )
+        assert basis.rank == int(np.count_nonzero(direct > RANK_TOL * direct[0]))
+        assert np.abs(basis.sigma - direct[: basis.rank]).max(initial=0.0) <= (
+            1e-12 * direct[0]
+        )
+        q = basis.q
+        assert np.allclose(q.conj().T @ q, np.eye(basis.rank), atol=1e-12)
+
+
+def test_sweep_factors_each_prefix_from_the_previous(monkeypatch):
+    """No Cholesky, no eigen-solve of a plain section, and every per-prefix
+    SVD at most dim_h + one block wide."""
+    fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
+    frame_bounds(fam)  # factors the whole family first: not a per-prefix SVD
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    calls = {"chol": 0, "eig": 0, "svd_cols": []}
+
+    def counting(kind, orig):
+        def wrapped(a, *args, **kwargs):
+            if kind == "svd_cols":
+                calls[kind].append(np.shape(a)[1])
+            else:
+                calls[kind] += 1
+            return orig(a, *args, **kwargs)
+
+        return wrapped
+
+    for module, name, kind in (
+        (np.linalg, "cholesky", "chol"),
+        (scipy.linalg, "cholesky", "chol"),
+        (scipy.linalg, "cho_factor", "chol"),
+        (np.linalg, "eigh", "eig"),
+        (np.linalg, "eigvalsh", "eig"),
+        (scipy.linalg, "eigh", "eig"),
+        (np.linalg, "svd", "svd_cols"),
+    ):
+        monkeypatch.setattr(module, name, counting(kind, getattr(module, name)))
+    records = convergence_sweep(fam, SectionSchedule.parse("prefix:all", fam.count), f)
+    rows = len(records)
+    assert any(r.m_n > 0 for r in records)  # the search does real work
+    assert calls["chol"] == 0
+    assert calls["eig"] <= 2 * rows + fam.count
+    assert len(calls["svd_cols"]) == rows - 1  # n = count reads the cached SVD
+    assert max(calls["svd_cols"]) <= fam.dim_h + fam.dim_k**2
+
+
+def test_plain_section_is_diagonal_in_its_basis():
+    fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.5), seed=3)
+    basis = subspace_basis(fam, 2)
+    sec = sectional_operator(fam, 2, basis)
+    assert np.allclose(sec, np.diag(basis.sigma**2), rtol=0, atol=1e-12)
+    w = basis.q.conj().T @ fam.synthesis_matrix[:, : 2 * fam.dim_k**2]
+    assert np.allclose(sec, w @ w.conj().T, atol=1e-12)
+    with pytest.raises(ValidationError, match="basis is for prefix 2"):
+        sectional_operator(fam, 3, basis)

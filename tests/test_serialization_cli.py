@@ -534,3 +534,15 @@ class TestInputBoundary:
         path = tmp_path / "line.json"
         save_family(from_scalar_frame([[1, 0], [2, 0]]), str(path))
         assert main(["analyze", "--input", str(path), "--trials", "-3"]) == 2
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch):
+    from hsframe import cli
+
+    assert cli.build_parser() is not cli.build_parser()  # callers get a fresh one
+    path = tmp_path / "onb.json"
+    assert main(["generate", "--kind", "onb", "--dim-h", "2", "--out", str(path)]) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert main(["analyze", "--input", str(path)]) == 0
+    assert main(["generate", "--kind", "onb", "--dim-h", "3", "--out", str(path)]) == 0
+    assert load_family(str(path)).dim_h == 3
