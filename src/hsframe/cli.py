@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 validation or precondition failure, 3 numeric
 failure, 4 I/O or parse failure.  ``--seed`` falls back to the
-HSFRAME_SEED environment variable, then 0.
+HSFRAME_SEED environment variable, then 0; it must be >= 0.  ``analyze``
+accepts it but draws nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import NumericError, ParseError, ValidationError
 from .family import (
     DEFAULT_RANK_TOL,
     canonical_dual,
-    check_trials,
     classify,
     frame_bounds,
     frame_operator_hs_norm_bound,
@@ -39,15 +39,17 @@ from .serialization import (
 
 
 def _resolve_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("HSFRAME_SEED")
-    if env is not None:
+    if value is None:
+        env = os.environ.get("HSFRAME_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise ValidationError(f"HSFRAME_SEED={env!r} is not an integer") from exc
-    return 0
+    if value < 0:
+        raise ValidationError(f"seed must be >= 0, got {value}")
+    return value
 
 
 def _parse_vector(text, dim):
@@ -102,7 +104,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    check_trials(args.trials)  # used only for frames, but rejected for any input
     family = load_family(args.input)
     report = classify(family, args.rank_tol)
     ratio = riesz_inequality_check(family, rank_tol=args.rank_tol)
@@ -135,9 +136,7 @@ def cmd_analyze(args) -> int:
     }
     if report.frame:
         dual = canonical_dual(family, args.rank_tol)
-        dual_check = verify_alternate_dual(
-            family, dual, trials=args.trials, seed=_resolve_seed(args.seed)
-        )
+        dual_check = verify_alternate_dual(family, dual)
         doc["canonical_dual"] = {
             "bounds": list(frame_bounds(dual)),
             "dual_identity_ok": dual_check.ok,
@@ -269,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--input", required=True)
     p_ana.add_argument("--out")
     p_ana.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
-    p_ana.add_argument("--trials", type=int, default=64)
     p_ana.add_argument("--seed", type=int)
     p_ana.set_defaults(func=cmd_analyze)
 

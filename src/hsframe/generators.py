@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import as_vector
 from .errors import ValidationError
-from .family import HSFrameFamily, HSMap
+from .family import HSFrameFamily
 
 __all__ = [
     "GFrameSpec",
@@ -124,12 +124,10 @@ def from_scalar_frame(vectors) -> HSFrameFamily:
     if not vecs:
         raise ValidationError("need at least one vector")
     dim_h = vecs[0].size
-    maps = []
     for j, v in enumerate(vecs):
         if v.size != dim_h:
             raise ValidationError(f"vector {j} has length {v.size}, expected {dim_h}")
-        maps.append(HSMap(v.conj().reshape(dim_h, 1, 1)))
-    return HSFrameFamily(maps)
+    return HSFrameFamily([v.conj().reshape(dim_h, 1, 1) for v in vecs])
 
 
 def onb_family(dim_h: int) -> HSFrameFamily:
@@ -169,8 +167,7 @@ def from_g_frame(spec: GFrameSpec, y0=None, dim_k: int | None = None) -> HSFrame
         emb = np.zeros((dim_k, spec.dim_h), dtype=np.complex128)
         emb[offset : offset + block.shape[0], :] = block
         # images[i] = (embedded column i) tensor y0
-        images = np.einsum("ki,l->ikl", emb, y0v.conj())
-        maps.append(HSMap(images))
+        maps.append(np.einsum("ki,l->ikl", emb, y0v.conj()))
         offset += block.shape[0]
     return HSFrameFamily(maps)
 
@@ -230,6 +227,10 @@ def decaying_family(
     """
     if not 0.0 < tail_ratio < 1.0:
         raise ValidationError(f"tail_ratio must be in (0, 1), got {tail_ratio}")
+    if dim_h < 1 or dim_k < 1:
+        raise ValidationError(
+            f"dim_h and dim_k must be >= 1, got dim_h={dim_h}, dim_k={dim_k}"
+        )
     blk = dim_k * dim_k
     head = math.ceil(dim_h / blk)
     if count < head:

@@ -43,7 +43,6 @@ from .family import (
     DEFAULT_RANK_TOL,
     HSFrameFamily,
     ThinSVD,
-    check_trials,
     classify,
     frame_bounds,
     frame_operator,
@@ -68,6 +67,16 @@ MODES = ("analysis", "synthesis", "frame-operator", "synthesis-coefficient")
 
 _CERT_RTOL = 1e-10
 _MARGIN_TOL = 1e-12
+
+
+def check_trials(trials) -> None:
+    """Reject a sample count that is not an integer >= 0."""
+    if (
+        isinstance(trials, bool)
+        or not isinstance(trials, numbers.Integral)
+        or trials < 0
+    ):
+        raise ValidationError(f"trials must be an integer >= 0, got {trials!r}")
 
 
 @dataclass(frozen=True)

@@ -95,13 +95,13 @@ def _metadata(family: HSFrameFamily) -> dict:
     }
 
 
+def _float_pairs(images: np.ndarray) -> np.ndarray:
+    """C-contiguous complex128 ``images`` as float64 with a trailing (re, im) axis."""
+    return images.view(np.float64).reshape(*images.shape, 2)
+
+
 def family_to_document(family: HSFrameFamily) -> dict:
-    # images is C-contiguous complex128, so the float64 view pairs (re, im)
-    operators = [
-        m.images.view(np.float64).reshape(*m.images.shape, 2).tolist()
-        for m in family.maps
-    ]
-    return {**_metadata(family), "operators": operators}
+    return {**_metadata(family), "operators": _float_pairs(family.images).tolist()}
 
 
 def family_from_document(doc) -> HSFrameFamily:
@@ -124,23 +124,21 @@ def family_from_document(doc) -> HSFrameFamily:
             f"operators must list {count} maps, got "
             f"{len(operators) if isinstance(operators, list) else type(operators).__name__}"
         )
-    maps = []
+    images = np.empty((count, dim_h, dim_k, dim_k), dtype=np.complex128)
+    # filled as floats through a view, so signed zeros survive the round trip
+    pairs = _float_pairs(images)
     for j, op in enumerate(operators):
         try:
             arr = np.asarray(op, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"operators[{j}] is not numeric: {exc}") from exc
-        if arr.shape != (dim_h, dim_k, dim_k, 2):
+        if arr.shape != pairs.shape[1:]:
             raise ValidationError(
                 f"operators[{j}] has shape {arr.shape}, "
                 f"expected ({dim_h}, {dim_k}, {dim_k}, 2)"
             )
-        # assemble via real/imag views so signed zeros survive the round trip
-        images = np.empty(arr.shape[:-1], dtype=np.complex128)
-        images.real = arr[..., 0]
-        images.imag = arr[..., 1]
-        maps.append(images)
-    return HSFrameFamily(maps)
+        pairs[j] = arr
+    return HSFrameFamily._of_images(images)
 
 
 @contextlib.contextmanager
@@ -174,12 +172,13 @@ def _family_text(family: HSFrameFamily) -> Iterator[str]:
     one operator at a time."""
     fields = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in _metadata(family).items()]
     yield "{\n " + ",\n ".join(fields) + ',\n "operators": [\n  '
-    # every map has images of one shape, stored C-contiguous and finite
-    template = _template(family.maps[0].images.shape + (2,), 2)
-    for j, m in enumerate(family.maps):
+    # the family's images are stored C-contiguous and finite
+    pairs = _float_pairs(family.images)
+    template = _template(pairs.shape[1:], 2)
+    for j, op in enumerate(pairs.reshape(family.count, -1)):
         if j:
             yield ",\n  "
-        yield template % tuple(m.images.view(np.float64).ravel().tolist())
+        yield template % tuple(op.tolist())
     yield "\n ]\n}\n"
 
 

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,22 @@ from hsframe import (
     HSFrameFamily,
     HSMap,
     NotAFrameError,
+    NumericError,
+    SpectrumSpec,
     ValidationError,
     analyze,
     canonical_dual,
     classify,
+    decaying_family,
     frame_bounds,
     frame_operator,
     frame_operator_hs_norm_bound,
     from_scalar_frame,
+    load_family,
     onb_family,
+    random_family,
     reconstruct,
+    save_family,
     riesz_inequality_check,
     synthesize,
     verify_alternate_dual,
@@ -122,6 +130,55 @@ class TestImmutability:
         assert m.images[0, 0, 0] == 0.0
 
 
+class TestStorage:
+    """A family stores its operators once, as images (count, dim_h, d_k, d_k)."""
+
+    @pytest.mark.parametrize("build", ["maps", "synthesis_matrix", "file"])
+    def test_maps_are_views_of_one_read_only_array(self, tmp_path, build):
+        ref = random_family(5, 2, 3, SpectrumSpec.flat(), seed=1)
+        if build == "maps":
+            fam = HSFrameFamily([np.asfortranarray(m.images) for m in ref.maps])
+        elif build == "synthesis_matrix":
+            fam = HSFrameFamily.from_synthesis_matrix(5, 2, ref.synthesis_matrix)
+        else:
+            save_family(ref, str(tmp_path / "fam.json"))
+            fam = load_family(str(tmp_path / "fam.json"))
+        assert fam.images.tobytes() == ref.images.tobytes()
+        assert fam.images.shape == (3, 5, 2, 2)
+        assert fam.images.flags.c_contiguous and not fam.images.flags.writeable
+        for j, m in enumerate(fam.maps):
+            assert np.shares_memory(m.images, fam.images)
+            assert np.array_equal(m.images, fam.images[j])
+            assert not m.images.flags.writeable
+
+    def test_synthesis_matrix_is_derived_bit_for_bit(self):
+        """T is the conjugate of the stacked vectorized maps, signed zeros and
+        subnormals included, and is computed once."""
+        assert isinstance(HSFrameFamily.__dict__["synthesis_matrix"], cached_property)
+        rng = np.random.default_rng(3)
+        images = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
+        images[0, 0, 0, 0] = complex(-0.0, 0.0)
+        images[1, 2, 1, 0] = complex(5e-324, -0.0)
+        fam = HSFrameFamily(list(images))
+        # reference: block j of T is the conjugate transpose of map j's matrix
+        want = np.hstack([im.reshape(3, -1).T.conj().T for im in images])
+        t = fam.synthesis_matrix
+        assert t is fam.synthesis_matrix
+        assert t.tobytes(order="F") == want.tobytes(order="F")
+        assert not t.flags.writeable
+
+    @pytest.mark.parametrize("dim_h, dim_k", [(4, 0), (4, -2), (0, 1), (-1, 1)])
+    def test_dims_below_one_rejected(self, dim_h, dim_k):
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            HSFrameFamily.from_synthesis_matrix(dim_h, dim_k, np.ones((max(dim_h, 0), 8)))
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            decaying_family(dim_h, dim_k, 6, 0.5)
+
+    def test_empty_images_rejected(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            HSFrameFamily([np.zeros((0, 1, 1))])
+
+
 class TestFrameBounds:
     def test_onb(self):
         assert frame_bounds(onb_family(3)) == pytest.approx((1.0, 1.0))
@@ -158,6 +215,14 @@ class TestFrameBounds:
         energies = [analyze(fam, f).norm() ** 2 for f in samples]
         assert max(energies) == pytest.approx(b, rel=1e-6)
         assert min(energies) == pytest.approx(a, rel=1e-6)
+
+
+    def test_unrepresentable_bound_is_numeric_error(self):
+        # sigma = 1e200 is finite, sigma^2 is not
+        fam = HSFrameFamily.from_synthesis_matrix(1, 1, [[1e200]])
+        for report in (frame_bounds, classify, riesz_inequality_check):
+            with pytest.raises(NumericError, match="overflows"):
+                report(fam)
 
 
 class TestClassify:
@@ -301,7 +366,7 @@ class TestReconstruct:
 class TestAlternateDual:
     def test_canonical_dual_passes(self):
         fam = seeded_family(4)
-        check = verify_alternate_dual(fam, canonical_dual(fam), seed=9)
+        check = verify_alternate_dual(fam, canonical_dual(fam))
         assert check.ok
         assert check.identity_gap <= 1e-9
 
@@ -310,7 +375,7 @@ class TestAlternateDual:
         doubled = HSFrameFamily.from_synthesis_matrix(
             3, 1, 2.0 * fam.synthesis_matrix
         )
-        check = verify_alternate_dual(fam, doubled, seed=2)
+        check = verify_alternate_dual(fam, doubled)
         assert not check.ok
         # identity yields 2f, so the relative residual is |f| / |f| = 1
         assert check.max_residual == pytest.approx(1.0, rel=1e-12)
@@ -326,7 +391,7 @@ class TestAlternateDual:
         candidate = HSFrameFamily.from_synthesis_matrix(
             2, 1, dual.synthesis_matrix + np.outer(w, kappa.conj())
         )
-        check = verify_alternate_dual(fam, candidate, seed=7)
+        check = verify_alternate_dual(fam, candidate)
         assert check.ok
         assert not np.allclose(candidate.synthesis_matrix, dual.synthesis_matrix)
 
@@ -344,8 +409,27 @@ class TestAlternateDual:
         candidate = HSFrameFamily.from_synthesis_matrix(
             fam.dim_h, fam.dim_k, dual.synthesis_matrix + np.outer(w, kappa.conj())
         )
-        check = verify_alternate_dual(fam, candidate, seed=8, tol=1e-8)
+        check = verify_alternate_dual(fam, candidate, tol=1e-8)
         assert check.ok
+
+
+    def test_residual_is_exact_for_a_one_direction_error(self):
+        """An error T E^H = eps e1 e1^H is caught at its full size, which
+        random samples see only in part."""
+        fam = random_family(32, 1, 40, SpectrumSpec.flat(), seed=5)
+        dual = canonical_dual(fam)
+        eps = 1e-3
+        e1 = np.zeros(32)
+        e1[0] = 1.0
+        # E^H = eps T^+ e1 e1^H with T^+ = T^H S^-1, so T E^H = eps e1 e1^H
+        t_plus_e1 = dual.synthesis_matrix.conj().T @ e1
+        candidate = HSFrameFamily.from_synthesis_matrix(
+            32, 1, dual.synthesis_matrix + eps * np.outer(e1, t_plus_e1.conj())
+        )
+        check = verify_alternate_dual(fam, candidate)
+        assert check.max_residual == pytest.approx(eps, rel=1e-9)
+        assert check.identity_gap <= 1e-12  # P = I + eps e1 e1^H is Hermitian
+        assert not check.ok
 
 
 class TestFrameOperatorHSNorm:

@@ -20,7 +20,6 @@ from hsframe import (
     random_family,
     riesz_family,
     riesz_stability_check,
-    verify_alternate_dual,
 )
 from conftest import complex_unit, seeded_family
 from oracle_scalar import ScalarFrameOracle
@@ -417,8 +416,6 @@ def test_negative_trials_rejected():
         check_condition("analysis", g, g, PerturbationConstants(), trials=-1)
     with pytest.raises(ValidationError, match="trials"):
         cc_lemma_check(np.eye(2), 0.1, 0.0, trials=-1)
-    with pytest.raises(ValidationError, match="trials"):
-        verify_alternate_dual(g, g, trials=-1)
 
 
 class TestSoundness:

@@ -1,9 +1,11 @@
+import contextlib
 import gc
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsframe import (
@@ -11,6 +13,7 @@ from hsframe import (
     ParseError,
     SpectrumSpec,
     ValidationError,
+    decaying_family,
     from_scalar_frame,
     load_family,
     onb_family,
@@ -21,6 +24,14 @@ from hsframe.cli import main
 from hsframe.serialization import family_to_document, format_sig
 
 EDGE_FLOATS = (-0.0, 5e-324, 1e-300, -1e-300, 1e16, 1e22, 1.7976931348623157e308, 0.1)
+
+
+def exit_code(argv):
+    """main's exit code, counting argparse's SystemExit as its code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read(path):
@@ -519,21 +530,64 @@ class TestInputBoundary:
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "perturb", "invert"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_rejected(
+        self, fam_path, tmp_path, capsys, monkeypatch, command, source
+    ):
+        out = str(tmp_path / "out")
+        argv = {
+            "generate": ["generate", "--kind", "random", "--dim-h", "4", "--count", "6"],
+            "perturb": ["perturb", "--input", str(fam_path), "--mode", "scale",
+                        "--magnitude", "0.1"],
+            "invert": ["invert", "--input", str(fam_path)],
+        }[command] + ["--out", out]
+        if source == "flag":
+            argv += ["--seed=-1"]
+        else:
+            monkeypatch.setenv("HSFRAME_SEED", "-1")
+        assert main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, dim_k", [("decaying", "0"), ("random", "-2"),
+                                              ("riesz", "-2")])
+    def test_dim_k_below_one_rejected(self, tmp_path, capsys, kind, dim_k):
+        code = main([
+            "generate", "--kind", kind, "--dim-h", "4", "--dim-k", dim_k, "--count", "1",
+            "--spectrum", "geometric:0.5", "--out", str(tmp_path / "f.json"),
+        ])
+        assert code == 2
+        assert "dim_k" in capsys.readouterr().err
+
+    def test_overflowing_bound_is_numeric_error(self, fam_path, capsys):
+        code = main([
+            "perturb", "--input", str(fam_path), "--mode", "additive-analysis",
+            "--magnitude", "1e308",
+        ])
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["perturb", "analyze"])
     def test_negative_trials_rejected(self, fam_path, tmp_path, capsys, command):
+        # perturb rejects the value; analyze draws nothing and has no --trials
         extra = ["--mode", "scale", "--magnitude", "0.1"] if command == "perturb" else []
-        code = main([
+        code = exit_code([
             command, "--input", str(fam_path), *extra, "--trials", "-3",
             "--out", str(tmp_path / "r.json"),
         ])
         assert code == 2
-        assert "trials" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "trials" in err
+        if command == "analyze":
+            assert "unrecognized arguments: --trials" in err
         assert not (tmp_path / "r.json").exists()
 
-    def test_negative_trials_rejected_for_non_frame(self, tmp_path):
+    def test_negative_trials_rejected_for_non_frame(self, tmp_path, capsys):
         path = tmp_path / "line.json"
         save_family(from_scalar_frame([[1, 0], [2, 0]]), str(path))
-        assert main(["analyze", "--input", str(path), "--trials", "-3"]) == 2
+        assert exit_code(["analyze", "--input", str(path), "--trials", "-3"]) == 2
+        assert "unrecognized arguments: --trials" in capsys.readouterr().err
 
 
 def test_main_reuses_one_parser(tmp_path, monkeypatch):
@@ -546,3 +600,118 @@ def test_main_reuses_one_parser(tmp_path, monkeypatch):
     assert main(["analyze", "--input", str(path)]) == 0
     assert main(["generate", "--kind", "onb", "--dim-h", "3", "--out", str(path)]) == 0
     assert load_family(str(path)).dim_h == 3
+
+
+# value strategies draw usable values often enough that some commands get
+# past flag checking into the numerics
+FUZZ_FLOATS = st.one_of(
+    st.floats(0.001, 0.9).map(repr),
+    st.floats(1.1, 3.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "0", "-0.5", "5e-324"]),
+)
+FUZZ_INTS = st.integers(-2, 7).map(str)
+FUZZ_TEXT = st.text(alphabet="0123456789,.:-eainfprxltgom", max_size=10)
+FUZZ_SPECTRA = st.one_of(
+    st.sampled_from(["flat", "flat:2", "flat:1e308", "geometric:0.5", "explicit:1,2,3"]),
+    st.sampled_from([
+        "flat:nan", "flat:-1", "geometric:inf", "geometric:", "explicit:", "explicit:1,nan",
+        "bogus",
+    ]),
+    FUZZ_TEXT,
+)
+FUZZ_SCHEDULES = st.one_of(
+    st.sampled_from(["prefix:all", "1,2,3", "2,6", "6"]),
+    st.sampled_from(["3,1", "0", "-1", "1,,2", "", "prefix:", "99", "1,1"]),
+    FUZZ_TEXT,
+)
+FUZZ_VECTORS = st.one_of(
+    st.sampled_from([
+        "1,0,0,0", "1e308,1e308,1e308,1e308", "1j,0,0,0", "0,0,0,0", "1,2,3,4",
+    ]),
+    st.sampled_from(["1,nan,0,0", "inf,0,0,0", "1,2", ""]),
+    FUZZ_TEXT,
+)
+FUZZ_INPUTS = st.sampled_from(
+    ["{frame}", "{decaying}", "{frame}", "{decaying}", "{line}", "{missing}", "{garbage}"]
+)
+
+
+def _flags(required=(), **drawn):
+    """``--flag=value`` for each drawn flag, the optional ones present or absent
+    (the ``=`` form keeps values such as ``-inf`` from reading as flags)."""
+    return st.tuples(*(
+        value.map(lambda v, f=flag: [f"{f}={v}"])
+        if flag in required
+        else st.one_of(st.just([]), value.map(lambda v, f=flag: [f"{f}={v}"]))
+        for flag, value in drawn.items()
+    )).map(lambda parts: [tok for part in parts for tok in part])
+
+
+FUZZ_ARGV = st.one_of(
+    st.tuples(
+        st.just(["generate", "--out={out}"]),
+        _flags(
+            required=("--kind", "--dim-h"),
+            **{"--kind": st.sampled_from(["onb", "random", "riesz", "decaying"]),
+               "--dim-h": FUZZ_INTS, "--dim-k": FUZZ_INTS, "--count": FUZZ_INTS,
+               "--spectrum": FUZZ_SPECTRA, "--seed": FUZZ_INTS},
+        ),
+    ),
+    st.tuples(
+        st.just(["analyze", "--out={out}"]),
+        _flags(required=("--input",), **{
+            "--input": FUZZ_INPUTS, "--rank-tol": FUZZ_FLOATS, "--seed": FUZZ_INTS}),
+    ),
+    st.tuples(
+        st.just(["invert", "--out={out}"]),
+        _flags(required=("--input",), **{
+            "--input": FUZZ_INPUTS, "--vector": FUZZ_VECTORS, "--seed": FUZZ_INTS,
+            "--lambda": FUZZ_FLOATS, "--schedule": FUZZ_SCHEDULES,
+            "--rank-tol": FUZZ_FLOATS}),
+    ),
+    st.tuples(
+        st.just(["perturb", "--out={out}"]),
+        _flags(required=("--input", "--mode", "--magnitude"), **{
+            "--input": FUZZ_INPUTS,
+            "--mode": st.sampled_from(["additive-analysis", "scale", "blockwise"]),
+            "--magnitude": FUZZ_FLOATS, "--lambda1": FUZZ_FLOATS,
+            "--lambda2": FUZZ_FLOATS, "--mu": FUZZ_FLOATS, "--nu": FUZZ_FLOATS,
+            "--trials": FUZZ_INTS, "--seed": FUZZ_INTS}),
+    ),
+).map(lambda parts: [tok for part in parts for tok in part])
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {name: str(root / f"{name}.json") for name in
+             ("frame", "decaying", "line", "missing", "garbage", "out")}
+    save_family(random_family(4, 1, 6, SpectrumSpec.flat(), seed=2), files["frame"])
+    save_family(decaying_family(4, 1, 6, 0.5, seed=3), files["decaying"])
+    save_family(from_scalar_frame([[1, 0, 0, 0], [2, 0, 0, 0]]), files["line"])
+    (root / "garbage.json").write_text("{ not json")
+    return files
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=FUZZ_ARGV)
+@example(argv=["generate", "--out={out}", "--kind=random", "--dim-h=4", "--count=6",
+               "--seed=-1"])
+@example(argv=["perturb", "--out={out}", "--input={frame}", "--mode=scale",
+               "--magnitude=0.1", "--seed=-1"])
+@example(argv=["invert", "--out={out}", "--input={frame}", "--seed=-1"])
+@example(argv=["generate", "--out={out}", "--kind=decaying", "--dim-h=4", "--dim-k=0",
+               "--count=6", "--spectrum=geometric:0.5"])
+@example(argv=["generate", "--out={out}", "--kind=random", "--dim-h=4", "--dim-k=-2",
+               "--count=6"])
+@example(argv=["perturb", "--out={out}", "--input={frame}", "--mode=additive-analysis",
+               "--magnitude=1e308"])
+def test_cli_flag_fuzz(fuzz_files, argv):
+    """Whatever the flag values, a command ends with a documented exit code
+    (argparse's own exit counts as its code) and never with a traceback."""
+    argv = [tok.format(**fuzz_files) for tok in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = exit_code(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
