@@ -204,9 +204,7 @@ def cmd_perturb(args) -> int:
         )
     else:
         constants = certified_constants
-    verdict = check_condition(
-        "analysis", family, gamma, constants, trials=args.trials, seed=seed
-    )
+    verdict = check_condition("analysis", family, gamma, constants)
     doc = {
         "experiment": f"perturb:{os.path.basename(args.input)}",
         "timestamp": utc_timestamp(),
@@ -290,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_per.add_argument("--lambda2", type=float)
     p_per.add_argument("--mu", type=float)
     p_per.add_argument("--nu", type=float)
-    p_per.add_argument("--trials", type=int, default=64)
     p_per.add_argument("--seed", type=int)
     p_per.add_argument("--out")
     p_per.set_defaults(func=cmd_perturb)

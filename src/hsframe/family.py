@@ -465,8 +465,10 @@ def frame_operator_hs_norm_bound(family: HSFrameFamily) -> tuple[float, float]:
     cardinality entering it is the dimension of H (equal for the identity,
     where the inequality is tight).
     """
-    hs = float(np.linalg.norm(family.svd.s**2))  # |S|_F
+    s = family.svd.s
     b = frame_bounds(family)[1]
+    # |S|_F = |s^2|_2, scaled by B = s_max^2 so that no s^4 is formed
+    hs = b * float(np.linalg.norm((s / s[0]) ** 2)) if b > 0.0 else 0.0
     bound = b * math.sqrt(family.dim_h)
     if hs > bound * (1.0 + 1e-12) + 1e-15:
         raise InternalConsistencyError(

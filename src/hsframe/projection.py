@@ -40,6 +40,7 @@ import numpy as np
 from .core import as_vector
 from .errors import (
     InternalConsistencyError,
+    NumericError,
     SectionSingularError,
     ValidationError,
 )
@@ -207,8 +208,8 @@ def _check_floor(n: int, evals: np.ndarray) -> None:
 
 
 def _check_lambda(lam) -> None:
-    if not lam > 1.0:
-        raise ValidationError(f"lambda must be > 1, got {lam}")
+    if not 1.0 < lam < math.inf:
+        raise ValidationError(f"lambda must be finite and > 1, got {lam}")
 
 
 def _section_for(family: HSFrameFamily, n: int, basis: SubspaceBasis) -> "_Section":
@@ -391,6 +392,7 @@ def _nan_record(n: int) -> ConvergenceRecord:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is raised below
 def convergence_sweep(
     family: HSFrameFamily,
     schedule: SectionSchedule,
@@ -406,7 +408,8 @@ def convergence_sweep(
     the strong method.  A singular section flags its record and the sweep
     continues.  One pass: each prefix gets its basis from one running
     factorization and one ``_Section``, and its oversampling search starts
-    at the previous prefix's k.
+    at the previous prefix's k.  A ground truth or an unflagged row that
+    is not finite (f too large to represent them) raises ``NumericError``.
     """
     fv = _check_vector(family, f)
     _check_lambda(lam)
@@ -415,6 +418,8 @@ def convergence_sweep(
     bounds = frame_bounds(family)
     u, sigma = family.svd.u, family.svd.s
     ground = u @ ((u.conj().T @ fv) / sigma**2)
+    if not np.isfinite(ground).all():
+        raise NumericError("S^-1 f overflows: the vector is too large")
     t = family.synthesis_matrix
     t_h = t.conj().T
     blk = family.dim_k * family.dim_k
@@ -447,18 +452,20 @@ def convergence_sweep(
         err_coeffs = (y - ground_coeffs)[:cut].reshape(n, blk)
         inner = np.sum(coeffs[:n].conj() * err_coeffs, axis=1)
         strong = float(np.sum(np.abs(inner) ** 2))
-        records.append(
-            ConvergenceRecord(
-                n=n,
-                m_n=m_n,
-                r_n=section.basis.rank,
-                err_plain=float(np.linalg.norm(plain - ground)),
-                err_oversampled=float(np.linalg.norm(over - ground)),
-                crit2=crit2,
-                crit3=crit3,
-                strong_residual=strong,
-            )
+        record = ConvergenceRecord(
+            n=n,
+            m_n=m_n,
+            r_n=section.basis.rank,
+            err_plain=float(np.linalg.norm(plain - ground)),
+            err_oversampled=float(np.linalg.norm(over - ground)),
+            crit2=crit2,
+            crit3=crit3,
+            strong_residual=strong,
         )
+        values = (record.err_plain, record.err_oversampled, crit2, crit3, strong)
+        if not all(map(math.isfinite, values)):
+            raise NumericError(f"row n={n} overflows: the vector is too large")
+        records.append(record)
     return records
 
 

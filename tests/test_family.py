@@ -448,3 +448,15 @@ class TestFrameOperatorHSNorm:
         for seed in range(20):
             hs, bound = frame_operator_hs_norm_bound(seeded_family(seed))
             assert hs <= bound * (1 + 1e-12)
+
+    def test_huge_spectrum_does_not_overflow(self):
+        # S = 1e300 I on C^4: |S|_F = 2e300 although each sigma^4 overflows
+        fam = random_family(4, 1, 6, SpectrumSpec.flat(1e300), seed=1)
+        hs, bound = frame_operator_hs_norm_bound(fam)
+        assert hs == pytest.approx(2e300, rel=1e-12)
+        assert bound == pytest.approx(2e300, rel=1e-12)
+
+    def test_zero_family(self):
+        assert frame_operator_hs_norm_bound(HSFrameFamily([np.zeros((2, 1, 1))] * 2)) == (
+            0.0, 0.0
+        )

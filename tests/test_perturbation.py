@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsframe import (
@@ -27,21 +29,21 @@ from oracle_scalar import ScalarFrameOracle
 
 class TestCCLemma:
     def test_contraction_half(self):
-        report = cc_lemma_check(0.5 * np.eye(3), 0.5, 0.0, seed=1)
+        report = cc_lemma_check(0.5 * np.eye(3), 0.5, 0.0)
         assert report.certified and report.satisfied
         assert report.sigma_min == pytest.approx(0.5)
         assert report.forward_bounds == pytest.approx((0.5, 1.5))
         assert report.sandwich_ok
 
     def test_identity_tight(self):
-        report = cc_lemma_check(np.eye(4), 0.0, 0.0, seed=2)
+        report = cc_lemma_check(np.eye(4), 0.0, 0.0)
         assert report.certified
         assert report.forward_bounds == (1.0, 1.0)
         assert report.inverse_bounds == (1.0, 1.0)
         assert report.sandwich_ok
 
     def test_diagonal_boundary_case(self):
-        report = cc_lemma_check(np.diag([1.0, 0.2]), 0.8, 0.0, seed=3)
+        report = cc_lemma_check(np.diag([1.0, 0.2]), 0.8, 0.0)
         assert report.certified
         assert report.sigma_min == pytest.approx(0.2)
         # sigma_min meets the lower sandwich exactly: (1-0.8)/(1+0) = 0.2
@@ -51,15 +53,27 @@ class TestCCLemma:
     def test_lambda2_envelope(self):
         # |Ux - x| = 0.3 |x| and |Ux| = 0.7 |x|: certify with l2 only
         u = 0.7 * np.eye(3)
-        report = cc_lemma_check(u, 0.0, 3.0 / 7.0 + 1e-12, seed=4)
+        report = cc_lemma_check(u, 0.0, 3.0 / 7.0 + 1e-12)
         assert report.certified
         assert report.sandwich_ok
 
     def test_violation_produces_witness(self):
-        report = cc_lemma_check(0.2 * np.eye(2), 0.1, 0.0, seed=5)
+        report = cc_lemma_check(0.2 * np.eye(2), 0.1, 0.0)
         assert not report.certified and not report.satisfied
         assert report.condition_margin < -1e-6
         assert report.witness is not None
+
+    def test_mixed_constants_decided_exactly(self):
+        # D = diag(-0.8, 0.5): e2 is tight-ish (0.5 <= 0.3 + 0.45 * 0.5) and
+        # sigma_max(I - U) = 0.8 exceeds l1 + l2 sigma_min(U) = 0.525, so
+        # only a decision over both constants certifies it
+        report = cc_lemma_check(np.diag([1.8, 0.5]), 0.3, 0.45)
+        assert report.certified and report.satisfied
+        assert report.witness is None
+        assert report.sandwich_ok
+        violated = cc_lemma_check(np.diag([1.8, 0.5]), 0.3, 0.35)
+        assert not violated.certified and not violated.satisfied
+        assert violated.witness is not None and violated.condition_margin < 0.0
 
     def test_range_validation(self):
         with pytest.raises(ValidationError):
@@ -146,7 +160,7 @@ class TestCheckCondition:
         g = onb_family(2)
         gamma = from_scalar_frame([[1, 0], [0, 0.9]])
         verdict = check_condition(
-            "analysis", g, gamma, PerturbationConstants(mu=0.1), seed=4
+            "analysis", g, gamma, PerturbationConstants(mu=0.1)
         )
         assert verdict.certified
         assert verdict.empirical_margin >= -1e-12
@@ -161,7 +175,7 @@ class TestCheckCondition:
     def test_scaling_certified_via_lambda1(self):
         g = seeded_family(5)
         gamma, constants = perturb_family(g, "scale", 0.25, seed=5)
-        verdict = check_condition("analysis", g, gamma, constants, seed=5)
+        verdict = check_condition("analysis", g, gamma, constants)
         assert verdict.certified
         a_g, b_g = frame_bounds(g)
         assert verdict.actual_bounds[0] == pytest.approx(0.5625 * a_g, rel=1e-9)
@@ -172,7 +186,7 @@ class TestCheckCondition:
     def test_synthesis_identity_case(self):
         g = seeded_family(6)
         verdict = check_condition(
-            "synthesis", g, g, PerturbationConstants(), seed=6
+            "synthesis", g, g, PerturbationConstants()
         )
         assert verdict.certified
         assert verdict.empirical_margin >= 0.0
@@ -182,7 +196,7 @@ class TestCheckCondition:
         g = onb_family(3)
         gamma, _ = perturb_family(g, "scale", 0.5, seed=7)
         verdict = check_condition(
-            "analysis", g, gamma, PerturbationConstants(mu=0.1), seed=7
+            "analysis", g, gamma, PerturbationConstants(mu=0.1)
         )
         assert not verdict.certified
         assert verdict.empirical_margin < -0.3
@@ -197,7 +211,7 @@ class TestCheckCondition:
         c = 1.0 - (1.0 - m) ** 2
         _, b_g = frame_bounds(g)
         constants = PerturbationConstants(mu=c * np.sqrt(b_g) * (1 + 1e-12))
-        verdict = check_condition("frame-operator", g, gamma, constants, seed=8)
+        verdict = check_condition("frame-operator", g, gamma, constants)
         assert verdict.certified
         assert verdict.predicted_bounds is None
         assert verdict.actual_bounds[0] > 0.0
@@ -208,7 +222,7 @@ class TestCheckCondition:
         gamma, _ = perturb_family(g, "scale", m, seed=9)
         c = 1.0 - (1.0 - m) ** 2
         constants = PerturbationConstants(lambda1=c * (1 + 1e-12))
-        verdict = check_condition("frame-operator", g, gamma, constants, seed=9)
+        verdict = check_condition("frame-operator", g, gamma, constants)
         assert verdict.certified
         assert verdict.actual_bounds[0] > 0.0
 
@@ -216,7 +230,7 @@ class TestCheckCondition:
         g = seeded_family(10)
         gamma, constants = perturb_family(g, "additive-analysis", 0.05, seed=10)
         verdict = check_condition(
-            "synthesis-coefficient", g, gamma, constants, seed=10
+            "synthesis-coefficient", g, gamma, constants
         )
         assert verdict.certified
         assert verdict.predicted_bounds is None
@@ -278,7 +292,7 @@ def assert_sharp(fam, cand, cases):
         sup = float(np.linalg.norm(d @ np.linalg.pinv(ops[name]), ord=2))
         for factor in (1.0 + 1e-6, 1.0 - 1e-6):
             constants = PerturbationConstants(**{name: sup * factor})
-            verdict = check_condition(mode, fam, cand, constants, trials=8)
+            verdict = check_condition(mode, fam, cand, constants)
             assert verdict.certified == (factor > 1.0), (mode, name, sup, factor)
 
 
@@ -354,6 +368,18 @@ def test_singular_candidate_is_not_certified():
         assert verdict.witness is not None, mode
 
 
+def test_deviation_inside_the_kernel_slack_is_certified_without_witness():
+    """T = [diag(999, 8.8e-4, 7.7e-10) 0] and T~ with the last entry zeroed:
+    D = T - T~ lives on the kernel of T~, where it may be as large as
+    1e-12 |T~| on coefficient sequences.  The decision certifies, so the
+    verdict carries no witness; the margin still shows the 7.7e-10 slack."""
+    fam, cand = diagonal_pair([999.0, 8.8e-4, 7.7e-10], [999.0, 8.8e-4, 0.0])
+    verdict = check_condition("synthesis", fam, cand, PerturbationConstants(lambda2=0.3))
+    assert verdict.certified
+    assert verdict.witness is None
+    assert verdict.empirical_margin == pytest.approx(-7.7e-10, rel=1e-6)
+
+
 def test_certified_vanishing_deviation_has_no_witness():
     """With no constant the condition is D = 0, certified up to 1e-13 |S|;
     a sample inside that slack (here |D| = 1e-10 against |S| = 1e4) is no
@@ -364,6 +390,159 @@ def test_certified_vanishing_deviation_has_no_witness():
     assert verdict.certified
     assert -1e-9 < verdict.empirical_margin < 0.0
     assert verdict.witness is None
+
+
+def unit_columns(rng, n, k):
+    z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    return z / np.linalg.norm(z, axis=0)
+
+
+def dense_gaps(d, ops, constants, x):
+    """sum_i c_i |A_i x| - |D x| per column of x, straight from the operators."""
+    rhs = sum(c * np.linalg.norm(ops[name] @ x, axis=0) for name, c in constants.items())
+    return rhs - np.linalg.norm(d @ x, axis=0)
+
+
+def grid_supremum(d, ops, names, weights, n=20):
+    """sup_x |D x| / sum_i w_i |A_i x| from below.  For a_i >= 0,
+    (sum_i w_i a_i)^2 = min over the simplex of sum_i w_i^2 a_i^2 / t_i, so
+    the supremum is the largest |D W_t^+| over t, where W_t stacks the
+    (w_i / sqrt(t_i)) A_i; this takes it over a grid of step 1/n."""
+    best = 0.0
+    for head in itertools.product(range(1, n), repeat=len(names) - 1):
+        if sum(head) >= n:
+            continue
+        t = np.array(head + (n - sum(head),)) / n
+        w_t = np.vstack([(w / np.sqrt(ti)) * ops[name]
+                         for name, w, ti in zip(names, weights, t)])
+        best = max(best, float(np.linalg.norm(d @ np.linalg.pinv(w_t), ord=2)))
+    return best
+
+
+@st.composite
+def multi_constant_cases(draw):
+    """A frame with singular values in [1, 2], a dense perturbation of it, a
+    mode with closed-form bounds, and two or three active constants among
+    lambda1, lambda2, mu: random weights times ``factor`` (0.8-1.25) times
+    their grid supremum, so that conditions both hold and fail."""
+    dim_h = draw(st.integers(1, 5))
+    dim_k = draw(st.integers(1, 2))
+    count = draw(st.integers(-(-dim_h // dim_k**2), 5))
+    ncols = count * dim_k * dim_k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(unit_columns(rng, dim_h, dim_h))[0]
+    v = np.linalg.qr(unit_columns(rng, ncols, dim_h))[0]
+    t = (u * rng.uniform(1.0, 2.0, dim_h)) @ v.conj().T
+    e = unit_columns(rng, dim_h, ncols)
+    e *= draw(st.floats(0.01, 0.3)) / np.linalg.norm(e, ord=2)
+    fam = HSFrameFamily.from_synthesis_matrix(dim_h, dim_k, t)
+    cand = HSFrameFamily.from_synthesis_matrix(dim_h, dim_k, t + e)
+    mode = draw(st.sampled_from(["analysis", "synthesis"]))
+    names = draw(st.sampled_from([
+        ("lambda1", "lambda2"), ("lambda1", "mu"), ("lambda2", "mu"),
+        ("lambda1", "lambda2", "mu"),
+    ]))
+    weights = rng.uniform(0.2, 1.0, len(names))
+    d, ops = dense_condition(mode, fam, cand)
+    factor = draw(st.floats(0.8, 1.25))
+    scale = factor * grid_supremum(d, ops, names, weights)
+    constants = {name: scale * w for name, w in zip(names, weights)}
+    return fam, cand, mode, constants, factor
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(multi_constant_cases())
+def test_multi_constant_decision_is_sound(case):
+    """The paper's theorem with several constants: a certified condition
+    keeps the perturbed bounds inside the predicted ones.  A certified
+    condition is not below its grid supremum and has no violating sample
+    among 256 random unit vectors; every witness violates it directly."""
+    fam, cand, mode, constants, factor = case
+    try:
+        verdict = check_condition(mode, fam, cand, PerturbationConstants(**constants))
+    except ValidationError:  # inadmissible constants
+        assume(False)
+    d, ops = dense_condition(mode, fam, cand)
+    if verdict.certified:
+        assert verdict.witness is None
+        assert factor >= 1.0 - 1e-9
+        x = unit_columns(np.random.default_rng(0), d.shape[1], 256)
+        gaps = dense_gaps(d, ops, constants, x)
+        assert gaps.min() >= -1e-9 * max(1.0, np.linalg.norm(d, ord=2))
+        a_p, b_p = verdict.predicted_bounds
+        a_c, b_c = verdict.actual_bounds
+        assert a_c >= a_p * (1.0 - 1e-9)
+        assert b_c <= b_p * (1.0 + 1e-9)
+    if verdict.witness is not None:
+        assert dense_gaps(d, ops, constants, verdict.witness[:, None])[0] < 0.0
+        assert verdict.empirical_margin < 0.0
+
+
+def test_mixed_constants_decide_scaling():
+    """(1 - m) T against lambda1 and mu: holds with room 0.05 when lambda1 = m,
+    fails with a witness when both constants are too small."""
+    g = seeded_family(21)
+    gamma, _ = perturb_family(g, "scale", 0.1, seed=21)
+    holds = check_condition(
+        "analysis", g, gamma, PerturbationConstants(lambda1=0.1, mu=0.05)
+    )
+    assert holds.certified and holds.witness is None
+    assert holds.empirical_margin == pytest.approx(0.05, rel=1e-9)
+    fails = check_condition(
+        "analysis", g, gamma, PerturbationConstants(lambda1=0.02, mu=0.01)
+    )
+    assert not fails.certified and fails.witness is not None
+    assert fails.empirical_margin < 0.0
+
+
+def tight_conditions(slack):
+    """Two-constant conditions that hold with equality at ``slack`` 0: the
+    Casazza-Christensen lemma for U = 0.7 I with lambda1 + 0.7 lambda2 = 0.3,
+    and (1 - m) T in analysis mode with mu = (m - lambda1) |T|."""
+    g = seeded_family(21)
+    gamma, _ = perturb_family(g, "scale", 0.1, seed=21)
+    sup_t = float(np.sqrt(frame_bounds(g)[1]))
+    lemma = cc_lemma_check(0.7 * np.eye(3), 0.15 * (1.0 + slack), 0.15 / 0.7)
+    scale = check_condition(
+        "analysis", g, gamma,
+        PerturbationConstants(lambda1=0.05, mu=0.05 * sup_t * (1.0 + slack)),
+    )
+    return lemma, scale
+
+
+def test_tight_multi_constant_conditions_carry_no_witness():
+    """A tie between several constants is certified or undecided, never
+    violated: rounding alone must not produce a witness."""
+    lemma, scale = tight_conditions(0.0)
+    assert lemma.witness is None and lemma.satisfied == lemma.certified
+    assert scale.witness is None
+    assert lemma.condition_margin > -1e-14 and scale.empirical_margin > -1e-14
+    lemma, scale = tight_conditions(1e-2)
+    assert lemma.certified and lemma.sandwich_ok and scale.certified
+
+
+def test_single_constant_decision_factors_only_the_deviation(monkeypatch):
+    """One active constant with an operator term reads the families' cached
+    SVDs: the decision factors D once and whitens once (eigh for Hermitian
+    D in frame-operator mode).  Synthesis mode also tests ker T with a
+    values-only norm, which calls no ``np.linalg.svd``."""
+    g = seeded_family(3)
+    gamma, _ = perturb_family(g, "additive-analysis", 0.1, seed=3)
+    g.svd, gamma.svd  # computed once per family, before counting
+    counts = {"svd": 0, "eigh": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for mode, expected in [
+        ("analysis", {"svd": 2, "eigh": 0}),
+        ("synthesis", {"svd": 2, "eigh": 0}),
+        ("frame-operator", {"svd": 1, "eigh": 1}),
+    ]:
+        counts.update(svd=0, eigh=0)
+        check_condition(mode, g, gamma, PerturbationConstants(lambda1=0.5))
+        assert counts == expected, mode
 
 
 class TestPerturbFamily:
@@ -410,14 +589,6 @@ def test_constants_must_be_finite_reals(name, value):
         PerturbationConstants(**{name: value})
 
 
-def test_negative_trials_rejected():
-    g = onb_family(2)
-    with pytest.raises(ValidationError, match="trials"):
-        check_condition("analysis", g, g, PerturbationConstants(), trials=-1)
-    with pytest.raises(ValidationError, match="trials"):
-        cc_lemma_check(np.eye(2), 0.1, 0.0, trials=-1)
-
-
 class TestSoundness:
     def test_certified_conditions_imply_predicted_bounds(self):
         rng = np.random.default_rng(99)
@@ -432,7 +603,7 @@ class TestSoundness:
             gamma, constants = perturb_family(
                 g, mode, magnitude, seed=int(rng.integers(0, 2**31))
             )
-            verdict = check_condition("analysis", g, gamma, constants, seed=trial)
+            verdict = check_condition("analysis", g, gamma, constants)
             assert verdict.certified
             a_p, b_p = verdict.predicted_bounds
             a_c, b_c = verdict.actual_bounds
@@ -460,7 +631,7 @@ class TestSoundness:
 class TestRieszStability:
     def test_unperturbed_riesz_confirmed(self):
         g = riesz_family(6, 1, 6, SpectrumSpec.explicit([1, 1.5, 2, 2.5, 3, 4]), seed=16)
-        verdict = riesz_stability_check(g, g, PerturbationConstants(), seed=16)
+        verdict = riesz_stability_check(g, g, PerturbationConstants())
         assert verdict.status == "confirmed"
         assert verdict.riesz_preserved
         assert verdict.actual_riesz_bounds == pytest.approx(verdict.predicted_bounds)
@@ -468,7 +639,7 @@ class TestRieszStability:
     def test_additive_perturbation_keeps_riesz(self):
         g = riesz_family(8, 2, 2, SpectrumSpec.flat(), seed=17)
         gamma, constants = perturb_family(g, "additive-analysis", 0.1, seed=17)
-        verdict = riesz_stability_check(g, gamma, constants, seed=17)
+        verdict = riesz_stability_check(g, gamma, constants)
         assert verdict.status == "confirmed"
         assert verdict.riesz_preserved
         sigma = np.linalg.svd(gamma.synthesis_matrix, compute_uv=False)
@@ -476,7 +647,7 @@ class TestRieszStability:
 
     def test_non_riesz_base_is_inconclusive(self):
         g = from_scalar_frame([[1, 0], [0, 1], [2**-0.5, 2**-0.5]])
-        verdict = riesz_stability_check(g, g, PerturbationConstants(), seed=18)
+        verdict = riesz_stability_check(g, g, PerturbationConstants())
         assert verdict.status == "inconclusive"
         assert "Riesz" in verdict.reason
 
@@ -484,14 +655,14 @@ class TestRieszStability:
         g = riesz_family(4, 1, 4, SpectrumSpec.flat(), seed=19)
         gamma, _ = perturb_family(g, "scale", 0.5, seed=19)
         verdict = riesz_stability_check(
-            g, gamma, PerturbationConstants(mu=0.01), seed=19
+            g, gamma, PerturbationConstants(mu=0.01)
         )
         assert verdict.status == "inconclusive"
 
     def test_inadmissible_constants_raise(self):
         g = riesz_family(4, 1, 4, SpectrumSpec.flat(), seed=20)
         with pytest.raises(ValidationError):
-            riesz_stability_check(g, g, PerturbationConstants(mu=1.0), seed=20)
+            riesz_stability_check(g, g, PerturbationConstants(mu=1.0))
 
 
 class TestClassicalSpecialization:

@@ -4,6 +4,7 @@ import pytest
 from hsframe import (
     CoefficientSequence,
     NotAFrameError,
+    NumericError,
     SectionSchedule,
     ValidationError,
     analyze,
@@ -235,6 +236,22 @@ class TestConvergenceSweep:
     def test_bad_lambda(self):
         with pytest.raises(ValidationError):
             convergence_sweep(MB, SectionSchedule.full(3), [1.0, 0.0], lam=1.0)
+
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan"), 1.0])
+    def test_lambda_must_be_finite_and_above_one(self, lam):
+        with pytest.raises(ValidationError, match="lambda"):
+            convergence_sweep(MB, SectionSchedule.full(3), [1.0, 0.0], lam=lam)
+        with pytest.raises(ValidationError, match="lambda"):
+            find_oversampling(MB, 1, lam)
+        with pytest.raises(ValidationError, match="lambda"):
+            oversampled_inverse_apply(MB, 1, lam, [1.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e308, 1e150])
+    def test_unrepresentable_rows_raise(self, scale):
+        # S^-1 f or a row (crit3 ~ |f|^2, the strong residual ~ |f|^4)
+        # overflows: a numeric failure, not rows of inf and nan
+        with pytest.raises(NumericError, match="overflows"):
+            convergence_sweep(MB, SectionSchedule.full(3), [scale, scale])
 
 
 class TestUniformBoundScan:

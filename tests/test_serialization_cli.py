@@ -494,6 +494,50 @@ class TestInputBoundary:
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_infinite_lambda_rejected(self, fam_path, tmp_path, capsys):
+        code = main([
+            "invert", "--input", str(fam_path), "--lambda", "inf",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "lambda" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_overflowing_vector_is_numeric_error(self, fam_path, tmp_path, capsys):
+        code = main([
+            "invert", "--input", str(fam_path), "--vector", "1e308,1e308,1e308,1e308",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_huge_spectrum_analyzes(self, tmp_path):
+        path, out = tmp_path / "big.json", tmp_path / "a.json"
+        assert main([
+            "generate", "--kind", "random", "--dim-h", "4", "--count", "6",
+            "--spectrum", "flat:1e300", "--out", str(path),
+        ]) == 0
+        assert main(["analyze", "--input", str(path), "--out", str(out)]) == 0
+        hs = json.loads(read(out))["frame_operator_hs_norm"]
+        assert hs["value"] == pytest.approx(2e300, rel=1e-12)
+
+    def test_perturb_decides_mixed_constants(self, tmp_path):
+        # (1 - 0.1) T against lambda1 = 0.1 and mu = 0.05: holds with room 0.05
+        path, out = tmp_path / "f.json", tmp_path / "p.json"
+        assert main([
+            "generate", "--kind", "random", "--dim-h", "4", "--count", "6",
+            "--seed", "1", "--out", str(path),
+        ]) == 0
+        assert main([
+            "perturb", "--input", str(path), "--mode", "scale", "--magnitude", "0.1",
+            "--lambda1", "0.1", "--mu", "0.05", "--out", str(out),
+        ]) == 0
+        doc = json.loads(read(out))
+        assert doc["certified"] is True and doc["witness"] is None
+        assert doc["empirical_margin"] == pytest.approx(0.05, rel=1e-9)
+
     @pytest.mark.parametrize("command", ["analyze", "invert"])
     @pytest.mark.parametrize("value", ["0", "1.5", "nan"])
     def test_bad_rank_tol_rejected(self, fam_path, tmp_path, capsys, command, value):
@@ -676,7 +720,7 @@ FUZZ_ARGV = st.one_of(
             "--mode": st.sampled_from(["additive-analysis", "scale", "blockwise"]),
             "--magnitude": FUZZ_FLOATS, "--lambda1": FUZZ_FLOATS,
             "--lambda2": FUZZ_FLOATS, "--mu": FUZZ_FLOATS, "--nu": FUZZ_FLOATS,
-            "--trials": FUZZ_INTS, "--seed": FUZZ_INTS}),
+            "--seed": FUZZ_INTS}),
     ),
 ).map(lambda parts: [tok for part in parts for tok in part])
 
@@ -706,6 +750,8 @@ def fuzz_files(tmp_path_factory):
                "--count=6"])
 @example(argv=["perturb", "--out={out}", "--input={frame}", "--mode=additive-analysis",
                "--magnitude=1e308"])
+@example(argv=["invert", "--out={out}", "--input={frame}",
+               "--vector=1e308,1e308,1e308,1e308"])
 def test_cli_flag_fuzz(fuzz_files, argv):
     """Whatever the flag values, a command ends with a documented exit code
     (argparse's own exit counts as its code) and never with a traceback."""
