@@ -26,6 +26,14 @@ k - 1 already reaches A/lambda, the search rescans from k = n, so m(n) is
 always the one-step-at-a-time scan's answer.  That happens through roundoff,
 or when a rank decision breaks the nesting: a direction kept in H_n can fall
 below rank_tol * sigma_max, and out of H_{n+1}, once a large map arrives.
+
+Once H_n is all of H, Q_n is unitary, so Q_n^H S_k Q_n is unitarily similar
+to S_k and neither its spectrum nor the oversampled solution depends on n.
+A full-rank prefix whose n is at most the previous k therefore searches on
+the section that found that k, and reuses its solution while k stays: each
+S_k is eigen-solved and solved at most once for the rest of the sweep.  A
+prefix above the previous k, or one that is rank-deficient, searches on its
+own section, where the spectrum at k = n is the free diag(s_r^2).
 """
 
 from __future__ import annotations
@@ -207,6 +215,20 @@ def _check_floor(n: int, evals: np.ndarray) -> None:
         )
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector whose squares need not be representable.
+
+    The entries are scaled by the power of two nearest their largest
+    magnitude, which is exact, so in range the result is bit for bit
+    ``np.linalg.norm``'s, and errors near 1e-300 do not underflow to 0.
+    """
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < peak < math.inf:
+        return peak  # 0, inf or nan
+    e = min(max(math.frexp(peak)[1], -1000), 1000)  # 2**-e stays finite
+    return float(np.ldexp(np.linalg.norm(x * math.ldexp(1.0, -e)), e))
+
+
 def _check_lambda(lam) -> None:
     if not 1.0 < lam < math.inf:
         raise ValidationError(f"lambda must be finite and > 1, got {lam}")
@@ -245,7 +267,8 @@ class _Section:
 
     Each compression at k > n adds the Gram matrix of blocks n+1..k of
     Q_n^H T; its eigenvalues are computed at most once per k, and the last
-    one built is kept for the solve.
+    one built is kept for the solve.  When Q_n spans H, the section also
+    serves the oversampling search of every later full-rank prefix.
     """
 
     def __init__(self, family: HSFrameFamily, basis: SubspaceBasis):
@@ -284,18 +307,19 @@ class _Section:
         q = self.basis.q
         return q @ ((q.conj().T @ y) / self._sig2)
 
-    def oversampling(self, target: float, start: int) -> int:
-        """Smallest k >= n with lambda_min(Q_n^H S_k Q_n) >= target, at most count.
+    def oversampling(self, target: float, start: int, floor: int) -> int:
+        """Smallest k >= floor with lambda_min(Q_n^H S_k Q_n) >= target, at most count.
 
-        The scan starts at ``start``.  A sweep passes the previous prefix's
-        k: by interlacing, every smaller k falls short for this prefix too.
-        The skip is trusted only when k = start - 1 does fall short;
-        otherwise roundoff or a rank decision broke the nesting and the scan
-        restarts at k = n.
+        ``floor`` is the prefix searched for: n itself, or a later prefix
+        when Q_n spans H.  The scan starts at ``start``.  A sweep passes the
+        previous prefix's k: by interlacing, every smaller k falls short for
+        this prefix too.  The skip is trusted only when k = start - 1 does
+        fall short; otherwise roundoff or a rank decision broke the nesting
+        and the scan restarts at k = floor.
         """
         k = start
-        if k > self.n and self.evals(k - 1)[0] >= target:
-            k = self.n
+        if k > floor and self.evals(k - 1)[0] >= target:
+            k = floor
         while k < self._family.count and self.evals(k)[0] < target:
             k += 1
         return k
@@ -357,7 +381,7 @@ def find_oversampling(
     section = _section_for(family, n, basis or subspace_basis(family, n, rank_tol))
     if section.basis.rank == 0:
         return 0
-    return section.oversampling(frame_bounds(family)[0] / lam, n) - n
+    return section.oversampling(frame_bounds(family)[0] / lam, n, n) - n
 
 
 def oversampled_inverse_apply(
@@ -380,7 +404,7 @@ def oversampled_inverse_apply(
     section = _Section(family, subspace_basis(family, n, rank_tol))
     if section.basis.rank == 0:
         return np.zeros_like(fv)
-    k = section.oversampling(bounds[0] / lam, n)
+    k = section.oversampling(bounds[0] / lam, n, n)
     return section.oversampled_apply(k, bounds, lam, fv)
 
 
@@ -408,8 +432,11 @@ def convergence_sweep(
     the strong method.  A singular section flags its record and the sweep
     continues.  One pass: each prefix gets its basis from one running
     factorization and one ``_Section``, and its oversampling search starts
-    at the previous prefix's k.  A ground truth or an unflagged row that
-    is not finite (f too large to represent them) raises ``NumericError``.
+    at the previous prefix's k; once H_n = H, the search and its solve stay
+    on the section that found that k.  A ground truth or an unflagged row
+    that is not finite (f too large to represent them) raises
+    ``NumericError``.  Errors are taken without squaring entries, so they
+    do not underflow to 0 near 1e-300.
     """
     fv = _check_vector(family, f)
     _check_lambda(lam)
@@ -427,7 +454,8 @@ def convergence_sweep(
     ground_coeffs = t_h @ ground
 
     records = []
-    k = 1
+    k, search = 0, None  # the last k found and the section that found it
+    solved = None, None, None  # (section, k, oversampled solution)
     for basis in _prefix_bases(family, schedule, rank_tol):
         n = basis.n
         section = _Section(family, basis)
@@ -439,13 +467,19 @@ def convergence_sweep(
         if section.basis.rank == 0:
             m_n, over = 0, np.zeros_like(fv)
         else:
-            k = section.oversampling(bounds[0] / lam, max(n, k))
+            # with H_n = H every full-rank section has S_k's spectrum and
+            # solution, so the search stays where S_k is already known
+            if not (k >= n and basis.rank == search.basis.rank == family.dim_h):
+                search = section
+            k = search.oversampling(bounds[0] / lam, max(n, k), n)
             m_n = k - n
-            over = section.oversampled_apply(k, bounds, lam, fv)
+            if solved[0] is not search or solved[1] != k:
+                solved = search, k, search.oversampled_apply(k, bounds, lam, fv)
+            over = solved[2]
 
         y = t_h @ plain  # G_j x_n for every j
         cut = n * blk
-        crit2 = float(np.linalg.norm(t[:, cut:] @ y[cut:]))  # |(S - S_n) x_n|
+        crit2 = _norm(t[:, cut:] @ y[cut:])  # |(S - S_n) x_n|
         crit3 = float(np.linalg.norm(y[cut:]) ** 2)
         # S_n^-1 P_n and S^-1 are self-adjoint, so the strong residual's
         # <(S_n^-1 P_n - S^-1) G_j* G_j f, f> is <G_j f, G_j (x_n - S^-1 f)>
@@ -456,8 +490,8 @@ def convergence_sweep(
             n=n,
             m_n=m_n,
             r_n=section.basis.rank,
-            err_plain=float(np.linalg.norm(plain - ground)),
-            err_oversampled=float(np.linalg.norm(over - ground)),
+            err_plain=_norm(plain - ground),
+            err_oversampled=_norm(over - ground),
             crit2=crit2,
             crit3=crit3,
             strong_residual=strong,
@@ -488,7 +522,7 @@ def uniform_bound_scan(
     ns, values = tuple(range(index + 1, family.count + 1)), []
     for basis in _prefix_bases(family, ns, rank_tol):
         try:
-            values.append(float(np.linalg.norm(_Section(family, basis).inv_apply(w))))
+            values.append(_norm(_Section(family, basis).inv_apply(w)))
         except SectionSingularError:
             values.append(math.nan)
     finite = [v for v in values if not math.isnan(v)]
@@ -528,7 +562,7 @@ def kernel_consistency(
     # g = (T^H)^+ c from T = U s V^H: the analysis part of c is T^H g
     g = svd.u[:, :rank] @ ((svd.vh[:rank] @ c_vec) / svd.s[:rank])
     kernel_vec = c_vec - t.conj().T @ g
-    kernel_norm = float(np.linalg.norm(kernel_vec))
+    kernel_norm = _norm(kernel_vec)
 
     r_full, r_kernel, gaps = [], [], []
     for basis in _prefix_bases(family, schedule, rank_tol):
@@ -536,14 +570,14 @@ def kernel_consistency(
         try:
             x_n = section.inv_apply(t[:, :cut] @ c_vec[:cut])
             y_n = section.inv_apply(t[:, :cut] @ kernel_vec[:cut])
-            r_full.append(float(np.linalg.norm(x_n - g)))
-            r_kernel.append(float(np.linalg.norm(y_n)))
-            gaps.append(float(np.linalg.norm(project(section.basis, g) - g)))
+            r_full.append(_norm(x_n - g))
+            r_kernel.append(_norm(y_n))
+            gaps.append(_norm(project(section.basis, g) - g))
         except SectionSingularError:
             r_full.append(math.nan)
             r_kernel.append(math.nan)
             gaps.append(math.nan)
-    scale = tol * (1.0 + float(np.linalg.norm(c_vec)))
+    scale = tol * (1.0 + _norm(c_vec))
     co_vanish = (
         not math.isnan(r_full[-1])
         and (r_full[-1] <= scale) == (r_kernel[-1] <= scale)

@@ -3,6 +3,7 @@ import pytest
 
 from hsframe import (
     CoefficientSequence,
+    HSFrameFamily,
     NotAFrameError,
     NumericError,
     SectionSchedule,
@@ -20,7 +21,9 @@ from hsframe import (
     plain_inverse_apply,
     project,
     projection_formula,
+    random_family,
     sectional_operator,
+    SpectrumSpec,
     subspace_basis,
     uniform_bound_scan,
 )
@@ -461,3 +464,78 @@ class TestBlockValuedFamilies:
             assert r.crit2 <= np.sqrt(b * r.crit3) + 1e-9
         assert records[-1].err_plain <= 1e-10
         assert records[-1].err_oversampled <= 1e-10
+
+
+class TestTinyErrors:
+    """Errors near 1e-300 are reported, not squared into underflow."""
+
+    def test_norm_helper(self, rng):
+        from hsframe.projection import _norm
+
+        for size in (1, 5, 56):
+            x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            for scale in (1e-3, 1.0, 3e5):
+                assert _norm(x * scale) == float(np.linalg.norm(x * scale))
+            assert _norm(x * 1e-300) == pytest.approx(
+                float(np.linalg.norm(x)) * 1e-300, rel=1e-14
+            )
+            assert _norm(x * 1e300) == pytest.approx(
+                float(np.linalg.norm(x)) * 1e300, rel=1e-14
+            )
+        assert _norm(np.array([5e-324, 0.0])) == 5e-324
+        assert _norm(np.zeros(3)) == 0.0 and _norm(np.zeros(0)) == 0.0
+        assert _norm(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(_norm(np.array([1.0, np.nan])))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sweep_errors_scale_with_the_family(self, rng, seed):
+        # scaling T by 2^p scales S^-1 f and every error by 2^-2p, crit3 by
+        # 2^-2p, and leaves crit2 and the strong residual alone; at p = 400
+        # every error is below 1e-200, whose square underflows
+        fam = random_family(6, 1, 10, SpectrumSpec.geometric(0.5), seed=seed)
+        p = 400
+        big = HSFrameFamily.from_synthesis_matrix(
+            6, 1, fam.synthesis_matrix * 2.0**p
+        )
+        f = complex_unit(rng, 6)
+        schedule = SectionSchedule.full(10)
+        for r, s in zip(convergence_sweep(fam, schedule, f),
+                        convergence_sweep(big, schedule, f)):
+            assert (s.n, s.m_n, s.r_n) == (r.n, r.m_n, r.r_n)
+            for name, power in (("err_plain", -2 * p), ("err_oversampled", -2 * p),
+                                ("crit2", 0), ("crit3", -2 * p),
+                                ("strong_residual", 0)):
+                want = getattr(r, name) * 2.0**power
+                assert getattr(s, name) == pytest.approx(want, rel=1e-12, abs=0), name
+            assert s.err_plain < 1e-200
+            assert (s.err_plain > 0) == (r.err_plain > 0)
+
+    def test_huge_spectrum_rows_have_nonzero_errors(self):
+        # S = 1e300 I on the whole family, so S^-1 f is about 1e-300
+        fam = random_family(4, 1, 6, SpectrumSpec.flat(1e300), seed=0)
+        records = convergence_sweep(fam, SectionSchedule.full(6), np.ones(4))
+        assert all(0 < r.err_plain < 1e-290 for r in records[:-1])
+
+    def test_uniform_bound_scan_scales_with_the_vector(self, rng):
+        fam = decaying_family(5, 2, 7, 0.5, seed=21)
+        f = complex_unit(rng, 5)
+        profile = uniform_bound_scan(fam, 1, f)
+        tiny = uniform_bound_scan(fam, 1, f * 2.0**-600)
+        for v, w in zip(profile.values, tiny.values):
+            assert 0 < w == pytest.approx(v * 2.0**-600, rel=1e-12, abs=0)
+
+    def test_kernel_consistency_scales_with_the_sequence(self, rng):
+        fam = decaying_family(5, 1, 12, 0.6, seed=11)
+        blocks = rng.standard_normal((12, 1, 1)) + 1j * rng.standard_normal((12, 1, 1))
+        schedule = SectionSchedule.full(12)
+        report = kernel_consistency(fam, CoefficientSequence(blocks), schedule)
+        tiny = kernel_consistency(
+            fam, CoefficientSequence(blocks * 2.0**-600), schedule
+        )
+        assert tiny.kernel_norm == pytest.approx(
+            report.kernel_norm * 2.0**-600, rel=1e-12, abs=0
+        )
+        for name in ("residual_full", "residual_kernel", "projection_gap"):
+            for v, w in zip(getattr(report, name), getattr(tiny, name)):
+                assert w == pytest.approx(v * 2.0**-600, rel=1e-12, abs=0), name
+        assert tiny.kernel_norm > 0 and tiny.residual_kernel[0] > 0

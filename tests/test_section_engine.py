@@ -145,6 +145,52 @@ def test_sweep_cost_is_bounded(monkeypatch):
     assert calls["svd"] <= rows
 
 
+@pytest.mark.parametrize(
+    "step, lam",
+    [
+        (1, 2.0),  # every prefix from n0 on: k stays put, then moves with n
+        (3, 2.0),  # gapped
+        (1, 8.0),  # a weaker target: the search stops earlier
+        (2, 4.0),
+    ],
+)
+def test_full_rank_rows_share_one_search(monkeypatch, step, lam):
+    """Once H_n = H, each S_k is eigen-solved and solved at most once, and
+    every row still gets the single-prefix answer."""
+    fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
+    frame_bounds(fam)  # factors the whole family first
+    n0 = next(n for n in range(1, fam.count + 1)
+              if subspace_basis(fam, n).rank == fam.dim_h)
+    schedule = SectionSchedule(tuple(range(n0, fam.count + 1, step)))
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    calls = {"eig": 0, "solve": 0}
+
+    def counting(kind, orig):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return orig(*args, **kwargs)
+
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        for name, kind in (("eigh", "eig"), ("eigvalsh", "eig"), ("solve", "solve")):
+            patch.setattr(np.linalg, name, counting(kind, getattr(np.linalg, name)))
+        records = convergence_sweep(fam, schedule, f, lam=lam)
+    ground = np.linalg.solve(frame_operator(fam), f)
+    ks = {r.n + r.m_n for r in records}
+    assert any(r.m_n > 0 for r in records)  # the search does real work
+    assert len(ks) > 1  # and k moves
+    assert calls["eig"] <= fam.count - n0 + 1
+    assert calls["solve"] <= len(ks)
+    for r in records:
+        assert r.r_n == fam.dim_h
+        assert r.m_n == find_oversampling(fam, r.n, lam)
+        over = oversampled_inverse_apply(fam, r.n, lam, f)
+        assert r.err_oversampled == pytest.approx(
+            float(np.linalg.norm(over - ground)), rel=1e-9, abs=1e-12
+        )
+
+
 @pytest.mark.parametrize("rank_tol", [0.0, 1.5, float("nan"), "1e-10", True])
 def test_rank_tol_checked_at_every_entry(rank_tol):
     fam = random_family(4, 1, 6, SpectrumSpec.flat(), seed=2)
