@@ -9,6 +9,7 @@ accepts it but draws nothing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -68,23 +69,19 @@ def cmd_generate(args) -> int:
     seed = _resolve_seed(args.seed)
     kind = args.kind
     spectrum = generators.SpectrumSpec.parse(args.spectrum)
+    if kind != "onb" and args.count is None:
+        raise ValidationError(f"--count is required for --kind {kind}")
     if kind == "onb":
         family = generators.onb_family(args.dim_h)
     elif kind == "random":
-        if args.count is None:
-            raise ValidationError("--count is required for --kind random")
         family = generators.random_family(
             args.dim_h, args.dim_k, args.count, spectrum, seed
         )
     elif kind == "riesz":
-        if args.count is None:
-            raise ValidationError("--count is required for --kind riesz")
         family = generators.riesz_family(
             args.dim_h, args.dim_k, args.count, spectrum, seed
         )
     elif kind == "decaying":
-        if args.count is None:
-            raise ValidationError("--count is required for --kind decaying")
         if spectrum.kind != "geometric":
             raise ValidationError(
                 "--kind decaying takes its tail ratio from --spectrum geometric:RATIO"
@@ -115,23 +112,8 @@ def cmd_analyze(args) -> int:
         "dim_h": family.dim_h,
         "dim_k": family.dim_k,
         "count": family.count,
-        "frame_report": {
-            "lower_bound": report.lower_bound,
-            "upper_bound": report.upper_bound,
-            "bessel": report.bessel,
-            "frame": report.frame,
-            "riesz": report.riesz,
-            "complete": report.complete,
-            "riesz_lower": report.riesz_lower,
-            "riesz_upper": report.riesz_upper,
-            "synthesis_norm": report.synthesis_norm,
-            "pseudo_inverse_norm": report.pseudo_inverse_norm,
-        },
-        "riesz_ratio_check": {
-            "min_ratio": ratio.min_ratio,
-            "max_ratio": ratio.max_ratio,
-            "riesz": ratio.riesz,
-        },
+        "frame_report": dataclasses.asdict(report),
+        "riesz_ratio_check": dataclasses.asdict(ratio),
         "frame_operator_hs_norm": {"value": hs, "bound": hs_bound},
     }
     if report.frame:
@@ -212,12 +194,7 @@ def cmd_perturb(args) -> int:
         "perturbation_mode": args.mode,
         "magnitude": args.magnitude,
         "seed": seed,
-        "constants": {
-            "lambda1": constants.lambda1,
-            "lambda2": constants.lambda2,
-            "mu": constants.mu,
-            "nu": constants.nu,
-        },
+        "constants": dataclasses.asdict(constants),
         "condition_mode": verdict.mode,
         "certified": verdict.certified,
         "empirical_margin": verdict.empirical_margin,

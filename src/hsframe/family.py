@@ -320,6 +320,15 @@ def _check_coefficients(family: HSFrameFamily, coeffs: CoefficientSequence):
         )
 
 
+def _check_pair(family: HSFrameFamily, other: HSFrameFamily) -> None:
+    if (
+        family.dim_h != other.dim_h
+        or family.dim_k != other.dim_k
+        or family.count != other.count
+    ):
+        raise ValidationError("families must share dim_h, dim_k and count")
+
+
 def analyze(family: HSFrameFamily, f) -> CoefficientSequence:
     """Coefficient blocks {G_j f} of a vector."""
     fv = _check_vector(family, f)
@@ -443,12 +452,7 @@ def verify_alternate_dual(
     |P - I| (spectral norm); their mutual gap |P - P^H| is reported as a
     diagnostic.
     """
-    if (
-        candidate.count != family.count
-        or candidate.dim_h != family.dim_h
-        or candidate.dim_k != family.dim_k
-    ):
-        raise ValidationError("candidate dual must match the family's sizes")
+    _check_pair(family, candidate)
     p = family.synthesis_matrix @ candidate.synthesis_matrix.conj().T
     max_residual = float(np.linalg.norm(p - np.eye(family.dim_h), ord=2))
     return DualCheck(

@@ -35,11 +35,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import as_matrix
 from .errors import ValidationError
 from .family import (
     DEFAULT_RANK_TOL,
     HSFrameFamily,
     ThinSVD,
+    _check_pair,
     classify,
     frame_bounds,
     frame_operator,
@@ -186,15 +188,6 @@ def analysis_deviation(family: HSFrameFamily, other: HSFrameFamily) -> float:
     _check_pair(family, other)
     delta = family.synthesis_matrix - other.synthesis_matrix
     return float(np.linalg.norm(delta, ord=2)) ** 2
-
-
-def _check_pair(family: HSFrameFamily, other: HSFrameFamily) -> None:
-    if (
-        family.dim_h != other.dim_h
-        or family.dim_k != other.dim_k
-        or family.count != other.count
-    ):
-        raise ValidationError("families must share dim_h, dim_k and count")
 
 
 class _Term(NamedTuple):
@@ -417,9 +410,7 @@ def cc_lemma_check(u, lambda1: float, lambda2: float) -> CCLemmaReport:
     """
     if not (0.0 <= lambda1 < 1.0 and 0.0 <= lambda2 < 1.0):
         raise ValidationError("lambda1, lambda2 must lie in [0, 1)")
-    um = np.asarray(u, dtype=np.complex128)
-    if um.ndim != 2 or um.shape[0] != um.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {um.shape}")
+    um = as_matrix(u)
     svd_u = ThinSVD(*np.linalg.svd(um, full_matrices=False))
     sigma_min, sigma_max = float(svd_u.s[-1]), float(svd_u.s[0])
     decision = _decide(

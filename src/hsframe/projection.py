@@ -28,12 +28,10 @@ or when a rank decision breaks the nesting: a direction kept in H_n can fall
 below rank_tol * sigma_max, and out of H_{n+1}, once a large map arrives.
 
 Once H_n is all of H, Q_n is unitary, so Q_n^H S_k Q_n is unitarily similar
-to S_k and neither its spectrum nor the oversampled solution depends on n.
-A full-rank prefix whose n is at most the previous k therefore searches on
-the section that found that k, and reuses its solution while k stays: each
-S_k is eigen-solved and solved at most once for the rest of the sweep.  A
-prefix above the previous k, or one that is rank-deficient, searches on its
-own section, where the spectrum at k = n is the free diag(s_r^2).
+to S_k and neither its spectrum nor the oversampled solution depends on n:
+k(n) = max(n, k_H), where k_H is the k found by the last search on a
+full-rank section.  The sweep keeps that search's pair (k_H, S_k^-1 f), and
+a later full-rank prefix with n <= k_H takes it with no search or solve.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ from .family import (
     DEFAULT_RANK_TOL,
     CoefficientSequence,
     HSFrameFamily,
+    _check_coefficients,
     _check_vector,
     _require_frame,
     check_rank_tol,
@@ -267,8 +266,7 @@ class _Section:
 
     Each compression at k > n adds the Gram matrix of blocks n+1..k of
     Q_n^H T; its eigenvalues are computed at most once per k, and the last
-    one built is kept for the solve.  When Q_n spans H, the section also
-    serves the oversampling search of every later full-rank prefix.
+    one built is kept for the solve.
     """
 
     def __init__(self, family: HSFrameFamily, basis: SubspaceBasis):
@@ -307,19 +305,18 @@ class _Section:
         q = self.basis.q
         return q @ ((q.conj().T @ y) / self._sig2)
 
-    def oversampling(self, target: float, start: int, floor: int) -> int:
-        """Smallest k >= floor with lambda_min(Q_n^H S_k Q_n) >= target, at most count.
+    def oversampling(self, target: float, start: int) -> int:
+        """Smallest k >= n with lambda_min(Q_n^H S_k Q_n) >= target, at most count.
 
-        ``floor`` is the prefix searched for: n itself, or a later prefix
-        when Q_n spans H.  The scan starts at ``start``.  A sweep passes the
-        previous prefix's k: by interlacing, every smaller k falls short for
-        this prefix too.  The skip is trusted only when k = start - 1 does
-        fall short; otherwise roundoff or a rank decision broke the nesting
-        and the scan restarts at k = floor.
+        The scan starts at ``start``.  A sweep passes the previous prefix's
+        k: by interlacing, every smaller k falls short for this prefix too.
+        The skip is trusted only when k = start - 1 does fall short;
+        otherwise roundoff or a rank decision broke the nesting and the scan
+        restarts at k = n.
         """
         k = start
-        if k > floor and self.evals(k - 1)[0] >= target:
-            k = floor
+        if k > self.n and self.evals(k - 1)[0] >= target:
+            k = self.n
         while k < self._family.count and self.evals(k)[0] < target:
             k += 1
         return k
@@ -381,7 +378,7 @@ def find_oversampling(
     section = _section_for(family, n, basis or subspace_basis(family, n, rank_tol))
     if section.basis.rank == 0:
         return 0
-    return section.oversampling(frame_bounds(family)[0] / lam, n, n) - n
+    return section.oversampling(frame_bounds(family)[0] / lam, n) - n
 
 
 def oversampled_inverse_apply(
@@ -404,7 +401,7 @@ def oversampled_inverse_apply(
     section = _Section(family, subspace_basis(family, n, rank_tol))
     if section.basis.rank == 0:
         return np.zeros_like(fv)
-    k = section.oversampling(bounds[0] / lam, n, n)
+    k = section.oversampling(bounds[0] / lam, n)
     return section.oversampled_apply(k, bounds, lam, fv)
 
 
@@ -432,9 +429,10 @@ def convergence_sweep(
     the strong method.  A singular section flags its record and the sweep
     continues.  One pass: each prefix gets its basis from one running
     factorization and one ``_Section``, and its oversampling search starts
-    at the previous prefix's k; once H_n = H, the search and its solve stay
-    on the section that found that k.  A ground truth or an unflagged row
-    that is not finite (f too large to represent them) raises
+    at the previous prefix's k.  Every search on a full-rank section sets
+    the pair (k, S_k^-1 f); a later full-rank prefix with n <= that k takes
+    the pair, m_n = k - n, with no search or solve.  A ground truth or an
+    unflagged row that is not finite (f too large to represent them) raises
     ``NumericError``.  Errors are taken without squaring entries, so they
     do not underflow to 0 near 1e-300.
     """
@@ -454,8 +452,7 @@ def convergence_sweep(
     ground_coeffs = t_h @ ground
 
     records = []
-    k, search = 0, None  # the last k found and the section that found it
-    solved = None, None, None  # (section, k, oversampled solution)
+    k, spanning = 0, None  # the last k found; (k, S_k^-1 f) once H_n = H
     for basis in _prefix_bases(family, schedule, rank_tol):
         n = basis.n
         section = _Section(family, basis)
@@ -464,18 +461,18 @@ def convergence_sweep(
         except SectionSingularError:
             records.append(_nan_record(n))
             continue
-        if section.basis.rank == 0:
+        if basis.rank == 0:
             m_n, over = 0, np.zeros_like(fv)
         else:
-            # with H_n = H every full-rank section has S_k's spectrum and
-            # solution, so the search stays where S_k is already known
-            if not (k >= n and basis.rank == search.basis.rank == family.dim_h):
-                search = section
-            k = search.oversampling(bounds[0] / lam, max(n, k), n)
+            full = basis.rank == family.dim_h
+            if full and spanning is not None and n <= spanning[0]:
+                k, over = spanning
+            else:
+                k = section.oversampling(bounds[0] / lam, max(n, k))
+                over = section.oversampled_apply(k, bounds, lam, fv)
+                if full:
+                    spanning = k, over
             m_n = k - n
-            if solved[0] is not search or solved[1] != k:
-                solved = search, k, search.oversampled_apply(k, bounds, lam, fv)
-            over = solved[2]
 
         y = t_h @ plain  # G_j x_n for every j
         cut = n * blk
@@ -550,8 +547,7 @@ def kernel_consistency(
     the same for the kernel part against zero.  The two residuals differ
     by at most |P_n g - g|, so they vanish or persist together.
     """
-    if len(coeffs) != family.count or coeffs.dim_k != family.dim_k:
-        raise ValidationError("coefficient sequence does not match the family")
+    _check_coefficients(family, coeffs)
     schedule.validate_for(family)
     check_rank_tol(rank_tol)
     t = family.synthesis_matrix

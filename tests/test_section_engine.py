@@ -17,6 +17,7 @@ from hsframe import (
     frame_operator,
     from_scalar_frame,
     oversampled_inverse_apply,
+    plain_inverse_apply,
     random_family,
     sectional_operator,
     subspace_basis,
@@ -121,6 +122,55 @@ def test_rank_drop_makes_the_search_rescan():
     assert [r.m_n for r in records] == [
         linear_scan_m(fam, n, 2.0) for n in range(1, 5)
     ]
+
+
+def test_spanning_pair_survives_a_rank_drop(monkeypatch):
+    """H_2 = H, H_3 does not (the 1e-6 direction falls below rank_tol once
+    1e5 arrives), and H_4 = H again with n = 4 <= k(2) = 6: the prefixes
+    after the drop take k(2) and S_6^-1 f from prefix 2 instead of searching
+    and solving again."""
+    fam = from_scalar_frame([[1, 0], [0, 1e-6], [1e5, 0], [0, 1], [0, 1], [0, 10]])
+    calls = {"eig": 0, "solve": 0}
+
+    def counting(kind, orig):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return orig(*args, **kwargs)
+
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        for name, kind in (("eigh", "eig"), ("eigvalsh", "eig"), ("solve", "solve")):
+            patch.setattr(np.linalg, name, counting(kind, getattr(np.linalg, name)))
+        records = convergence_sweep(fam, SectionSchedule.full(6), [1.0, 1.0])
+    assert [r.r_n for r in records] == [1, 2, 1, 2, 2, 2]
+    assert [r.m_n for r in records] == [2, 4, 0, 2, 1, 0]
+    assert [r.m_n for r in records] == [
+        find_oversampling(fam, n, 2.0) for n in range(1, 7)
+    ]
+    assert calls["eig"] <= 7
+    assert calls["solve"] <= 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sweep_cases())
+def test_errors_lie_in_the_residual_bracket(case):
+    """S(x - S^-1 f) = Sx - f and A <= S <= B, so every error the sweep
+    reports lies in [|Sx - f|/B, |Sx - f|/A] for the single-prefix x."""
+    fam, lam = case
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    s = frame_operator(fam)
+    a, b = frame_bounds(fam)
+    slack = 1e-12 * float(np.linalg.norm(f)) / a
+    for r in convergence_sweep(fam, SectionSchedule.full(fam.count), f, lam=lam):
+        if r.flagged:
+            continue
+        for err, x in (
+            (r.err_plain, plain_inverse_apply(fam, r.n, f)),
+            (r.err_oversampled, oversampled_inverse_apply(fam, r.n, lam, f)),
+        ):
+            residual = float(np.linalg.norm(s @ x - f))
+            assert residual / b - slack <= err <= residual / a + slack
 
 
 def test_sweep_cost_is_bounded(monkeypatch):
