@@ -103,7 +103,6 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     family = load_family(args.input)
     report = classify(family, args.rank_tol)
-    ratio = riesz_inequality_check(family, rank_tol=args.rank_tol)
     hs, hs_bound = frame_operator_hs_norm_bound(family)
     doc = {
         "experiment": f"analyze:{os.path.basename(args.input)}",
@@ -113,7 +112,7 @@ def cmd_analyze(args) -> int:
         "dim_k": family.dim_k,
         "count": family.count,
         "frame_report": dataclasses.asdict(report),
-        "riesz_ratio_check": dataclasses.asdict(ratio),
+        "riesz_ratio_check": {"min_ratio": riesz_inequality_check(family)},
         "frame_operator_hs_norm": {"value": hs, "bound": hs_bound},
     }
     if report.frame:
@@ -128,13 +127,9 @@ def cmd_analyze(args) -> int:
         doc["canonical_dual"] = None
     if args.out:
         write_json_report(args.out, doc)
-    flags = [
-        name
-        for name in ("bessel", "frame", "riesz", "complete")
-        if getattr(report, name)
-    ]
+    flags = "+".join(n for n in ("frame", "riesz") if getattr(report, n))
     print(
-        f"{args.input}: {'+'.join(flags)} bounds="
+        f"{args.input}: {flags or 'not a frame'} bounds="
         f"({format_sig(report.lower_bound)}, {format_sig(report.upper_bound)})"
     )
     return 0
@@ -199,9 +194,7 @@ def cmd_perturb(args) -> int:
         "certified": verdict.certified,
         "empirical_margin": verdict.empirical_margin,
         "original_bounds": list(frame_bounds(family)),
-        "predicted_bounds": list(verdict.predicted_bounds)
-        if verdict.predicted_bounds
-        else None,
+        "predicted_bounds": list(verdict.predicted_bounds),
         "actual_bounds": list(verdict.actual_bounds),
         "witness": [[z.real, z.imag] for z in verdict.witness]
         if verdict.witness is not None

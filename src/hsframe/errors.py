@@ -22,10 +22,11 @@ class NumericError(HSFrameError):
 
 
 class SectionSingularError(NumericError):
-    """A sectional operator is numerically singular on its own section space.
+    """A section's smallest kept singular value is below what its SVD
+    resolves, sigma_r <= 16 r eps sigma_max.
 
-    Usually means the rank tolerance used to build the section basis was
-    too loose for the family at hand.
+    Only a rank tolerance below about 16 r eps (too loose for the family at
+    hand) keeps such a direction in the section basis.
     """
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "HSFrameFamily",
     "CoefficientSequence",
     "FrameReport",
-    "RieszCheck",
     "DualCheck",
     "analyze",
     "synthesize",
@@ -275,27 +274,19 @@ class CoefficientSequence:
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Classification of a family via its synthesis operator."""
+    """Classification of a family via its synthesis operator.
+
+    Every finite family is Bessel and, in finite dimensions, complete means
+    frame; a Riesz basis has a square invertible T, so its Riesz bounds are
+    ``lower_bound`` and ``upper_bound``.
+    """
 
     lower_bound: float
     upper_bound: float
-    bessel: bool
     frame: bool
     riesz: bool
-    complete: bool
-    riesz_lower: float | None
-    riesz_upper: float | None
     synthesis_norm: float
     pseudo_inverse_norm: float
-
-
-@dataclass(frozen=True)
-class RieszCheck:
-    """Exact extreme synthesis ratios |T c|^2 / |c|^2 over nonzero c."""
-
-    min_ratio: float
-    max_ratio: float
-    riesz: bool
 
 
 @dataclass(frozen=True)
@@ -358,47 +349,37 @@ def frame_bounds(family: HSFrameFamily) -> tuple[float, float]:
 
 
 def classify(family: HSFrameFamily, rank_tol: float = DEFAULT_RANK_TOL) -> FrameReport:
-    """Bessel / frame / Riesz / complete flags plus operator norms.
+    """Optimal bounds, frame / Riesz flags and operator norms.
 
-    Every finite family is Bessel.  Frame and complete both mean the
-    synthesis matrix has full row rank; Riesz additionally requires a
-    trivial kernel (so its column count cannot exceed ``dim_h``).  Rank
-    decisions use ``rank_tol`` relative to the largest singular value.
+    Frame means the synthesis matrix has full row rank; Riesz additionally
+    requires a trivial kernel (so its column count cannot exceed
+    ``dim_h``).  Rank decisions use ``rank_tol`` relative to the largest
+    singular value.
     """
     check_rank_tol(rank_tol)
     sigma = family.svd.s
     rank = numerical_rank(sigma, rank_tol)
     lower, upper = frame_bounds(family)
     is_frame = rank == family.dim_h
-    is_riesz = is_frame and rank == family.synthesis_matrix.shape[1]
     return FrameReport(
         lower_bound=lower,
         upper_bound=upper,
-        bessel=True,
         frame=is_frame,
-        riesz=is_riesz,
-        complete=is_frame,
-        riesz_lower=_squared(sigma[-1]) if is_riesz else None,
-        riesz_upper=upper if is_riesz else None,
+        riesz=is_frame and rank == family.synthesis_matrix.shape[1],
         synthesis_norm=float(sigma[0]),
         pseudo_inverse_norm=1.0 / float(sigma[rank - 1]) if rank else math.inf,
     )
 
 
-def riesz_inequality_check(
-    family: HSFrameFamily, rank_tol: float = DEFAULT_RANK_TOL
-) -> RieszCheck:
-    """Exact extreme ratios |T c|^2 / |c|^2 and ``classify``'s Riesz verdict.
+def riesz_inequality_check(family: HSFrameFamily) -> float:
+    """Exact minimum of |T c|^2 / |c|^2 over nonzero coefficient sequences c.
 
-    The minimum is s_min^2, exactly 0.0 when T is wide; the maximum s_max^2.
+    It is s_min^2, exactly 0.0 when T is wide.  For a Riesz basis it is the
+    lower frame bound; for a tall T (a Riesz sequence that is not complete)
+    it is the lower Riesz bound, which ``classify`` does not report.
     """
     s = family.svd.s
-    lo = _squared(s[-1]) if s.size == family.synthesis_matrix.shape[1] else 0.0
-    return RieszCheck(
-        min_ratio=lo,
-        max_ratio=_squared(s[0]),
-        riesz=classify(family, rank_tol).riesz,
-    )
+    return _squared(s[-1]) if s.size == family.synthesis_matrix.shape[1] else 0.0
 
 
 def _require_frame(family: HSFrameFamily, rank_tol: float) -> None:

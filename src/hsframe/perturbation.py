@@ -95,13 +95,11 @@ class PerturbationVerdict:
     witness: np.ndarray | None
     predicted_bounds: tuple[float, float] | None
     actual_bounds: tuple[float, float]
-    admissible: bool
 
 
 @dataclass(frozen=True)
 class CCLemmaReport:
     certified: bool
-    satisfied: bool
     condition_margin: float
     invertible: bool
     sigma_min: float
@@ -430,7 +428,6 @@ def cc_lemma_check(u, lambda1: float, lambda2: float) -> CCLemmaReport:
     )
     return CCLemmaReport(
         certified=decision.certified,
-        satisfied=decision.certified,
         condition_margin=decision.margin,
         invertible=invertible,
         sigma_min=sigma_min,
@@ -477,7 +474,6 @@ def check_condition(
         witness=decision.witness,
         predicted_bounds=predicted,
         actual_bounds=actual,
-        admissible=True,
     )
 
 
@@ -564,15 +560,13 @@ def riesz_stability_check(
     tol = 1e-9 * max(1.0, b_pred)
     ok = (
         rep.riesz
-        and rep.riesz_lower >= a_pred - tol
-        and rep.riesz_upper <= b_pred + tol
+        and rep.lower_bound >= a_pred - tol
+        and rep.upper_bound <= b_pred + tol
     )
     return RieszStabilityVerdict(
         status="confirmed" if ok else "violated",
         riesz_preserved=rep.riesz,
         predicted_bounds=(a_pred, b_pred),
-        actual_riesz_bounds=(rep.riesz_lower, rep.riesz_upper)
-        if rep.riesz
-        else None,
+        actual_riesz_bounds=(rep.lower_bound, rep.upper_bound) if rep.riesz else None,
         condition=verdict,
     )

@@ -133,7 +133,6 @@ class SubspaceBasis:
     q: np.ndarray  # (dim_h, rank), orthonormal columns
     rank: int
     n: int
-    rank_tol: float
     sigma: np.ndarray  # (rank,), descending: Q^H S_n Q = diag(sigma^2)
 
 
@@ -200,16 +199,21 @@ def _prefix_bases(family: HSFrameFamily, ns, rank_tol: float):
         rank = numerical_rank(s, rank_tol)
         q, sigma = u[:, :rank].copy(), s[:rank].copy()
         q.flags.writeable = sigma.flags.writeable = False
-        yield SubspaceBasis(q=q, rank=rank, n=n, rank_tol=rank_tol, sigma=sigma)
+        yield SubspaceBasis(q=q, rank=rank, n=n, sigma=sigma)
 
 
-def _check_floor(n: int, evals: np.ndarray) -> None:
-    """Reject a plain section whose smallest eigenvalue is lost in roundoff."""
-    floor = 16.0 * evals.size * np.finfo(float).eps * float(evals[-1])
-    if float(evals[0]) <= floor:
+def _check_floor(basis: SubspaceBasis) -> None:
+    """Reject a section its SVD cannot resolve: sigma_r <= 16 r eps sigma_max.
+
+    The plain section is diag(sigma_r^2) read off that SVD, so its accuracy
+    follows sigma_max / sigma_r, and the floor is on sigma, in the units of
+    the rank rule.  With rank_tol above 16 r eps it never fires.
+    """
+    sigma = basis.sigma
+    if float(sigma[-1]) <= 16.0 * sigma.size * np.finfo(float).eps * float(sigma[0]):
         raise SectionSingularError(
-            f"sectional operator at n={n} is numerically singular "
-            f"(eigenvalue {evals[0]:.3e} vs top {evals[-1]:.3e}); "
+            f"sectional operator at n={basis.n} is numerically singular "
+            f"(singular value {sigma[-1]:.3e} vs top {sigma[0]:.3e}); "
             "rank_tol is too loose for this family"
         )
 
@@ -244,12 +248,13 @@ def sectional_operator(
 ) -> np.ndarray:
     """Compression Q_n^H S_n Q_n = diag(sigma^2) of S_n to H_n.
 
-    Positive definite there by construction; a numerically vanishing
-    eigenvalue means the rank tolerance used for the basis was too loose.
+    Positive definite there by construction; a singular value the SVD cannot
+    resolve (``_check_floor``) means the rank tolerance used for the basis
+    was too loose, and raises ``SectionSingularError``.
     """
     section = _section_for(family, n, basis)
     if basis.rank > 0:
-        _check_floor(n, section.evals(n))
+        _check_floor(basis)
     return section.compressed(n)
 
 
@@ -301,7 +306,7 @@ class _Section:
         """Q (Q^H S_n Q)^-1 Q^H y = Q (Q^H y / s_r^2) for a vector y."""
         if self.basis.rank == 0:
             return np.zeros_like(y)
-        _check_floor(self.n, self._evals[self.n])
+        _check_floor(self.basis)
         q = self.basis.q
         return q @ ((q.conj().T @ y) / self._sig2)
 

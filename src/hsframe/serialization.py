@@ -11,7 +11,8 @@ template with ``%r`` at every float, filled per map and written one map at
 a time.  ``%r`` of a float is ``float.__repr__``, the shortest round-trip
 form json writes, so load(save(F)) reproduces F bit for bit.  Report
 numerics use 17 significant digits for the same reason; JSON reports are
-strict, with a non-finite value written as ``null``.  All writes go
+strict, with a non-finite value written as ``null``, and carry
+``format_version`` (``REPORT_FORMAT_VERSION``).  All writes go
 through a temporary file plus rename.
 """
 
@@ -34,6 +35,7 @@ from .projection import ConvergenceRecord
 
 __all__ = [
     "FORMAT_VERSION",
+    "REPORT_FORMAT_VERSION",
     "CONVERGENCE_COLUMNS",
     "family_to_document",
     "family_from_document",
@@ -46,6 +48,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+#: Layout of the ``analyze`` and ``perturb`` JSON reports; bumped when a key
+#: is added, removed or changes meaning.
+REPORT_FORMAT_VERSION = 1
 
 CONVERGENCE_COLUMNS = (
     "experiment",
@@ -246,6 +251,8 @@ def _finite_or_null(value):
 
 
 def write_json_report(path: str, doc: dict) -> None:
-    """Strict JSON: a non-finite float (e.g. an infinite norm) is written as null."""
+    """Strict JSON stamped with ``format_version``: a non-finite float (e.g.
+    an infinite norm) is written as null."""
+    doc = {"format_version": REPORT_FORMAT_VERSION, **doc}
     text = json.dumps(_finite_or_null(doc), indent=1, allow_nan=False)
     _atomic_write(path, (text, "\n"))

@@ -55,12 +55,12 @@ def test_criterion_1_bound_optimality_and_characterization():
         rep = classify(fam)
         assert rep.synthesis_norm**2 == pytest.approx(rep.upper_bound, rel=1e-9)
         assert rep.pseudo_inverse_norm**-2 == pytest.approx(rep.lower_bound, rel=1e-9)
-        check = riesz_inequality_check(fam)
-        assert check.riesz == rep.riesz, f"riesz verdicts disagree at seed {seed}"
+        ratio = riesz_inequality_check(fam)  # a seeded family is Riesz or wide
+        assert ratio == (rep.lower_bound if rep.riesz else 0.0), f"seed {seed}"
     report(
         1,
         "synthesis_norm^2 = B and pseudo_inverse_norm^-2 = A at 1e-9 rel; "
-        "Riesz verdicts agree on 100 families",
+        "Riesz min ratio is A or 0 on 100 families",
         started,
         30.0,
     )

@@ -134,15 +134,15 @@ class TestRieszFamily:
         fam = riesz_family(4, 1, 4, SpectrumSpec.flat(), seed=5)
         rep = classify(fam)
         assert rep.riesz
-        assert rep.riesz_lower == pytest.approx(1.0, rel=1e-10)
-        assert rep.riesz_upper == pytest.approx(1.0, rel=1e-10)
+        assert rep.lower_bound == pytest.approx(1.0, rel=1e-10)
+        assert rep.upper_bound == pytest.approx(1.0, rel=1e-10)
 
     def test_explicit_riesz_bounds(self):
         fam = riesz_family(2, 1, 2, SpectrumSpec.explicit([4.0, 1.0]), seed=6)
         rep = classify(fam)
         assert rep.riesz
-        assert rep.riesz_lower == pytest.approx(1.0, rel=1e-10)
-        assert rep.riesz_upper == pytest.approx(4.0, rel=1e-10)
+        assert rep.lower_bound == pytest.approx(1.0, rel=1e-10)
+        assert rep.upper_bound == pytest.approx(4.0, rel=1e-10)
 
     def test_overcomplete_request_rejected(self):
         with pytest.raises(ValidationError):

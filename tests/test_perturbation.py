@@ -30,7 +30,7 @@ from oracle_scalar import ScalarFrameOracle
 class TestCCLemma:
     def test_contraction_half(self):
         report = cc_lemma_check(0.5 * np.eye(3), 0.5, 0.0)
-        assert report.certified and report.satisfied
+        assert report.certified
         assert report.sigma_min == pytest.approx(0.5)
         assert report.forward_bounds == pytest.approx((0.5, 1.5))
         assert report.sandwich_ok
@@ -59,7 +59,7 @@ class TestCCLemma:
 
     def test_violation_produces_witness(self):
         report = cc_lemma_check(0.2 * np.eye(2), 0.1, 0.0)
-        assert not report.certified and not report.satisfied
+        assert not report.certified
         assert report.condition_margin < -1e-6
         assert report.witness is not None
 
@@ -68,11 +68,11 @@ class TestCCLemma:
         # sigma_max(I - U) = 0.8 exceeds l1 + l2 sigma_min(U) = 0.525, so
         # only a decision over both constants certifies it
         report = cc_lemma_check(np.diag([1.8, 0.5]), 0.3, 0.45)
-        assert report.certified and report.satisfied
+        assert report.certified
         assert report.witness is None
         assert report.sandwich_ok
         violated = cc_lemma_check(np.diag([1.8, 0.5]), 0.3, 0.35)
-        assert not violated.certified and not violated.satisfied
+        assert not violated.certified
         assert violated.witness is not None and violated.condition_margin < 0.0
 
     def test_range_validation(self):
@@ -514,7 +514,7 @@ def test_tight_multi_constant_conditions_carry_no_witness():
     """A tie between several constants is certified or undecided, never
     violated: rounding alone must not produce a witness."""
     lemma, scale = tight_conditions(0.0)
-    assert lemma.witness is None and lemma.satisfied == lemma.certified
+    assert lemma.witness is None
     assert scale.witness is None
     assert lemma.condition_margin > -1e-14 and scale.empirical_margin > -1e-14
     lemma, scale = tight_conditions(1e-2)

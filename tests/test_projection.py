@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -159,7 +162,8 @@ class TestPlainInverse:
     def test_loose_rank_tol_triggers_section_singular(self):
         from hsframe import SectionSingularError
 
-        fam = from_scalar_frame([[1.0, 0.0], [1.0, 1e-13], [0.0, 1.0]])
+        # sigma_r / sigma_max = 5e-17: kept by rank_tol, below 16 r eps
+        fam = from_scalar_frame([[1.0, 0.0], [1.0, 1e-16], [0.0, 1.0]])
         with pytest.raises(SectionSingularError):
             plain_inverse_apply(fam, 2, [1.0, 0.0], rank_tol=1e-20)
         # the default tolerance collapses the nearly-parallel directions
@@ -167,12 +171,42 @@ class TestPlainInverse:
         assert np.allclose(got, [0.5, 0.0], atol=1e-10)
 
     def test_sweep_flags_singular_sections_and_continues(self):
-        fam = from_scalar_frame([[1.0, 0.0], [1.0, 1e-13], [0.0, 1.0]])
+        fam = from_scalar_frame([[1.0, 0.0], [1.0, 1e-16], [0.0, 1.0]])
         records = convergence_sweep(
             fam, SectionSchedule.full(3), [1.0, 1.0], rank_tol=1e-20
         )
         assert [r.flagged for r in records] == [False, True, False]
         assert np.isnan(records[1].err_plain)
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-8, 3e-8, 1e-7])
+    def test_resolved_sections_are_not_flagged(self, delta):
+        """sigma_r / sigma_max between 16 r eps and rank_tol: the section is
+        kept and the row matches an exact rational solve to eps sigma_max /
+        sigma_r."""
+        fam = from_scalar_frame([[1.0, 0.0], [1.0, delta], [0.0, 1.0]])
+        f = [1.0, 0.5]
+        records = convergence_sweep(fam, SectionSchedule.full(3), f)
+        row = records[1]
+        assert not row.flagged and row.m_n == 1 and row.r_n == 2
+        assert all(np.isfinite(
+            [row.err_plain, row.err_oversampled, row.crit2, row.crit3, row.strong_residual]
+        ))
+
+        def solve(s, y):  # 2 x 2, by Cramer's rule
+            det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
+            return [(s[1][1] * y[0] - s[0][1] * y[1]) / det,
+                    (s[0][0] * y[1] - s[1][0] * y[0]) / det]
+
+        d, y = Fraction(delta), [Fraction(v) for v in f]
+        x = solve([[2, d], [d, d * d]], y)  # S_2 = T_2 T_2^H, T_2 = [[1, 1], [0, d]]
+        g = solve([[2, d], [d, d * d + 1]], y)  # S = S_2 + e_2 e_2^T
+        sigma = np.linalg.svd([[1.0, 1.0], [0.0, delta]], compute_uv=False)
+        x_norm = math.sqrt(float(x[0] ** 2 + x[1] ** 2))
+        tol = 16 * np.finfo(float).eps * sigma[0] / sigma[1] * x_norm
+        assert np.linalg.norm(plain_inverse_apply(fam, 2, f) - [float(v) for v in x]) <= tol
+        err = math.sqrt(float((x[0] - g[0]) ** 2 + (x[1] - g[1]) ** 2))
+        assert abs(row.err_plain - err) <= tol
+        assert abs(row.crit2 - abs(float(x[1]))) <= tol  # |(S - S_2) x_2| = |x_2[1]|
 
 
 class TestConvergenceSweep:

@@ -248,17 +248,17 @@ class TestAnalyzeCommand:
         assert doc["frame_report"]["lower_bound"] == pytest.approx(1.0)
         assert doc["frame_report"]["upper_bound"] == pytest.approx(2.0)
 
-    def test_all_zero_family_bessel_only(self, tmp_path):
+    def test_all_zero_family_bessel_only(self, tmp_path, capsys):
         fam = HSFrameFamily([np.zeros((2, 1, 1)), np.zeros((2, 1, 1))])
         fam_path = tmp_path / "zero.json"
         save_family(fam, str(fam_path))
         out = tmp_path / "report.json"
         assert main(["analyze", "--input", str(fam_path), "--out", str(out)]) == 0
         doc = json.loads(read(out))
-        assert doc["frame_report"]["bessel"]
         assert not doc["frame_report"]["frame"]
-        assert not doc["frame_report"]["complete"]
+        assert not doc["frame_report"]["riesz"]
         assert doc["canonical_dual"] is None
+        assert capsys.readouterr().out == f"{fam_path}: not a frame bounds=(0, 0)\n"
 
     def test_all_zero_family_report_is_strict_json(self, tmp_path):
         fam = HSFrameFamily([np.zeros((2, 1, 1)), np.zeros((2, 1, 1))])
@@ -449,6 +449,54 @@ class TestPerturbCommand:
         assert strip_timestamp_json(read(tmp_path / "a.json")) == strip_timestamp_json(
             read(tmp_path / "b.json")
         )
+
+
+class TestReportKeys:
+    """Each fact has one key; a change to the key sets bumps format_version."""
+
+    ANALYZE = {
+        "format_version", "experiment", "timestamp", "input", "dim_h", "dim_k",
+        "count", "frame_report", "riesz_ratio_check", "frame_operator_hs_norm",
+        "canonical_dual",
+    }
+    FRAME_REPORT = {
+        "lower_bound", "upper_bound", "frame", "riesz", "synthesis_norm",
+        "pseudo_inverse_norm",
+    }
+    PERTURB = {
+        "format_version", "experiment", "timestamp", "input", "perturbation_mode",
+        "magnitude", "seed", "constants", "condition_mode", "certified",
+        "empirical_margin", "original_bounds", "predicted_bounds", "actual_bounds",
+        "witness",
+    }
+
+    @pytest.mark.parametrize(
+        "family", [onb_family(3), from_scalar_frame([[1, 0, 0]])], ids=["frame", "not-a-frame"]
+    )
+    def test_analyze(self, tmp_path, family):
+        fam_path, out = tmp_path / "fam.json", tmp_path / "report.json"
+        save_family(family, str(fam_path))
+        assert main(["analyze", "--input", str(fam_path), "--out", str(out)]) == 0
+        doc = json.loads(read(out))
+        assert set(doc) == self.ANALYZE and doc["format_version"] == 1
+        assert set(doc["frame_report"]) == self.FRAME_REPORT
+        assert set(doc["riesz_ratio_check"]) == {"min_ratio"}
+        assert set(doc["frame_operator_hs_norm"]) == {"value", "bound"}
+        if doc["canonical_dual"] is not None:
+            assert set(doc["canonical_dual"]) == {
+                "bounds", "dual_identity_ok", "max_residual"
+            }
+
+    def test_perturb(self, tmp_path):
+        fam_path, out = tmp_path / "fam.json", tmp_path / "verdict.json"
+        save_family(onb_family(3), str(fam_path))
+        assert main([
+            "perturb", "--input", str(fam_path), "--mode", "scale",
+            "--magnitude", "0.1", "--out", str(out),
+        ]) == 0
+        doc = json.loads(read(out))
+        assert set(doc) == self.PERTURB and doc["format_version"] == 1
+        assert set(doc["constants"]) == {"lambda1", "lambda2", "mu", "nu"}
 
 
 class TestFormatting:
