@@ -69,6 +69,8 @@ def cmd_generate(args) -> int:
     seed = _resolve_seed(args.seed)
     kind = args.kind
     spectrum = generators.SpectrumSpec.parse(args.spectrum)
+    if args.dim_k < 1:
+        raise ValidationError(f"dim_k must be >= 1, got {args.dim_k}")
     if kind != "onb" and args.count is None:
         raise ValidationError(f"--count is required for --kind {kind}")
     if kind == "onb":

@@ -67,7 +67,7 @@ class SpectrumSpec:
         raise ValidationError(f"unknown spectrum kind {kind!r}")
 
     def resolve(self, n: int) -> np.ndarray:
-        """Concrete positive values of length ``n``."""
+        """Concrete positive, finite values of length ``n``."""
         if n < 1:
             raise ValidationError(f"spectrum length must be >= 1, got {n}")
         if self.kind == "flat":
@@ -75,7 +75,8 @@ class SpectrumSpec:
         elif self.kind == "geometric":
             if not 0.0 < self.ratio:
                 raise ValidationError(f"geometric ratio must be > 0, got {self.ratio}")
-            vals = self.ratio ** np.arange(n, dtype=float)
+            with np.errstate(over="ignore"):  # an overflow is rejected below
+                vals = self.ratio ** np.arange(n, dtype=float)
         elif self.kind == "explicit":
             if len(self.values) != n:
                 raise ValidationError(
@@ -84,8 +85,8 @@ class SpectrumSpec:
             vals = np.array(self.values, dtype=float)
         else:
             raise ValidationError(f"unknown spectrum kind {self.kind!r}")
-        if np.any(vals <= 0.0):
-            raise ValidationError("spectrum values must be positive")
+        if not np.all((0.0 < vals) & (vals < math.inf)):
+            raise ValidationError("spectrum values must be positive and finite")
         return vals
 
 

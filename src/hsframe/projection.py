@@ -32,6 +32,11 @@ to S_k and neither its spectrum nor the oversampled solution depends on n:
 k(n) = max(n, k_H), where k_H is the k found by the last search on a
 full-rank section.  The sweep keeps that search's pair (k_H, S_k^-1 f), and
 a later full-rank prefix with n <= k_H takes it with no search or solve.
+
+Every entry point reads one ``_Section`` per prefix, the one place that
+knows a prefix's edge cases: the empty section (rank 0) and a plain section
+the SVD cannot resolve.  The latter's oversampled compression is still
+bounded below by A/lambda, so a sweep keeps that half of a flagged row.
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ class ConvergenceRecord:
     crit2: float
     crit3: float
     strong_residual: float
-    flagged: bool = False
+    flagged: bool = False  # plain section singular: err_plain..strong_residual nan
 
 
 @dataclass(frozen=True)
@@ -207,10 +212,11 @@ def _check_floor(basis: SubspaceBasis) -> None:
 
     The plain section is diag(sigma_r^2) read off that SVD, so its accuracy
     follows sigma_max / sigma_r, and the floor is on sigma, in the units of
-    the rank rule.  With rank_tol above 16 r eps it never fires.
+    the rank rule.  With rank_tol above 16 r eps it never fires, and the
+    empty section has nothing to resolve.
     """
     sigma = basis.sigma
-    if float(sigma[-1]) <= 16.0 * sigma.size * np.finfo(float).eps * float(sigma[0]):
+    if sigma.size and sigma[-1] <= 16.0 * sigma.size * np.finfo(float).eps * sigma[0]:
         raise SectionSingularError(
             f"sectional operator at n={basis.n} is numerically singular "
             f"(singular value {sigma[-1]:.3e} vs top {sigma[0]:.3e}); "
@@ -237,25 +243,16 @@ def _check_lambda(lam) -> None:
         raise ValidationError(f"lambda must be finite and > 1, got {lam}")
 
 
-def _section_for(family: HSFrameFamily, n: int, basis: SubspaceBasis) -> "_Section":
-    if basis.n != n:
-        raise ValidationError(f"basis is for prefix {basis.n}, not {n}")
-    return _Section(family, basis)
+def sectional_operator(basis: SubspaceBasis) -> np.ndarray:
+    """Compression Q_n^H S_n Q_n = diag(sigma^2) of S_n to H_n, n = basis.n.
 
-
-def sectional_operator(
-    family: HSFrameFamily, n: int, basis: SubspaceBasis
-) -> np.ndarray:
-    """Compression Q_n^H S_n Q_n = diag(sigma^2) of S_n to H_n.
-
-    Positive definite there by construction; a singular value the SVD cannot
-    resolve (``_check_floor``) means the rank tolerance used for the basis
-    was too loose, and raises ``SectionSingularError``.
+    Positive definite there by construction (0 x 0 for the empty section); a
+    singular value the SVD cannot resolve (``_check_floor``) means the rank
+    tolerance used for the basis was too loose, and raises
+    ``SectionSingularError``.
     """
-    section = _section_for(family, n, basis)
-    if basis.rank > 0:
-        _check_floor(basis)
-    return section.compressed(n)
+    _check_floor(basis)
+    return np.diag(basis.sigma**2)
 
 
 def project(basis: SubspaceBasis, f) -> np.ndarray:
@@ -271,7 +268,9 @@ class _Section:
 
     Each compression at k > n adds the Gram matrix of blocks n+1..k of
     Q_n^H T; its eigenvalues are computed at most once per k, and the last
-    one built is kept for the solve.
+    one built is kept for the solve.  The edge cases live here: the floor
+    check guards the plain inverse alone, and the empty section (rank 0)
+    needs no oversampling and inverts to 0.
     """
 
     def __init__(self, family: HSFrameFamily, basis: SubspaceBasis):
@@ -304,8 +303,6 @@ class _Section:
 
     def inv_apply(self, y: np.ndarray) -> np.ndarray:
         """Q (Q^H S_n Q)^-1 Q^H y = Q (Q^H y / s_r^2) for a vector y."""
-        if self.basis.rank == 0:
-            return np.zeros_like(y)
         _check_floor(self.basis)
         q = self.basis.q
         return q @ ((q.conj().T @ y) / self._sig2)
@@ -317,8 +314,10 @@ class _Section:
         k: by interlacing, every smaller k falls short for this prefix too.
         The skip is trusted only when k = start - 1 does fall short;
         otherwise roundoff or a rank decision broke the nesting and the scan
-        restarts at k = n.
+        restarts at k = n.  The empty section needs none: it returns n.
         """
+        if self.basis.rank == 0:
+            return self.n
         k = start
         if k > self.n and self.evals(k - 1)[0] >= target:
             k = self.n
@@ -330,7 +329,9 @@ class _Section:
         self, k: int, bounds: tuple[float, float], lam: float, y: np.ndarray
     ) -> np.ndarray:
         """(Q^H S_k Q)^-1 Q^H y mapped back to H, after asserting that the
-        compression's spectrum lies in [A/lam, B]."""
+        compression's spectrum lies in [A/lam, B]; 0 on the empty section."""
+        if self.basis.rank == 0:
+            return np.zeros_like(y)
         a, b = bounds
         evals = self.evals(k)
         lam_min, lam_max = float(evals[0]), float(evals[-1])
@@ -348,13 +349,12 @@ class _Section:
         return q @ np.linalg.solve(self.compressed(k), q.conj().T @ y)
 
 
-def projection_formula(
-    family: HSFrameFamily, n: int, basis: SubspaceBasis, f
-) -> np.ndarray:
-    """P_n f computed the long way: S_n^-1 of sum over j <= n of G_j* G_j f."""
+def projection_formula(family: HSFrameFamily, basis: SubspaceBasis, f) -> np.ndarray:
+    """P_n f computed the long way: S_n^-1 of sum over j <= n of G_j* G_j f,
+    with n = basis.n."""
     fv = _check_vector(family, f)
-    prefix = family.synthesis_matrix[:, : n * family.dim_k**2]
-    return _section_for(family, n, basis).inv_apply(prefix @ (prefix.conj().T @ fv))
+    prefix = family.synthesis_matrix[:, : basis.n * family.dim_k**2]
+    return _Section(family, basis).inv_apply(prefix @ (prefix.conj().T @ fv))
 
 
 def plain_inverse_apply(
@@ -370,19 +370,16 @@ def find_oversampling(
     n: int,
     lam: float,
     rank_tol: float = DEFAULT_RANK_TOL,
-    basis: SubspaceBasis | None = None,
 ) -> int:
     """Smallest m >= 0 with lambda_min(Q_n^H S_{n+m} Q_n) >= A/lam.
 
     Always terminates: at m = count - n the compressed operator is the
     restriction of the full frame operator, whose smallest eigenvalue is at
-    least the optimal lower bound A.
+    least the optimal lower bound A.  The empty section needs none (m = 0).
     """
     _check_lambda(lam)
     _require_frame(family, rank_tol)
-    section = _section_for(family, n, basis or subspace_basis(family, n, rank_tol))
-    if section.basis.rank == 0:
-        return 0
+    section = _Section(family, subspace_basis(family, n, rank_tol))
     return section.oversampling(frame_bounds(family)[0] / lam, n) - n
 
 
@@ -398,24 +395,15 @@ def oversampled_inverse_apply(
     After choosing m(n), the compressed operator must satisfy
     lambda_max <= B and lambda_min >= A/lambda; both are asserted and a
     failure raises, since it would indicate a bug rather than bad data.
+    The empty section gives 0.
     """
     fv = _check_vector(family, f)
     _check_lambda(lam)
     _require_frame(family, rank_tol)
     bounds = frame_bounds(family)
     section = _Section(family, subspace_basis(family, n, rank_tol))
-    if section.basis.rank == 0:
-        return np.zeros_like(fv)
     k = section.oversampling(bounds[0] / lam, n)
     return section.oversampled_apply(k, bounds, lam, fv)
-
-
-def _nan_record(n: int) -> ConvergenceRecord:
-    nan = math.nan
-    return ConvergenceRecord(
-        n=n, m_n=-1, r_n=0, err_plain=nan, err_oversampled=nan,
-        crit2=nan, crit3=nan, strong_residual=nan, flagged=True,
-    )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is raised below
@@ -431,15 +419,18 @@ def convergence_sweep(
     Per prefix n the record carries the plain and oversampled inverse
     errors, the two equivalent vanishing criteria (operator deficiency
     crit2 and tail energy crit3), and the coefficient-level residual of
-    the strong method.  A singular section flags its record and the sweep
+    the strong method.  The oversampled half (m_n and err_oversampled) is
+    computed first and on its own; a section whose plain inverse is
+    singular flags its record, which keeps n, m_n, r_n and err_oversampled
+    and has nan in the four columns that need that inverse, and the sweep
     continues.  One pass: each prefix gets its basis from one running
     factorization and one ``_Section``, and its oversampling search starts
     at the previous prefix's k.  Every search on a full-rank section sets
     the pair (k, S_k^-1 f); a later full-rank prefix with n <= that k takes
-    the pair, m_n = k - n, with no search or solve.  A ground truth or an
-    unflagged row that is not finite (f too large to represent them) raises
-    ``NumericError``.  Errors are taken without squaring entries, so they
-    do not underflow to 0 near 1e-300.
+    the pair, m_n = k - n, with no search or solve.  A ground truth or a
+    reported value that is not finite (f too large to represent them)
+    raises ``NumericError``.  Errors are taken without squaring entries, so
+    they do not underflow to 0 near 1e-300.
     """
     fv = _check_vector(family, f)
     _check_lambda(lam)
@@ -461,47 +452,46 @@ def convergence_sweep(
     for basis in _prefix_bases(family, schedule, rank_tol):
         n = basis.n
         section = _Section(family, basis)
+        full = basis.rank == family.dim_h
+        if full and spanning is not None and n <= spanning[0]:
+            k, over = spanning
+        else:
+            k = section.oversampling(bounds[0] / lam, max(n, k))
+            over = section.oversampled_apply(k, bounds, lam, fv)
+            if full:
+                spanning = k, over
+        err_over = _norm(over - ground)
+        err_plain = crit2 = crit3 = strong = math.nan  # stay nan on a flagged row
         try:
             plain = section.inv_apply(fv)
         except SectionSingularError:
-            records.append(_nan_record(n))
-            continue
-        if basis.rank == 0:
-            m_n, over = 0, np.zeros_like(fv)
+            flagged = True
         else:
-            full = basis.rank == family.dim_h
-            if full and spanning is not None and n <= spanning[0]:
-                k, over = spanning
-            else:
-                k = section.oversampling(bounds[0] / lam, max(n, k))
-                over = section.oversampled_apply(k, bounds, lam, fv)
-                if full:
-                    spanning = k, over
-            m_n = k - n
-
-        y = t_h @ plain  # G_j x_n for every j
-        cut = n * blk
-        crit2 = _norm(t[:, cut:] @ y[cut:])  # |(S - S_n) x_n|
-        crit3 = float(np.linalg.norm(y[cut:]) ** 2)
-        # S_n^-1 P_n and S^-1 are self-adjoint, so the strong residual's
-        # <(S_n^-1 P_n - S^-1) G_j* G_j f, f> is <G_j f, G_j (x_n - S^-1 f)>
-        err_coeffs = (y - ground_coeffs)[:cut].reshape(n, blk)
-        inner = np.sum(coeffs[:n].conj() * err_coeffs, axis=1)
-        strong = float(np.sum(np.abs(inner) ** 2))
-        record = ConvergenceRecord(
+            flagged = False
+            y = t_h @ plain  # G_j x_n for every j
+            cut = n * blk
+            err_plain = _norm(plain - ground)
+            crit2 = _norm(t[:, cut:] @ y[cut:])  # |(S - S_n) x_n|
+            crit3 = float(np.linalg.norm(y[cut:]) ** 2)
+            # S_n^-1 P_n and S^-1 are self-adjoint, so the strong residual's
+            # <(S_n^-1 P_n - S^-1) G_j* G_j f, f> is <G_j f, G_j (x_n - S^-1 f)>
+            err_coeffs = (y - ground_coeffs)[:cut].reshape(n, blk)
+            inner = np.sum(coeffs[:n].conj() * err_coeffs, axis=1)
+            strong = float(np.sum(np.abs(inner) ** 2))
+        values = (err_over,) if flagged else (err_over, err_plain, crit2, crit3, strong)
+        if not all(map(math.isfinite, values)):
+            raise NumericError(f"row n={n} overflows: the vector is too large")
+        records.append(ConvergenceRecord(
             n=n,
-            m_n=m_n,
-            r_n=section.basis.rank,
-            err_plain=_norm(plain - ground),
-            err_oversampled=_norm(over - ground),
+            m_n=k - n,
+            r_n=basis.rank,
+            err_plain=err_plain,
+            err_oversampled=err_over,
             crit2=crit2,
             crit3=crit3,
             strong_residual=strong,
-        )
-        values = (record.err_plain, record.err_oversampled, crit2, crit3, strong)
-        if not all(map(math.isfinite, values)):
-            raise NumericError(f"row n={n} overflows: the vector is too large")
-        records.append(record)
+            flagged=flagged,
+        ))
     return records
 
 
@@ -568,16 +558,15 @@ def kernel_consistency(
     r_full, r_kernel, gaps = [], [], []
     for basis in _prefix_bases(family, schedule, rank_tol):
         section, cut = _Section(family, basis), basis.n * blk
+        gaps.append(_norm(project(basis, g) - g))  # needs Q_n only
         try:
             x_n = section.inv_apply(t[:, :cut] @ c_vec[:cut])
             y_n = section.inv_apply(t[:, :cut] @ kernel_vec[:cut])
             r_full.append(_norm(x_n - g))
             r_kernel.append(_norm(y_n))
-            gaps.append(_norm(project(section.basis, g) - g))
         except SectionSingularError:
             r_full.append(math.nan)
             r_kernel.append(math.nan)
-            gaps.append(math.nan)
     scale = tol * (1.0 + _norm(c_vec))
     co_vanish = (
         not math.isnan(r_full[-1])

@@ -19,6 +19,7 @@ through a temporary file plus rename.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import json
 import math
@@ -52,19 +53,12 @@ FORMAT_VERSION = 1
 #: is added, removed or changes meaning.
 REPORT_FORMAT_VERSION = 1
 
-CONVERGENCE_COLUMNS = (
-    "experiment",
-    "timestamp",
-    "seed",
-    "n",
-    "m_n",
-    "r_n",
-    "err_plain",
-    "err_oversampled",
-    "crit2",
-    "crit3",
-    "strong_residual",
+#: The run's three columns, then every ``ConvergenceRecord`` field but
+#: ``flagged`` (a flagged row reads nan in its plain columns).
+_RECORD_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(ConvergenceRecord) if f.name != "flagged"
 )
+CONVERGENCE_COLUMNS = ("experiment", "timestamp", "seed") + _RECORD_COLUMNS
 
 
 def utc_timestamp() -> str:
@@ -216,26 +210,12 @@ def write_convergence_csv(
     seed,
     timestamp: str | None = None,
 ) -> None:
+    """One row per record; ``format_sig`` of an int is its ``str``."""
     ts = timestamp if timestamp is not None else utc_timestamp()
     lines = [",".join(CONVERGENCE_COLUMNS)]
     for r in records:
-        lines.append(
-            ",".join(
-                [
-                    experiment,
-                    ts,
-                    str(seed),
-                    str(r.n),
-                    str(r.m_n),
-                    str(r.r_n),
-                    format_sig(r.err_plain),
-                    format_sig(r.err_oversampled),
-                    format_sig(r.crit2),
-                    format_sig(r.crit3),
-                    format_sig(r.strong_residual),
-                ]
-            )
-        )
+        values = (format_sig(getattr(r, name)) for name in _RECORD_COLUMNS)
+        lines.append(",".join([experiment, ts, str(seed), *values]))
     _atomic_write(path, ("\n".join(lines), "\n"))
 
 

@@ -39,6 +39,15 @@ class TestSpectrumSpec:
         with pytest.raises(ValidationError):
             SpectrumSpec.explicit([1.0, -1.0]).resolve(2)
 
+    @pytest.mark.parametrize("spectrum, n", [
+        (SpectrumSpec.flat(float("inf")), 3),
+        (SpectrumSpec.explicit([1, 2, 3, float("inf")]), 4),
+        (SpectrumSpec.geometric(1e300), 4),  # ratio ** 2 overflows
+    ])
+    def test_non_finite_values_rejected(self, spectrum, n):
+        with pytest.raises(ValidationError, match="finite"):
+            spectrum.resolve(n)
+
 
 class TestScalarFrame:
     def test_onb(self):

@@ -97,17 +97,17 @@ class TestSectionalOperator:
         fam = onb_family(4)
         for n in (1, 2, 4):
             basis = subspace_basis(fam, n)
-            assert np.allclose(sectional_operator(fam, n, basis), np.eye(n))
+            assert np.allclose(sectional_operator(basis), np.eye(n))
 
     def test_repeated_direction_scalar_two(self):
         basis = subspace_basis(REPEATED, 2)
-        sec = sectional_operator(REPEATED, 2, basis)
+        sec = sectional_operator(basis)
         assert sec.shape == (1, 1)
         assert sec[0, 0] == pytest.approx(2.0)
 
     def test_full_section_spectrum_matches_frame_operator(self):
         basis = subspace_basis(MB, 3)
-        sec = sectional_operator(MB, 3, basis)
+        sec = sectional_operator(basis)
         got = np.linalg.eigvalsh(sec)
         want = np.linalg.eigvalsh(frame_operator(MB))
         assert np.allclose(got, want, atol=1e-12)
@@ -139,7 +139,7 @@ class TestProject:
             basis = subspace_basis(fam, n)
             f = complex_unit(rng, 5)
             direct = project(basis, f)
-            via_sections = projection_formula(fam, n, basis, f)
+            via_sections = projection_formula(fam, basis, f)
             assert np.linalg.norm(direct - via_sections) <= 1e-9
 
 
@@ -177,6 +177,29 @@ class TestPlainInverse:
         )
         assert [r.flagged for r in records] == [False, True, False]
         assert np.isnan(records[1].err_plain)
+        # the oversampled half does not need the singular inverse: the row
+        # keeps the single-prefix wrappers' m_n, r_n and error
+        row, f = records[1], [1.0, 1.0]
+        assert row.m_n == find_oversampling(fam, 2, 2.0, rank_tol=1e-20) == 1
+        assert row.r_n == 2
+        over = oversampled_inverse_apply(fam, 2, 2.0, f, rank_tol=1e-20)
+        err = float(np.linalg.norm(over - solve_ground_truth(fam, f)))
+        assert abs(row.err_oversampled - err) <= 1e-15
+        assert all(np.isnan([row.err_plain, row.crit2, row.crit3, row.strong_residual]))
+
+    def test_empty_section(self):
+        """A prefix of zero maps has rank 0: every inverse on it is 0."""
+        fam = from_scalar_frame([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        f = [1.0, 2.0]
+        row = convergence_sweep(fam, SectionSchedule.full(3), f)[0]
+        assert (row.n, row.r_n, row.m_n, row.flagged) == (1, 0, 0, False)
+        ground = float(np.linalg.norm(solve_ground_truth(fam, f)))
+        assert row.err_plain == row.err_oversampled == pytest.approx(ground, rel=1e-15)
+        assert sectional_operator(subspace_basis(fam, 1)).shape == (0, 0)
+        assert find_oversampling(fam, 1, 2.0) == 0
+        assert not plain_inverse_apply(fam, 1, f).any()
+        assert not oversampled_inverse_apply(fam, 1, 2.0, f).any()
+        assert uniform_bound_scan(fam, 0, f).values[0] == 0.0
 
     @pytest.mark.parametrize("delta", [1e-9, 1e-8, 3e-8, 1e-7])
     def test_resolved_sections_are_not_flagged(self, delta):
@@ -439,6 +462,15 @@ class TestKernelConsistency:
         ):
             assert abs(r1 - r2) <= gap + 1e-9
         assert report.co_vanish
+
+    def test_flagged_prefix_keeps_its_projection_gap(self):
+        # H_2 = H is kept at rank_tol 1e-20, but its plain section is singular
+        fam = from_scalar_frame([[1.0, 0.0], [1.0, 1e-16], [0.0, 1.0]])
+        report = kernel_consistency(
+            fam, analyze(fam, [1.0, 2.0]), SectionSchedule.full(3), rank_tol=1e-20
+        )
+        assert np.isnan(report.residual_full[1]) and np.isnan(report.residual_kernel[1])
+        assert report.projection_gap[1] <= 1e-15
 
 
 class TestBlockValuedFamilies:

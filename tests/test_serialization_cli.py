@@ -321,6 +321,22 @@ class TestInvertCommand:
         ])
         assert code == 2
 
+    def test_flagged_row_keeps_its_oversampled_half(self, tmp_path):
+        # row 2's plain section is singular at rank_tol 1e-20
+        fam_path = tmp_path / "near.json"
+        save_family(from_scalar_frame([[1, 0], [1, 1e-16], [0, 1]]), str(fam_path))
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "invert", "--input", str(fam_path), "--rank-tol", "1e-20",
+            "--vector", "1,2", "--out", str(out),
+        ]) == 0
+        lines = read(out).strip().splitlines()
+        row = dict(zip(lines[0].split(","), lines[2].split(",")))
+        assert (row["n"], row["m_n"], row["r_n"]) == ("2", "1", "2")
+        assert float(row["err_oversampled"]) <= 1e-15
+        plain = ("err_plain", "crit2", "crit3", "strong_residual")
+        assert [row[k] for k in plain] == ["nan"] * 4
+
     def test_wrong_vector_length_rejected(self, tmp_path, capsys):
         fam_path = tmp_path / "onb.json"
         main(["generate", "--kind", "onb", "--dim-h", "3", "--out", str(fam_path)])
@@ -643,7 +659,7 @@ class TestInputBoundary:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, dim_k", [("decaying", "0"), ("random", "-2"),
-                                              ("riesz", "-2")])
+                                              ("riesz", "-2"), ("onb", "0")])
     def test_dim_k_below_one_rejected(self, tmp_path, capsys, kind, dim_k):
         code = main([
             "generate", "--kind", kind, "--dim-h", "4", "--dim-k", dim_k, "--count", "1",
@@ -651,6 +667,20 @@ class TestInputBoundary:
         ])
         assert code == 2
         assert "dim_k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, spectrum", [
+        ("random", "flat:inf"), ("random", "explicit:1,2,3,inf"),
+        ("riesz", "geometric:1e300"),
+    ])
+    def test_non_finite_spectrum_rejected(self, tmp_path, capsys, kind, spectrum):
+        code = main([
+            "generate", "--kind", kind, "--dim-h", "4", "--count", "4",
+            "--spectrum", spectrum, "--out", str(tmp_path / "f.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "f.json").exists()
 
     def test_overflowing_bound_is_numeric_error(self, fam_path, capsys):
         code = main([
@@ -796,6 +826,7 @@ def fuzz_files(tmp_path_factory):
                "--count=6", "--spectrum=geometric:0.5"])
 @example(argv=["generate", "--out={out}", "--kind=random", "--dim-h=4", "--dim-k=-2",
                "--count=6"])
+@example(argv=["generate", "--out={out}", "--kind=onb", "--dim-h=4", "--dim-k=0"])
 @example(argv=["perturb", "--out={out}", "--input={frame}", "--mode=additive-analysis",
                "--magnitude=1e308"])
 @example(argv=["invert", "--out={out}", "--input={frame}",
