@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 validation or precondition failure, 3 numeric
 failure, 4 I/O or parse failure.  ``--seed`` falls back to the
-HSFRAME_SEED environment variable, then 0; it must be >= 0.  ``analyze``
+HSFRAME_SEED environment variable, then 0; it must be an int >= 0.  ``analyze``
 accepts it but draws nothing.
 """
 
@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import generators
+from .core import check_int
 from .errors import NumericError, ParseError, ValidationError
 from .family import (
     DEFAULT_RANK_TOL,
@@ -48,9 +49,7 @@ def _resolve_seed(value):
             value = int(env)
         except ValueError as exc:
             raise ValidationError(f"HSFRAME_SEED={env!r} is not an integer") from exc
-    if value < 0:
-        raise ValidationError(f"seed must be >= 0, got {value}")
-    return value
+    return check_int("seed", value, 0)
 
 
 def _parse_vector(text, dim):
@@ -68,31 +67,27 @@ def _parse_vector(text, dim):
 def cmd_generate(args) -> int:
     seed = _resolve_seed(args.seed)
     kind = args.kind
-    spectrum = generators.SpectrumSpec.parse(args.spectrum)
-    if args.dim_k < 1:
-        raise ValidationError(f"dim_k must be >= 1, got {args.dim_k}")
-    if kind != "onb" and args.count is None:
-        raise ValidationError(f"--count is required for --kind {kind}")
-    if kind == "onb":
+    if kind == "onb":  # --dim-h alone fixes it: dim_k 1, count dim_h, flat spectrum
+        given = [k for k in ("dim_k", "count", "spectrum") if vars(args)[k] is not None]
+        if given:
+            raise ValidationError(f"--kind onb takes no {', '.join(given)}")
         family = generators.onb_family(args.dim_h)
-    elif kind == "random":
-        family = generators.random_family(
-            args.dim_h, args.dim_k, args.count, spectrum, seed
-        )
-    elif kind == "riesz":
-        family = generators.riesz_family(
-            args.dim_h, args.dim_k, args.count, spectrum, seed
-        )
-    elif kind == "decaying":
-        if spectrum.kind != "geometric":
+    elif args.count is None:
+        raise ValidationError(f"--count is required for --kind {kind}")
+    else:
+        shape = (args.dim_h, 1 if args.dim_k is None else args.dim_k, args.count)
+        spectrum = "flat" if args.spectrum is None else args.spectrum
+        spectrum = generators.SpectrumSpec.parse(spectrum)
+        if kind == "random":
+            family = generators.random_family(*shape, spectrum, seed)
+        elif kind == "riesz":
+            family = generators.riesz_family(*shape, spectrum, seed)
+        elif spectrum.kind != "geometric":
             raise ValidationError(
                 "--kind decaying takes its tail ratio from --spectrum geometric:RATIO"
             )
-        family = generators.decaying_family(
-            args.dim_h, args.dim_k, args.count, spectrum.ratio, seed
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown kind {kind!r}")
+        else:
+            family = generators.decaying_family(*shape, spectrum.ratio, seed)
     save_family(family, args.out)
     lo, hi = frame_bounds(family)
     print(
@@ -175,7 +170,6 @@ def cmd_perturb(args) -> int:
         "lambda1": args.lambda1,
         "lambda2": args.lambda2,
         "mu": args.mu,
-        "nu": args.nu,
     }
     if any(v is not None for v in overrides.values()):
         constants = PerturbationConstants(
@@ -226,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", required=True,
                        choices=("onb", "random", "riesz", "decaying"))
     p_gen.add_argument("--dim-h", type=int, required=True)
-    p_gen.add_argument("--dim-k", type=int, default=1)
+    p_gen.add_argument("--dim-k", type=int, help="default 1")
     p_gen.add_argument("--count", type=int)
-    p_gen.add_argument("--spectrum", default="flat",
-                       help="flat[:LEVEL] | geometric:RATIO | explicit:V1,V2,...")
+    p_gen.add_argument("--spectrum", help="flat[:LEVEL] (default flat) | "
+                       "geometric:RATIO | explicit:V1,V2,...")
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate)
@@ -259,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_per.add_argument("--lambda1", type=float)
     p_per.add_argument("--lambda2", type=float)
     p_per.add_argument("--mu", type=float)
-    p_per.add_argument("--nu", type=float)
     p_per.add_argument("--seed", type=int)
     p_per.add_argument("--out")
     p_per.set_defaults(func=cmd_perturb)

@@ -10,6 +10,7 @@ isometrically.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -28,6 +29,32 @@ __all__ = [
 
 #: Default relative tolerance for algebraic identities.
 DEFAULT_TOL = 1e-9
+
+
+def check_real(name: str, value, low, high, closed=(False, False)) -> float:
+    """``value`` as a float: a real number, not a bool, inside the interval
+    from ``low`` to ``high``, which holds an end when ``closed`` says so.
+    NaN and a number too large for a float never pass."""
+    v = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:
+            pass
+    if (low < v or closed[0] and v == low) and (v < high or closed[1] and v == high):
+        return v
+    ends = ("[" if closed[0] else "(", "]" if closed[1] else ")")
+    interval = f"{ends[0]}{float(low)}, {float(high)}{ends[1]}"
+    raise ValidationError(f"{name} must be a finite real in {interval}, got {value!r}")
+
+
+def check_int(name: str, value, low, high=math.inf) -> int:
+    """``value`` as an int: an integer, not a bool, with low <= value <= high."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if low <= value <= high:
+            return int(value)
+    where = f">= {low}" if high == math.inf else f"in {low}..{high}"
+    raise ValidationError(f"{name} must be {where} and an integer, got {value!r}")
 
 
 def as_vector(x) -> np.ndarray:

@@ -19,14 +19,13 @@ T = U diag(s) V^H per family (``HSFrameFamily.svd``); bounds are extreme s^2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, check_int, check_real
 from .errors import (
     InternalConsistencyError,
     NotAFrameError,
@@ -58,12 +57,7 @@ DEFAULT_RANK_TOL = 1e-10
 
 def check_rank_tol(rank_tol) -> None:
     """Reject a rank tolerance that is not a real number in (0, 1), NaN included."""
-    if (
-        isinstance(rank_tol, bool)
-        or not isinstance(rank_tol, numbers.Real)
-        or not 0.0 < rank_tol < 1.0
-    ):
-        raise ValidationError(f"rank_tol must be in (0, 1), got {rank_tol!r}")
+    check_real("rank_tol", rank_tol, 0.0, 1.0)
 
 
 def numerical_rank(sigma: np.ndarray, rank_tol: float) -> int:
@@ -204,10 +198,7 @@ class HSFrameFamily:
     @classmethod
     def from_synthesis_matrix(cls, dim_h, dim_k, tmat) -> "HSFrameFamily":
         """Rebuild a family from a dense synthesis matrix."""
-        if dim_h < 1 or dim_k < 1:
-            raise ValidationError(
-                f"dim_h and dim_k must be >= 1, got dim_h={dim_h}, dim_k={dim_k}"
-            )
+        dim_h, dim_k = check_int("dim_h", dim_h, 1), check_int("dim_k", dim_k, 1)
         t = np.asarray(tmat, dtype=np.complex128)
         blk = dim_k * dim_k
         if t.ndim != 2 or t.shape[0] != dim_h or t.shape[1] % blk != 0:
@@ -248,7 +239,7 @@ class CoefficientSequence:
     @classmethod
     def from_stacked(cls, vec, dim_k) -> "CoefficientSequence":
         v = as_vector(vec)
-        blk = dim_k * dim_k
+        blk = check_int("dim_k", dim_k, 1) ** 2
         if v.size % blk != 0:
             raise ValidationError(f"stacked length {v.size} not a multiple of {blk}")
         return cls(v.reshape(-1, dim_k, dim_k))
@@ -433,6 +424,7 @@ def verify_alternate_dual(
     |P - I| (spectral norm); their mutual gap |P - P^H| is reported as a
     diagnostic.
     """
+    check_real("tol", tol, 0.0, math.inf, closed=(True, False))
     _check_pair(family, candidate)
     p = family.synthesis_matrix @ candidate.synthesis_matrix.conj().T
     max_residual = float(np.linalg.norm(p - np.eye(family.dim_h), ord=2))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, check_int, check_real
 from .errors import ValidationError
 from .family import HSFrameFamily
 
@@ -68,15 +68,12 @@ class SpectrumSpec:
 
     def resolve(self, n: int) -> np.ndarray:
         """Concrete positive, finite values of length ``n``."""
-        if n < 1:
-            raise ValidationError(f"spectrum length must be >= 1, got {n}")
         if self.kind == "flat":
-            vals = np.full(n, float(self.level))
+            vals = np.full(n, check_real("level", self.level, 0.0, math.inf))
         elif self.kind == "geometric":
-            if not 0.0 < self.ratio:
-                raise ValidationError(f"geometric ratio must be > 0, got {self.ratio}")
+            ratio = check_real("ratio", self.ratio, 0.0, math.inf)
             with np.errstate(over="ignore"):  # an overflow is rejected below
-                vals = self.ratio ** np.arange(n, dtype=float)
+                vals = ratio ** np.arange(n, dtype=float)
         elif self.kind == "explicit":
             if len(self.values) != n:
                 raise ValidationError(
@@ -133,9 +130,7 @@ def from_scalar_frame(vectors) -> HSFrameFamily:
 
 def onb_family(dim_h: int) -> HSFrameFamily:
     """Scalar family built on the standard basis; its frame operator is I."""
-    if dim_h < 1:
-        raise ValidationError(f"dim_h must be >= 1, got {dim_h}")
-    return from_scalar_frame(np.eye(dim_h))
+    return from_scalar_frame(np.eye(check_int("dim_h", dim_h, 1)))
 
 
 def from_g_frame(spec: GFrameSpec, y0=None, dim_k: int | None = None) -> HSFrameFamily:
@@ -146,13 +141,8 @@ def from_g_frame(spec: GFrameSpec, y0=None, dim_k: int | None = None) -> HSFrame
     unit vector ``y0``.  Since that embedding is isometric, the embedded
     family has exactly the bounds of the block family.
     """
-    total = spec.total_dim
-    if dim_k is None:
-        dim_k = total
-    if dim_k < total:
-        raise ValidationError(
-            f"dim_k={dim_k} too small: blocks need at least {total}"
-        )
+    total = spec.total_dim  # the blocks need dim_k >= total
+    dim_k = total if dim_k is None else check_int("dim_k", dim_k, total)
     if y0 is None:
         y0v = np.zeros(dim_k, dtype=np.complex128)
         y0v[0] = 1.0
@@ -177,17 +167,24 @@ def _complex_gaussian(rng, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _check_shape(dim_h, dim_k, count) -> tuple[int, int, int]:
+    """The dimensions of a generated family, each an integer >= 1."""
+    shape = {"dim_h": dim_h, "dim_k": dim_k, "count": count}
+    return tuple(check_int(name, value, 1) for name, value in shape.items())
+
+
 def random_family(
     dim_h: int, dim_k: int, count: int, spectrum: SpectrumSpec, seed: int = 0
 ) -> HSFrameFamily:
     """Random frame family whose frame operator has the prescribed spectrum."""
+    dim_h, dim_k, count = _check_shape(dim_h, dim_k, count)
     ncols = count * dim_k * dim_k
     if ncols < dim_h:
         raise ValidationError(
             f"cannot build a frame: count*dim_k^2 = {ncols} < dim_h = {dim_h}"
         )
     values = spectrum.resolve(dim_h)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     q, _ = np.linalg.qr(_complex_gaussian(rng, ncols, dim_h))
     v, _ = np.linalg.qr(_complex_gaussian(rng, dim_h, dim_h))
     t = (v * np.sqrt(values)) @ q.conj().T
@@ -203,6 +200,7 @@ def riesz_family(
     Needs count*dim_k^2 <= dim_h; the family is a Riesz basis exactly when
     equality holds (otherwise it is injective but spans a proper subspace).
     """
+    dim_h, dim_k, count = _check_shape(dim_h, dim_k, count)
     ncols = count * dim_k * dim_k
     if ncols > dim_h:
         raise ValidationError(
@@ -210,7 +208,7 @@ def riesz_family(
             f"> dim_h = {dim_h}"
         )
     values = spectrum.resolve(ncols)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     u, _ = np.linalg.qr(_complex_gaussian(rng, dim_h, ncols))
     w, _ = np.linalg.qr(_complex_gaussian(rng, ncols, ncols))
     t = (u * np.sqrt(values)) @ w.conj().T
@@ -226,12 +224,8 @@ def decaying_family(
     no matter the tail); map j of the tail then gets operator norm
     tail_ratio^j.  Prefix convergence is gradual and measurable.
     """
-    if not 0.0 < tail_ratio < 1.0:
-        raise ValidationError(f"tail_ratio must be in (0, 1), got {tail_ratio}")
-    if dim_h < 1 or dim_k < 1:
-        raise ValidationError(
-            f"dim_h and dim_k must be >= 1, got dim_h={dim_h}, dim_k={dim_k}"
-        )
+    tail_ratio = check_real("tail_ratio", tail_ratio, 0.0, 1.0)
+    dim_h, dim_k, count = _check_shape(dim_h, dim_k, count)
     blk = dim_k * dim_k
     head = math.ceil(dim_h / blk)
     if count < head:
@@ -239,7 +233,7 @@ def decaying_family(
             f"count={count} too small to cover dim_h={dim_h} with d_k={dim_k} "
             f"(need at least {head})"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     t = np.zeros((dim_h, count * blk), dtype=np.complex128)
     t[:, :dim_h] = np.eye(dim_h)
     for j in range(head, count):

@@ -28,14 +28,13 @@ smallest slack over the directions it probed.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_matrix
+from .core import as_matrix, check_int, check_real
 from .errors import ValidationError
 from .family import (
     DEFAULT_RANK_TOL,
@@ -78,13 +77,7 @@ class PerturbationConstants:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "mu", "nu"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not 0.0 <= value < math.inf
-            ):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+            check_real(name, getattr(self, name), 0.0, math.inf, closed=(True, False))
 
 
 @dataclass(frozen=True)
@@ -127,8 +120,7 @@ def check_admissible(
     mode: str = "analysis",
 ) -> None:
     """Raise naming the violated inequality if the constants are too large."""
-    if lower <= 0.0:
-        raise ValidationError("admissibility needs a positive lower bound")
+    check_real("lower", lower, 0.0, math.inf)
     l1, l2, mu, nu = constants.lambda1, constants.lambda2, constants.mu, constants.nu
     if mode == "frame-operator":
         if bessel_of_candidate is None:
@@ -167,6 +159,7 @@ def predicted_bounds(
     """
     constants = PerturbationConstants(lambda1, lambda2, mu)
     check_admissible(constants, lower)
+    check_real("upper", upper, lower, math.inf, closed=(True, False))
     a = lower * (1.0 - (lambda1 + lambda2 + mu / math.sqrt(lower)) / (1.0 + lambda2)) ** 2
     b = upper * (1.0 + (lambda1 + lambda2 + mu / math.sqrt(upper)) / (1.0 - lambda2)) ** 2
     return a, b
@@ -174,10 +167,8 @@ def predicted_bounds(
 
 def predicted_bounds_simple(lower: float, upper: float, m: float) -> tuple[float, float]:
     """Bounds when the summed analysis deviation is at most m < A."""
-    if m < 0.0:
-        raise ValidationError(f"deviation bound must be >= 0, got {m}")
-    if m >= lower:
-        raise ValidationError(f"deviation bound m = {m} must be < lower bound {lower}")
+    lower = check_real("lower", lower, 0.0, math.inf)
+    check_real("m", m, 0.0, lower, closed=(True, False))
     return predicted_bounds(lower, upper, 0.0, 0.0, math.sqrt(m))
 
 
@@ -406,8 +397,8 @@ def cc_lemma_check(u, lambda1: float, lambda2: float) -> CCLemmaReport:
     <= |Ux|/|x| <= (1+l1)/(1-l2), with the reciprocal sandwich for the
     inverse; both are verified via singular values.
     """
-    if not (0.0 <= lambda1 < 1.0 and 0.0 <= lambda2 < 1.0):
-        raise ValidationError("lambda1, lambda2 must lie in [0, 1)")
+    lambda1 = check_real("lambda1", lambda1, 0.0, 1.0, closed=(True, False))
+    lambda2 = check_real("lambda2", lambda2, 0.0, 1.0, closed=(True, False))
     um = as_matrix(u)
     svd_u = ThinSVD(*np.linalg.svd(um, full_matrices=False))
     sigma_min, sigma_max = float(svd_u.s[-1]), float(svd_u.s[0])
@@ -494,10 +485,9 @@ def perturb_family(
     * blockwise: like additive-analysis but supported on a subset of
       indices (random nonempty subset unless given).
     """
-    if not 0.0 <= magnitude < math.inf:
-        raise ValidationError(f"magnitude must be finite and >= 0, got {magnitude}")
+    magnitude = check_real("magnitude", magnitude, 0.0, math.inf, closed=(True, False))
     t = family.synthesis_matrix
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     if mode == "scale":
         gamma = HSFrameFamily.from_synthesis_matrix(
             family.dim_h, family.dim_k, (1.0 - magnitude) * t
@@ -516,8 +506,7 @@ def perturb_family(
             indices = rng.choice(family.count, size=size, replace=False)
         mask = np.zeros(t.shape[1], dtype=bool)
         for j in indices:
-            if not 0 <= j < family.count:
-                raise ValidationError(f"index {j} outside 0..{family.count - 1}")
+            j = check_int("indices", j, 0, family.count - 1)
             mask[j * blk : (j + 1) * blk] = True
         delta[:, ~mask] = 0.0
     norm = float(np.linalg.norm(delta, ord=2))

@@ -42,13 +42,12 @@ bounded below by A/lambda, so a sweep keeps that half of a flagged row.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, check_int, check_real
 from .errors import (
     InternalConsistencyError,
     NumericError,
@@ -95,18 +94,14 @@ class SectionSchedule:
     def __post_init__(self):
         if not self.lengths:
             raise ValidationError("schedule must contain at least one length")
-        prev = 0
+        prev = 0  # strictly increasing from 1
         for n in self.lengths:
-            if not isinstance(n, numbers.Integral) or n <= prev:
-                raise ValidationError(
-                    f"schedule must be strictly increasing positive ints, got {self.lengths}"
-                )
-            prev = n
+            prev = check_int("lengths", n, prev + 1)
         object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
 
     @classmethod
     def full(cls, count: int) -> "SectionSchedule":
-        return cls(tuple(range(1, count + 1)))
+        return cls(tuple(range(1, check_int("count", count, 1) + 1)))
 
     @classmethod
     def parse(cls, text: str, count: int) -> "SectionSchedule":
@@ -178,8 +173,7 @@ def subspace_basis(
     family: HSFrameFamily, n: int, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SubspaceBasis:
     """Orthonormal basis of span{adjoint ranges of the first n maps}."""
-    if not 1 <= n <= family.count:
-        raise ValidationError(f"prefix length {n} outside 1..{family.count}")
+    check_int("n", n, 1, family.count)
     check_rank_tol(rank_tol)
     return next(_prefix_bases(family, (n,), rank_tol))
 
@@ -239,8 +233,7 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _check_lambda(lam) -> None:
-    if not 1.0 < lam < math.inf:
-        raise ValidationError(f"lambda must be finite and > 1, got {lam}")
+    check_real("lambda", lam, 1.0, math.inf)
 
 
 def sectional_operator(basis: SubspaceBasis) -> np.ndarray:
@@ -507,8 +500,7 @@ def uniform_bound_scan(
     over the profile is the uniform constant for this index and vector.
     """
     fv = _check_vector(family, f)
-    if not 0 <= index < family.count:
-        raise ValidationError(f"index {index} outside 0..{family.count - 1}")
+    check_int("index", index, 0, family.count - 1)
     _require_frame(family, rank_tol)
     w = family.maps[index].adjoint_apply(family.maps[index](fv))
     ns, values = tuple(range(index + 1, family.count + 1)), []
@@ -545,6 +537,7 @@ def kernel_consistency(
     _check_coefficients(family, coeffs)
     schedule.validate_for(family)
     check_rank_tol(rank_tol)
+    check_real("tol", tol, 0.0, math.inf, closed=(True, False))
     t = family.synthesis_matrix
     blk = family.dim_k * family.dim_k
     c_vec = coeffs.stacked()

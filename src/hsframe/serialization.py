@@ -30,6 +30,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .core import check_int
 from .errors import ParseError, ValidationError
 from .family import HSFrameFamily
 from .projection import ConvergenceRecord
@@ -113,10 +114,7 @@ def family_from_document(doc) -> HSFrameFamily:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
     if doc["scalar"] != "complex128":
         raise ParseError(f"unsupported scalar type {doc['scalar']!r}")
-    dim_h, dim_k, count = doc["dim_h"], doc["dim_k"], doc["count"]
-    for name, value in (("dim_h", dim_h), ("dim_k", dim_k), ("count", count)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    dim_h, dim_k, count = (check_int(k, doc[k], 1) for k in ("dim_h", "dim_k", "count"))
     operators = doc["operators"]
     if not isinstance(operators, list) or len(operators) != count:
         raise ValidationError(

@@ -10,6 +10,7 @@ from hsframe import (
     rank_one,
     vectorize,
 )
+from hsframe.core import check_int, check_real
 from conftest import complex_unit
 
 E1 = np.array([1.0, 0.0])
@@ -151,3 +152,15 @@ class TestVectorize:
     def test_non_square_length_rejected(self):
         with pytest.raises(ValidationError):
             devectorize(np.ones(3))
+
+
+class TestScalarChecks:
+    def test_numpy_scalars_and_closed_ends_pass(self):
+        assert check_real("x", np.float32(0.5), 0.0, 1.0) == 0.5
+        assert check_real("x", 0, 0.0, 1.0, closed=(True, False)) == 0.0
+        assert type(check_int("n", np.int64(3), 1, 3)) is int
+
+    @pytest.mark.parametrize("value", [10**400, float("inf"), -1])
+    def test_reals_outside_or_too_large_rejected(self, value):
+        with pytest.raises(ValidationError, match=r"^x must be a finite real in \[0.0, inf\)"):
+            check_real("x", value, 0.0, float("inf"), closed=(True, False))

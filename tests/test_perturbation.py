@@ -246,6 +246,15 @@ class TestCheckCondition:
         with pytest.raises(ValidationError):
             check_condition("analysis", g, g, PerturbationConstants(mu=1.5))
 
+    def test_zero_candidate_operator_fails_with_witness(self):
+        # the one active term is lambda2 |T~^H x| with T~ = 0, so the condition
+        # holds only if D = T^H vanishes, and T^H of a frame does not
+        g = seeded_family(12)
+        zero = HSFrameFamily(np.zeros_like(g.images))
+        verdict = check_condition("analysis", g, zero, PerturbationConstants(lambda2=0.5))
+        assert not verdict.certified
+        assert verdict.witness is not None
+
 
 @st.composite
 def left_perturbed_pairs(draw):

@@ -313,6 +313,12 @@ class TestConvergenceSweep:
         with pytest.raises(NumericError, match="overflows"):
             convergence_sweep(MB, SectionSchedule.full(3), [scale, scale])
 
+    def test_overflowing_ground_truth_raises(self):
+        # S^-1 f = (1e330, 0) is out of range although f and S are not
+        fam = from_scalar_frame([[1e-160, 0.0], [0.0, 1.0]])
+        with pytest.raises(NumericError, match=r"S\^-1 f overflows"):
+            convergence_sweep(fam, SectionSchedule.full(2), [1e10, 0.0], rank_tol=1e-200)
+
 
 class TestUniformBoundScan:
     def test_onb_profile_constant(self, rng):
@@ -350,6 +356,14 @@ class TestUniformBoundScan:
     def test_bad_index(self):
         with pytest.raises(ValidationError):
             uniform_bound_scan(MB, 3, [1.0, 0.0])
+
+    def test_flagged_section_reads_nan(self):
+        # the n = 2 section is below the SVD floor; c_max skips its nan
+        fam = from_scalar_frame([[1.0, 0.0], [1.0, 1e-16], [0.0, 1.0]])
+        profile = uniform_bound_scan(fam, 0, [1.0, 2.0], rank_tol=1e-20)
+        assert profile.values[0] == 1.0 and math.isnan(profile.values[1])
+        assert profile.values[2] == pytest.approx(0.5, rel=1e-12)
+        assert profile.c_max == 1.0
 
 
 class TestOversampling:

@@ -183,6 +183,18 @@ class TestGenerateCommand:
         assert np.allclose(frame_operator(fam), np.eye(4))
         assert "bounds=(1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--dim-k", "3", "--count", "9", "--spectrum", "flat:5"], "dim_k, count, spectrum"),
+        (["--dim-k", "1"], "dim_k"),
+    ])
+    def test_onb_rejects_shape_flags(self, tmp_path, capsys, extra, named):
+        out = tmp_path / "onb.json"
+        argv = ["generate", "--kind", "onb", "--dim-h", "3", "--out", str(out)]
+        assert main(argv + extra) == 2
+        assert named in capsys.readouterr().err and not out.exists()
+        assert main(argv) == 0
+        assert "dim_k=1 count=3 bounds=(1, 1)" in capsys.readouterr().out
+
     def test_random_deterministic_bytes(self, tmp_path):
         args = [
             "generate", "--kind", "random", "--dim-h", "8", "--dim-k", "2",
@@ -627,7 +639,7 @@ class TestInputBoundary:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--mu", "--lambda1", "--lambda2", "--nu"])
+    @pytest.mark.parametrize("flag", ["--mu", "--lambda1", "--lambda2"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_constant_rejected(self, fam_path, tmp_path, capsys, flag, value):
         code = main([
@@ -797,7 +809,7 @@ FUZZ_ARGV = st.one_of(
             "--input": FUZZ_INPUTS,
             "--mode": st.sampled_from(["additive-analysis", "scale", "blockwise"]),
             "--magnitude": FUZZ_FLOATS, "--lambda1": FUZZ_FLOATS,
-            "--lambda2": FUZZ_FLOATS, "--mu": FUZZ_FLOATS, "--nu": FUZZ_FLOATS,
+            "--lambda2": FUZZ_FLOATS, "--mu": FUZZ_FLOATS,
             "--seed": FUZZ_INTS}),
     ),
 ).map(lambda parts: [tok for part in parts for tok in part])
