@@ -52,16 +52,11 @@ def _resolve_seed(value):
     return check_int("seed", value, 0)
 
 
-def _parse_vector(text, dim):
+def _parse_vector(text):
     try:
-        vec = np.array([complex(tok.strip()) for tok in text.split(",")])
+        return np.array([complex(tok.strip()) for tok in text.split(",")])
     except ValueError as exc:
         raise ValidationError(f"bad vector {text!r}: {exc}") from exc
-    if vec.size != dim:
-        raise ValidationError(f"vector has {vec.size} entries, family needs {dim}")
-    if not np.isfinite(vec).all():
-        raise ValidationError(f"bad vector {text!r}: entries must be finite")
-    return vec
 
 
 def cmd_generate(args) -> int:
@@ -136,7 +131,7 @@ def cmd_invert(args) -> int:
     family = load_family(args.input)
     seed = _resolve_seed(args.seed)
     if args.vector is not None:
-        f = _parse_vector(args.vector, family.dim_h)
+        f = _parse_vector(args.vector)
     else:
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(family.dim_h) + 1j * rng.standard_normal(family.dim_h)

@@ -57,20 +57,49 @@ def check_int(name: str, value, low, high=math.inf) -> int:
     raise ValidationError(f"{name} must be {where} and an integer, got {value!r}")
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce to a 1-d complex128 array."""
-    v = np.asarray(x, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValidationError(f"expected a vector, got shape {v.shape}")
-    return v
+def _complex_array(name: str, value) -> np.ndarray:
+    """``value`` as a complex128 array, not copied if it is one, a None entry as
+    NaN; ``ValidationError`` naming ``name`` if numpy cannot convert it."""
+    try:
+        return np.asarray(value, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a numeric array: {exc}") from exc
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a square 2-d complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+def as_array(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a complex128 array of ``shape``, which has an int for each
+    fixed axis and None for each free one, with every entry finite."""
+    arr = _complex_array(name, value)
+    if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
+        want = str(tuple(shape)).replace("None", "*")
+        raise ValidationError(f"{name} must have shape {want}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite, got a NaN or inf entry")
+    return arr
+
+
+def as_vector(name: str, x, n: int | None = None) -> np.ndarray:
+    """A finite complex128 vector, of length ``n`` when it is given."""
+    return as_array(name, x, (n,))
+
+
+def as_matrix(name: str, a) -> np.ndarray:
+    """A finite, square complex128 matrix."""
+    m = as_array(name, a, (None, None))
+    if m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
     return m
+
+
+def as_tuple(name: str, value) -> tuple:
+    """The items of ``value``, which must be a nonempty iterable."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = ()
+    if not items:
+        raise ValidationError(f"{name} must be a nonempty sequence, got {value!r}")
+    return items
 
 
 def frob_inner(a, b) -> complex:
@@ -78,12 +107,9 @@ def frob_inner(a, b) -> complex:
 
     Linear in ``a``, conjugate-linear in ``b``.
     """
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValidationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am = as_matrix("a", a)
     # trace(B* A) = sum_ab conj(B_ab) A_ab
-    return complex(np.vdot(bm, am))
+    return complex(np.vdot(as_array("b", b, am.shape), am))
 
 
 def hs_norm(a) -> float:
@@ -93,24 +119,27 @@ def hs_norm(a) -> float:
 
 def rank_one(x, y) -> np.ndarray:
     """Rank-one operator z -> <z, y> x as a matrix with entries x_a conj(y_b)."""
-    xv = as_vector(x)
-    yv = as_vector(y)
-    if xv.shape != yv.shape:
-        raise ValidationError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
-    return np.outer(xv, yv.conj())
+    xv = as_vector("x", x)
+    return np.outer(xv, as_vector("y", y, xv.size).conj())
+
+
+def _unit_vector(y0, n: int, tol=DEFAULT_TOL) -> np.ndarray:
+    """``y0`` as a vector of length ``n`` whose norm is within ``tol`` of 1."""
+    y0v = as_vector("y0", y0, n)
+    norm = np.linalg.norm(y0v)
+    if abs(norm - 1.0) > check_real("tol", tol, 0.0, math.inf, closed=(True, False)):
+        raise ValidationError(f"y0 must be a unit vector, got norm {norm!r}")
+    return y0v
 
 
 def embed_vector(x, y0, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Isometric embedding x -> x (tensor) y0 of vectors into matrix space.
 
-    ``y0`` must be a unit vector; then the Frobenius norm of the result
-    equals the Euclidean norm of ``x``.
+    ``y0`` must be a unit vector of ``x``'s length; then the Frobenius norm
+    of the result equals the Euclidean norm of ``x``.
     """
-    y0v = as_vector(y0)
-    n0 = np.linalg.norm(y0v)
-    if abs(n0 - 1.0) > tol:
-        raise ValidationError(f"embedding direction must be a unit vector, norm={n0!r}")
-    return rank_one(x, y0v)
+    xv = as_vector("x", x)
+    return np.outer(xv, _unit_vector(y0, xv.size, tol).conj())
 
 
 def vectorize(a) -> np.ndarray:
@@ -119,13 +148,13 @@ def vectorize(a) -> np.ndarray:
     Preserves inner products: the Euclidean inner product of two vectorized
     matrices equals their trace inner product.
     """
-    return as_matrix(a).reshape(-1)
+    return as_matrix("a", a).reshape(-1)
 
 
 def devectorize(v) -> np.ndarray:
     """Inverse of :func:`vectorize`; the length must be a perfect square."""
-    vv = as_vector(v)
+    vv = as_vector("v", v)
     d = math.isqrt(vv.size)
     if d * d != vv.size:
-        raise ValidationError(f"length {vv.size} is not a perfect square")
+        raise ValidationError(f"v must have a perfect-square length, got {vv.size}")
     return vv.reshape(d, d)

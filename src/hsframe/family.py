@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_vector, check_int, check_real
+from .core import _complex_array, as_array, as_tuple, as_vector, check_int, check_real
 from .errors import (
     InternalConsistencyError,
     NotAFrameError,
@@ -92,7 +92,7 @@ class HSMap:
     """
 
     def __init__(self, images):
-        arr = np.array(images, dtype=np.complex128, order="C")
+        arr = _complex_array("images", images).copy()
         _check_images(arr, 3)
         arr.flags.writeable = False
         self.images = arr
@@ -113,18 +113,11 @@ class HSMap:
         return self.images.shape[1]
 
     def __call__(self, f) -> np.ndarray:
-        fv = as_vector(f)
-        if fv.size != self.dim_h:
-            raise ValidationError(f"vector length {fv.size} != dim_h {self.dim_h}")
-        return np.tensordot(fv, self.images, axes=1)
+        return np.tensordot(as_vector("f", f, self.dim_h), self.images, axes=1)
 
     def adjoint_apply(self, block) -> np.ndarray:
         """Apply the adjoint map to one d_k x d_k coefficient block."""
-        b = np.asarray(block, dtype=np.complex128)
-        if b.shape != (self.dim_k, self.dim_k):
-            raise ValidationError(
-                f"block shape {b.shape} != ({self.dim_k}, {self.dim_k})"
-            )
+        b = as_array("block", block, (self.dim_k, self.dim_k))
         return self.images.reshape(self.dim_h, -1).conj() @ b.reshape(-1)
 
     def operator_norm(self) -> float:
@@ -140,15 +133,13 @@ class HSFrameFamily:
 
     def __init__(self, maps):
         arrays = [
-            m.images if isinstance(m, HSMap) else np.asarray(m, dtype=np.complex128)
-            for m in maps
+            m.images if isinstance(m, HSMap) else _complex_array(f"maps[{j}]", m)
+            for j, m in enumerate(as_tuple("maps", maps))
         ]
-        if not arrays:
-            raise ValidationError("a family needs at least one map")
         for j, a in enumerate(arrays):
             if a.shape != arrays[0].shape:
                 raise ValidationError(
-                    f"map {j} has shape {a.shape}, expected {arrays[0].shape}"
+                    f"maps[{j}] has shape {a.shape}, expected {arrays[0].shape}"
                 )
         images = np.empty((len(arrays),) + arrays[0].shape, dtype=np.complex128)
         self._store(np.stack(arrays, out=images))
@@ -199,11 +190,10 @@ class HSFrameFamily:
     def from_synthesis_matrix(cls, dim_h, dim_k, tmat) -> "HSFrameFamily":
         """Rebuild a family from a dense synthesis matrix."""
         dim_h, dim_k = check_int("dim_h", dim_h, 1), check_int("dim_k", dim_k, 1)
-        t = np.asarray(tmat, dtype=np.complex128)
-        blk = dim_k * dim_k
-        if t.ndim != 2 or t.shape[0] != dim_h or t.shape[1] % blk != 0:
+        t = _complex_array("tmat", tmat)
+        if t.ndim != 2 or t.shape[0] != dim_h or t.shape[1] % (dim_k * dim_k) != 0:
             raise ValidationError(
-                f"synthesis matrix shape {t.shape} inconsistent with "
+                f"tmat has shape {t.shape}, not (dim_h, count * dim_k^2) for "
                 f"dim_h={dim_h}, dim_k={dim_k}"
             )
         t_4d = t.reshape(dim_h, -1, dim_k, dim_k)  # a view, whatever t's layout
@@ -228,21 +218,28 @@ class CoefficientSequence:
     """One d_k x d_k coefficient block per family index."""
 
     def __init__(self, blocks):
-        arr = np.array(blocks, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValidationError(
-                f"coefficient blocks must have shape (count, d_k, d_k), got {arr.shape}"
-            )
-        arr.flags.writeable = False
-        self.blocks = arr
+        arr = as_array("blocks", blocks, (None, None, None))
+        if arr.shape[1] != arr.shape[2]:
+            raise ValidationError(f"blocks must have shape (*, d_k, d_k), got {arr.shape}")
+        self.blocks = arr.copy()
+        self.blocks.flags.writeable = False
+
+    @classmethod
+    def _of_blocks(cls, blocks: np.ndarray) -> "CoefficientSequence":
+        """The sequence that owns ``blocks``, a fresh complex128 array of shape
+        (count, d_k, d_k), without a copy or a check."""
+        seq = cls.__new__(cls)
+        blocks.flags.writeable = False
+        seq.blocks = blocks
+        return seq
 
     @classmethod
     def from_stacked(cls, vec, dim_k) -> "CoefficientSequence":
-        v = as_vector(vec)
+        v = as_vector("vec", vec)
         blk = check_int("dim_k", dim_k, 1) ** 2
         if v.size % blk != 0:
-            raise ValidationError(f"stacked length {v.size} not a multiple of {blk}")
-        return cls(v.reshape(-1, dim_k, dim_k))
+            raise ValidationError(f"vec must have length divisible by {blk}, got {v.size}")
+        return cls._of_blocks(v.reshape(-1, dim_k, dim_k).copy())
 
     @property
     def dim_k(self) -> int:
@@ -287,13 +284,6 @@ class DualCheck:
     identity_gap: float
 
 
-def _check_vector(family: HSFrameFamily, f) -> np.ndarray:
-    fv = as_vector(f)
-    if fv.size != family.dim_h:
-        raise ValidationError(f"vector length {fv.size} != dim_h {family.dim_h}")
-    return fv
-
-
 def _check_coefficients(family: HSFrameFamily, coeffs: CoefficientSequence):
     if len(coeffs) != family.count or coeffs.dim_k != family.dim_k:
         raise ValidationError(
@@ -313,10 +303,8 @@ def _check_pair(family: HSFrameFamily, other: HSFrameFamily) -> None:
 
 def analyze(family: HSFrameFamily, f) -> CoefficientSequence:
     """Coefficient blocks {G_j f} of a vector."""
-    fv = _check_vector(family, f)
-    return CoefficientSequence.from_stacked(
-        family.synthesis_matrix.conj().T @ fv, family.dim_k
-    )
+    coeffs = family.synthesis_matrix.conj().T @ as_vector("f", f, family.dim_h)
+    return CoefficientSequence._of_blocks(coeffs.reshape(-1, family.dim_k, family.dim_k))
 
 
 def synthesize(family: HSFrameFamily, coeffs: CoefficientSequence) -> np.ndarray:
@@ -406,7 +394,7 @@ def reconstruct(
     family: HSFrameFamily, f, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
     """Resynthesize f as sum_j S^-1 G_j* G_j f; equals f for frames."""
-    fv = _check_vector(family, f)
+    fv = as_vector("f", f, family.dim_h)
     _require_frame(family, rank_tol)
     sf = synthesize(family, analyze(family, fv))
     u, s = family.svd.u, family.svd.s

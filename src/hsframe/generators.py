@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, check_int, check_real
+from .core import _unit_vector, as_array, as_tuple, check_int, check_real
 from .errors import ValidationError
 from .family import HSFrameFamily
 
@@ -91,16 +91,13 @@ class GFrameSpec:
     """A family of blocks L_j (shape d_kj x dim_h), one per index."""
 
     def __init__(self, blocks):
-        blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
-        if not blocks:
-            raise ValidationError("need at least one block")
-        dim_h = blocks[0].shape[1] if blocks[0].ndim == 2 else -1
-        for j, b in enumerate(blocks):
-            if b.ndim != 2 or b.shape[1] != dim_h or b.shape[0] < 1:
-                raise ValidationError(
-                    f"block {j} has shape {b.shape}, expected (d_kj, {dim_h})"
-                )
-        self.blocks = blocks
+        blocks = as_tuple("blocks", blocks)
+        dim_h = as_array("blocks[0]", blocks[0], (None, None)).shape[1]
+        self.blocks = tuple(
+            as_array(f"blocks[{j}]", b, (None, dim_h)) for j, b in enumerate(blocks)
+        )
+        if min(self.block_dims) < 1:
+            raise ValidationError(f"blocks must each have a row, got {self.block_dims}")
         self.dim_h = dim_h
 
     @property
@@ -115,22 +112,18 @@ class GFrameSpec:
 def from_scalar_frame(vectors) -> HSFrameFamily:
     """Classical frame of vectors, realized with 1x1 coefficient blocks.
 
-    Each map sends f to the single coefficient <f, v_j>, so the frame
-    operator is the usual sum of outer products sum_j v_j v_j*.
+    ``vectors`` holds one vector v_j per row.  Each map sends f to the
+    single coefficient <f, v_j>, so the frame operator is the usual sum of
+    outer products sum_j v_j v_j*.
     """
-    vecs = [as_vector(v) for v in vectors]
-    if not vecs:
-        raise ValidationError("need at least one vector")
-    dim_h = vecs[0].size
-    for j, v in enumerate(vecs):
-        if v.size != dim_h:
-            raise ValidationError(f"vector {j} has length {v.size}, expected {dim_h}")
-    return HSFrameFamily([v.conj().reshape(dim_h, 1, 1) for v in vecs])
+    vecs = as_array("vectors", vectors, (None, None))
+    return HSFrameFamily._of_images(np.conjugate(vecs, order="C")[..., None, None])
 
 
 def onb_family(dim_h: int) -> HSFrameFamily:
     """Scalar family built on the standard basis; its frame operator is I."""
-    return from_scalar_frame(np.eye(check_int("dim_h", dim_h, 1)))
+    n = check_int("dim_h", dim_h, 1)
+    return HSFrameFamily.from_synthesis_matrix(n, 1, np.eye(n))
 
 
 def from_g_frame(spec: GFrameSpec, y0=None, dim_k: int | None = None) -> HSFrameFamily:
@@ -147,11 +140,7 @@ def from_g_frame(spec: GFrameSpec, y0=None, dim_k: int | None = None) -> HSFrame
         y0v = np.zeros(dim_k, dtype=np.complex128)
         y0v[0] = 1.0
     else:
-        y0v = as_vector(y0)
-        if y0v.size != dim_k:
-            raise ValidationError(f"y0 has length {y0v.size}, expected {dim_k}")
-        if abs(np.linalg.norm(y0v) - 1.0) > 1e-9:
-            raise ValidationError("y0 must be a unit vector")
+        y0v = _unit_vector(y0, dim_k)
     maps = []
     offset = 0
     for block in spec.blocks:

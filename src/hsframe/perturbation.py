@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_matrix, check_int, check_real
+from .core import as_matrix, as_tuple, check_int, check_real
 from .errors import ValidationError
 from .family import (
     DEFAULT_RANK_TOL,
@@ -399,7 +399,7 @@ def cc_lemma_check(u, lambda1: float, lambda2: float) -> CCLemmaReport:
     """
     lambda1 = check_real("lambda1", lambda1, 0.0, 1.0, closed=(True, False))
     lambda2 = check_real("lambda2", lambda2, 0.0, 1.0, closed=(True, False))
-    um = as_matrix(u)
+    um = as_matrix("u", u)
     svd_u = ThinSVD(*np.linalg.svd(um, full_matrices=False))
     sigma_min, sigma_max = float(svd_u.s[-1]), float(svd_u.s[0])
     decision = _decide(
@@ -505,7 +505,7 @@ def perturb_family(
             size = int(rng.integers(1, family.count + 1))
             indices = rng.choice(family.count, size=size, replace=False)
         mask = np.zeros(t.shape[1], dtype=bool)
-        for j in indices:
+        for j in as_tuple("indices", indices):
             j = check_int("indices", j, 0, family.count - 1)
             mask[j * blk : (j + 1) * blk] = True
         delta[:, ~mask] = 0.0

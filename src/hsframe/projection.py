@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import as_vector, check_int, check_real
+from .core import as_tuple, as_vector, check_int, check_real
 from .errors import (
     InternalConsistencyError,
     NumericError,
@@ -59,7 +59,6 @@ from .family import (
     CoefficientSequence,
     HSFrameFamily,
     _check_coefficients,
-    _check_vector,
     _require_frame,
     check_rank_tol,
     frame_bounds,
@@ -92,12 +91,11 @@ class SectionSchedule:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.lengths:
-            raise ValidationError("schedule must contain at least one length")
+        lengths = as_tuple("lengths", self.lengths)
         prev = 0  # strictly increasing from 1
-        for n in self.lengths:
+        for n in lengths:
             prev = check_int("lengths", n, prev + 1)
-        object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
+        object.__setattr__(self, "lengths", tuple(int(n) for n in lengths))
 
     @classmethod
     def full(cls, count: int) -> "SectionSchedule":
@@ -250,9 +248,7 @@ def sectional_operator(basis: SubspaceBasis) -> np.ndarray:
 
 def project(basis: SubspaceBasis, f) -> np.ndarray:
     """Orthogonal projection Q_n Q_n^H f onto the section space."""
-    fv = as_vector(f)
-    if fv.size != basis.q.shape[0]:
-        raise ValidationError(f"vector length {fv.size} != dim_h {basis.q.shape[0]}")
+    fv = as_vector("f", f, basis.q.shape[0])
     return basis.q @ (basis.q.conj().T @ fv)
 
 
@@ -345,7 +341,7 @@ class _Section:
 def projection_formula(family: HSFrameFamily, basis: SubspaceBasis, f) -> np.ndarray:
     """P_n f computed the long way: S_n^-1 of sum over j <= n of G_j* G_j f,
     with n = basis.n."""
-    fv = _check_vector(family, f)
+    fv = as_vector("f", f, family.dim_h)
     prefix = family.synthesis_matrix[:, : basis.n * family.dim_k**2]
     return _Section(family, basis).inv_apply(prefix @ (prefix.conj().T @ fv))
 
@@ -354,7 +350,7 @@ def plain_inverse_apply(
     family: HSFrameFamily, n: int, f, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
     """S_n^-1 P_n f with the sectional inverse taken on H_n only."""
-    fv = _check_vector(family, f)
+    fv = as_vector("f", f, family.dim_h)
     return _Section(family, subspace_basis(family, n, rank_tol)).inv_apply(fv)
 
 
@@ -390,7 +386,7 @@ def oversampled_inverse_apply(
     failure raises, since it would indicate a bug rather than bad data.
     The empty section gives 0.
     """
-    fv = _check_vector(family, f)
+    fv = as_vector("f", f, family.dim_h)
     _check_lambda(lam)
     _require_frame(family, rank_tol)
     bounds = frame_bounds(family)
@@ -425,7 +421,7 @@ def convergence_sweep(
     raises ``NumericError``.  Errors are taken without squaring entries, so
     they do not underflow to 0 near 1e-300.
     """
-    fv = _check_vector(family, f)
+    fv = as_vector("f", f, family.dim_h)
     _check_lambda(lam)
     schedule.validate_for(family)
     _require_frame(family, rank_tol)
@@ -499,10 +495,11 @@ def uniform_bound_scan(
     ``index`` is 0-based; the profile starts at n = index + 1.  The maximum
     over the profile is the uniform constant for this index and vector.
     """
-    fv = _check_vector(family, f)
+    fv = as_vector("f", f, family.dim_h)
     check_int("index", index, 0, family.count - 1)
     _require_frame(family, rank_tol)
-    w = family.maps[index].adjoint_apply(family.maps[index](fv))
+    g_j = family.maps[index]  # G_j* G_j f; not adjoint_apply, which checks G_j f
+    w = g_j.images.reshape(family.dim_h, -1).conj() @ g_j(fv).reshape(-1)
     ns, values = tuple(range(index + 1, family.count + 1)), []
     for basis in _prefix_bases(family, ns, rank_tol):
         try:
@@ -551,7 +548,8 @@ def kernel_consistency(
     r_full, r_kernel, gaps = [], [], []
     for basis in _prefix_bases(family, schedule, rank_tol):
         section, cut = _Section(family, basis), basis.n * blk
-        gaps.append(_norm(project(basis, g) - g))  # needs Q_n only
+        q = basis.q  # P_n g needs Q_n only; g is computed, so not project()
+        gaps.append(_norm(q @ (q.conj().T @ g) - g))
         try:
             x_n = section.inv_apply(t[:, :cut] @ c_vec[:cut])
             y_n = section.inv_apply(t[:, :cut] @ kernel_vec[:cut])

@@ -23,6 +23,7 @@ from hsframe import (
     riesz_family,
     riesz_stability_check,
 )
+from hsframe.perturbation import check_admissible
 from conftest import complex_unit, seeded_family
 from oracle_scalar import ScalarFrameOracle
 
@@ -589,6 +590,29 @@ class TestPerturbFamily:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValidationError):
             perturb_family(seeded_family(15), "scale", -0.1)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValidationError, match="unknown perturbation mode"):
+            perturb_family(onb_family(2), "rotate", 0.1)
+
+
+def test_unknown_condition_mode_rejected():
+    g = onb_family(2)
+    with pytest.raises(ValidationError, match="unknown mode"):
+        check_condition("spectral", g, g, PerturbationConstants())
+
+
+def test_frame_operator_admissibility_needs_the_bessel_bound():
+    with pytest.raises(ValidationError, match="Bessel bound"):
+        check_admissible(PerturbationConstants(), 1.0, mode="frame-operator")
+
+
+def test_frame_operator_admissibility_bounds_the_sum():
+    # lambda1 + mu/sqrt(A) + nu*sqrt(D)/A = 0.5 + 0.25 + 0.25 with A = 1, D = 1
+    constants = PerturbationConstants(lambda1=0.5, mu=0.25, nu=0.25)
+    with pytest.raises(ValidationError, match=r"\+ nu\*sqrt\(D\)/A = 1.0 >= 1"):
+        check_admissible(constants, 1.0, bessel_of_candidate=1.0, mode="frame-operator")
+    check_admissible(constants, 1.0, bessel_of_candidate=0.81, mode="frame-operator")
 
 
 @pytest.mark.parametrize("name", ["lambda1", "lambda2", "mu", "nu"])

@@ -172,6 +172,28 @@ class TestFamilyFile:
         with pytest.raises(ParseError, match="line"):
             load_family(str(path))
 
+    @pytest.mark.parametrize("edit, error, code", [
+        (lambda doc: [doc], ParseError, 4),
+        (lambda doc: 5, ParseError, 4),  # `key in 5` would raise TypeError
+        (lambda doc: {**doc, "format_version": 2}, ParseError, 4),
+        (lambda doc: {**doc, "scalar": "float32"}, ParseError, 4),
+        (lambda doc: {**doc, "count": 5}, ValidationError, 2),  # 2 operators
+        (lambda doc: {**doc, "count": 5, "operators": ["x"] * 5}, ValidationError, 2),
+    ], ids=["list", "number", "format_version", "scalar", "operator_count", "operator_entry"])
+    def test_bad_document_rejected(self, tmp_path, edit, error, code):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(edit(family_to_document(onb_family(2)))))
+        with pytest.raises(error):
+            load_family(str(path))
+        assert main(["analyze", "--input", str(path)]) == code
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_family(onb_family(2), str(target))
+        assert list(tmp_path.glob(".hsframe-*.tmp")) == []
+
 
 class TestGenerateCommand:
     def test_onb_writes_identity_operator(self, tmp_path, capsys):
