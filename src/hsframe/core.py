@@ -57,6 +57,14 @@ def check_int(name: str, value, low, high=math.inf) -> int:
     raise ValidationError(f"{name} must be {where} and an integer, got {value!r}")
 
 
+def check_instance(name: str, value, cls: type) -> None:
+    """``ValidationError`` unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ValidationError(
+            f"{name} must be {cls.__name__}, got {type(value).__name__}"
+        )
+
+
 def _complex_array(name: str, value) -> np.ndarray:
     """``value`` as a complex128 array, not copied if it is one, a None entry as
     NaN; ``ValidationError`` naming ``name`` if numpy cannot convert it."""
@@ -73,6 +81,11 @@ def as_array(name: str, value, shape: tuple) -> np.ndarray:
     if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
         want = str(tuple(shape)).replace("None", "*")
         raise ValidationError(f"{name} must have shape {want}, got {arr.shape}")
+    return _finite(name, arr)
+
+
+def _finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr``, after checking that every entry is finite."""
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} must be finite, got a NaN or inf entry")
     return arr
@@ -114,7 +127,7 @@ def frob_inner(a, b) -> complex:
 
 def hs_norm(a) -> float:
     """Frobenius norm, i.e. sqrt of the sum of squared entry moduli."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128)))
+    return float(np.linalg.norm(_finite("a", _complex_array("a", a))))
 
 
 def rank_one(x, y) -> np.ndarray:

@@ -25,7 +25,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _complex_array, as_array, as_tuple, as_vector, check_int, check_real
+from .core import (
+    _complex_array,
+    as_array,
+    as_tuple,
+    as_vector,
+    check_instance,
+    check_int,
+    check_real,
+)
 from .errors import (
     InternalConsistencyError,
     NotAFrameError,
@@ -285,6 +293,8 @@ class DualCheck:
 
 
 def _check_coefficients(family: HSFrameFamily, coeffs: CoefficientSequence):
+    check_instance("family", family, HSFrameFamily)
+    check_instance("coeffs", coeffs, CoefficientSequence)
     if len(coeffs) != family.count or coeffs.dim_k != family.dim_k:
         raise ValidationError(
             f"coefficient sequence ({len(coeffs)} blocks of dim {coeffs.dim_k}) "
@@ -292,7 +302,10 @@ def _check_coefficients(family: HSFrameFamily, coeffs: CoefficientSequence):
         )
 
 
-def _check_pair(family: HSFrameFamily, other: HSFrameFamily) -> None:
+def _check_pair(family: HSFrameFamily, other: HSFrameFamily, name: str) -> None:
+    """``family`` and ``other``, named ``name``, are families of one shape."""
+    check_instance("family", family, HSFrameFamily)
+    check_instance(name, other, HSFrameFamily)
     if (
         family.dim_h != other.dim_h
         or family.dim_k != other.dim_k
@@ -413,7 +426,7 @@ def verify_alternate_dual(
     diagnostic.
     """
     check_real("tol", tol, 0.0, math.inf, closed=(True, False))
-    _check_pair(family, candidate)
+    _check_pair(family, candidate, "candidate")
     p = family.synthesis_matrix @ candidate.synthesis_matrix.conj().T
     max_residual = float(np.linalg.norm(p - np.eye(family.dim_h), ord=2))
     return DualCheck(

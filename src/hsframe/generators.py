@@ -47,7 +47,11 @@ class SpectrumSpec:
 
     @classmethod
     def explicit(cls, values) -> "SpectrumSpec":
-        return cls(kind="explicit", values=tuple(float(v) for v in values))
+        values = as_tuple("values", values)
+        return cls(
+            kind="explicit",
+            values=tuple(check_real("values", v, 0.0, math.inf) for v in values),
+        )
 
     @classmethod
     def parse(cls, text: str) -> "SpectrumSpec":

@@ -174,7 +174,7 @@ def predicted_bounds_simple(lower: float, upper: float, m: float) -> tuple[float
 
 def analysis_deviation(family: HSFrameFamily, other: HSFrameFamily) -> float:
     """Smallest M with sum_j |(G_j - H_j) f|^2 <= M |f|^2 for all f."""
-    _check_pair(family, other)
+    _check_pair(family, other, "other")
     delta = family.synthesis_matrix - other.synthesis_matrix
     return float(np.linalg.norm(delta, ord=2)) ** 2
 
@@ -447,7 +447,7 @@ def check_condition(
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
-    _check_pair(family, candidate)
+    _check_pair(family, candidate, "candidate")
     a_g, b_g = frame_bounds(family)
     actual = frame_bounds(candidate)
     check_admissible(constants, a_g, bessel_of_candidate=actual[1], mode=mode)

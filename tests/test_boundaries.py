@@ -8,8 +8,9 @@ ValidationError whose message starts with the argument's name.  An array
 argument holds numbers only, has its documented shape and finite entries;
 a NaN, an inf or a string entry, or a wrong shape, raises ValidationError
 whose message starts with the argument's name.  A sequence argument is a
-nonempty iterable.  A new entry point adds its rows to ``PAIRS``, ``ARRAYS``
-or ``SEQUENCES``.
+nonempty iterable, and a family or coefficient-sequence argument an
+instance of its class.  A new entry point adds its rows to ``PAIRS``,
+``ARRAYS``, ``SEQUENCES`` or ``INSTANCES``.
 """
 
 import math
@@ -29,6 +30,7 @@ from hsframe import (
     ValidationError,
     analyze,
     cc_lemma_check,
+    check_condition,
     classify,
     convergence_sweep,
     decaying_family,
@@ -38,6 +40,7 @@ from hsframe import (
     frob_inner,
     from_g_frame,
     from_scalar_frame,
+    hs_norm,
     kernel_consistency,
     onb_family,
     oversampled_inverse_apply,
@@ -52,6 +55,7 @@ from hsframe import (
     reconstruct,
     riesz_family,
     subspace_basis,
+    synthesize,
     uniform_bound_scan,
     vectorize,
     verify_alternate_dual,
@@ -83,6 +87,8 @@ PAIRS = {
         "level", None, lambda v: SpectrumSpec.flat(v).resolve(3)),
     "SpectrumSpec.geometric-ratio": (
         "ratio", None, lambda v: SpectrumSpec.geometric(v).resolve(3)),
+    "SpectrumSpec.explicit-values": (
+        "values", None, lambda v: SpectrumSpec.explicit([1.0, v])),
     "from_synthesis_matrix-dim_h": (
         "dim_h", 0, lambda v: HSFrameFamily.from_synthesis_matrix(v, 1, np.eye(4))),
     "from_stacked-dim_k": (
@@ -157,6 +163,8 @@ ARRAYS = {
     "rank_one-x": ("x", [1.0, 2.0], [[1.0, 2.0]], lambda v: rank_one(v, [1, 2])),
     "devectorize-v": ("v", np.ones(4), np.ones(3), devectorize),
     "vectorize-a": ("a", np.eye(2), np.ones((2, 3)), vectorize),
+    # any shape is valid, so the wrong shape is ragged nesting
+    "hs_norm-a": ("a", np.eye(2), [[1.0, 2.0], [3.0]], hs_norm),
     "frob_inner-a": ("a", np.eye(2), np.ones((2, 3)), lambda v: frob_inner(v, np.eye(2))),
     "cc_lemma_check-u": (
         "u", np.eye(2), np.ones((2, 3)), lambda v: cc_lemma_check(v, 0.1, 0.1)),
@@ -222,6 +230,7 @@ def test_valid_array_argument_accepted(pair):
 # entry point and sequence argument -> the call with the value in place
 SEQUENCES = {
     "lengths": SectionSchedule,
+    "values": SpectrumSpec.explicit,
     "indices": lambda v: perturb_family(F, "blockwise", 0.1, indices=v),
 }
 
@@ -231,3 +240,38 @@ SEQUENCES = {
 def test_bad_sequence_argument_rejected(name, value):
     with pytest.raises(ValidationError, match=rf"^{name} must be a nonempty sequence"):
         SEQUENCES[name](value)
+
+
+# entry point and family or coefficient-sequence argument -> (name in the
+# message, the call with the value in place)
+INSTANCES = {
+    "synthesize-family": ("family", lambda v: synthesize(v, COEFFS)),
+    "synthesize-coeffs": ("coeffs", lambda v: synthesize(F, v)),
+    "kernel_consistency-family": (
+        "family", lambda v: kernel_consistency(v, COEFFS, SCHEDULE)),
+    "kernel_consistency-coeffs": (
+        "coeffs", lambda v: kernel_consistency(F, v, SCHEDULE)),
+    "check_condition-family": (
+        "family",
+        lambda v: check_condition("analysis", v, F, PerturbationConstants())),
+    "check_condition-candidate": (
+        "candidate",
+        lambda v: check_condition("analysis", F, v, PerturbationConstants())),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [3, None, np.ones((6, 1, 1))], ids=["int", "None", "array"])
+@pytest.mark.parametrize("pair", INSTANCES)
+def test_wrong_type_argument_rejected(pair, value):
+    name, call = INSTANCES[pair]
+    with pytest.raises(ValidationError, match=rf"^{name} must be "):
+        call(value)
+
+
+@pytest.mark.parametrize("pair", INSTANCES)
+def test_other_class_argument_rejected(pair):
+    """A coefficient sequence where a family belongs, and the reverse."""
+    name, call = INSTANCES[pair]
+    with pytest.raises(ValidationError, match=rf"^{name} must be "):
+        call(F if name == "coeffs" else COEFFS)

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -39,14 +40,15 @@ class TestSpectrumSpec:
         with pytest.raises(ValidationError):
             SpectrumSpec.explicit([1.0, -1.0]).resolve(2)
 
+    # made in the test: explicit values are checked when the spec is made
     @pytest.mark.parametrize("spectrum, n", [
-        (SpectrumSpec.flat(float("inf")), 3),
-        (SpectrumSpec.explicit([1, 2, 3, float("inf")]), 4),
-        (SpectrumSpec.geometric(1e300), 4),  # ratio ** 2 overflows
+        (functools.partial(SpectrumSpec.flat, float("inf")), 3),
+        (functools.partial(SpectrumSpec.explicit, [1, 2, 3, float("inf")]), 4),
+        (functools.partial(SpectrumSpec.geometric, 1e300), 4),  # ratio ** 2 overflows
     ])
     def test_non_finite_values_rejected(self, spectrum, n):
         with pytest.raises(ValidationError, match="finite"):
-            spectrum.resolve(n)
+            spectrum().resolve(n)
 
 
 class TestScalarFrame:

@@ -55,6 +55,23 @@ def strip_timestamp_json(text):
     return json.dumps(doc)
 
 
+def _entry(doc, j, index):
+    """``doc["operators"][j]`` followed down ``index``."""
+    item = doc["operators"][j]
+    for i in index:
+        item = item[i]
+    return item
+
+
+def _with_entry(doc, j, index, value):
+    """``doc`` with ``value`` at ``doc["operators"][j]`` followed down ``index``."""
+    if not index:
+        doc["operators"][j] = value
+    else:
+        _entry(doc, j, index[:-1])[index[-1]] = value
+    return doc
+
+
 class TestFamilyFile:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_restored(self, tmp_path, enabled):
@@ -179,13 +196,70 @@ class TestFamilyFile:
         (lambda doc: {**doc, "scalar": "float32"}, ParseError, 4),
         (lambda doc: {**doc, "count": 5}, ValidationError, 2),  # 2 operators
         (lambda doc: {**doc, "count": 5, "operators": ["x"] * 5}, ValidationError, 2),
-    ], ids=["list", "number", "format_version", "scalar", "operator_count", "operator_entry"])
+        # an integer entry too large for a float, like 1e400 (read as inf)
+        (lambda doc: _with_entry(doc, 1, (0, 0, 0, 0), 10**400), ValidationError, 2),
+        # checked against the operators before anything of that size is allocated
+        (lambda doc: {**doc, "dim_k": 10**6}, ValidationError, 2),
+    ], ids=["list", "number", "format_version", "scalar", "operator_count",
+            "operator_entry", "overflowing_int", "huge_header_dim"])
     def test_bad_document_rejected(self, tmp_path, edit, error, code):
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(edit(family_to_document(onb_family(2)))))
         with pytest.raises(error):
             load_family(str(path))
         assert main(["analyze", "--input", str(path)]) == code
+
+    def test_load_starts_no_collection(self, tmp_path):
+        """The parsed document is freed before the collector is enabled again,
+        so its thousands of lists leave no allocation count to start a pass."""
+        path = tmp_path / "fam.json"
+        save_family(random_family(32, 2, 32, SpectrumSpec.flat(), seed=3), str(path))
+        starts = []
+
+        def callback(phase, info):
+            if phase == "start":
+                starts.append(info)
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(callback)
+        try:
+            gc.collect()
+            starts.clear()
+            load_family(str(path))
+        finally:
+            gc.callbacks.remove(callback)
+            (gc.enable if was_enabled else gc.disable)()
+        assert starts == []
+
+    @pytest.mark.parametrize("depth, kind", [
+        *((depth, kind) for depth in range(4)
+          for kind in ("short", "string", "dict", "number")),
+        (4, "list"),
+    ])
+    def test_malformed_nesting_names_operator(self, tmp_path, depth, kind):
+        """At each depth of operators[1], a short list or a non-list where a
+        list belongs (depths 0-3), or a list where a number belongs (depth 4)."""
+        doc = family_to_document(random_family(2, 2, 3, SpectrumSpec.flat(), seed=1))
+        index = (0,) * depth
+        item = _entry(doc, 1, index)
+        if kind in ("short", "list"):
+            bad = item[:-1] if kind == "short" else [item]
+        else:
+            bad = {"string": "1.0", "dict": {}, "number": 1.0}[kind]
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(_with_entry(doc, 1, index, bad)))
+        with pytest.raises(ValidationError, match=r"operators\[1\] "):
+            load_family(str(path))
+        assert main(["analyze", "--input", str(path)]) == 2
+
+    def test_numeric_string_entries_are_numbers(self, tmp_path):
+        fam = random_family(2, 1, 3, SpectrumSpec.flat(), seed=4)
+        doc = family_to_document(fam)
+        value = _entry(doc, 2, (1, 0, 0, 1))
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(_with_entry(doc, 2, (1, 0, 0, 1), repr(value))))
+        assert np.array_equal(load_family(str(path)).images, fam.images)
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taken"
