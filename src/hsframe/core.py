@@ -125,9 +125,25 @@ def frob_inner(a, b) -> complex:
     return complex(np.vdot(as_array("b", b, am.shape), am))
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of all of ``x``'s entries, whose squares need not be
+    representable.
+
+    The entries are scaled by the power of two nearest their largest
+    magnitude, which is exact, so in range the result is bit for bit
+    ``np.linalg.norm``'s, and norms near 1e-300 or 1e300 neither underflow
+    to 0 nor overflow to inf.
+    """
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < peak < math.inf:
+        return peak  # 0, inf or nan
+    e = min(max(math.frexp(peak)[1], -1000), 1000)  # 2**-e stays finite
+    return float(np.ldexp(np.linalg.norm(x * math.ldexp(1.0, -e)), e))
+
+
 def hs_norm(a) -> float:
     """Frobenius norm, i.e. sqrt of the sum of squared entry moduli."""
-    return float(np.linalg.norm(_finite("a", _complex_array("a", a))))
+    return _norm(_finite("a", _complex_array("a", a)))
 
 
 def rank_one(x, y) -> np.ndarray:
@@ -139,7 +155,7 @@ def rank_one(x, y) -> np.ndarray:
 def _unit_vector(y0, n: int, tol=DEFAULT_TOL) -> np.ndarray:
     """``y0`` as a vector of length ``n`` whose norm is within ``tol`` of 1."""
     y0v = as_vector("y0", y0, n)
-    norm = np.linalg.norm(y0v)
+    norm = _norm(y0v)
     if abs(norm - 1.0) > check_real("tol", tol, 0.0, math.inf, closed=(True, False)):
         raise ValidationError(f"y0 must be a unit vector, got norm {norm!r}")
     return y0v

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _unit_vector, as_array, as_tuple, check_int, check_real
+from .core import (
+    _unit_vector,
+    as_array,
+    as_tuple,
+    check_instance,
+    check_int,
+    check_real,
+)
 from .errors import ValidationError
 from .family import HSFrameFamily
 
@@ -138,6 +145,7 @@ def from_g_frame(spec: GFrameSpec, y0=None, dim_k: int | None = None) -> HSFrame
     unit vector ``y0``.  Since that embedding is isometric, the embedded
     family has exactly the bounds of the block family.
     """
+    check_instance("spec", spec, GFrameSpec)
     total = spec.total_dim  # the blocks need dim_k >= total
     dim_k = total if dim_k is None else check_int("dim_k", dim_k, total)
     if y0 is None:

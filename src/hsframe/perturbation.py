@@ -34,12 +34,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_matrix, as_tuple, check_int, check_real
+from .core import as_matrix, as_tuple, check_instance, check_int, check_real
 from .errors import ValidationError
 from .family import (
     DEFAULT_RANK_TOL,
     HSFrameFamily,
     ThinSVD,
+    _check_family,
     _check_pair,
     classify,
     frame_bounds,
@@ -120,6 +121,7 @@ def check_admissible(
     mode: str = "analysis",
 ) -> None:
     """Raise naming the violated inequality if the constants are too large."""
+    check_instance("constants", constants, PerturbationConstants)
     check_real("lower", lower, 0.0, math.inf)
     l1, l2, mu, nu = constants.lambda1, constants.lambda2, constants.mu, constants.nu
     if mode == "frame-operator":
@@ -485,6 +487,7 @@ def perturb_family(
     * blockwise: like additive-analysis but supported on a subset of
       indices (random nonempty subset unless given).
     """
+    _check_family(family)
     magnitude = check_real("magnitude", magnitude, 0.0, math.inf, closed=(True, False))
     t = family.synthesis_matrix
     rng = np.random.default_rng(check_int("seed", seed, 0))
@@ -531,6 +534,8 @@ def riesz_stability_check(
     not verified: the base family must classify as Riesz and the synthesis
     condition must be certified.
     """
+    _check_pair(family, candidate, "candidate")
+    check_instance("constants", constants, PerturbationConstants)
     base = classify(family, rank_tol)
     if not base.riesz:
         return RieszStabilityVerdict(

@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import as_tuple, as_vector, check_int, check_real
+from .core import _norm, as_tuple, as_vector, check_instance, check_int, check_real
 from .errors import (
     InternalConsistencyError,
     NumericError,
@@ -59,6 +59,7 @@ from .family import (
     CoefficientSequence,
     HSFrameFamily,
     _check_coefficients,
+    _check_family,
     _require_frame,
     check_rank_tol,
     frame_bounds,
@@ -171,6 +172,7 @@ def subspace_basis(
     family: HSFrameFamily, n: int, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SubspaceBasis:
     """Orthonormal basis of span{adjoint ranges of the first n maps}."""
+    _check_family(family)
     check_int("n", n, 1, family.count)
     check_rank_tol(rank_tol)
     return next(_prefix_bases(family, (n,), rank_tol))
@@ -216,18 +218,10 @@ def _check_floor(basis: SubspaceBasis) -> None:
         )
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a vector whose squares need not be representable.
-
-    The entries are scaled by the power of two nearest their largest
-    magnitude, which is exact, so in range the result is bit for bit
-    ``np.linalg.norm``'s, and errors near 1e-300 do not underflow to 0.
-    """
-    peak = float(np.max(np.abs(x), initial=0.0))
-    if not 0.0 < peak < math.inf:
-        return peak  # 0, inf or nan
-    e = min(max(math.frexp(peak)[1], -1000), 1000)  # 2**-e stays finite
-    return float(np.ldexp(np.linalg.norm(x * math.ldexp(1.0, -e)), e))
+def _check_schedule(schedule: SectionSchedule, family: HSFrameFamily) -> None:
+    """``schedule`` is a ``SectionSchedule`` that stays within the family."""
+    check_instance("schedule", schedule, SectionSchedule)
+    schedule.validate_for(family)
 
 
 def _check_lambda(lam) -> None:
@@ -242,12 +236,14 @@ def sectional_operator(basis: SubspaceBasis) -> np.ndarray:
     tolerance used for the basis was too loose, and raises
     ``SectionSingularError``.
     """
+    check_instance("basis", basis, SubspaceBasis)
     _check_floor(basis)
     return np.diag(basis.sigma**2)
 
 
 def project(basis: SubspaceBasis, f) -> np.ndarray:
     """Orthogonal projection Q_n Q_n^H f onto the section space."""
+    check_instance("basis", basis, SubspaceBasis)
     fv = as_vector("f", f, basis.q.shape[0])
     return basis.q @ (basis.q.conj().T @ fv)
 
@@ -341,6 +337,8 @@ class _Section:
 def projection_formula(family: HSFrameFamily, basis: SubspaceBasis, f) -> np.ndarray:
     """P_n f computed the long way: S_n^-1 of sum over j <= n of G_j* G_j f,
     with n = basis.n."""
+    _check_family(family)
+    check_instance("basis", basis, SubspaceBasis)
     fv = as_vector("f", f, family.dim_h)
     prefix = family.synthesis_matrix[:, : basis.n * family.dim_k**2]
     return _Section(family, basis).inv_apply(prefix @ (prefix.conj().T @ fv))
@@ -350,6 +348,7 @@ def plain_inverse_apply(
     family: HSFrameFamily, n: int, f, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
     """S_n^-1 P_n f with the sectional inverse taken on H_n only."""
+    _check_family(family)
     fv = as_vector("f", f, family.dim_h)
     return _Section(family, subspace_basis(family, n, rank_tol)).inv_apply(fv)
 
@@ -366,6 +365,7 @@ def find_oversampling(
     restriction of the full frame operator, whose smallest eigenvalue is at
     least the optimal lower bound A.  The empty section needs none (m = 0).
     """
+    _check_family(family)
     _check_lambda(lam)
     _require_frame(family, rank_tol)
     section = _Section(family, subspace_basis(family, n, rank_tol))
@@ -386,6 +386,7 @@ def oversampled_inverse_apply(
     failure raises, since it would indicate a bug rather than bad data.
     The empty section gives 0.
     """
+    _check_family(family)
     fv = as_vector("f", f, family.dim_h)
     _check_lambda(lam)
     _require_frame(family, rank_tol)
@@ -421,9 +422,10 @@ def convergence_sweep(
     raises ``NumericError``.  Errors are taken without squaring entries, so
     they do not underflow to 0 near 1e-300.
     """
+    _check_family(family)
     fv = as_vector("f", f, family.dim_h)
     _check_lambda(lam)
-    schedule.validate_for(family)
+    _check_schedule(schedule, family)
     _require_frame(family, rank_tol)
     bounds = frame_bounds(family)
     u, sigma = family.svd.u, family.svd.s
@@ -495,6 +497,7 @@ def uniform_bound_scan(
     ``index`` is 0-based; the profile starts at n = index + 1.  The maximum
     over the profile is the uniform constant for this index and vector.
     """
+    _check_family(family)
     fv = as_vector("f", f, family.dim_h)
     check_int("index", index, 0, family.count - 1)
     _require_frame(family, rank_tol)
@@ -532,7 +535,7 @@ def kernel_consistency(
     by at most |P_n g - g|, so they vanish or persist together.
     """
     _check_coefficients(family, coeffs)
-    schedule.validate_for(family)
+    _check_schedule(schedule, family)
     check_rank_tol(rank_tol)
     check_real("tol", tol, 0.0, math.inf, closed=(True, False))
     t = family.synthesis_matrix

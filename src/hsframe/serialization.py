@@ -15,6 +15,17 @@ checks the parsed ``operators`` level by level and converts them with one
 same reason; JSON reports are strict, with a non-finite value written as
 ``null``, and carry ``format_version`` (``REPORT_FORMAT_VERSION``).  All
 writes go through a temporary file plus rename.
+
+One process parses and factors a given file's bytes once.  ``save_family``
+and ``load_family`` remember the last family file they wrote or parsed,
+keyed by the SHA-256 of its bytes; a read whose bytes have that digest
+returns the same family object, with the synthesis matrix and SVD it has
+cached, so ``generate`` and the commands run after it on its file in one
+process (``hsframe.cli.main``) factor the family once.  The key is the
+content, not the path or the file's mtime, so a rewrite that changes any
+byte is parsed again.  Only the digest is kept, not the bytes.  Separate
+processes share nothing: one command per process gains nothing and pays
+the hashing, about 1 ms per MB.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -32,7 +44,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import check_int
+from .core import check_instance, check_int
 from .errors import ParseError, ValidationError
 from .family import HSFrameFamily
 from .projection import ConvergenceRecord
@@ -73,12 +85,12 @@ def format_sig(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
     """Write the concatenated chunks through a temporary file plus rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hsframe-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -103,6 +115,7 @@ def _float_pairs(images: np.ndarray) -> np.ndarray:
 
 
 def family_to_document(family: HSFrameFamily) -> dict:
+    check_instance("family", family, HSFrameFamily)
     return {**_metadata(family), "operators": _float_pairs(family.images).tolist()}
 
 
@@ -219,13 +232,46 @@ def _family_text(family: HSFrameFamily) -> Iterator[str]:
     yield "\n ]\n}\n"
 
 
+#: The last family file this process wrote or parsed, as (SHA-256 digest of
+#: its bytes, family), or None.
+_memo: tuple[bytes, HSFrameFamily] | None = None
+
+
+def _hashed(chunks: Iterable[str], digest) -> Iterator[bytes]:
+    """Each chunk encoded once, fed to ``digest`` and passed on."""
+    for text in chunks:
+        data = text.encode()
+        digest.update(data)
+        yield data
+
+
 def save_family(family: HSFrameFamily, path: str) -> None:
-    _atomic_write(path, _family_text(family))
+    """Write ``family`` to ``path``; reading these bytes back in this process
+    returns ``family`` itself."""
+    global _memo
+    check_instance("family", family, HSFrameFamily)
+    _memo = None  # the previous family is not held while this one is encoded
+    digest = hashlib.sha256()
+    _atomic_write(path, _hashed(_family_text(family), digest))
+    _memo = digest.digest(), family
 
 
 def load_family(path: str) -> HSFrameFamily:
-    with open(path, "r") as fh:
-        text = fh.read()
+    """The family in ``path``: the remembered one if the file's bytes are
+    those last written or parsed in this process, else parsed from them."""
+    global _memo
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    memo = _memo  # read once, so another thread cannot swap it mid-check
+    if memo is not None and memo[0] == digest:
+        return memo[1]
+    _memo = None  # a failed parse leaves nothing remembered
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    del data
     with _collector_paused():
         try:
             doc = json.loads(text)
@@ -243,6 +289,7 @@ def load_family(path: str) -> HSFrameFamily:
         # freed while the collector is paused, so its allocation count drops
         # back and enabling it starts no pass over the parsed lists
         del doc
+    _memo = digest, family
     return family
 
 
@@ -259,7 +306,7 @@ def write_convergence_csv(
     for r in records:
         values = (format_sig(getattr(r, name)) for name in _RECORD_COLUMNS)
         lines.append(",".join([experiment, ts, str(seed), *values]))
-    _atomic_write(path, ("\n".join(lines), "\n"))
+    _atomic_write(path, ("\n".join(lines).encode(), b"\n"))
 
 
 def _finite_or_null(value):
@@ -278,4 +325,4 @@ def write_json_report(path: str, doc: dict) -> None:
     an infinite norm) is written as null."""
     doc = {"format_version": REPORT_FORMAT_VERSION, **doc}
     text = json.dumps(_finite_or_null(doc), indent=1, allow_nan=False)
-    _atomic_write(path, (text, "\n"))
+    _atomic_write(path, (text.encode(), b"\n"))

@@ -37,6 +37,7 @@ from hsframe import (
     save_family,
     subspace_basis,
 )
+from hsframe import serialization
 from hsframe.cli import main as cli_main
 from conftest import complex_unit, seeded_family
 from oracle_scalar import ScalarFrameOracle
@@ -304,7 +305,7 @@ def test_criterion_7_kernel_consistency():
     )
 
 
-def test_criterion_8_cli_io_round_trips(tmp_path):
+def test_criterion_8_cli_io_round_trips(tmp_path, monkeypatch):
     started = time.monotonic()
     # bit-exact save/load on families from every generator
     from hsframe import from_g_frame, GFrameSpec, onb_family, random_family
@@ -321,7 +322,9 @@ def test_criterion_8_cli_io_round_trips(tmp_path):
     for idx, fam in enumerate(families):
         path = tmp_path / f"fam{idx}.json"
         save_family(fam, str(path))
+        monkeypatch.setattr(serialization, "_memo", None)  # parse the file
         loaded = load_family(str(path))
+        assert loaded is not fam
         for m_in, m_out in zip(fam.maps, loaded.maps):
             assert np.array_equal(m_in.images, m_out.images)
         again = tmp_path / f"fam{idx}b.json"

@@ -8,8 +8,9 @@ ValidationError whose message starts with the argument's name.  An array
 argument holds numbers only, has its documented shape and finite entries;
 a NaN, an inf or a string entry, or a wrong shape, raises ValidationError
 whose message starts with the argument's name.  A sequence argument is a
-nonempty iterable, and a family or coefficient-sequence argument an
-instance of its class.  A new entry point adds its rows to ``PAIRS``,
+nonempty iterable, and an object argument (a family, coefficient sequence,
+schedule, section basis, set of constants or g-frame spec) an instance of
+its class.  A new entry point adds its rows to ``PAIRS``,
 ``ARRAYS``, ``SEQUENCES`` or ``INSTANCES``.
 """
 
@@ -28,7 +29,9 @@ from hsframe import (
     SectionSchedule,
     SpectrumSpec,
     ValidationError,
+    analysis_deviation,
     analyze,
+    canonical_dual,
     cc_lemma_check,
     check_condition,
     classify,
@@ -37,6 +40,9 @@ from hsframe import (
     devectorize,
     embed_vector,
     find_oversampling,
+    frame_bounds,
+    frame_operator,
+    frame_operator_hs_norm_bound,
     frob_inner,
     from_g_frame,
     from_scalar_frame,
@@ -54,12 +60,17 @@ from hsframe import (
     rank_one,
     reconstruct,
     riesz_family,
+    riesz_inequality_check,
+    riesz_stability_check,
+    save_family,
+    sectional_operator,
     subspace_basis,
     synthesize,
     uniform_bound_scan,
     vectorize,
     verify_alternate_dual,
 )
+from hsframe.serialization import family_to_document
 
 FLAT = SpectrumSpec.flat()
 F = random_family(4, 1, 6, FLAT, seed=2)
@@ -242,9 +253,52 @@ def test_bad_sequence_argument_rejected(name, value):
         SEQUENCES[name](value)
 
 
-# entry point and family or coefficient-sequence argument -> (name in the
-# message, the call with the value in place)
+# entry point and object argument -> (name in the message, the call with the
+# value in place)
+CONSTANTS = PerturbationConstants()
 INSTANCES = {
+    "analyze-family": ("family", lambda v: analyze(v, F_VEC)),
+    "frame_operator-family": ("family", frame_operator),
+    "frame_bounds-family": ("family", frame_bounds),
+    "classify-family": ("family", classify),
+    "riesz_inequality_check-family": ("family", riesz_inequality_check),
+    "canonical_dual-family": ("family", canonical_dual),
+    "reconstruct-family": ("family", lambda v: reconstruct(v, F_VEC)),
+    "frame_operator_hs_norm_bound-family": ("family", frame_operator_hs_norm_bound),
+    "verify_alternate_dual-family": ("family", lambda v: verify_alternate_dual(v, F)),
+    "verify_alternate_dual-candidate": (
+        "candidate", lambda v: verify_alternate_dual(F, v)),
+    "analysis_deviation-family": ("family", lambda v: analysis_deviation(v, F)),
+    "analysis_deviation-other": ("other", lambda v: analysis_deviation(F, v)),
+    "subspace_basis-family": ("family", lambda v: subspace_basis(v, 2)),
+    "sectional_operator-basis": ("basis", sectional_operator),
+    "project-basis": ("basis", lambda v: project(v, F_VEC)),
+    "projection_formula-family": (
+        "family", lambda v: projection_formula(v, BASIS, F_VEC)),
+    "projection_formula-basis": ("basis", lambda v: projection_formula(F, v, F_VEC)),
+    "plain_inverse_apply-family": ("family", lambda v: plain_inverse_apply(v, 2, F_VEC)),
+    "find_oversampling-family": ("family", lambda v: find_oversampling(v, 2, 2.0)),
+    "oversampled_inverse_apply-family": (
+        "family", lambda v: oversampled_inverse_apply(v, 2, 2.0, F_VEC)),
+    "convergence_sweep-family": (
+        "family", lambda v: convergence_sweep(v, SCHEDULE, F_VEC)),
+    "convergence_sweep-schedule": ("schedule", lambda v: convergence_sweep(F, v, F_VEC)),
+    "uniform_bound_scan-family": ("family", lambda v: uniform_bound_scan(v, 0, F_VEC)),
+    "kernel_consistency-schedule": (
+        "schedule", lambda v: kernel_consistency(F, COEFFS, v)),
+    "check_condition-constants": (
+        "constants", lambda v: check_condition("analysis", F, F, v)),
+    "perturb_family-family": ("family", lambda v: perturb_family(v, "scale", 0.1)),
+    "riesz_stability_check-family": (
+        "family", lambda v: riesz_stability_check(v, F, CONSTANTS)),
+    "riesz_stability_check-candidate": (
+        "candidate", lambda v: riesz_stability_check(F, v, CONSTANTS)),
+    "riesz_stability_check-constants": (
+        "constants", lambda v: riesz_stability_check(F, F, v)),
+    "from_g_frame-spec": ("spec", from_g_frame),
+    # rejected before anything is written
+    "save_family-family": ("family", lambda v: save_family(v, "unwritten.json")),
+    "family_to_document-family": ("family", family_to_document),
     "synthesize-family": ("family", lambda v: synthesize(v, COEFFS)),
     "synthesize-coeffs": ("coeffs", lambda v: synthesize(F, v)),
     "kernel_consistency-family": (
@@ -271,7 +325,8 @@ def test_wrong_type_argument_rejected(pair, value):
 
 @pytest.mark.parametrize("pair", INSTANCES)
 def test_other_class_argument_rejected(pair):
-    """A coefficient sequence where a family belongs, and the reverse."""
+    """A coefficient sequence where any other object belongs, and a family
+    where a coefficient sequence belongs."""
     name, call = INSTANCES[pair]
     with pytest.raises(ValidationError, match=rf"^{name} must be "):
         call(F if name == "coeffs" else COEFFS)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,12 @@ class TestHSNorm:
 
     def test_identity(self):
         assert hs_norm(np.eye(2)) == pytest.approx(np.sqrt(2), rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    def test_entries_whose_squares_overflow_or_underflow(self, scale):
+        """The norm is finite and nonzero although the squares are not."""
+        assert hs_norm([scale, scale]) == pytest.approx(math.sqrt(2) * scale, rel=1e-15)
+        assert hs_norm([[scale, 0], [0, -1j * scale]]) == hs_norm([scale, scale])
 
     def test_rank_one_factorizes(self, rng):
         # the norm of x tensor y is |x| * |y|

@@ -1,10 +1,11 @@
 """One thin SVD per family: exact ratios, agreeing verdicts, factor-once."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from hsframe import (
     riesz_inequality_check,
     save_family,
 )
-from hsframe import projection
+import hsframe
 from hsframe.cli import main
 from conftest import complex_unit
 
@@ -84,10 +85,6 @@ def test_family_is_factored_once(monkeypatch):
 
     for name in ("svd", "eigh", "eigvalsh", "cholesky", "lstsq"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-    for module in (scipy.linalg, projection):  # projection binds cho_factor itself
-        for name in ("cho_factor", "cholesky"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(getattr(module, name)))
     classify(fam)
     frame_bounds(fam)
     riesz_inequality_check(fam)
@@ -97,6 +94,20 @@ def test_family_is_factored_once(monkeypatch):
     convergence_sweep(fam, SectionSchedule.full(fam.count), f)
     kernel_consistency(fam, coeffs, SectionSchedule.full(fam.count))
     assert calls == ["svd"]
+
+
+def test_package_imports_no_scipy():
+    """numpy.linalg is the package's only linear algebra, so counting its
+    calls counts every factorization the package makes."""
+    imported = set()
+    for path in Path(hsframe.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add((path.name, node.module))
+    assert imported  # the walk found the package's imports
+    assert [(f, m) for f, m in imported if m.split(".")[0] == "scipy"] == []
 
 
 @st.composite

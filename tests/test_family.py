@@ -28,6 +28,7 @@ from hsframe import (
     synthesize,
     verify_alternate_dual,
 )
+from hsframe import serialization
 from conftest import complex_unit, seeded_family
 
 MB = from_scalar_frame([[1, 0], [0, 1], [2**-0.5, 2**-0.5]])  # frame, not Riesz
@@ -134,7 +135,7 @@ class TestStorage:
     """A family stores its operators once, as images (count, dim_h, d_k, d_k)."""
 
     @pytest.mark.parametrize("build", ["maps", "synthesis_matrix", "file"])
-    def test_maps_are_views_of_one_read_only_array(self, tmp_path, build):
+    def test_maps_are_views_of_one_read_only_array(self, tmp_path, monkeypatch, build):
         ref = random_family(5, 2, 3, SpectrumSpec.flat(), seed=1)
         if build == "maps":
             fam = HSFrameFamily([np.asfortranarray(m.images) for m in ref.maps])
@@ -142,7 +143,9 @@ class TestStorage:
             fam = HSFrameFamily.from_synthesis_matrix(5, 2, ref.synthesis_matrix)
         else:
             save_family(ref, str(tmp_path / "fam.json"))
+            monkeypatch.setattr(serialization, "_memo", None)  # parse the file
             fam = load_family(str(tmp_path / "fam.json"))
+            assert fam is not ref
         assert fam.images.tobytes() == ref.images.tobytes()
         assert fam.images.shape == (3, 5, 2, 2)
         assert fam.images.flags.c_contiguous and not fam.images.flags.writeable

@@ -550,7 +550,7 @@ class TestTinyErrors:
     """Errors near 1e-300 are reported, not squared into underflow."""
 
     def test_norm_helper(self, rng):
-        from hsframe.projection import _norm
+        from hsframe.core import _norm
 
         for size in (1, 5, 56):
             x = rng.standard_normal(size) + 1j * rng.standard_normal(size)

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,11 +312,8 @@ def test_sweep_factors_each_prefix_from_the_previous(monkeypatch):
 
     for module, name, kind in (
         (np.linalg, "cholesky", "chol"),
-        (scipy.linalg, "cholesky", "chol"),
-        (scipy.linalg, "cho_factor", "chol"),
         (np.linalg, "eigh", "eig"),
         (np.linalg, "eigvalsh", "eig"),
-        (scipy.linalg, "eigh", "eig"),
         (np.linalg, "svd", "svd_cols"),
     ):
         monkeypatch.setattr(module, name, counting(kind, getattr(module, name)))

@@ -2,6 +2,8 @@ import contextlib
 import gc
 import io
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hsframe import (
     random_family,
     save_family,
 )
+from hsframe import serialization
 from hsframe.cli import main
 from hsframe.serialization import family_to_document, format_sig
 
@@ -88,11 +91,13 @@ class TestFamilyFile:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self, tmp_path, monkeypatch):
         fam = random_family(5, 2, 3, SpectrumSpec.geometric(0.6), seed=11)
         path = tmp_path / "fam.json"
         save_family(fam, str(path))
+        monkeypatch.setattr(serialization, "_memo", None)  # parse the file
         loaded = load_family(str(path))
+        assert loaded is not fam
         for m_in, m_out in zip(fam.maps, loaded.maps):
             assert np.array_equal(m_in.images, m_out.images)
         save_family(loaded, str(tmp_path / "fam2.json"))
@@ -156,7 +161,9 @@ class TestFamilyFile:
         fam = random_family(6, 2, 6, SpectrumSpec.geometric(0.6), seed=5)
         path = tmp_path / "fam.json"
         save_family(fam, str(path))
+        monkeypatch.setattr(serialization, "_memo", None)  # parse the file
         loaded = load_family(str(path))
+        assert loaded is not fam
         for m_in, m_out in zip(fam.maps, loaded.maps):
             assert np.array_equal(m_in.images, m_out.images)
 
@@ -209,11 +216,12 @@ class TestFamilyFile:
             load_family(str(path))
         assert main(["analyze", "--input", str(path)]) == code
 
-    def test_load_starts_no_collection(self, tmp_path):
+    def test_load_starts_no_collection(self, tmp_path, monkeypatch):
         """The parsed document is freed before the collector is enabled again,
         so its thousands of lists leave no allocation count to start a pass."""
         path = tmp_path / "fam.json"
         save_family(random_family(32, 2, 32, SpectrumSpec.flat(), seed=3), str(path))
+        monkeypatch.setattr(serialization, "_memo", None)  # parse the file
         starts = []
 
         def callback(phase, info):
@@ -261,12 +269,164 @@ class TestFamilyFile:
         path.write_text(json.dumps(_with_entry(doc, 2, (1, 0, 0, 1), repr(value))))
         assert np.array_equal(load_family(str(path)).images, fam.images)
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_bytes(b'{"format_version": "\xff"}')
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_family(str(path))
+        assert main(["analyze", "--input", str(path)]) == 4
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taken"
         target.mkdir()
         with pytest.raises(IsADirectoryError):
             save_family(onb_family(2), str(target))
         assert list(tmp_path.glob(".hsframe-*.tmp")) == []
+
+
+class TestMemo:
+    """One process parses a file's bytes once: the last family written or
+    parsed is kept, keyed by the SHA-256 of the file's bytes."""
+
+    def test_load_after_save_returns_the_saved_family(self, tmp_path):
+        fam = random_family(4, 2, 3, SpectrumSpec.flat(), seed=1)
+        path = tmp_path / "fam.json"
+        save_family(fam, str(path))
+        assert load_family(str(path)) is fam
+        assert load_family(str(path)) is fam
+
+    def test_same_bytes_hit_the_memo(self, tmp_path, monkeypatch):
+        """Keyed on content: a copy at another path is the same family."""
+        path, copy = tmp_path / "fam.json", tmp_path / "copy.json"
+        save_family(random_family(4, 2, 3, SpectrumSpec.flat(), seed=2), str(path))
+        copy.write_bytes(path.read_bytes())
+        monkeypatch.setattr(serialization, "_memo", None)
+        loaded = load_family(str(path))
+        assert load_family(str(copy)) is loaded
+        assert load_family(str(path)) is loaded
+
+    def test_same_length_edit_is_parsed(self, tmp_path):
+        """A rewrite that keeps the size (and may keep the mtime) misses."""
+        fam = from_scalar_frame([[1.5, 0.0], [0.0, 2.5], [0.5, 0.5]])
+        path = tmp_path / "fam.json"
+        save_family(fam, str(path))
+        text = read(path)
+        path.write_text(text.replace("2.5", "3.5", 1))
+        loaded = load_family(str(path))
+        assert loaded is not fam
+        assert len(read(path)) == len(text)
+        assert loaded.images[1, 1, 0, 0] == 3.5
+        assert np.array_equal(np.delete(loaded.images, 1, 0), np.delete(fam.images, 1, 0))
+
+    def test_truncated_rewrite_after_save_is_parse_error(self, tmp_path):
+        path = tmp_path / "fam.json"
+        save_family(onb_family(3), str(path))
+        text = read(path)
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ParseError):
+            load_family(str(path))
+
+    @pytest.mark.parametrize("text, error", [
+        ("{ not json", ParseError),
+        (json.dumps({**family_to_document(onb_family(2)), "count": 5}), ValidationError),
+    ], ids=["json", "document"])
+    def test_failed_parse_leaves_no_entry(self, tmp_path, text, error):
+        path, bad = tmp_path / "fam.json", tmp_path / "bad.json"
+        fam = onb_family(2)
+        save_family(fam, str(path))
+        bad.write_text(text)
+        with pytest.raises(error):
+            load_family(str(bad))
+        assert serialization._memo is None
+        loaded = load_family(str(path))
+        assert loaded is not fam and np.array_equal(loaded.images, fam.images)
+
+    def test_cli_outputs_identical_with_memo_cleared(self, tmp_path, monkeypatch):
+        """generate, analyze, perturb and invert write the same bytes, bar
+        timestamps, whether each command finds the family remembered or
+        parses it again."""
+
+        def run(workdir, clear):
+            workdir.mkdir()
+            fam = str(workdir / "fam.json")
+            commands = [
+                ["generate", "--kind", "decaying", "--dim-h", "6", "--dim-k", "2",
+                 "--count", "9", "--spectrum", "geometric:0.5", "--seed", "3",
+                 "--out", fam],
+                ["analyze", "--input", fam, "--out", str(workdir / "analyze.json")],
+                ["perturb", "--input", fam, "--mode", "additive-analysis",
+                 "--magnitude", "0.1", "--seed", "3",
+                 "--out", str(workdir / "perturb.json")],
+                ["invert", "--input", fam, "--seed", "3",
+                 "--out", str(workdir / "invert.csv")],
+            ]
+            for argv in commands:
+                if clear:
+                    monkeypatch.setattr(serialization, "_memo", None)
+                assert main(argv) == 0
+            return [
+                read(workdir / "fam.json"),
+                strip_timestamp_json(read(workdir / "analyze.json")),
+                strip_timestamp_json(read(workdir / "perturb.json")),
+                strip_timestamp_csv(read(workdir / "invert.csv")),
+            ]
+
+        remembered = run(tmp_path / "memo", clear=False)
+        parsed = run(tmp_path / "cleared", clear=True)
+        # the input paths differ; everything else is equal
+        parsed = [t.replace("cleared", "memo") for t in parsed]
+        assert remembered == parsed
+
+    def test_threads_never_get_another_file_s_family(self, tmp_path):
+        """Threads saving and loading different files at once: every load
+        returns the family its own file holds, whichever entry is kept."""
+        families = [random_family(3, 1, 4, SpectrumSpec.flat(), seed=s) for s in range(4)]
+        failures = []
+
+        def worker(j):
+            path = str(tmp_path / f"fam{j}.json")
+            try:
+                for _ in range(40):
+                    save_family(families[j], path)
+                    if not np.array_equal(load_family(path).images, families[j].images):
+                        failures.append(j)
+            except Exception as exc:  # reported below, not lost in the thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(j,)) for j in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_cli_round_factors_the_family_once(self, tmp_path, monkeypatch):
+        """analyze, perturb and invert reuse the SVD of T that generate took:
+        the only other whole-family SVD is of the perturbed family."""
+        fam = str(tmp_path / "fam.json")
+        assert main(["generate", "--kind", "random", "--dim-h", "4", "--dim-k", "1",
+                     "--count", "6", "--seed", "2", "--out", fam]) == 0
+        svd, calls = np.linalg.svd, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert main(["analyze", "--input", fam]) == 0
+        assert main(["invert", "--input", fam, "--schedule", "6",
+                     "--out", str(tmp_path / "inv.csv")]) == 0
+        assert calls == []
+        assert main(["perturb", "--input", fam, "--mode", "scale",
+                     "--magnitude", "0.1"]) == 0
+        # T~ once; the others factor the 6 x 4 deviation (T - T~)^H
+        assert calls.count((4, 6)) == 1
 
 
 class TestGenerateCommand:
