@@ -293,12 +293,8 @@ class DualCheck:
     identity_gap: float
 
 
-def _check_family(family: HSFrameFamily) -> None:
-    check_instance("family", family, HSFrameFamily)
-
-
 def _check_coefficients(family: HSFrameFamily, coeffs: CoefficientSequence):
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     check_instance("coeffs", coeffs, CoefficientSequence)
     if len(coeffs) != family.count or coeffs.dim_k != family.dim_k:
         raise ValidationError(
@@ -309,7 +305,7 @@ def _check_coefficients(family: HSFrameFamily, coeffs: CoefficientSequence):
 
 def _check_pair(family: HSFrameFamily, other: HSFrameFamily, name: str) -> None:
     """``family`` and ``other``, named ``name``, are families of one shape."""
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     check_instance(name, other, HSFrameFamily)
     if (
         family.dim_h != other.dim_h
@@ -321,7 +317,7 @@ def _check_pair(family: HSFrameFamily, other: HSFrameFamily, name: str) -> None:
 
 def analyze(family: HSFrameFamily, f) -> CoefficientSequence:
     """Coefficient blocks {G_j f} of a vector."""
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     coeffs = family.synthesis_matrix.conj().T @ as_vector("f", f, family.dim_h)
     return CoefficientSequence._of_blocks(coeffs.reshape(-1, family.dim_k, family.dim_k))
 
@@ -334,7 +330,7 @@ def synthesize(family: HSFrameFamily, coeffs: CoefficientSequence) -> np.ndarray
 
 def frame_operator(family: HSFrameFamily) -> np.ndarray:
     """Hermitian positive semidefinite operator S = T T^H on H."""
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     t = family.synthesis_matrix
     s = t @ t.conj().T
     return (s + s.conj().T) / 2.0
@@ -342,7 +338,7 @@ def frame_operator(family: HSFrameFamily) -> np.ndarray:
 
 def frame_bounds(family: HSFrameFamily) -> tuple[float, float]:
     """Optimal bounds (s_{dim_h}^2, s_max^2); lower 0.0 when T has < dim_h columns."""
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     s = family.svd.s
     lower = _squared(s[-1]) if s.size == family.dim_h else 0.0
     return lower, _squared(s[0])
@@ -356,11 +352,10 @@ def classify(family: HSFrameFamily, rank_tol: float = DEFAULT_RANK_TOL) -> Frame
     ``dim_h``).  Rank decisions use ``rank_tol`` relative to the largest
     singular value.
     """
-    _check_family(family)
+    lower, upper = frame_bounds(family)
     check_rank_tol(rank_tol)
     sigma = family.svd.s
     rank = numerical_rank(sigma, rank_tol)
-    lower, upper = frame_bounds(family)
     is_frame = rank == family.dim_h
     return FrameReport(
         lower_bound=lower,
@@ -379,7 +374,7 @@ def riesz_inequality_check(family: HSFrameFamily) -> float:
     lower frame bound; for a tall T (a Riesz sequence that is not complete)
     it is the lower Riesz bound, which ``classify`` does not report.
     """
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     s = family.svd.s
     return _squared(s[-1]) if s.size == family.synthesis_matrix.shape[1] else 0.0
 
@@ -402,7 +397,7 @@ def canonical_dual(
     Its synthesis matrix is U diag(1/s) V^H, so the dual carries that thin
     SVD (reversed to keep s descending) and is never factored again.
     """
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     _require_frame(family, rank_tol)
     svd = family.svd
     dual = HSFrameFamily.from_synthesis_matrix(
@@ -418,7 +413,7 @@ def reconstruct(
     family: HSFrameFamily, f, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
     """Resynthesize f as sum_j S^-1 G_j* G_j f; equals f for frames."""
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
     _require_frame(family, rank_tol)
     sf = synthesize(family, analyze(family, fv))
@@ -455,9 +450,8 @@ def frame_operator_hs_norm_bound(family: HSFrameFamily) -> tuple[float, float]:
     cardinality entering it is the dimension of H (equal for the identity,
     where the inequality is tight).
     """
-    _check_family(family)
-    s = family.svd.s
     b = frame_bounds(family)[1]
+    s = family.svd.s
     # |S|_F = |s^2|_2, scaled by B = s_max^2 so that no s^4 is formed
     hs = b * float(np.linalg.norm((s / s[0]) ** 2)) if b > 0.0 else 0.0
     bound = b * math.sqrt(family.dim_h)

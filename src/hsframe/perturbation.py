@@ -40,7 +40,6 @@ from .family import (
     DEFAULT_RANK_TOL,
     HSFrameFamily,
     ThinSVD,
-    _check_family,
     _check_pair,
     classify,
     frame_bounds,
@@ -487,7 +486,7 @@ def perturb_family(
     * blockwise: like additive-analysis but supported on a subset of
       indices (random nonempty subset unless given).
     """
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     magnitude = check_real("magnitude", magnitude, 0.0, math.inf, closed=(True, False))
     t = family.synthesis_matrix
     rng = np.random.default_rng(check_int("seed", seed, 0))

@@ -59,7 +59,6 @@ from .family import (
     CoefficientSequence,
     HSFrameFamily,
     _check_coefficients,
-    _check_family,
     _require_frame,
     check_rank_tol,
     frame_bounds,
@@ -172,7 +171,7 @@ def subspace_basis(
     family: HSFrameFamily, n: int, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SubspaceBasis:
     """Orthonormal basis of span{adjoint ranges of the first n maps}."""
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     check_int("n", n, 1, family.count)
     check_rank_tol(rank_tol)
     return next(_prefix_bases(family, (n,), rank_tol))
@@ -337,7 +336,7 @@ class _Section:
 def projection_formula(family: HSFrameFamily, basis: SubspaceBasis, f) -> np.ndarray:
     """P_n f computed the long way: S_n^-1 of sum over j <= n of G_j* G_j f,
     with n = basis.n."""
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     check_instance("basis", basis, SubspaceBasis)
     fv = as_vector("f", f, family.dim_h)
     prefix = family.synthesis_matrix[:, : basis.n * family.dim_k**2]
@@ -348,7 +347,7 @@ def plain_inverse_apply(
     family: HSFrameFamily, n: int, f, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
     """S_n^-1 P_n f with the sectional inverse taken on H_n only."""
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
     return _Section(family, subspace_basis(family, n, rank_tol)).inv_apply(fv)
 
@@ -365,7 +364,7 @@ def find_oversampling(
     restriction of the full frame operator, whose smallest eigenvalue is at
     least the optimal lower bound A.  The empty section needs none (m = 0).
     """
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     _check_lambda(lam)
     _require_frame(family, rank_tol)
     section = _Section(family, subspace_basis(family, n, rank_tol))
@@ -386,7 +385,7 @@ def oversampled_inverse_apply(
     failure raises, since it would indicate a bug rather than bad data.
     The empty section gives 0.
     """
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
     _check_lambda(lam)
     _require_frame(family, rank_tol)
@@ -422,7 +421,7 @@ def convergence_sweep(
     raises ``NumericError``.  Errors are taken without squaring entries, so
     they do not underflow to 0 near 1e-300.
     """
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
     _check_lambda(lam)
     _check_schedule(schedule, family)
@@ -497,7 +496,7 @@ def uniform_bound_scan(
     ``index`` is 0-based; the profile starts at n = index + 1.  The maximum
     over the profile is the uniform constant for this index and vector.
     """
-    _check_family(family)
+    check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
     check_int("index", index, 0, family.count - 1)
     _require_frame(family, rank_tol)

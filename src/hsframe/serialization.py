@@ -16,16 +16,19 @@ same reason; JSON reports are strict, with a non-finite value written as
 ``null``, and carry ``format_version`` (``REPORT_FORMAT_VERSION``).  All
 writes go through a temporary file plus rename.
 
-One process parses and factors a given file's bytes once.  ``save_family``
-and ``load_family`` remember the last family file they wrote or parsed,
-keyed by the SHA-256 of its bytes; a read whose bytes have that digest
-returns the same family object, with the synthesis matrix and SVD it has
-cached, so ``generate`` and the commands run after it on its file in one
-process (``hsframe.cli.main``) factor the family once.  The key is the
-content, not the path or the file's mtime, so a rewrite that changes any
-byte is parsed again.  Only the digest is kept, not the bytes.  Separate
-processes share nothing: one command per process gains nothing and pays
-the hashing, about 1 ms per MB.
+A process that reads back a family file it wrote does not parse it.
+``save_family`` keeps the family it last wrote, keyed by the SHA-256 of
+the file's bytes; a ``load_family`` of bytes with that digest returns the
+kept family, with the synthesis matrix and SVD it has cached, so
+``generate`` and the commands run after it on its file in one process
+(``hsframe.cli.main``) factor the family once.  The key is the content,
+not the path or the file's mtime, so a rewrite that changes any byte is
+parsed again.  Only the digest is kept, not the bytes.  The kept family
+stays in memory until the next ``save_family`` or a ``load_family`` of
+other bytes; there is no other way to free it.  A read hashes only while a
+family is kept, and keeps nothing itself: a process that only reads, such
+as one ``hsframe`` command other than ``generate``, hashes nothing, and
+``generate`` pays the hashing, about 1 ms per MB.
 """
 
 from __future__ import annotations
@@ -232,8 +235,8 @@ def _family_text(family: HSFrameFamily) -> Iterator[str]:
     yield "\n ]\n}\n"
 
 
-#: The last family file this process wrote or parsed, as (SHA-256 digest of
-#: its bytes, family), or None.
+#: The family this process last wrote, as (SHA-256 digest of the file's
+#: bytes, family), or None.
 _memo: tuple[bytes, HSFrameFamily] | None = None
 
 
@@ -246,27 +249,31 @@ def _hashed(chunks: Iterable[str], digest) -> Iterator[bytes]:
 
 
 def save_family(family: HSFrameFamily, path: str) -> None:
-    """Write ``family`` to ``path``; reading these bytes back in this process
-    returns ``family`` itself."""
+    """Write ``family`` to ``path``.  Reading these bytes back in this
+    process returns ``family`` itself, or, when it already carries an SVD
+    (a canonical dual's is derived, not computed), a family on the same
+    images that will factor them as a parsed one would."""
     global _memo
     check_instance("family", family, HSFrameFamily)
     _memo = None  # the previous family is not held while this one is encoded
     digest = hashlib.sha256()
     _atomic_write(path, _hashed(_family_text(family), digest))
+    if "svd" in vars(family):
+        family = HSFrameFamily._of_images(family.images)
     _memo = digest.digest(), family
 
 
 def load_family(path: str) -> HSFrameFamily:
-    """The family in ``path``: the remembered one if the file's bytes are
-    those last written or parsed in this process, else parsed from them."""
+    """The family in ``path``: the one ``save_family`` kept if the file's
+    bytes are those it last wrote, else parsed from them."""
     global _memo
     with open(path, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).digest()
     memo = _memo  # read once, so another thread cannot swap it mid-check
-    if memo is not None and memo[0] == digest:
-        return memo[1]
-    _memo = None  # a failed parse leaves nothing remembered
+    if memo is not None:
+        if hashlib.sha256(data).digest() == memo[0]:
+            return memo[1]
+        _memo = None  # not held through the parse of other bytes
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
@@ -289,7 +296,6 @@ def load_family(path: str) -> HSFrameFamily:
         # freed while the collector is paused, so its allocation count drops
         # back and enabling it starts no pass over the parsed lists
         del doc
-    _memo = digest, family
     return family
 
 

@@ -15,6 +15,7 @@ from hsframe import (
     ParseError,
     SpectrumSpec,
     ValidationError,
+    canonical_dual,
     decaying_family,
     from_scalar_frame,
     load_family,
@@ -285,8 +286,8 @@ class TestFamilyFile:
 
 
 class TestMemo:
-    """One process parses a file's bytes once: the last family written or
-    parsed is kept, keyed by the SHA-256 of the file's bytes."""
+    """A process does not parse a file it wrote: the family last saved is
+    kept, keyed by the SHA-256 of the file's bytes."""
 
     def test_load_after_save_returns_the_saved_family(self, tmp_path):
         fam = random_family(4, 2, 3, SpectrumSpec.flat(), seed=1)
@@ -295,15 +296,40 @@ class TestMemo:
         assert load_family(str(path)) is fam
         assert load_family(str(path)) is fam
 
-    def test_same_bytes_hit_the_memo(self, tmp_path, monkeypatch):
+    def test_same_bytes_hit_the_memo(self, tmp_path):
         """Keyed on content: a copy at another path is the same family."""
+        fam = random_family(4, 2, 3, SpectrumSpec.flat(), seed=2)
         path, copy = tmp_path / "fam.json", tmp_path / "copy.json"
-        save_family(random_family(4, 2, 3, SpectrumSpec.flat(), seed=2), str(path))
+        save_family(fam, str(path))
         copy.write_bytes(path.read_bytes())
+        assert load_family(str(copy)) is fam
+        assert load_family(str(path)) is fam
+
+    def test_reads_keep_nothing_and_hash_nothing(self, tmp_path, monkeypatch):
+        """With no family kept, as in a process that only reads, a load
+        parses without hashing and keeps nothing."""
+        path = tmp_path / "fam.json"
+        save_family(onb_family(3), str(path))
         monkeypatch.setattr(serialization, "_memo", None)
-        loaded = load_family(str(path))
-        assert load_family(str(copy)) is loaded
-        assert load_family(str(path)) is loaded
+        monkeypatch.setattr(serialization.hashlib, "sha256", None)  # not called
+        first = load_family(str(path))
+        assert serialization._memo is None
+        assert load_family(str(path)) is not first
+
+    def test_kept_dual_factors_as_a_parsed_one(self, tmp_path, monkeypatch):
+        """A canonical dual carries an SVD derived from its family's, not
+        LAPACK's: what is kept for it is factored as a parsed file is."""
+        fam = random_family(5, 2, 4, SpectrumSpec.parse("geometric:0.5"), seed=4)
+        dual = canonical_dual(fam)
+        path = tmp_path / "dual.json"
+        save_family(dual, str(path))
+        kept = load_family(str(path))
+        monkeypatch.setattr(serialization, "_memo", None)
+        parsed = load_family(str(path))
+        assert parsed is not kept
+        for a, b in zip(kept.svd, parsed.svd):
+            assert np.array_equal(a, b)
+        assert kept.images is dual.images  # kept without a copy
 
     def test_same_length_edit_is_parsed(self, tmp_path):
         """A rewrite that keeps the size (and may keep the mtime) misses."""
