@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 validation or precondition failure, 3 numeric
 failure, 4 I/O or parse failure.  ``--seed`` falls back to the
 HSFRAME_SEED environment variable, then 0; it must be an int >= 0.  ``analyze``
-accepts it but draws nothing.
+checks it like every command but draws nothing.
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def cmd_generate(args) -> int:
 
 def cmd_analyze(args) -> int:
     family = load_family(args.input)
+    _resolve_seed(args.seed)  # checked like every command's; analyze draws nothing
     report = classify(family, args.rank_tol)
     hs, hs_bound = frame_operator_hs_norm_bound(family)
     doc = {

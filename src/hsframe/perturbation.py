@@ -18,11 +18,13 @@ against the lower bound) force the perturbed family to be a frame, with
 closed-form bounds on the analysis/synthesis levels.
 
 D is factored once: a thin SVD, or ``eigh`` in frame-operator mode where D
-is Hermitian.  The thin SVD of each A_i comes from the family's cached one
-(T^H = V s U^H, S = U s^2 U^H).  One decision (``_decide``) finds that the
-condition holds ("certified"), that it fails at a witness x checked
-directly, or neither within a fixed budget; the empirical margin is the
-smallest slack over the directions it probed.
+is Hermitian.  Each A_i is held only as its thin SVD, read from the
+family's cached one (T^H = V s U^H, S = U s^2 U^H): |A_i x| is |diag(s_i)
+W_i^H x|, W_i its right singular vectors, and no dense T^H is copied for
+it.  One decision (``_decide``) finds that the condition holds
+("certified"), that it fails at a witness x checked with D applied
+directly and the same SVDs, or neither within a fixed budget; the
+empirical margin is the smallest slack over the directions it probed.
 """
 
 from __future__ import annotations
@@ -181,27 +183,27 @@ def analysis_deviation(family: HSFrameFamily, other: HSFrameFamily) -> float:
 
 
 class _Term(NamedTuple):
-    """One summand c |A x| of a condition; ``op`` None stands for the identity.
+    """One summand c |A x| of a condition; ``s`` None stands for the identity.
 
     Otherwise ``s`` and ``vh`` are A's singular values and right singular
-    vectors, and ``kernel_tol`` bounds |D x| on the numerical kernel of A.
+    vectors, so |A x| = |diag(s) V^H x|, and ``kernel_tol`` bounds |D x| on
+    the numerical kernel of A.
     """
 
     c: float
-    op: np.ndarray | None
     s: np.ndarray | None = None
     vh: np.ndarray | None = None
     kernel_tol: float = 0.0
 
 
-def _svd_term(c: float, op: np.ndarray, svd: ThinSVD) -> _Term:
+def _svd_term(c: float, svd: ThinSVD) -> _Term:
     """c |A x| where ``svd`` is A's own thin SVD, as for T on coefficient
     sequences: there ker T is structural, and D need only vanish on it up
     to 1e-12 |T|."""
-    return _Term(c, op, svd.s, svd.vh, 1e-12 * float(svd.s[0]))
+    return _Term(c, svd.s, svd.vh, 1e-12 * float(svd.s[0]))
 
 
-def _h_term(c: float, op: np.ndarray, svd: ThinSVD, power: int) -> _Term:
+def _h_term(c: float, svd: ThinSVD, power: int) -> _Term:
     """c |A x| on H for A = T^H (power 1) or S = T T^H (power 2), read from
     T = U s V^H: A = (V or U) s^power U^H.
 
@@ -211,7 +213,7 @@ def _h_term(c: float, op: np.ndarray, svd: ThinSVD, power: int) -> _Term:
     (D x is the base family's T^H x or S x, nonzero for a frame), and for
     the base family's operator those directions are below what D resolves.
     """
-    return _Term(c, op, svd.s**power, svd.u.conj().T, 0.0)
+    return _Term(c, svd.s**power, svd.u.conj().T, 0.0)
 
 
 def _condition(
@@ -229,35 +231,31 @@ def _condition(
     svd_g, svd_c = family.svd, candidate.svd
     if mode == "analysis":
         return (t_g - t_c).conj().T, [
-            _h_term(l1, t_g.conj().T, svd_g, 1),
-            _h_term(l2, t_c.conj().T, svd_c, 1),
-            _Term(mu, None),
+            _h_term(l1, svd_g, 1), _h_term(l2, svd_c, 1), _Term(mu)
         ]
     if mode in ("synthesis", "synthesis-coefficient"):
-        return t_g - t_c, [
-            _svd_term(l1, t_g, svd_g),
-            _svd_term(l2, t_c, svd_c),
-            _Term(mu, None),
-        ]
-    s_g, s_c = frame_operator(family), frame_operator(candidate)
-    return s_g - s_c, [
-        _h_term(l1, s_g, svd_g, 2),
-        _h_term(l2, s_c, svd_c, 2),
-        _h_term(mu, t_g.conj().T, svd_g, 1),
-        _h_term(nu, t_c.conj().T, svd_c, 1),
+        return t_g - t_c, [_svd_term(l1, svd_g), _svd_term(l2, svd_c), _Term(mu)]
+    return frame_operator(family) - frame_operator(candidate), [
+        _h_term(l1, svd_g, 2),
+        _h_term(l2, svd_c, 2),
+        _h_term(mu, svd_g, 1),
+        _h_term(nu, svd_c, 1),
     ]
 
 
 def _gaps(
     d: np.ndarray, terms: list[_Term], x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i c_i |A_i x| - |D x| for every unit column x of ``x``, evaluated
-    directly, and whether each violates the condition beyond the slack the
-    whitening test allows (_CERT_RTOL of the right side, plus 1e-14)."""
+    """sum_i c_i |A_i x| - |D x| for every unit column x of ``x``, with D
+    applied directly and |A_i x| = |diag(s_i) V_i^H x| read from the SVD the
+    certificate used, and whether each violates the condition beyond the
+    slack the whitening test allows (_CERT_RTOL of the right side, plus
+    1e-14)."""
     rhs = np.zeros(x.shape[1])
     for t in terms:
         if t.c > 0.0:
-            rhs += t.c * np.linalg.norm(x if t.op is None else t.op @ x, axis=0)
+            ax = x if t.s is None else t.s[:, None] * (t.vh @ x)
+            rhs += t.c * np.linalg.norm(ax, axis=0)
     gaps = rhs - np.linalg.norm(d @ x, axis=0)
     return gaps, gaps < -(_CERT_RTOL * rhs + 1e-14)
 
@@ -320,7 +318,7 @@ def _decide(d: np.ndarray, terms: list[_Term], hermitian: bool = False) -> _Deci
     elif not active:
         scale = 1.0 if terms[0].s is None else float(terms[0].s[0])
         holds = d_norm <= 1e-13 * max(scale, 1.0)
-    elif active[0].op is None:
+    elif active[0].s is None:
         holds = d_norm <= active[0].c * (1.0 + _CERT_RTOL) + 1e-14
     elif active[0].s[0] == 0.0:  # A = 0, so D must vanish
         holds = d_norm <= 1e-14
@@ -351,12 +349,12 @@ def _decide_boxes(
     """
     # |D x| and every |A_i x| depend only on x's part in the span of their
     # row spaces: test inside (an orthonormal basis of) that span
-    spans = [d.conj().T] + [t.vh.conj().T for t in active if t.op is not None]
+    spans = [d.conj().T] + [t.vh.conj().T for t in active if t.s is not None]
     basis = np.linalg.qr(np.hstack(spans))[0]
     d_in = d @ basis
     # each A_i up to a unitary on the left, diag(s_i) V_i^H, on that span
     blocks = [
-        np.eye(basis.shape[1]) if t.op is None else t.s[:, None] * (t.vh @ basis)
+        np.eye(basis.shape[1]) if t.s is None else t.s[:, None] * (t.vh @ basis)
         for t in active
     ]
     c = np.array([t.c for t in active])
@@ -404,7 +402,7 @@ def cc_lemma_check(u, lambda1: float, lambda2: float) -> CCLemmaReport:
     svd_u = ThinSVD(*np.linalg.svd(um, full_matrices=False))
     sigma_min, sigma_max = float(svd_u.s[-1]), float(svd_u.s[0])
     decision = _decide(
-        np.eye(um.shape[0]) - um, [_Term(lambda1, None), _svd_term(lambda2, um, svd_u)]
+        np.eye(um.shape[0]) - um, [_Term(lambda1), _svd_term(lambda2, svd_u)]
     )
 
     fwd = ((1.0 - lambda1) / (1.0 + lambda2), (1.0 + lambda1) / (1.0 - lambda2))

@@ -176,20 +176,14 @@ def _nested(items: list, depth: int) -> Iterator:
 def _check_operator(j: int, op, shape: tuple[int, ...]) -> None:
     """``ValidationError`` naming ``operators[j]`` unless ``op`` converts."""
     try:
-        arr = np.asarray(op, dtype=float)
+        _flat_floats([op], shape)
     except OverflowError as exc:
         raise ValidationError(
             f"operators[{j}] has an entry too large for a float: {exc}"
         ) from exc
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"operators[{j}] is not numeric: {exc}") from exc
-    if arr.shape != shape:
-        raise ValidationError(f"operators[{j}] has shape {arr.shape}, expected {shape}")
-    try:
-        _flat_floats([op], shape)
-    except (TypeError, ValueError) as exc:
         raise ValidationError(
-            f"operators[{j}] is not nested lists of shape {shape}"
+            f"operators[{j}] is not nested lists of shape {shape} of numbers"
         ) from exc
 
 

@@ -23,6 +23,7 @@ from hsframe import (
     riesz_family,
     riesz_stability_check,
 )
+from hsframe import perturbation
 from hsframe.perturbation import check_admissible
 from conftest import complex_unit, seeded_family
 from oracle_scalar import ScalarFrameOracle
@@ -411,6 +412,27 @@ def dense_gaps(d, ops, constants, x):
     """sum_i c_i |A_i x| - |D x| per column of x, straight from the operators."""
     rhs = sum(c * np.linalg.norm(ops[name] @ x, axis=0) for name, c in constants.items())
     return rhs - np.linalg.norm(d @ x, axis=0)
+
+
+@pytest.mark.parametrize(
+    "mode", ["analysis", "synthesis", "frame-operator", "synthesis-coefficient"]
+)
+def test_gaps_read_from_the_svds_match_the_dense_operators(mode):
+    """The decision reads each |A_i x| as |diag(s_i) V_i^H x| off the cached
+    thin SVD; with every constant active that matches the dense operators
+    to 1e-12 of the right side, also where T (on coefficient sequences) has
+    a kernel."""
+    fam = seeded_family(5)
+    cand, _ = perturb_family(fam, "additive-analysis", 0.2, seed=5)
+    ops = dense_condition(mode, fam, cand)[1]
+    constants = {name: 0.1 * (k + 1) for k, name in enumerate(ops)}
+    d, terms = perturbation._condition(
+        mode, fam, cand, PerturbationConstants(**constants)
+    )
+    x = unit_columns(np.random.default_rng(1), d.shape[1], 64)
+    rhs = dense_gaps(d, ops, constants, x) + np.linalg.norm(d @ x, axis=0)
+    gaps, _ = perturbation._gaps(d, terms, x)
+    assert np.all(np.abs(gaps - dense_gaps(d, ops, constants, x)) <= 1e-12 * rhs)
 
 
 def grid_supremum(d, ops, names, weights, n=20):

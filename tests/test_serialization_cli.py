@@ -932,7 +932,7 @@ class TestInputBoundary:
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not (tmp_path / "p.json").exists()
 
-    @pytest.mark.parametrize("command", ["generate", "perturb", "invert"])
+    @pytest.mark.parametrize("command", ["generate", "analyze", "perturb", "invert"])
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_negative_seed_rejected(
         self, fam_path, tmp_path, capsys, monkeypatch, command, source
@@ -940,6 +940,7 @@ class TestInputBoundary:
         out = str(tmp_path / "out")
         argv = {
             "generate": ["generate", "--kind", "random", "--dim-h", "4", "--count", "6"],
+            "analyze": ["analyze", "--input", str(fam_path)],
             "perturb": ["perturb", "--input", str(fam_path), "--mode", "scale",
                         "--magnitude", "0.1"],
             "invert": ["invert", "--input", str(fam_path)],
