@@ -141,6 +141,44 @@ def _norm(x: np.ndarray) -> float:
     return float(np.ldexp(np.linalg.norm(x * math.ldexp(1.0, -e)), e))
 
 
+#: A matrix with at least this many times as many rows as columns is tall:
+#: ``_right_svd`` factors it through its square R factor.  gesdd takes its
+#: own QR step from 17/9 up, so above the cut-off the route keeps its bits.
+_TALL = 2
+
+
+def _right_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors (s, V^H) of ``a``'s thin
+    SVD, without forming U.
+
+    A tall ``a`` = Q R is factored through R (Chan's R-SVD): R is square
+    with a's s and V^H, and its SVD skips the rows x columns U.  LAPACK's
+    gesdd takes the same QR step first for such shapes, so s and V^H come
+    out as the thin SVD gives them (bit for bit with OpenBLAS 0.3.31).
+    """
+    rows, cols = a.shape
+    if cols >= 1 and rows >= _TALL * cols:
+        a = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return s, vh
+
+
+def _left_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values (U, s) of ``a``'s thin SVD.
+
+    A wide ``a`` (at least ``_TALL`` times as many columns as rows) is
+    factored as the tall a^H by ``_right_svd``, whose right singular vectors
+    are a's U, so a's V^H is never formed.  Any other shape takes the plain
+    thin SVD.
+    """
+    rows, cols = a.shape
+    if rows >= 1 and cols >= _TALL * rows:
+        s, vh = _right_svd(a.conj().T)
+        return vh.conj().T, s
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u, s
+
+
 def hs_norm(a) -> float:
     """Frobenius norm, i.e. sqrt of the sum of squared entry moduli."""
     return _norm(_finite("a", _complex_array("a", a)))

@@ -237,8 +237,14 @@ def decaying_family(
     rng = np.random.default_rng(check_int("seed", seed, 0))
     t = np.zeros((dim_h, count * blk), dtype=np.complex128)
     t[:, :dim_h] = np.eye(dim_h)
-    for j in range(head, count):
-        block = _complex_gaussian(rng, dim_h, blk)
-        block *= tail_ratio ** (j - head + 1) / np.linalg.norm(block, ord=2)
-        t[:, j * blk : (j + 1) * blk] = block
+    # each tail block is drawn straight into t, real part then imaginary,
+    # the stream order seeded families are fixed by; one draw of the whole
+    # tail would leave a temporary as large as the tail, which raised the
+    # process's peak RSS.  The blocks' spectral norms are taken in one pass
+    tail = t[:, head * blk :].reshape(dim_h, count - head, blk).transpose(1, 0, 2)
+    for block in tail:
+        block.real = rng.standard_normal((dim_h, blk))
+        block.imag = rng.standard_normal((dim_h, blk))
+    scales = [tail_ratio**j for j in range(1, count - head + 1)]
+    tail *= (scales / np.linalg.norm(tail, ord=2, axis=(1, 2)))[:, None, None]
     return HSFrameFamily.from_synthesis_matrix(dim_h, dim_k, t)

@@ -17,14 +17,18 @@ D = I - U, lambda1 I and lambda2 U.  Admissible constants (small enough
 against the lower bound) force the perturbed family to be a frame, with
 closed-form bounds on the analysis/synthesis levels.
 
-D is factored once: a thin SVD, or ``eigh`` in frame-operator mode where D
-is Hermitian.  Each A_i is held only as its thin SVD, read from the
-family's cached one (T^H = V s U^H, S = U s^2 U^H): |A_i x| is |diag(s_i)
-W_i^H x|, W_i its right singular vectors, and no dense T^H is copied for
-it.  One decision (``_decide``) finds that the condition holds
-("certified"), that it fails at a witness x checked with D applied
-directly and the same SVDs, or neither within a fixed budget; the
-empirical margin is the smallest slack over the directions it probed.
+D is factored once: by ``eigh`` in frame-operator mode, where D is
+Hermitian, else into its singular values and right singular vectors alone,
+the directions x in D's domain.  A tall D, as analysis mode's (T - T~)^H
+usually is, and every tall whitened matrix go through their square R
+factor (``core._right_svd``), so their tall U is never formed.
+Each A_i is held only as its thin SVD, read from the family's cached one
+(T^H = V s U^H, S = U s^2 U^H): |A_i x| is |diag(s_i) W_i^H x|, W_i its
+right singular vectors, and no dense T^H is copied for it.  One decision
+(``_decide``) finds that the condition holds ("certified"), that it fails
+at a witness x checked with D applied directly and the same SVDs, or
+neither within a fixed budget; the empirical margin is the smallest slack
+over the directions it probed.
 """
 
 from __future__ import annotations
@@ -36,13 +40,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_matrix, as_tuple, check_instance, check_int, check_real
+from .core import _right_svd, as_matrix, as_tuple, check_instance, check_int, check_real
 from .errors import ValidationError
 from .family import (
     DEFAULT_RANK_TOL,
     HSFrameFamily,
     ThinSVD,
     _check_pair,
+    _squared,
     classify,
     frame_bounds,
     frame_operator,
@@ -179,7 +184,7 @@ def analysis_deviation(family: HSFrameFamily, other: HSFrameFamily) -> float:
     """Smallest M with sum_j |(G_j - H_j) f|^2 <= M |f|^2 for all f."""
     _check_pair(family, other, "other")
     delta = family.synthesis_matrix - other.synthesis_matrix
-    return float(np.linalg.norm(delta, ord=2)) ** 2
+    return _squared(np.linalg.norm(delta, ord=2))
 
 
 class _Term(NamedTuple):
@@ -277,8 +282,8 @@ def _whiten(
     if rank < d.shape[1]:
         off_kernel = d - restricted @ v_r
         if float(np.linalg.norm(off_kernel, ord=2)) > kernel_tol:
-            return False, np.linalg.svd(off_kernel, full_matrices=False)[2][0].conj()
-    _, w, w_vh = np.linalg.svd(restricted / s[:rank], full_matrices=False)
+            return False, _right_svd(off_kernel)[1][0].conj()
+    w, w_vh = _right_svd(restricted / s[:rank])
     x = v_r.conj().T @ (w_vh[0].conj() / s[:rank])
     return float(w[0]) <= c * (1.0 + _CERT_RTOL) + 1e-14, x / np.linalg.norm(x)
 
@@ -307,7 +312,7 @@ def _decide(d: np.ndarray, terms: list[_Term], hermitian: bool = False) -> _Deci
         w, vecs = np.linalg.eigh(d)
         d_norm, probes = max(-float(w[0]), float(w[-1])), [vecs[:, 0], vecs[:, -1]]
     else:
-        _, s, vh = np.linalg.svd(d, full_matrices=False)
+        s, vh = _right_svd(d)
         d_norm, probes = float(s[0]), [vh[0].conj(), vh[-1].conj()]
     for t in terms[:2]:
         if t.vh is not None:
@@ -361,7 +366,7 @@ def _decide_boxes(
 
     def whiten_at(weights: np.ndarray) -> tuple[bool, np.ndarray]:
         w = np.vstack([(ci / math.sqrt(ti)) * b for ci, ti, b in zip(c, weights, blocks)])
-        _, s, vh = np.linalg.svd(w, full_matrices=False)
+        s, vh = _right_svd(w)
         return _whiten(d_in, s, vh, 1.0, max(t.kernel_tol for t in active))
 
     boxes, first = deque([(np.zeros(len(active)), np.ones(len(active)))]), len(probes)

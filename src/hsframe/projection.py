@@ -16,7 +16,11 @@ S^-1 f of the full family:
 
 A sweep is one pass over the schedule with one running factorization: prefix
 n's thin SVD U s V^H is taken of [U' diag(s'), T_{n'+1..n}] (n' the previous
-prefix), which has T_n's Gram matrix.  With Q_n = U[:, :r_n] the plain
+prefix), which has T_n's Gram matrix.  Only U and s are read, so when that
+block is at least twice as wide as tall (a jump over many maps) it is
+factored through the R factor of its conjugate transpose, whose right
+singular vectors are U, and its V^H is never formed; a nearer-square block
+takes the plain thin SVD.  With Q_n = U[:, :r_n] the plain
 section Q_n^H S_n Q_n is diag(s_r^2), and each compression at k > n adds the
 Gram matrix of blocks n+1..k of Q_n^H T.  By Cauchy interlacing (H_n in
 H_{n+1}, S_k <= S_{k+1}), lambda_min of the compression is non-increasing in
@@ -47,7 +51,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _norm, as_tuple, as_vector, check_instance, check_int, check_real
+from .core import (
+    _left_svd,
+    _norm,
+    as_tuple,
+    as_vector,
+    check_instance,
+    check_int,
+    check_real,
+)
 from .errors import (
     InternalConsistencyError,
     NumericError,
@@ -191,8 +203,7 @@ def _prefix_bases(family: HSFrameFamily, ns, rank_tol: float):
         if n == family.count:
             u, s = family.svd.u, family.svd.s
         else:
-            cols = np.hstack([us, t[:, prev * blk : n * blk]])
-            u, s, _ = np.linalg.svd(cols, full_matrices=False)
+            u, s = _left_svd(np.hstack([us, t[:, prev * blk : n * blk]]))
         us, prev = u * s, n
         rank = numerical_rank(s, rank_tol)
         q, sigma = u[:, :rank].copy(), s[:rank].copy()

@@ -7,11 +7,12 @@ integer argument a fraction or a value below its range, raises
 ValidationError whose message starts with the argument's name.  An array
 argument holds numbers only, has its documented shape and finite entries;
 a NaN, an inf or a string entry, or a wrong shape, raises ValidationError
-whose message starts with the argument's name.  A sequence argument is a
+whose message starts with the argument's name, and finite input whose
+result a float cannot hold raises NumericError.  A sequence argument is a
 nonempty iterable, and an object argument (a family, coefficient sequence,
 schedule, section basis, set of constants or g-frame spec) an instance of
 its class.  A new entry point adds its rows to ``PAIRS``,
-``ARRAYS``, ``SEQUENCES`` or ``INSTANCES``.
+``ARRAYS``, ``SEQUENCES``, ``INSTANCES`` or ``OVERFLOWS``.
 """
 
 import math
@@ -25,6 +26,7 @@ from hsframe import (
     GFrameSpec,
     HSFrameFamily,
     HSMap,
+    NumericError,
     PerturbationConstants,
     SectionSchedule,
     SpectrumSpec,
@@ -330,3 +332,21 @@ def test_other_class_argument_rejected(pair):
     name, call = INSTANCES[pair]
     with pytest.raises(ValidationError, match=rf"^{name} must be "):
         call(F if name == "coeffs" else COEFFS)
+
+
+# a finite family whose squared singular values overflow: every entry point
+# that squares one reports a NumericError, not an OverflowError or inf
+HUGE = HSFrameFamily.from_synthesis_matrix(4, 1, 1e200 * F.synthesis_matrix)
+OVERFLOWS = {
+    "frame_bounds": lambda: frame_bounds(HUGE),
+    "classify": lambda: classify(HUGE),
+    "check_condition": lambda: check_condition(
+        "analysis", HUGE, HUGE, PerturbationConstants()),
+    "analysis_deviation": lambda: analysis_deviation(HUGE, F),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_unrepresentable_result_is_numeric_error(call):
+    with pytest.raises(NumericError, match="overflows"):
+        call()

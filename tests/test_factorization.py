@@ -17,6 +17,7 @@ from hsframe import (
     canonical_dual,
     classify,
     convergence_sweep,
+    decaying_family,
     frame_bounds,
     frame_operator,
     frame_operator_hs_norm_bound,
@@ -29,6 +30,8 @@ from hsframe import (
 )
 import hsframe
 from hsframe.cli import main
+from hsframe.core import _left_svd, _right_svd
+from hsframe.projection import _prefix_bases
 from conftest import complex_unit
 
 
@@ -177,3 +180,79 @@ def test_analyze_factors_the_family_once(tmp_path, monkeypatch):
     assert frame_bounds(dual) == pytest.approx(
         (1.0 / frame_bounds(fam)[1], 1.0 / frame_bounds(fam)[0]), rel=1e-12
     )
+
+
+def with_singular_values(rng, rows, cols, values):
+    """A complex rows x cols matrix with the given singular values, padded
+    with zeros, between random unitary factors."""
+    def unitary(n):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(z)[0]
+
+    k = min(rows, cols)
+    sv = np.zeros(k)
+    sv[: len(values)] = values
+    return (unitary(rows)[:, :k] * sv) @ unitary(cols)[:, :k].conj().T
+
+
+class TestOneSidedSVD:
+    """core._right_svd (s, V^H) and core._left_svd (U, s) take a tall or wide
+    matrix through an R factor; each agrees with numpy's thin SVD."""
+
+    # (rows, cols, rank): tall, near-square, wide and rank-deficient tall
+    # for _right_svd, transposed for _left_svd; the nonzero singular values
+    # rank, rank - 1, ..., 1 are a unit apart
+    SHAPES = [(60, 12, 12), (20, 14, 14), (12, 40, 12), (60, 12, 5)]
+
+    @staticmethod
+    def check_projectors(vecs, ref, rank):
+        """Each of the first ``rank`` (well-separated) singular directions,
+        rows of ``vecs`` and ``ref``, spans the same line."""
+        for i in range(rank):
+            p, p_ref = np.outer(vecs[i].conj(), vecs[i]), np.outer(ref[i].conj(), ref[i])
+            assert np.abs(p - p_ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("rows, cols, rank", SHAPES)
+    def test_right_svd_matches_numpy(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * cols + rank)
+        a = with_singular_values(rng, rows, cols, np.arange(rank, 0, -1.0))
+        s, vh = _right_svd(a)
+        _, s_ref, vh_ref = np.linalg.svd(a, full_matrices=False)
+        assert s.shape == s_ref.shape and vh.shape == vh_ref.shape
+        assert np.abs(s - s_ref).max() <= 1e-13 * s_ref[0]
+        self.check_projectors(vh, vh_ref, rank)
+
+    @pytest.mark.parametrize("rows, cols, rank", SHAPES)
+    def test_left_svd_matches_numpy(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * cols + rank)
+        a = with_singular_values(rng, cols, rows, np.arange(rank, 0, -1.0))
+        u, s = _left_svd(a)
+        u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+        assert s.shape == s_ref.shape and u.shape == u_ref.shape
+        assert np.abs(s - s_ref).max() <= 1e-13 * s_ref[0]
+        self.check_projectors(u.T, u_ref.T, rank)
+
+    def test_routed_prefix_matches_a_direct_svd(self, monkeypatch):
+        """Prefixes 8 and 16 of a decaying 8/2/20 family jump over 24 and 32
+        columns, so their running blocks, 8 x 32 and 8 x 40, are wide and
+        factored through a square 8 x 8 R; each basis has the rank and the
+        projector Q_n Q_n^H of a direct SVD of the prefix."""
+        fam = decaying_family(8, 2, 20, 0.5, seed=4)
+        fam.svd  # the whole family's, before recording
+        shapes, svd = [], np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        bases = list(_prefix_bases(fam, (2, 8, 16), 1e-10))
+        monkeypatch.undo()
+        assert shapes == [(8, 8), (8, 8), (8, 8)]
+        for basis in bases:
+            u, sig, _ = np.linalg.svd(fam.synthesis_matrix[:, : basis.n * 4],
+                                      full_matrices=False)
+            q = u[:, : int(np.count_nonzero(sig > 1e-10 * sig[0]))]
+            assert basis.rank == q.shape[1]
+            gap = basis.q @ basis.q.conj().T - q @ q.conj().T
+            assert np.abs(gap).max() <= 1e-12

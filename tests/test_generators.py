@@ -6,6 +6,7 @@ import pytest
 
 from hsframe import (
     GFrameSpec,
+    HSFrameFamily,
     SectionSchedule,
     SpectrumSpec,
     ValidationError,
@@ -209,6 +210,26 @@ class TestDecayingFamily:
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValidationError):
             decaying_family(4, 1, 8, 1.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tail_equals_the_per_block_loop(self, seed):
+        """The tail, drawn into place and normalized in one pass, is bit for
+        bit the one a loop builds block by block: each block's real part,
+        then its imaginary part, from the same stream, scaled by
+        ratio^(j - head + 1) over its own spectral norm."""
+        dim_h, dim_k, count, ratio = 6, 2, 11, 0.7
+        blk, head = dim_k * dim_k, 2  # head = ceil(dim_h / blk)
+        rng = np.random.default_rng(seed)
+        t = np.zeros((dim_h, count * blk), dtype=np.complex128)
+        t[:, :dim_h] = np.eye(dim_h)
+        for j in range(head, count):
+            real, imag = (rng.standard_normal((dim_h, blk)) for _ in range(2))
+            block = real + 1j * imag
+            block *= ratio ** (j - head + 1) / np.linalg.norm(block, ord=2)
+            t[:, j * blk : (j + 1) * blk] = block
+        fam = decaying_family(dim_h, dim_k, count, ratio, seed=seed)
+        expected = HSFrameFamily.from_synthesis_matrix(dim_h, dim_k, t)
+        assert np.array_equal(fam.images, expected.images)
 
 
 class TestDeterminism:

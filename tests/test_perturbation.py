@@ -577,6 +577,24 @@ def test_single_constant_decision_factors_only_the_deviation(monkeypatch):
         assert counts == expected, mode
 
 
+def test_tall_deviation_is_factored_through_its_r_factor(monkeypatch):
+    """In analysis mode D = (T - T~)^H has count*dim_k^2 = 12 rows on a
+    4-dimensional H, so its SVD is taken of the square 4 x 4 R factor, and
+    the decision never forms D's 12 x 4 left singular vectors."""
+    g = random_family(4, 1, 12, SpectrumSpec.flat(), seed=5)
+    gamma, constants = perturb_family(g, "additive-analysis", 0.1, seed=5)
+    g.svd, gamma.svd  # computed once per family, before recording
+    shapes, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    assert check_condition("analysis", g, gamma, constants).certified
+    assert shapes == [(4, 4)]
+
+
 class TestPerturbFamily:
     def test_zero_magnitude_identity(self):
         g = seeded_family(12)

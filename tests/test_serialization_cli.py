@@ -2,8 +2,11 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from hsframe import (
     random_family,
     save_family,
 )
+import hsframe
 from hsframe import serialization
 from hsframe.cli import main
 from hsframe.serialization import family_to_document, format_sig
@@ -451,7 +455,9 @@ class TestMemo:
         assert calls == []
         assert main(["perturb", "--input", fam, "--mode", "scale",
                      "--magnitude", "0.1"]) == 0
-        # T~ once; the others factor the 6 x 4 deviation (T - T~)^H
+        # T~ (4 x 6) once; the others factor the deviation (T - T~)^H and
+        # its whitened form, 6 x 4: under twice as tall as wide, so they
+        # take the plain thin SVD, not the R factor's
         assert calls.count((4, 6)) == 1
 
 
@@ -1135,3 +1141,23 @@ def test_cli_flag_fuzz(fuzz_files, argv):
         code = exit_code(argv)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """``python -m hsframe.cli`` runs ``main`` under its ``__main__`` check
+    and exits with its code: 0 for a family written, 2 for a rejected flag,
+    4 for a missing input file."""
+    src = str(Path(hsframe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = str(tmp_path / "onb.json")
+    for argv, code in [
+        (["generate", "--kind", "onb", "--dim-h", "3", "--out", out], 0),
+        (["generate", "--kind", "onb", "--dim-h", "3", "--count", "2", "--out", out], 2),
+        (["analyze", "--input", str(tmp_path / "missing.json")], 4),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "hsframe.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+    assert load_family(out).dim_h == 3
