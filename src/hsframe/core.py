@@ -142,9 +142,17 @@ def _norm(x: np.ndarray) -> float:
 
 
 #: A matrix with at least this many times as many rows as columns is tall:
-#: ``_right_svd`` factors it through its square R factor.  gesdd takes its
-#: own QR step from 17/9 up, so above the cut-off the route keeps its bits.
+#: ``_right_svd`` and ``_spectral_norm`` factor it through its square R
+#: factor.  gesdd takes its own QR step from 17/9 up, so above the cut-off
+#: the route keeps its bits.
 _TALL = 2
+
+
+def _tall(shape: tuple[int, int]) -> bool:
+    """Whether a matrix of ``shape`` (rows, columns) is at least ``_TALL``
+    times taller than wide, with a column."""
+    rows, cols = shape
+    return cols >= 1 and rows >= _TALL * cols
 
 
 def _right_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,8 +164,7 @@ def _right_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gesdd takes the same QR step first for such shapes, so s and V^H come
     out as the thin SVD gives them (bit for bit with OpenBLAS 0.3.31).
     """
-    rows, cols = a.shape
-    if cols >= 1 and rows >= _TALL * cols:
+    if _tall(a.shape):
         a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     return s, vh
@@ -171,12 +178,27 @@ def _left_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are a's U, so a's V^H is never formed.  Any other shape takes the plain
     thin SVD.
     """
-    rows, cols = a.shape
-    if rows >= 1 and cols >= _TALL * rows:
+    if _tall(a.shape[::-1]):
         s, vh = _right_svd(a.conj().T)
         return vh.conj().T, s
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u, s
+
+
+def _spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of the matrix ``a``, read off its short side.
+
+    A tall ``a`` = Q R, or a wide one through a^H, has the singular values
+    of its square R factor, so only R is factored (Chan's R-SVD): LAPACK
+    would otherwise take a wide ``a`` through its slower LQ path.  A
+    near-square ``a`` goes to ``np.linalg.norm(a, 2)`` as it is, bit for
+    bit; through R the last bits may move.
+    """
+    if _tall(a.shape):
+        a = np.linalg.qr(a, mode="r")
+    elif _tall(a.shape[::-1]):
+        a = np.linalg.qr(a.conj().T, mode="r")
+    return float(np.linalg.norm(a, 2))
 
 
 def hs_norm(a) -> float:

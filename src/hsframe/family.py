@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     _complex_array,
     _norm,
+    _spectral_norm,
     as_array,
     as_tuple,
     as_vector,
@@ -130,7 +131,7 @@ class HSMap:
         return self.images.reshape(self.dim_h, -1).conj() @ b.reshape(-1)
 
     def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.images.reshape(self.dim_h, -1), ord=2))
+        return _spectral_norm(self.images.reshape(self.dim_h, -1))
 
 
 class HSFrameFamily:
@@ -381,12 +382,34 @@ def riesz_inequality_check(family: HSFrameFamily) -> float:
 
 def _require_frame(family: HSFrameFamily, rank_tol: float) -> None:
     check_rank_tol(rank_tol)
-    rank = numerical_rank(family.svd.s, rank_tol)
+    _require_rank(family, numerical_rank(family.svd.s, rank_tol))
+
+
+def _require_rank(family: HSFrameFamily, rank: int) -> None:
+    """NotAFrameError unless the synthesis rank ``rank`` is dim_h."""
     if rank != family.dim_h:
         raise NotAFrameError(
             f"family is not a frame: synthesis rank {rank} < dim_h {family.dim_h} "
             "(lower bound zero)"
         )
+
+
+def _inverse_frame_apply(family: HSFrameFamily, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """S^-1 g = U diag(1/s^2) U^H g, from the frame's cached thin SVD.
+
+    A result that is not finite raises ``NumericError`` naming |f| and
+    sigma_min: for sigma_min below about 1.5e-162 s^2 underflows to 0, and
+    |S^-1 f| can reach |f| / sigma_min^2 in any case.
+    """
+    u, s = family.svd.u, family.svd.s
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = u @ ((u.conj().T @ g) / s**2)
+    if not np.isfinite(x).all():
+        raise NumericError(
+            f"S^-1 f overflows: |f| = {_norm(f)!r} against sigma_min = "
+            f"{float(s[-1])!r}, and |S^-1 f| can reach |f| / sigma_min^2"
+        )
+    return x
 
 
 def canonical_dual(
@@ -412,13 +435,15 @@ def canonical_dual(
 def reconstruct(
     family: HSFrameFamily, f, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
-    """Resynthesize f as sum_j S^-1 G_j* G_j f; equals f for frames."""
+    """Resynthesize f as sum_j S^-1 G_j* G_j f; equals f for frames.
+
+    ``NumericError`` when the result is out of range, as when sigma_min^2
+    underflows to 0.
+    """
     check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
     _require_frame(family, rank_tol)
-    sf = synthesize(family, analyze(family, fv))
-    u, s = family.svd.u, family.svd.s
-    return u @ ((u.conj().T @ sf) / s**2)
+    return _inverse_frame_apply(family, synthesize(family, analyze(family, fv)), fv)
 
 
 def verify_alternate_dual(
@@ -435,11 +460,11 @@ def verify_alternate_dual(
     check_real("tol", tol, 0.0, math.inf, closed=(True, False))
     _check_pair(family, candidate, "candidate")
     p = family.synthesis_matrix @ candidate.synthesis_matrix.conj().T
-    max_residual = float(np.linalg.norm(p - np.eye(family.dim_h), ord=2))
+    max_residual = _spectral_norm(p - np.eye(family.dim_h))
     return DualCheck(
         ok=bool(max_residual <= tol),
         max_residual=max_residual,
-        identity_gap=float(np.linalg.norm(p - p.conj().T, ord=2)),
+        identity_gap=_spectral_norm(p - p.conj().T),
     )
 
 

@@ -40,13 +40,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _right_svd, as_matrix, as_tuple, check_instance, check_int, check_real
+from .core import (
+    _right_svd,
+    _spectral_norm,
+    as_matrix,
+    as_tuple,
+    check_instance,
+    check_int,
+    check_real,
+)
 from .errors import ValidationError
 from .family import (
     DEFAULT_RANK_TOL,
     HSFrameFamily,
     ThinSVD,
     _check_pair,
+    _require_rank,
     _squared,
     classify,
     frame_bounds,
@@ -184,7 +193,7 @@ def analysis_deviation(family: HSFrameFamily, other: HSFrameFamily) -> float:
     """Smallest M with sum_j |(G_j - H_j) f|^2 <= M |f|^2 for all f."""
     _check_pair(family, other, "other")
     delta = family.synthesis_matrix - other.synthesis_matrix
-    return _squared(np.linalg.norm(delta, ord=2))
+    return _squared(_spectral_norm(delta))
 
 
 class _Term(NamedTuple):
@@ -281,7 +290,7 @@ def _whiten(
     restricted = d @ v_r.conj().T
     if rank < d.shape[1]:
         off_kernel = d - restricted @ v_r
-        if float(np.linalg.norm(off_kernel, ord=2)) > kernel_tol:
+        if _spectral_norm(off_kernel) > kernel_tol:
             return False, _right_svd(off_kernel)[1][0].conj()
     w, w_vh = _right_svd(restricted / s[:rank])
     x = v_r.conj().T @ (w_vh[0].conj() / s[:rank])
@@ -447,11 +456,14 @@ def check_condition(
     empirical margin is the smallest slack (RHS - LHS) over the decision's
     probes.  Predicted bounds are filled for the analysis/synthesis modes,
     which admit closed-form bounds; the frame-operator and
-    synthesis-coefficient conditions guarantee frame-ness only.
+    synthesis-coefficient conditions guarantee frame-ness only.  A base
+    family whose synthesis matrix has fewer than dim_h nonzero singular
+    values raises ``NotAFrameError``.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
     _check_pair(family, candidate, "candidate")
+    _require_rank(family, numerical_rank(family.svd.s, 0.0))
     a_g, b_g = frame_bounds(family)
     actual = frame_bounds(candidate)
     check_admissible(constants, a_g, bessel_of_candidate=actual[1], mode=mode)
@@ -514,7 +526,7 @@ def perturb_family(
             j = check_int("indices", j, 0, family.count - 1)
             mask[j * blk : (j + 1) * blk] = True
         delta[:, ~mask] = 0.0
-    norm = float(np.linalg.norm(delta, ord=2))
+    norm = _spectral_norm(delta)
     if magnitude == 0.0 or norm == 0.0:
         delta = np.zeros_like(delta)
         magnitude = 0.0

@@ -71,6 +71,7 @@ from .family import (
     CoefficientSequence,
     HSFrameFamily,
     _check_coefficients,
+    _inverse_frame_apply,
     _require_frame,
     check_rank_tol,
     frame_bounds,
@@ -438,10 +439,7 @@ def convergence_sweep(
     _check_schedule(schedule, family)
     _require_frame(family, rank_tol)
     bounds = frame_bounds(family)
-    u, sigma = family.svd.u, family.svd.s
-    ground = u @ ((u.conj().T @ fv) / sigma**2)
-    if not np.isfinite(ground).all():
-        raise NumericError("S^-1 f overflows: the vector is too large")
+    ground = _inverse_frame_apply(family, fv, fv)
     t = family.synthesis_matrix
     t_h = t.conj().T
     blk = family.dim_k * family.dim_k

@@ -30,7 +30,7 @@ from hsframe import (
 )
 import hsframe
 from hsframe.cli import main
-from hsframe.core import _left_svd, _right_svd
+from hsframe.core import _left_svd, _right_svd, _spectral_norm, _tall
 from hsframe.projection import _prefix_bases
 from conftest import complex_unit
 
@@ -111,6 +111,26 @@ def test_package_imports_no_scipy():
                 imported.add((path.name, node.module))
     assert imported  # the walk found the package's imports
     assert [(f, m) for f, m in imported if m.split(".")[0] == "scipy"] == []
+
+
+def test_matrix_spectral_norms_go_through_core():
+    """Every matrix spectral norm in the package is core._spectral_norm's,
+    read off the short side.  The one ord=2 np.linalg.norm left outside
+    core is decaying_family's batched one, whose values fix the bytes of
+    generated files."""
+    found = []
+    for path in sorted(Path(hsframe.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "norm"):
+                continue
+            ords = [k.value for k in node.keywords if k.arg == "ord"] + node.args[1:2]
+            if any(isinstance(o, ast.Constant) and o.value == 2 for o in ords):
+                found.append((path.name, ast.get_source_segment(text, node)))
+    assert found == [("generators.py", "np.linalg.norm(tail, ord=2, axis=(1, 2))")]
 
 
 @st.composite
@@ -231,6 +251,35 @@ class TestOneSidedSVD:
         assert s.shape == s_ref.shape and u.shape == u_ref.shape
         assert np.abs(s - s_ref).max() <= 1e-13 * s_ref[0]
         self.check_projectors(u.T, u_ref.T, rank)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from(["tall", "wide", "near-square"]),
+        short=st.integers(1, 12),
+        stretch=st.integers(0, 60),
+        rank=st.integers(0, 12),
+        exponent=st.sampled_from([-150, 0, 150]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spectral_norm_matches_numpy(self, shape, short, stretch, rank, exponent, seed):
+        """_spectral_norm agrees with np.linalg.norm(a, 2) to 1e-13 relative
+        on tall, wide and near-square inputs, rank-deficient and all-zero
+        (rank 0) ones, and at scales 1e-150 and 1e150; a near-square input
+        takes numpy's own route, bit for bit."""
+        if shape == "near-square":
+            long = short + stretch % short
+        else:
+            long = 2 * short + stretch
+        rows, cols = (long, short) if shape == "tall" else (short, long)
+        rng = np.random.default_rng(seed)
+        values = np.sort(rng.uniform(0.1, 1.0, min(rank, short)))[::-1]
+        a = with_singular_values(rng, rows, cols, values) * 10.0**exponent
+        norm, ref = _spectral_norm(a), float(np.linalg.norm(a, 2))
+        assert abs(norm - ref) <= 1e-13 * ref
+        assert _tall(a.shape) == (shape == "tall")
+        assert _tall(a.shape[::-1]) == (shape == "wide")
+        if shape == "near-square":
+            assert norm == ref
 
     def test_routed_prefix_matches_a_direct_svd(self, monkeypatch):
         """Prefixes 8 and 16 of a decaying 8/2/20 family jump over 24 and 32

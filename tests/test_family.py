@@ -360,6 +360,14 @@ class TestReconstruct:
         with pytest.raises(NotAFrameError):
             reconstruct(from_scalar_frame([[1, 0], [1, 0]]), [1.0, 1.0])
 
+    def test_underflowing_sigma_squared_is_numeric_error(self):
+        # a frame at rank_tol 1e-200 whose sigma_min^2 = 1e-340 underflows
+        # to 0: a NumericError naming |f| and sigma_min, not nan and a
+        # divide-by-zero warning (which the suite turns into an error)
+        fam = from_scalar_frame([[1, 0], [0, 1e-170]])
+        with pytest.raises(NumericError, match=r"S\^-1 f overflows: .*sigma_min = 1e-170"):
+            reconstruct(fam, [1.0, 1.0], rank_tol=1e-200)
+
 
 class TestAlternateDual:
     def test_canonical_dual_passes(self):

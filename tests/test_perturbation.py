@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hsframe import (
     HSFrameFamily,
+    NotAFrameError,
     PerturbationConstants,
     SpectrumSpec,
     ValidationError,
@@ -184,6 +185,14 @@ class TestCheckCondition:
         assert verdict.actual_bounds[1] == pytest.approx(0.5625 * b_g, rel=1e-9)
         assert verdict.actual_bounds[0] >= verdict.predicted_bounds[0] - 1e-9
         assert verdict.actual_bounds[1] <= verdict.predicted_bounds[1] + 1e-9
+
+    def test_base_family_not_a_frame(self):
+        # a Riesz sequence of 2 vectors in C^4: lower bound 0, named as in
+        # canonical_dual and reconstruct, not as check_admissible's lower
+        g = riesz_family(4, 1, 2, SpectrumSpec.flat(), seed=1)
+        gamma, constants = perturb_family(g, "additive-analysis", 0.1, seed=1)
+        with pytest.raises(NotAFrameError, match="not a frame: synthesis rank 2 < dim_h 4"):
+            check_condition("analysis", g, gamma, constants)
 
     def test_synthesis_identity_case(self):
         g = seeded_family(6)

@@ -750,6 +750,21 @@ class TestPerturbCommand:
         assert code == 2
         assert "mu/sqrt(A)" in capsys.readouterr().err
 
+    def test_base_family_not_a_frame(self, tmp_path, capsys):
+        fam_path = tmp_path / "riesz.json"
+        main([
+            "generate", "--kind", "riesz", "--dim-h", "4", "--count", "2",
+            "--out", str(fam_path),
+        ])
+        code = main([
+            "perturb", "--input", str(fam_path), "--mode", "additive-analysis",
+            "--magnitude", "0.1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "family is not a frame: synthesis rank 2 < dim_h 4" in err
+        assert "lower must be" not in err
+
     def test_seeded_rerun_identical_modulo_timestamp(self, tmp_path):
         fam_path = tmp_path / "fam.json"
         main([
@@ -865,6 +880,22 @@ class TestInputBoundary:
         ])
         assert code == 2
         assert "lambda" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_underflowing_sigma_squared_is_numeric_error(self, tmp_path, capsys):
+        # sigma_min = 1e-170 keeps the family a frame at rank_tol 1e-200,
+        # but sigma_min^2 underflows to 0: exit 3 naming |f| and sigma_min,
+        # and no numpy warning (the suite turns one into an error)
+        fam_path = tmp_path / "tiny.json"
+        save_family(from_scalar_frame([[1, 0], [0, 1e-170]]), str(fam_path))
+        code = main([
+            "invert", "--input", str(fam_path), "--rank-tol", "1e-200",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "S^-1 f overflows" in err and "sigma_min = 1e-170" in err
+        assert "Warning" not in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_overflowing_vector_is_numeric_error(self, fam_path, tmp_path, capsys):
