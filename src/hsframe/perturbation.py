@@ -17,11 +17,11 @@ D = I - U, lambda1 I and lambda2 U.  Admissible constants (small enough
 against the lower bound) force the perturbed family to be a frame, with
 closed-form bounds on the analysis/synthesis levels.
 
-D is factored once: by ``eigh`` in frame-operator mode, where D is
-Hermitian, else into its singular values and right singular vectors alone,
-the directions x in D's domain.  A tall D, as analysis mode's (T - T~)^H
-usually is, and every tall whitened matrix go through their square R
-factor (``core._right_svd``), so their tall U is never formed.
+D is factored once, in every mode, into its singular values and right
+singular vectors alone, the directions x in D's domain.  A tall D, as
+analysis mode's (T - T~)^H usually is, and every tall whitened matrix go
+through their square R factor (``core._right_svd``), so their tall U is
+never formed.
 Each A_i is held only as its thin SVD, read from the family's cached one
 (T^H = V s U^H, S = U s^2 U^H): |A_i x| is |diag(s_i) W_i^H x|, W_i its
 right singular vectors, and no dense T^H is copied for it.  One decision
@@ -210,11 +210,11 @@ class _Term(NamedTuple):
     kernel_tol: float = 0.0
 
 
-def _svd_term(c: float, svd: ThinSVD) -> _Term:
-    """c |A x| where ``svd`` is A's own thin SVD, as for T on coefficient
-    sequences: there ker T is structural, and D need only vanish on it up
-    to 1e-12 |T|."""
-    return _Term(c, svd.s, svd.vh, 1e-12 * float(svd.s[0]))
+def _svd_term(c: float, s: np.ndarray, vh: np.ndarray) -> _Term:
+    """c |A x| from A's own singular values ``s`` and right singular vectors
+    ``vh``, as for T on coefficient sequences: there ker T is structural,
+    and D need only vanish on it up to 1e-12 |T|."""
+    return _Term(c, s, vh, 1e-12 * float(s[0]))
 
 
 def _h_term(c: float, svd: ThinSVD, power: int) -> _Term:
@@ -248,7 +248,9 @@ def _condition(
             _h_term(l1, svd_g, 1), _h_term(l2, svd_c, 1), _Term(mu)
         ]
     if mode in ("synthesis", "synthesis-coefficient"):
-        return t_g - t_c, [_svd_term(l1, svd_g), _svd_term(l2, svd_c), _Term(mu)]
+        return t_g - t_c, [
+            _svd_term(l1, svd_g.s, svd_g.vh), _svd_term(l2, svd_c.s, svd_c.vh), _Term(mu)
+        ]
     return frame_operator(family) - frame_operator(candidate), [
         _h_term(l1, svd_g, 2),
         _h_term(l2, svd_c, 2),
@@ -305,42 +307,37 @@ class _Decision(NamedTuple):
     margin: float
 
 
-def _decide(d: np.ndarray, terms: list[_Term], hermitian: bool = False) -> _Decision:
-    """Decide |D x| <= sum_i c_i |A_i x| for all x, factoring D once (by
-    ``eigh`` when it is ``hermitian``).
+def _decide(d: np.ndarray, terms: list[_Term]) -> _Decision:
+    """Decide |D x| <= sum_i c_i |A_i x| for all x, factoring D once.
 
-    No active constant: D must vanish.  One: sigma_max(D) <= c for the
-    identity, else the whitening test on the cached SVD.  Several:
-    ``_decide_boxes``.  The probes are D's and the lambda1/lambda2
+    The active constants pick one rule, which gives whether it holds and
+    the directions it tested.  None: D must vanish.  One: sigma_max(D) <=
+    c |A| for A = I or 0, else the whitening test on the cached SVD.
+    Several: ``_decide_boxes``.  The probes are D's and the lambda1/lambda2
     operators' extreme directions plus every tested one; if the condition
     does not hold, the worst probe is the witness when it violates it
     beyond the whitening test's slack.
     """
     # sigma_max(D) and D's extreme directions from one factorization
-    if hermitian:
-        w, vecs = np.linalg.eigh(d)
-        d_norm, probes = max(-float(w[0]), float(w[-1])), [vecs[:, 0], vecs[:, -1]]
-    else:
-        s, vh = _right_svd(d)
-        d_norm, probes = float(s[0]), [vh[0].conj(), vh[-1].conj()]
+    s, vh = _right_svd(d)
+    d_norm, probes = float(s[0]), [vh[0].conj(), vh[-1].conj()]
     for t in terms[:2]:
         if t.vh is not None:
             probes += [t.vh[0].conj(), t.vh[-1].conj()]
     active = [t for t in terms if t.c > 0.0]
     if len(active) > 1:
-        holds = _decide_boxes(d, terms, active, probes)
+        holds, tested = _decide_boxes(d, terms, active)
     elif not active:
         scale = 1.0 if terms[0].s is None else float(terms[0].s[0])
-        holds = d_norm <= 1e-13 * max(scale, 1.0)
-    elif active[0].s is None:
-        holds = d_norm <= active[0].c * (1.0 + _CERT_RTOL) + 1e-14
-    elif active[0].s[0] == 0.0:  # A = 0, so D must vanish
-        holds = d_norm <= 1e-14
+        holds, tested = d_norm <= 1e-13 * max(scale, 1.0), []
+    elif active[0].s is None or active[0].s[0] == 0.0:  # |I| = 1, |0| = 0
+        limit = active[0].c if active[0].s is None else 0.0
+        holds, tested = d_norm <= limit * (1.0 + _CERT_RTOL) + 1e-14, []
     else:
         (t,) = active
-        holds, tested = _whiten(d, t.s, t.vh, t.c, t.kernel_tol)
-        probes.append(tested)
-    x = np.column_stack(probes)
+        holds, x = _whiten(d, t.s, t.vh, t.c, t.kernel_tol)
+        tested = [x]
+    x = np.column_stack(probes + tested)
     gaps, violated = _gaps(d, terms, x)
     worst = int(np.argmin(np.where(violated, gaps, np.inf)))
     witness = x[:, worst] if violated.any() and not holds else None
@@ -348,10 +345,10 @@ def _decide(d: np.ndarray, terms: list[_Term], hermitian: bool = False) -> _Deci
 
 
 def _decide_boxes(
-    d: np.ndarray, terms: list[_Term], active: list[_Term], probes: list[np.ndarray]
-) -> bool:
+    d: np.ndarray, terms: list[_Term], active: list[_Term]
+) -> tuple[bool, list[np.ndarray]]:
     """Whether the condition holds with several active constants (False also
-    when open after _BOX_BUDGET tests); tested directions go to ``probes``.
+    when open after _BOX_BUDGET tests), and the directions tested.
 
     As (sum_i c_i a_i)^2 = min over the simplex of sum_i c_i^2 a_i^2 / t_i,
     it holds iff D^H D <= M_t = sum_i (c_i^2 / t_i) A_i^H A_i for every t.
@@ -378,28 +375,28 @@ def _decide_boxes(
         s, vh = _right_svd(w)
         return _whiten(d_in, s, vh, 1.0, max(t.kernel_tol for t in active))
 
-    boxes, first = deque([(np.zeros(len(active)), np.ones(len(active)))]), len(probes)
-    while boxes and len(probes) - first < _BOX_BUDGET:
+    boxes, tested = deque([(np.zeros(len(active)), np.ones(len(active)))]), []
+    while boxes and len(tested) < _BOX_BUDGET:
         lo, hi = boxes.popleft()
         if not lo.sum() < 1.0 < hi.sum():  # misses the open simplex
             continue
         # the smallest box holding this box's part of the simplex
         lo, hi = np.maximum(lo, 1 - hi.sum() + hi), np.minimum(hi, 1 - lo.sum() + lo)
         holds, z = whiten_at(hi)
-        probes.append(basis @ z)
+        tested.append(basis @ z)
         if holds:
             continue
         a = c * np.array([np.linalg.norm(b @ z) for b in blocks])
         if a.max() > 0.0:  # retest at the t tight for z
             tight = np.maximum(a, 1e-16 * a.max())
-            probes.append(basis @ whiten_at(tight / tight.sum())[1])
-        if _gaps(d, terms, np.column_stack(probes[-2:]))[1].any():
-            return False
+            tested.append(basis @ whiten_at(tight / tight.sum())[1])
+        if _gaps(d, terms, np.column_stack(tested[-2:]))[1].any():
+            return False, tested
         # bisect where the box is widest relative to its largest t_i
         cut = np.arange(len(lo)) == np.argmax((hi - lo) / hi)
         mid = 0.5 * (lo + hi)
         boxes += [(lo, np.where(cut, mid, hi)), (np.where(cut, mid, lo), hi)]
-    return not boxes
+    return not boxes, tested
 
 
 def cc_lemma_check(u, lambda1: float, lambda2: float) -> CCLemmaReport:
@@ -413,11 +410,9 @@ def cc_lemma_check(u, lambda1: float, lambda2: float) -> CCLemmaReport:
     lambda1 = check_real("lambda1", lambda1, 0.0, 1.0, closed=(True, False))
     lambda2 = check_real("lambda2", lambda2, 0.0, 1.0, closed=(True, False))
     um = as_matrix("u", u)
-    svd_u = ThinSVD(*np.linalg.svd(um, full_matrices=False))
-    sigma_min, sigma_max = float(svd_u.s[-1]), float(svd_u.s[0])
-    decision = _decide(
-        np.eye(um.shape[0]) - um, [_Term(lambda1), _svd_term(lambda2, svd_u)]
-    )
+    s, vh = _right_svd(um)
+    sigma_min, sigma_max = float(s[-1]), float(s[0])
+    decision = _decide(np.eye(um.shape[0]) - um, [_Term(lambda1), _svd_term(lambda2, s, vh)])
 
     fwd = ((1.0 - lambda1) / (1.0 + lambda2), (1.0 + lambda1) / (1.0 - lambda2))
     inv = ((1.0 - lambda2) / (1.0 + lambda1), (1.0 + lambda2) / (1.0 - lambda1))
@@ -469,7 +464,7 @@ def check_condition(
     check_admissible(constants, a_g, bessel_of_candidate=actual[1], mode=mode)
 
     d, terms = _condition(mode, family, candidate, constants)
-    decision = _decide(d, terms, hermitian=mode == "frame-operator")
+    decision = _decide(d, terms)
     predicted = None
     if mode in ("analysis", "synthesis"):
         c = constants

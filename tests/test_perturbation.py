@@ -564,9 +564,9 @@ def test_tight_multi_constant_conditions_carry_no_witness():
 
 def test_single_constant_decision_factors_only_the_deviation(monkeypatch):
     """One active constant with an operator term reads the families' cached
-    SVDs: the decision factors D once and whitens once (eigh for Hermitian
-    D in frame-operator mode).  Synthesis mode also tests ker T with a
-    values-only norm, which calls no ``np.linalg.svd``."""
+    SVDs: the decision factors D once and whitens once, by SVD in every
+    mode, Hermitian D = S - S~ included.  Synthesis mode also tests ker T
+    with a values-only norm, which calls no ``np.linalg.svd``."""
     g = seeded_family(3)
     gamma, _ = perturb_family(g, "additive-analysis", 0.1, seed=3)
     g.svd, gamma.svd  # computed once per family, before counting
@@ -579,7 +579,7 @@ def test_single_constant_decision_factors_only_the_deviation(monkeypatch):
     for mode, expected in [
         ("analysis", {"svd": 2, "eigh": 0}),
         ("synthesis", {"svd": 2, "eigh": 0}),
-        ("frame-operator", {"svd": 1, "eigh": 1}),
+        ("frame-operator", {"svd": 2, "eigh": 0}),
     ]:
         counts.update(svd=0, eigh=0)
         check_condition(mode, g, gamma, PerturbationConstants(lambda1=0.5))
