@@ -308,12 +308,12 @@ def _check_pair(family: HSFrameFamily, other: HSFrameFamily, name: str) -> None:
     """``family`` and ``other``, named ``name``, are families of one shape."""
     check_instance("family", family, HSFrameFamily)
     check_instance(name, other, HSFrameFamily)
-    if (
-        family.dim_h != other.dim_h
-        or family.dim_k != other.dim_k
-        or family.count != other.count
-    ):
-        raise ValidationError("families must share dim_h, dim_k and count")
+    shapes = [(f.dim_h, f.dim_k, f.count) for f in (family, other)]
+    if shapes[0] != shapes[1]:
+        raise ValidationError(
+            f"{name} must share (dim_h, dim_k, count) with family: got "
+            f"{shapes[1]}, family has {shapes[0]}"
+        )
 
 
 def analyze(family: HSFrameFamily, f) -> CoefficientSequence:
@@ -395,21 +395,37 @@ def _require_rank(family: HSFrameFamily, rank: int) -> None:
 
 
 def _inverse_frame_apply(family: HSFrameFamily, g: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """S^-1 g = U diag(1/s^2) U^H g, from the frame's cached thin SVD.
+    """S^-1 g = U diag(1/s^2) U^H g for g = f or S f, from the frame's
+    cached thin SVD.
 
-    A result that is not finite raises ``NumericError`` naming |f| and
-    sigma_min: for sigma_min below about 1.5e-162 s^2 underflows to 0, and
-    |S^-1 f| can reach |f| / sigma_min^2 in any case.
+    For sigma_min below about 1.5e-162 s^2 underflows to 0.  A direction
+    where it does and f has no component maps to 0, as S^-1 0 = 0; any
+    other result that is not finite raises ``NumericError`` naming |f| and
+    sigma_min, since |S^-1 f| can reach |f| / sigma_min^2.
     """
     u, s = family.svd.u, family.svd.s
+    s2 = s**2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = u @ ((u.conj().T @ g) / s**2)
+        y = np.where((s2 == 0.0) & (u.conj().T @ f == 0.0), 0.0, (u.conj().T @ g) / s2)
+        x = u @ y
     if not np.isfinite(x).all():
         raise NumericError(
             f"S^-1 f overflows: |f| = {_norm(f)!r} against sigma_min = "
             f"{float(s[-1])!r}, and |S^-1 f| can reach |f| / sigma_min^2"
         )
     return x
+
+
+def _positive_bounds(family: HSFrameFamily) -> tuple[float, float]:
+    """The bounds (A, B) of a frame, whose sigma_min > 0; ``NumericError``
+    naming sigma_min when A = sigma_min^2 underflows to 0."""
+    bounds = frame_bounds(family)
+    if bounds[0] == 0.0:
+        raise NumericError(
+            f"lower frame bound A = sigma_min^2 underflows to 0: sigma_min = "
+            f"{float(family.svd.s[-1])!r}"
+        )
+    return bounds
 
 
 def canonical_dual(

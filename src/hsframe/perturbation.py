@@ -55,6 +55,7 @@ from .family import (
     HSFrameFamily,
     ThinSVD,
     _check_pair,
+    _positive_bounds,
     _require_rank,
     _squared,
     classify,
@@ -453,13 +454,14 @@ def check_condition(
     which admit closed-form bounds; the frame-operator and
     synthesis-coefficient conditions guarantee frame-ness only.  A base
     family whose synthesis matrix has fewer than dim_h nonzero singular
-    values raises ``NotAFrameError``.
+    values raises ``NotAFrameError``, and one whose lower bound
+    sigma_min^2 underflows to 0 ``NumericError``.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
     _check_pair(family, candidate, "candidate")
     _require_rank(family, numerical_rank(family.svd.s, 0.0))
-    a_g, b_g = frame_bounds(family)
+    a_g, b_g = _positive_bounds(family)
     actual = frame_bounds(candidate)
     check_admissible(constants, a_g, bessel_of_candidate=actual[1], mode=mode)
 

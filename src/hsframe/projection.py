@@ -72,9 +72,9 @@ from .family import (
     HSFrameFamily,
     _check_coefficients,
     _inverse_frame_apply,
+    _positive_bounds,
     _require_frame,
     check_rank_tol,
-    frame_bounds,
     numerical_rank,
 )
 
@@ -375,12 +375,14 @@ def find_oversampling(
     Always terminates: at m = count - n the compressed operator is the
     restriction of the full frame operator, whose smallest eigenvalue is at
     least the optimal lower bound A.  The empty section needs none (m = 0).
+    An A that underflows to 0 raises ``NumericError``.
     """
     check_instance("family", family, HSFrameFamily)
     _check_lambda(lam)
     _require_frame(family, rank_tol)
+    a = _positive_bounds(family)[0]
     section = _Section(family, subspace_basis(family, n, rank_tol))
-    return section.oversampling(frame_bounds(family)[0] / lam, n) - n
+    return section.oversampling(a / lam, n) - n
 
 
 def oversampled_inverse_apply(
@@ -395,13 +397,14 @@ def oversampled_inverse_apply(
     After choosing m(n), the compressed operator must satisfy
     lambda_max <= B and lambda_min >= A/lambda; both are asserted and a
     failure raises, since it would indicate a bug rather than bad data.
-    The empty section gives 0.
+    The empty section gives 0.  An A that underflows to 0 (sigma_min below
+    about 1.5e-162) raises ``NumericError`` naming sigma_min.
     """
     check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
     _check_lambda(lam)
     _require_frame(family, rank_tol)
-    bounds = frame_bounds(family)
+    bounds = _positive_bounds(family)
     section = _Section(family, subspace_basis(family, n, rank_tol))
     k = section.oversampling(bounds[0] / lam, n)
     return section.oversampled_apply(k, bounds, lam, fv)
@@ -430,7 +433,8 @@ def convergence_sweep(
     the pair (k, S_k^-1 f); a later full-rank prefix with n <= that k takes
     the pair, m_n = k - n, with no search or solve.  A ground truth or a
     reported value that is not finite (f too large to represent them)
-    raises ``NumericError``.  Errors are taken without squaring entries, so
+    raises ``NumericError``, as does an A that underflows to 0, checked
+    after the ground truth.  Errors are taken without squaring entries, so
     they do not underflow to 0 near 1e-300.
     """
     check_instance("family", family, HSFrameFamily)
@@ -438,8 +442,8 @@ def convergence_sweep(
     _check_lambda(lam)
     _check_schedule(schedule, family)
     _require_frame(family, rank_tol)
-    bounds = frame_bounds(family)
     ground = _inverse_frame_apply(family, fv, fv)
+    bounds = _positive_bounds(family)
     t = family.synthesis_matrix
     t_h = t.conj().T
     blk = family.dim_k * family.dim_k

@@ -11,8 +11,9 @@ whose message starts with the argument's name, and finite input whose
 result a float cannot hold raises NumericError.  A sequence argument is a
 nonempty iterable, and an object argument (a family, coefficient sequence,
 schedule, section basis, set of constants or g-frame spec) an instance of
-its class.  A new entry point adds its rows to ``PAIRS``,
-``ARRAYS``, ``SEQUENCES``, ``INSTANCES`` or ``OVERFLOWS``.
+its class, and a second family shares the first one's shape.  A new entry
+point adds its rows to ``PAIRS``, ``ARRAYS``, ``SEQUENCES``, ``INSTANCES``,
+``SHAPES`` or ``OVERFLOWS``.
 """
 
 import math
@@ -332,6 +333,33 @@ def test_other_class_argument_rejected(pair):
     name, call = INSTANCES[pair]
     with pytest.raises(ValidationError, match=rf"^{name} must be "):
         call(F if name == "coeffs" else COEFFS)
+
+
+# entry point with a second family -> (its name, the call with the value in
+# place); a family of another (dim_h, dim_k, count) than F's (4, 1, 6) is
+# rejected with a message naming it and giving both shapes
+SHAPES = {
+    "verify_alternate_dual": ("candidate", lambda v: verify_alternate_dual(F, v)),
+    "check_condition": ("candidate", lambda v: check_condition("analysis", F, v, CONSTANTS)),
+    "analysis_deviation": ("other", lambda v: analysis_deviation(F, v)),
+    "riesz_stability_check": (
+        "candidate", lambda v: riesz_stability_check(F, v, CONSTANTS)),
+}
+MISMATCHED = {
+    "dim_h": random_family(3, 1, 6, FLAT, seed=2),
+    "dim_k": random_family(4, 2, 6, FLAT, seed=2),
+    "count": random_family(4, 1, 5, FLAT, seed=2),
+}
+
+
+@pytest.mark.parametrize("axis", MISMATCHED)
+@pytest.mark.parametrize("pair", SHAPES)
+def test_mismatched_family_rejected(pair, axis):
+    name, call = SHAPES[pair]
+    other = MISMATCHED[axis]
+    shapes = f"got {(other.dim_h, other.dim_k, other.count)}, family has (4, 1, 6)"
+    with pytest.raises(ValidationError, match=rf"^{name} must share .*{re.escape(shapes)}$"):
+        call(other)
 
 
 # a finite family whose squared singular values overflow: every entry point

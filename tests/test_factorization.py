@@ -133,6 +133,24 @@ def test_matrix_spectral_norms_go_through_core():
     assert found == [("generators.py", "np.linalg.norm(tail, ord=2, axis=(1, 2))")]
 
 
+def test_perturbation_factors_only_through_core():
+    """perturbation.py makes no eigen-solve and no direct np.linalg.svd
+    call: every D, whitened matrix and the lemma's U is factored by
+    core._right_svd, which reads sigma and V^H off the short side."""
+    path = Path(hsframe.__file__).parent / "perturbation.py"
+    linalg, imported = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            if node.value.attr == "linalg":  # np.linalg.<name>
+                linalg.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module, a.name) for a in node.names}
+    assert linalg.isdisjoint({"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals"})
+    assert "qr" in linalg  # the walk sees np.linalg calls
+    assert ("core", "_right_svd") in imported
+    assert [m for m, _ in imported if m and "linalg" in m] == []
+
+
 @st.composite
 def families(draw):
     """Random dims, rank and conditioning: tall, square, wide, rank-deficient

@@ -181,6 +181,12 @@ class TestStorage:
         with pytest.raises(ValidationError, match="nonempty"):
             HSFrameFamily([np.zeros((0, 1, 1))])
 
+    def test_sequence_protocol_and_repr(self):
+        fam = random_family(5, 2, 3, SpectrumSpec.flat(), seed=1)
+        assert len(fam) == 3
+        assert fam[1] is fam.maps[1] and fam[-1] is fam.maps[2]
+        assert repr(fam) == "<HSFrameFamily dim_h=5 dim_k=2 count=3>"
+
 
 class TestFrameBounds:
     def test_onb(self):
@@ -367,6 +373,13 @@ class TestReconstruct:
         fam = from_scalar_frame([[1, 0], [0, 1e-170]])
         with pytest.raises(NumericError, match=r"S\^-1 f overflows: .*sigma_min = 1e-170"):
             reconstruct(fam, [1.0, 1.0], rank_tol=1e-200)
+
+    def test_vector_off_the_underflowing_direction(self):
+        # S^-1 0 = 0 although sigma_min^2 underflows to 0: a direction f has
+        # no part in maps to 0, so these reconstructions are exact
+        fam = from_scalar_frame([[1, 0], [0, 1e-170]])
+        for f in ([0.0, 0.0], [1.0, 0.0]):
+            assert np.array_equal(reconstruct(fam, f, rank_tol=1e-200), f)
 
 
 class TestAlternateDual:

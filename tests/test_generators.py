@@ -115,6 +115,10 @@ class TestGFrameEmbedding:
         with pytest.raises(ValidationError):
             from_g_frame(GFrameSpec([np.eye(3)]), dim_k=2)
 
+    def test_block_without_rows_rejected(self):
+        with pytest.raises(ValidationError, match=r"^blocks must each have a row, got \(0,\)"):
+            GFrameSpec([np.zeros((0, 2))])
+
 
 class TestRandomFamily:
     def test_flat_spectrum_is_parseval(self):

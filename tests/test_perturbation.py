@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hsframe import (
     HSFrameFamily,
     NotAFrameError,
+    NumericError,
     PerturbationConstants,
     SpectrumSpec,
     ValidationError,
@@ -192,6 +193,14 @@ class TestCheckCondition:
         g = riesz_family(4, 1, 2, SpectrumSpec.flat(), seed=1)
         gamma, constants = perturb_family(g, "additive-analysis", 0.1, seed=1)
         with pytest.raises(NotAFrameError, match="not a frame: synthesis rank 2 < dim_h 4"):
+            check_condition("analysis", g, gamma, constants)
+
+    def test_underflowing_lower_bound_is_numeric_error(self):
+        # a frame whose sigma_min^2 = 1e-340 underflows to 0: a NumericError
+        # naming sigma_min, not check_admissible's rejection of lower = 0
+        g = from_scalar_frame([[1, 0], [0, 1e-170]])
+        gamma, constants = perturb_family(g, "additive-analysis", 0.1, seed=1)
+        with pytest.raises(NumericError, match=r"^lower frame bound .*sigma_min = 1e-170"):
             check_condition("analysis", g, gamma, constants)
 
     def test_synthesis_identity_case(self):

@@ -319,6 +319,20 @@ class TestConvergenceSweep:
         with pytest.raises(NumericError, match=r"S\^-1 f overflows"):
             convergence_sweep(fam, SectionSchedule.full(2), [1e10, 0.0], rank_tol=1e-200)
 
+    def test_underflowing_lower_bound_is_numeric_error(self):
+        # sigma_min^2 = 1e-340 underflows, so A/lambda = 0 certifies nothing
+        # and the compression at k = 2 is diag(1, 0): a NumericError naming
+        # sigma_min, not numpy's LinAlgError.  The sweep checks A after its
+        # ground truth, which S^-1 0 = 0 passes
+        fam = from_scalar_frame([[1, 0], [0, 1e-170]])
+        tiny = r"^lower frame bound .*sigma_min = 1e-170"
+        with pytest.raises(NumericError, match=tiny):
+            oversampled_inverse_apply(fam, 2, 2.0, [1.0, 1.0], rank_tol=1e-200)
+        with pytest.raises(NumericError, match=tiny):
+            convergence_sweep(fam, SectionSchedule.full(2), [0.0, 0.0], rank_tol=1e-200)
+        with pytest.raises(NumericError, match=tiny):
+            find_oversampling(fam, 1, 2.0, rank_tol=1e-200)
+
 
 class TestUniformBoundScan:
     def test_onb_profile_constant(self, rng):

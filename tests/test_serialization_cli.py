@@ -520,6 +520,24 @@ class TestGenerateCommand:
         main(args + ["--seed", "21", "--out", str(tmp_path / "flag.json")])
         assert read(tmp_path / "env.json") == read(tmp_path / "flag.json")
 
+    def test_env_seed_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HSFRAME_SEED", "abc")
+        out = tmp_path / "env.json"
+        assert main([
+            "generate", "--kind", "random", "--dim-h", "4", "--count", "5", "--out", str(out),
+        ]) == 2
+        assert "HSFRAME_SEED='abc' is not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparsable_spectrum_argument(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        assert main([
+            "generate", "--kind", "random", "--dim-h", "4", "--count", "5",
+            "--spectrum", "flat:x", "--out", str(out),
+        ]) == 2
+        assert "bad spectrum argument 'flat:x'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_onb_report(self, tmp_path, capsys):
@@ -765,6 +783,19 @@ class TestPerturbCommand:
         assert "family is not a frame: synthesis rank 2 < dim_h 4" in err
         assert "lower must be" not in err
 
+    def test_underflowing_lower_bound(self, tmp_path, capsys):
+        # a frame whose sigma_min^2 underflows to 0: exit 3 naming sigma_min,
+        # as invert does for it, not exit 2 naming an internal parameter
+        fam_path = tmp_path / "tiny.json"
+        save_family(from_scalar_frame([[1, 0], [0, 1e-170]]), str(fam_path))
+        code = main([
+            "perturb", "--input", str(fam_path), "--mode", "additive-analysis",
+            "--magnitude", "0.1",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "sigma_min = 1e-170" in err and "lower must be" not in err
+
     def test_seeded_rerun_identical_modulo_timestamp(self, tmp_path):
         fam_path = tmp_path / "fam.json"
         main([
@@ -897,6 +928,21 @@ class TestInputBoundary:
         assert "S^-1 f overflows" in err and "sigma_min = 1e-170" in err
         assert "Warning" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_zero_vector_on_underflowing_lower_bound(self, tmp_path, capsys):
+        # S^-1 0 = 0 passes, then A = sigma_min^2 = 0 cannot bound the
+        # oversampled sections: exit 3 naming sigma_min, not a traceback
+        fam_path = tmp_path / "tiny.json"
+        save_family(from_scalar_frame([[1, 0], [0, 1e-170]]), str(fam_path))
+        code = main([
+            "invert", "--input", str(fam_path), "--rank-tol", "1e-200",
+            "--vector", "0,0", "--out", str(tmp_path / "zero.csv"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "lower frame bound" in err and "sigma_min = 1e-170" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not (tmp_path / "zero.csv").exists()
 
     def test_overflowing_vector_is_numeric_error(self, fam_path, tmp_path, capsys):
         code = main([
