@@ -406,8 +406,8 @@ def _inverse_frame_apply(family: HSFrameFamily, g: np.ndarray, f: np.ndarray) ->
     u, s = family.svd.u, family.svd.s
     s2 = s**2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        y = np.where((s2 == 0.0) & (u.conj().T @ f == 0.0), 0.0, (u.conj().T @ g) / s2)
-        x = u @ y
+        y = (u.conj().T @ g) / s2
+        x = u @ np.where((s2 == 0.0) & (u.conj().T @ f == 0.0), 0.0, y)
     if not np.isfinite(x).all():
         raise NumericError(
             f"S^-1 f overflows: |f| = {_norm(f)!r} against sigma_min = "
