@@ -170,19 +170,28 @@ def _right_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, vh
 
 
-def _left_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors and singular values (U, s) of ``a``'s thin SVD.
+def _left_svd(a: np.ndarray):
+    """Left singular vectors and singular values (U, s) of ``a``'s thin SVD,
+    and a function that forms its V^H when called.
 
     A wide ``a`` (at least ``_TALL`` times as many columns as rows) is
-    factored as the tall a^H by ``_right_svd``, whose right singular vectors
-    are a's U, so a's V^H is never formed.  Any other shape takes the plain
-    thin SVD.
+    factored through the square R of a^H = Q R, as ``_right_svd`` does:
+    R = U_R diag(s) W^H gives a = W diag(s) (Q U_R)^H, so a's U is W, and
+    its V^H = (Q U_R)^H is formed only when called, from a second, reduced
+    QR of a^H (whose R numpy returns bit for bit as ``mode="r"`` does).
+    Any other shape takes the plain thin SVD.
     """
     if _tall(a.shape[::-1]):
-        s, vh = _right_svd(a.conj().T)
-        return vh.conj().T, s
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u, s
+        r = np.linalg.qr(a.conj().T, mode="r")
+        u_r, s, wh = np.linalg.svd(r, full_matrices=False)
+
+        def right() -> np.ndarray:
+            q = np.linalg.qr(a.conj().T)[0]
+            return np.conjugate((q @ u_r).T, order="C")
+
+        return wh.conj().T, s, right
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    return u, s, lambda: vh
 
 
 def _spectral_norm(a: np.ndarray) -> float:

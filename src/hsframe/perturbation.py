@@ -24,7 +24,10 @@ through their square R factor (``core._right_svd``), so their tall U is
 never formed.
 Each A_i is held only as its thin SVD, read from the family's cached one
 (T^H = V s U^H, S = U s^2 U^H): |A_i x| is |diag(s_i) W_i^H x|, W_i its
-right singular vectors, and no dense T^H is copied for it.  One decision
+right singular vectors, and no dense T^H is copied for it.  On H (T^H and
+S) W_i^H is U^H, so the analysis and frame-operator conditions read U and
+s alone; only T's own terms, on coefficient sequences, read the family's
+V^H, which is formed on that first read.  One decision
 (``_decide``) finds that the condition holds ("certified"), that it fails
 at a witness x checked with D applied directly and the same SVDs, or
 neither within a fixed budget; the empirical margin is the smallest slack

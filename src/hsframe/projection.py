@@ -204,7 +204,7 @@ def _prefix_bases(family: HSFrameFamily, ns, rank_tol: float):
         if n == family.count:
             u, s = family.svd.u, family.svd.s
         else:
-            u, s = _left_svd(np.hstack([us, t[:, prev * blk : n * blk]]))
+            u, s, _ = _left_svd(np.hstack([us, t[:, prev * blk : n * blk]]))
         us, prev = u * s, n
         rank = numerical_rank(s, rank_tol)
         q, sigma = u[:, :rank].copy(), s[:rank].copy()
@@ -442,7 +442,7 @@ def convergence_sweep(
     _check_lambda(lam)
     _check_schedule(schedule, family)
     _require_frame(family, rank_tol)
-    ground = _inverse_frame_apply(family, fv, fv)
+    ground = _inverse_frame_apply(family, fv)
     bounds = _positive_bounds(family)
     t = family.synthesis_matrix
     t_h = t.conj().T

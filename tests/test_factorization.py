@@ -2,6 +2,7 @@
 
 import ast
 import json
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from hsframe import (
 )
 import hsframe
 from hsframe.cli import main
+from hsframe.family import ThinSVD
 from hsframe.core import _left_svd, _right_svd, _spectral_norm, _tall
 from hsframe.projection import _prefix_bases
 from conftest import complex_unit
@@ -64,39 +66,57 @@ def test_wide_family_min_ratio_is_exactly_zero():
     assert not classify(fam).riesz
 
 
-def test_family_is_factored_once(monkeypatch):
-    """One SVD of T, and no other factorization, least-squares or Cholesky
-    solve of T, T^H or S, across every caller of the cached factorization."""
-    fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
+def record_factorizations(monkeypatch, fam):
+    """Patch numpy.linalg's factorizations to record each call whose input
+    is all of T, T^H or S, or the R factor of T^H, as (name, input, QR
+    mode); return the list it fills."""
     t = fam.synthesis_matrix
-    s = frame_operator(fam)
-    f = complex_unit(np.random.default_rng(0), fam.dim_h)
-    coeffs = CoefficientSequence.from_stacked(
-        complex_unit(np.random.default_rng(1), t.shape[1]), fam.dim_k
-    )
+    named = {
+        "T": t,
+        "T^H": t.conj().T,
+        "S": frame_operator(fam),
+        "R": np.linalg.qr(t.conj().T, mode="r"),
+    }
     calls = []
 
     def counting(orig):
         def wrapped(a, *args, **kwargs):
             a_arr = np.asarray(a)
-            for whole in (t, t.conj().T, s):
+            for label, whole in named.items():
                 if a_arr.shape == whole.shape and np.allclose(a_arr, whole):
-                    calls.append(orig.__name__)
+                    mode = kwargs.get("mode", "reduced") if orig.__name__ == "qr" else None
+                    calls.append((orig.__name__, label, mode))
             return orig(a, *args, **kwargs)
 
         return wrapped
 
-    for name in ("svd", "eigh", "eigvalsh", "cholesky", "lstsq"):
+    for name in ("svd", "eigh", "eigvalsh", "cholesky", "lstsq", "qr"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    return calls
+
+
+def test_family_is_factored_once(monkeypatch):
+    """T (6 x 20, wide) is factored once through its short side, one QR of
+    T^H and one SVD of its R, and no other factorization, least-squares or
+    Cholesky solve of T, T^H, S or R runs across every caller of the cached
+    factorization.  V^H is formed once, by a reduced QR of T^H, for its
+    readers ``reconstruct`` and ``kernel_consistency`` alone."""
+    fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    coeffs = CoefficientSequence.from_stacked(
+        complex_unit(np.random.default_rng(1), fam.synthesis_matrix.shape[1]), fam.dim_k
+    )
+    calls = record_factorizations(monkeypatch, fam)
     classify(fam)
     frame_bounds(fam)
     riesz_inequality_check(fam)
     canonical_dual(fam)
-    reconstruct(fam, f)
     frame_operator_hs_norm_bound(fam)
     convergence_sweep(fam, SectionSchedule.full(fam.count), f)
+    assert calls == [("qr", "T^H", "r"), ("svd", "R", None)]
+    reconstruct(fam, f)
     kernel_consistency(fam, coeffs, SectionSchedule.full(fam.count))
-    assert calls == ["svd"]
+    assert calls[2:] == [("qr", "T^H", "reduced")]
 
 
 def test_package_imports_no_scipy():
@@ -190,24 +210,73 @@ def test_spectral_identities(fam):
         )
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(families())
+def test_family_svd_matches_numpy(fam):
+    """The family's U and s, wide T through its short side, agree with
+    numpy's thin SVD of T: s to 1e-13 s_max, and the projector of each
+    direction whose s is at least 1e-2 s_max from every other to 1e-12.
+    With V^H formed on its first read, U diag(s) V^H is T to 1e-12 s_max."""
+    t = fam.synthesis_matrix
+    u, s = fam.svd.u, fam.svd.s
+    u_ref, s_ref, _ = np.linalg.svd(t, full_matrices=False)
+    assert u.shape == u_ref.shape and u.flags.c_contiguous
+    assert np.abs(s - s_ref).max() <= 1e-13 * s_ref[0]
+    for i in range(s.size):
+        others = np.delete(s_ref, i)
+        if others.size and np.abs(others - s_ref[i]).min() < 1e-2 * s_ref[0]:
+            continue
+        p, p_ref = (np.outer(v[:, i], v[:, i].conj()) for v in (u, u_ref))
+        assert np.abs(p - p_ref).max() <= 1e-12
+    assert "vh" not in vars(fam.svd)
+    assert np.abs((u * s) @ fam.svd.vh - t).max() <= 1e-12 * s_ref[0]
+
+
+def test_cli_round_never_forms_vh(tmp_path, monkeypatch):
+    """generate, analyze, perturb and invert on a wide family (8 x 64) read
+    U and s alone: no family's V^H is formed."""
+    formed, form = [], ThinSVD.vh.func
+
+    def recorded(svd):
+        formed.append(svd.u.shape)
+        return form(svd)
+
+    prop = cached_property(recorded)
+    prop.__set_name__(ThinSVD, "vh")
+    monkeypatch.setattr(ThinSVD, "vh", prop)
+    fam = str(tmp_path / "fam.json")
+    assert main(["generate", "--kind", "random", "--dim-h", "8", "--dim-k", "2",
+                 "--count", "16", "--seed", "3", "--out", fam]) == 0
+    assert main(["analyze", "--input", fam]) == 0
+    assert main(["perturb", "--input", fam, "--mode", "additive-analysis",
+                 "--magnitude", "0.1"]) == 0
+    assert main(["invert", "--input", fam, "--schedule", "2,8,16",
+                 "--out", str(tmp_path / "inv.csv")]) == 0
+    assert formed == []
+
+
 def test_analyze_factors_the_family_once(tmp_path, monkeypatch):
-    """The canonical dual carries U diag(1/s) V^H as its factorization, so
-    ``analyze`` on a frame runs one SVD in all."""
+    """The canonical dual carries U diag(1/s) V^H as its factorization and
+    its synthesis matrix is S^-1 T, so ``analyze`` on a frame factors T once,
+    one QR of T^H and one SVD of its R, and forms no V^H."""
     fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
     fam_path = tmp_path / "fam.json"
     save_family(fam, str(fam_path))
-    svd = np.linalg.svd
-    calls = []
+    calls = record_factorizations(monkeypatch, fam)
+    svd_shapes, svd = [], np.linalg.svd
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
+    def all_svds(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", all_svds)
     out = tmp_path / "report.json"
     assert main(["analyze", "--input", str(fam_path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["canonical_dual"] is not None
-    assert calls == [fam.synthesis_matrix.shape]
+    assert calls == [("qr", "T^H", "r"), ("svd", "R", None)]
+    assert svd_shapes == [(fam.dim_h, fam.dim_h)]
+    assert "vh" not in vars(fam.svd)
+    monkeypatch.undo()
 
     dual = canonical_dual(fam)
     u, s, vh = dual.svd
@@ -264,7 +333,7 @@ class TestOneSidedSVD:
     def test_left_svd_matches_numpy(self, rows, cols, rank):
         rng = np.random.default_rng(rows * cols + rank)
         a = with_singular_values(rng, cols, rows, np.arange(rank, 0, -1.0))
-        u, s = _left_svd(a)
+        u, s, _ = _left_svd(a)
         u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
         assert s.shape == s_ref.shape and u.shape == u_ref.shape
         assert np.abs(s - s_ref).max() <= 1e-13 * s_ref[0]

@@ -366,13 +366,19 @@ class TestReconstruct:
         with pytest.raises(NotAFrameError):
             reconstruct(from_scalar_frame([[1, 0], [1, 0]]), [1.0, 1.0])
 
-    def test_underflowing_sigma_squared_is_numeric_error(self):
+    def test_underflowing_sigma_squared_reconstructs_exactly(self):
         # a frame at rank_tol 1e-200 whose sigma_min^2 = 1e-340 underflows
-        # to 0: a NumericError naming |f| and sigma_min, not nan and a
-        # divide-by-zero warning (which the suite turns into an error)
+        # to 0: the canonical dual's factors U diag(1/s) V^H form no s^2, so
+        # f's part along sigma_min survives, with no warning (which the
+        # suite turns into an error)
         fam = from_scalar_frame([[1, 0], [0, 1e-170]])
-        with pytest.raises(NumericError, match=r"S\^-1 f overflows: .*sigma_min = 1e-170"):
-            reconstruct(fam, [1.0, 1.0], rank_tol=1e-200)
+        assert np.array_equal(reconstruct(fam, [1.0, 1.0], rank_tol=1e-200), [1.0, 1.0])
+
+    def test_overflowing_coefficients_are_numeric_error(self):
+        # G_j f = 1e200 * 1e200 is out of range although f and T are not
+        fam = from_scalar_frame([[1e200, 0], [0, 1e200]])
+        with pytest.raises(NumericError, match=r"^reconstruction overflows: .*sigma_max = 1e\+200"):
+            reconstruct(fam, [1e200, 0.0])
 
     def test_vector_off_the_underflowing_direction(self):
         # S^-1 0 = 0 although sigma_min^2 underflows to 0: a direction f has
@@ -388,6 +394,16 @@ class TestAlternateDual:
         check = verify_alternate_dual(fam, canonical_dual(fam))
         assert check.ok
         assert check.identity_gap <= 1e-9
+
+    def test_ill_conditioned_canonical_dual_passes(self):
+        # cond(T) = 1e4: S^-1 T formed as (U diag(1/s^2) U^H) T would leave a
+        # residual near eps cond(T)^2 = 1e-8; U diag(1/s) V^H leaves about
+        # eps cond(T)
+        spectrum = SpectrumSpec.explicit([1, 1, 1, 1, 1, 1e-8])
+        for seed in range(3):
+            fam = random_family(6, 2, 5, spectrum, seed=seed)
+            check = verify_alternate_dual(fam, canonical_dual(fam))
+            assert check.max_residual <= 1e-10
 
     def test_scaled_family_fails_with_unit_residual(self):
         fam = onb_family(3)
