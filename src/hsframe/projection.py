@@ -347,9 +347,18 @@ class _Section:
 
 def projection_formula(family: HSFrameFamily, basis: SubspaceBasis, f) -> np.ndarray:
     """P_n f computed the long way: S_n^-1 of sum over j <= n of G_j* G_j f,
-    with n = basis.n."""
+    with n = basis.n.  A basis that cannot be one of ``family``'s, one on
+    another H or of a longer prefix than the family has, raises
+    ``ValidationError``; one of another family of the same shape cannot be
+    told apart."""
     check_instance("family", family, HSFrameFamily)
     check_instance("basis", basis, SubspaceBasis)
+    if basis.q.shape[0] != family.dim_h or basis.n > family.count:
+        raise ValidationError(
+            f"basis must be a basis of this family's H_n: it has dim_h "
+            f"{basis.q.shape[0]} and n = {basis.n}, the family dim_h "
+            f"{family.dim_h} and count {family.count}"
+        )
     fv = as_vector("f", f, family.dim_h)
     prefix = family.synthesis_matrix[:, : basis.n * family.dim_k**2]
     return _Section(family, basis).inv_apply(prefix @ (prefix.conj().T @ fv))

@@ -34,9 +34,11 @@ as one ``hsframe`` command other than ``generate``, hashes nothing, and
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -155,14 +157,19 @@ def _flat_floats(items: list, shape: tuple[int, ...]) -> np.ndarray:
     """The numbers of ``items``, a list of nested lists of ``shape``, in order
     as one float64 array.  Each level is checked in one C-level pass (a non-list
     item fails ``list.__len__``), reached through ``chain.from_iterable``
-    without building a list of it; ``TypeError``, ``ValueError`` or
-    ``OverflowError`` if any item is not a list of its level's length or an
-    entry is not a number a float holds."""
+    without building a list of it, and so are the entries' types;
+    ``TypeError``, ``ValueError`` or ``OverflowError`` if any item is not a
+    list of its level's length or an entry is not a number a float holds.  A
+    JSON number is an int or a float; a bool, a string or None is not one,
+    although ``float()`` would take it."""
     size = len(items)
     for depth, n in enumerate(shape):
         if set(map(list.__len__, _nested(items, depth))) != {n}:
             raise ValueError("nested lists of the wrong length")
         size *= n
+    for kind in set(map(type, _nested(items, len(shape)))):
+        if kind is bool or not issubclass(kind, (int, float)):
+            raise TypeError(f"an entry is a {kind.__name__}, not a number")
     return np.fromiter(_nested(items, len(shape)), dtype=float, count=size)
 
 
@@ -300,13 +307,17 @@ def write_convergence_csv(
     seed,
     timestamp: str | None = None,
 ) -> None:
-    """One row per record; ``format_sig`` of an int is its ``str``."""
+    """One row per record; ``format_sig`` of an int is its ``str``.  A field
+    is quoted only when it needs it, as an experiment id naming a family
+    file with a comma or a double quote in its name does."""
     ts = timestamp if timestamp is not None else utc_timestamp()
-    lines = [",".join(CONVERGENCE_COLUMNS)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CONVERGENCE_COLUMNS)
     for r in records:
         values = (format_sig(getattr(r, name)) for name in _RECORD_COLUMNS)
-        lines.append(",".join([experiment, ts, str(seed), *values]))
-    _atomic_write(path, ("\n".join(lines).encode(), b"\n"))
+        writer.writerow([experiment, ts, str(seed), *values])
+    _atomic_write(path, (text.getvalue().encode(),))
 
 
 def _finite_or_null(value):

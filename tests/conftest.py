@@ -43,3 +43,33 @@ def seeded_family(seed, riesz_fraction=0.2) -> HSFrameFamily:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250101)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Every call the test makes to numpy.linalg's factorizations and
+    solvers, in order, as (name, copy of the input, QR mode or None).
+    numpy's own internal calls, such as the SVD inside ``norm(ord=2)``, are
+    not seen.  The test's reference values are recorded too: clear the list
+    before the code measured and read it before computing them."""
+    calls = []
+    for name in ("svd", "qr", "eigh", "eigvalsh", "solve", "cholesky", "lstsq"):
+        def recorded(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            mode = None
+            if _name == "qr":
+                mode = kwargs.get("mode", args[0] if args else "reduced")
+            calls.append((_name, np.array(a), mode))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def named(calls, *names):
+    """The recorded calls to the given numpy.linalg functions."""
+    return [call for call in calls if call[0] in names]
+
+
+def shapes(calls):
+    """(name, input shape, QR mode) of each recorded call."""
+    return [(name, a.shape, mode) for name, a, mode in calls]

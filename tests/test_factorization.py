@@ -34,7 +34,7 @@ from hsframe.cli import main
 from hsframe.family import ThinSVD
 from hsframe.core import _left_svd, _right_svd, _spectral_norm, _tall
 from hsframe.projection import _prefix_bases
-from conftest import complex_unit
+from conftest import complex_unit, named, shapes
 
 
 def ill_conditioned_riesz():
@@ -66,57 +66,48 @@ def test_wide_family_min_ratio_is_exactly_zero():
     assert not classify(fam).riesz
 
 
-def record_factorizations(monkeypatch, fam):
-    """Patch numpy.linalg's factorizations to record each call whose input
-    is all of T, T^H or S, or the R factor of T^H, as (name, input, QR
-    mode); return the list it fills."""
+def whole_family(calls, fam):
+    """The recorded calls whose input is all of T, T^H or S, or the R factor
+    of T^H, as (name, label, QR mode)."""
+    calls = list(calls)  # before the reference R below is recorded
     t = fam.synthesis_matrix
-    named = {
+    wholes = {
         "T": t,
         "T^H": t.conj().T,
         "S": frame_operator(fam),
         "R": np.linalg.qr(t.conj().T, mode="r"),
     }
-    calls = []
-
-    def counting(orig):
-        def wrapped(a, *args, **kwargs):
-            a_arr = np.asarray(a)
-            for label, whole in named.items():
-                if a_arr.shape == whole.shape and np.allclose(a_arr, whole):
-                    mode = kwargs.get("mode", "reduced") if orig.__name__ == "qr" else None
-                    calls.append((orig.__name__, label, mode))
-            return orig(a, *args, **kwargs)
-
-        return wrapped
-
-    for name in ("svd", "eigh", "eigvalsh", "cholesky", "lstsq", "qr"):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-    return calls
+    return [
+        (name, label, mode)
+        for name, a, mode in calls
+        for label, whole in wholes.items()
+        if a.shape == whole.shape and np.allclose(a, whole)
+    ]
 
 
-def test_family_is_factored_once(monkeypatch):
+def test_family_is_factored_once(linalg_calls):
     """T (6 x 20, wide) is factored once through its short side, one QR of
-    T^H and one SVD of its R, and no other factorization, least-squares or
-    Cholesky solve of T, T^H, S or R runs across every caller of the cached
-    factorization.  V^H is formed once, by a reduced QR of T^H, for its
-    readers ``reconstruct`` and ``kernel_consistency`` alone."""
+    T^H and one SVD of its R, and no other factorization, solve or
+    least-squares solve of T, T^H, S or R runs across every caller of the
+    cached factorization.  V^H is formed once, by a reduced QR of T^H, for
+    its readers ``reconstruct`` and ``kernel_consistency`` alone."""
     fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
     coeffs = CoefficientSequence.from_stacked(
         complex_unit(np.random.default_rng(1), fam.synthesis_matrix.shape[1]), fam.dim_k
     )
-    calls = record_factorizations(monkeypatch, fam)
     classify(fam)
     frame_bounds(fam)
     riesz_inequality_check(fam)
     canonical_dual(fam)
     frame_operator_hs_norm_bound(fam)
     convergence_sweep(fam, SectionSchedule.full(fam.count), f)
-    assert calls == [("qr", "T^H", "r"), ("svd", "R", None)]
+    first = len(linalg_calls)
     reconstruct(fam, f)
     kernel_consistency(fam, coeffs, SectionSchedule.full(fam.count))
-    assert calls[2:] == [("qr", "T^H", "reduced")]
+    rest = linalg_calls[first:]  # read before whole_family records its reference R
+    assert whole_family(linalg_calls[:first], fam) == [("qr", "T^H", "r"), ("svd", "R", None)]
+    assert whole_family(rest, fam) == [("qr", "T^H", "reduced")]
 
 
 def test_package_imports_no_scipy():
@@ -255,32 +246,24 @@ def test_cli_round_never_forms_vh(tmp_path, monkeypatch):
     assert formed == []
 
 
-def test_analyze_factors_the_family_once(tmp_path, monkeypatch):
+def test_analyze_factors_the_family_once(tmp_path, linalg_calls):
     """The canonical dual carries U diag(1/s) V^H as its factorization and
     its synthesis matrix is S^-1 T, so ``analyze`` on a frame factors T once,
     one QR of T^H and one SVD of its R, and forms no V^H."""
     fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
     fam_path = tmp_path / "fam.json"
     save_family(fam, str(fam_path))
-    calls = record_factorizations(monkeypatch, fam)
-    svd_shapes, svd = [], np.linalg.svd
-
-    def all_svds(a, *args, **kwargs):
-        svd_shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", all_svds)
     out = tmp_path / "report.json"
     assert main(["analyze", "--input", str(fam_path), "--out", str(out)]) == 0
+    calls = list(linalg_calls)
     assert json.loads(out.read_text())["canonical_dual"] is not None
-    assert calls == [("qr", "T^H", "r"), ("svd", "R", None)]
-    assert svd_shapes == [(fam.dim_h, fam.dim_h)]
+    assert whole_family(calls, fam) == [("qr", "T^H", "r"), ("svd", "R", None)]
+    assert [a.shape for _, a, _ in named(calls, "svd")] == [(fam.dim_h, fam.dim_h)]
     assert "vh" not in vars(fam.svd)
-    monkeypatch.undo()
 
     dual = canonical_dual(fam)
     u, s, vh = dual.svd
-    fresh = svd(dual.synthesis_matrix, compute_uv=False)
+    fresh = np.linalg.svd(dual.synthesis_matrix, compute_uv=False)
     assert np.allclose(s, fresh, rtol=1e-12, atol=0)
     assert np.allclose((u * s) @ vh, dual.synthesis_matrix, rtol=0, atol=1e-12 * s[0])
     assert not any(a.flags.writeable for a in dual.svd)
@@ -368,23 +351,21 @@ class TestOneSidedSVD:
         if shape == "near-square":
             assert norm == ref
 
-    def test_routed_prefix_matches_a_direct_svd(self, monkeypatch):
+    def test_routed_prefix_matches_a_direct_svd(self, linalg_calls):
         """Prefixes 8 and 16 of a decaying 8/2/20 family jump over 24 and 32
         columns, so their running blocks, 8 x 32 and 8 x 40, are wide and
         factored through a square 8 x 8 R; each basis has the rank and the
         projector Q_n Q_n^H of a direct SVD of the prefix."""
         fam = decaying_family(8, 2, 20, 0.5, seed=4)
-        fam.svd  # the whole family's, before recording
-        shapes, svd = [], np.linalg.svd
-
-        def recorded(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recorded)
+        fam.svd  # the whole family's
+        linalg_calls.clear()
         bases = list(_prefix_bases(fam, (2, 8, 16), 1e-10))
-        monkeypatch.undo()
-        assert shapes == [(8, 8), (8, 8), (8, 8)]
+        assert [a.shape for _, a, _ in named(linalg_calls, "svd")] == [(8, 8)] * 3
+        assert shapes(linalg_calls) == [
+            ("svd", (8, 8), None),
+            ("qr", (32, 8), "r"), ("svd", (8, 8), None),
+            ("qr", (40, 8), "r"), ("svd", (8, 8), None),
+        ]
         for basis in bases:
             u, sig, _ = np.linalg.svd(fam.synthesis_matrix[:, : basis.n * 4],
                                       full_matrices=False)

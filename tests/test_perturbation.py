@@ -27,7 +27,7 @@ from hsframe import (
 )
 from hsframe import perturbation
 from hsframe.perturbation import check_admissible
-from conftest import complex_unit, seeded_family
+from conftest import complex_unit, named, seeded_family, shapes
 from oracle_scalar import ScalarFrameOracle
 
 
@@ -571,46 +571,33 @@ def test_tight_multi_constant_conditions_carry_no_witness():
     assert lemma.certified and lemma.sandwich_ok and scale.certified
 
 
-def test_single_constant_decision_factors_only_the_deviation(monkeypatch):
+def test_single_constant_decision_factors_only_the_deviation(linalg_calls):
     """One active constant with an operator term reads the families' cached
     SVDs: the decision factors D once and whitens once, by SVD in every
-    mode, Hermitian D = S - S~ included.  Synthesis mode also tests ker T
-    with a values-only norm, which calls no ``np.linalg.svd``."""
+    mode, Hermitian D = S - S~ included, and calls nothing else of
+    numpy.linalg.  Synthesis mode also tests ker T with a values-only norm,
+    which calls no ``np.linalg.svd``."""
     g = seeded_family(3)
     gamma, _ = perturb_family(g, "additive-analysis", 0.1, seed=3)
-    g.svd, gamma.svd  # computed once per family, before counting
-    counts = {"svd": 0, "eigh": 0}
-    for name in counts:
-        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    for mode, expected in [
-        ("analysis", {"svd": 2, "eigh": 0}),
-        ("synthesis", {"svd": 2, "eigh": 0}),
-        ("frame-operator", {"svd": 2, "eigh": 0}),
-    ]:
-        counts.update(svd=0, eigh=0)
+    g.svd, gamma.svd  # computed once per family, before the decisions
+    for mode in ("analysis", "synthesis", "frame-operator"):
+        linalg_calls.clear()
         check_condition(mode, g, gamma, PerturbationConstants(lambda1=0.5))
-        assert counts == expected, mode
+        assert [name for name, _, _ in linalg_calls] == ["svd", "svd"], mode
+        assert named(linalg_calls, "eigh") == [], mode
 
 
-def test_tall_deviation_is_factored_through_its_r_factor(monkeypatch):
+def test_tall_deviation_is_factored_through_its_r_factor(linalg_calls):
     """In analysis mode D = (T - T~)^H has count*dim_k^2 = 12 rows on a
     4-dimensional H, so its SVD is taken of the square 4 x 4 R factor, and
     the decision never forms D's 12 x 4 left singular vectors."""
     g = random_family(4, 1, 12, SpectrumSpec.flat(), seed=5)
     gamma, constants = perturb_family(g, "additive-analysis", 0.1, seed=5)
-    g.svd, gamma.svd  # computed once per family, before recording
-    shapes, svd = [], np.linalg.svd
-
-    def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    g.svd, gamma.svd  # computed once per family, before the decision
+    linalg_calls.clear()
     assert check_condition("analysis", g, gamma, constants).certified
-    assert shapes == [(4, 4)]
+    assert [a.shape for _, a, _ in named(linalg_calls, "svd")] == [(4, 4)]
+    assert shapes(linalg_calls) == [("qr", (12, 4), "r"), ("svd", (4, 4), None)]
 
 
 class TestPerturbFamily:

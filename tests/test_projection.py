@@ -142,6 +142,17 @@ class TestProject:
             via_sections = projection_formula(fam, basis, f)
             assert np.linalg.norm(direct - via_sections) <= 1e-9
 
+    @pytest.mark.parametrize("dim_h, count, n", [
+        (3, 8, 6),  # a prefix longer than the family's 4 maps
+        (5, 8, 2),  # another H
+    ])
+    def test_formula_rejects_a_basis_of_another_family(self, dim_h, count, n):
+        other = random_family(dim_h, 1, count, SpectrumSpec.flat(), seed=1)
+        basis = subspace_basis(other, n)
+        fam = random_family(3, 1, 4, SpectrumSpec.flat(), seed=2)
+        with pytest.raises(ValidationError, match="^basis must be a basis of this family"):
+            projection_formula(fam, basis, np.ones(3))
+
 
 class TestPlainInverse:
     def test_onb_equals_projection(self, rng):

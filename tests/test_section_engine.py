@@ -1,5 +1,7 @@
 """One-pass section engine: exact answers of the linear scan, bounded cost."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from hsframe import (
     subspace_basis,
 )
 from hsframe import projection
-from conftest import complex_unit
+from conftest import complex_unit, named, shapes
 
 RANK_TOL = 1e-10
 
@@ -123,32 +125,22 @@ def test_rank_drop_makes_the_search_rescan():
     ]
 
 
-def test_spanning_pair_survives_a_rank_drop(monkeypatch):
+def test_spanning_pair_survives_a_rank_drop(linalg_calls):
     """H_2 = H, H_3 does not (the 1e-6 direction falls below rank_tol once
     1e5 arrives), and H_4 = H again with n = 4 <= k(2) = 6: the prefixes
     after the drop take k(2) and S_6^-1 f from prefix 2 instead of searching
     and solving again."""
     fam = from_scalar_frame([[1, 0], [0, 1e-6], [1e5, 0], [0, 1], [0, 1], [0, 10]])
-    calls = {"eig": 0, "solve": 0}
-
-    def counting(kind, orig):
-        def wrapped(*args, **kwargs):
-            calls[kind] += 1
-            return orig(*args, **kwargs)
-
-        return wrapped
-
-    with monkeypatch.context() as patch:
-        for name, kind in (("eigh", "eig"), ("eigvalsh", "eig"), ("solve", "solve")):
-            patch.setattr(np.linalg, name, counting(kind, getattr(np.linalg, name)))
-        records = convergence_sweep(fam, SectionSchedule.full(6), [1.0, 1.0])
+    linalg_calls.clear()
+    records = convergence_sweep(fam, SectionSchedule.full(6), [1.0, 1.0])
+    assert len(named(linalg_calls, "eigh", "eigvalsh")) <= 7
+    assert len(named(linalg_calls, "solve")) <= 3
+    assert shapes(named(linalg_calls, "qr")) == [("qr", (6, 2), "r")]  # the family's
     assert [r.r_n for r in records] == [1, 2, 1, 2, 2, 2]
     assert [r.m_n for r in records] == [2, 4, 0, 2, 1, 0]
     assert [r.m_n for r in records] == [
         find_oversampling(fam, n, 2.0) for n in range(1, 7)
     ]
-    assert calls["eig"] <= 7
-    assert calls["solve"] <= 3
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -170,26 +162,21 @@ def test_errors_lie_in_the_residual_bracket(case):
             assert residual / b - slack <= err <= residual / a + slack
 
 
-def test_sweep_cost_is_bounded(monkeypatch):
-    """O(rows + count) eigen-solves and one SVD per row for a whole sweep."""
+def test_sweep_cost_is_bounded(linalg_calls):
+    """At most 2 rows + count eigen-solves, one SVD per row and one QR, the
+    family's, for a whole sweep; the counts this family takes are pinned."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
-    calls = {"eig": 0, "svd": 0}
-
-    def counting(kind, orig):
-        def wrapped(*args, **kwargs):
-            calls[kind] += 1
-            return orig(*args, **kwargs)
-
-        return wrapped
-
-    for name, kind in (("eigh", "eig"), ("eigvalsh", "eig"), ("svd", "svd")):
-        monkeypatch.setattr(np.linalg, name, counting(kind, getattr(np.linalg, name)))
+    linalg_calls.clear()
     records = convergence_sweep(fam, SectionSchedule.full(fam.count), f)
     rows = len(records)
     assert any(r.m_n > 0 for r in records)  # the search does real work
-    assert calls["eig"] <= 3 * rows + fam.count
-    assert calls["svd"] <= rows
+    assert len(named(linalg_calls, "eigh", "eigvalsh")) <= 2 * rows + fam.count
+    assert len(named(linalg_calls, "svd")) <= rows
+    assert Counter(name for name, _, _ in linalg_calls) == {
+        "eigvalsh": 31, "svd": 24, "solve": 8, "qr": 1,
+    }
+    assert shapes(named(linalg_calls, "qr")) == [("qr", (96, 24), "r")]  # the family's
 
 
 @pytest.mark.parametrize(
@@ -201,7 +188,7 @@ def test_sweep_cost_is_bounded(monkeypatch):
         (2, 4.0),
     ],
 )
-def test_full_rank_rows_share_one_search(monkeypatch, step, lam):
+def test_full_rank_rows_share_one_search(linalg_calls, step, lam):
     """Once H_n = H, each S_k is eigen-solved and solved at most once, and
     every row still gets the single-prefix answer."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
@@ -210,25 +197,15 @@ def test_full_rank_rows_share_one_search(monkeypatch, step, lam):
               if subspace_basis(fam, n).rank == fam.dim_h)
     schedule = SectionSchedule(tuple(range(n0, fam.count + 1, step)))
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
-    calls = {"eig": 0, "solve": 0}
-
-    def counting(kind, orig):
-        def wrapped(*args, **kwargs):
-            calls[kind] += 1
-            return orig(*args, **kwargs)
-
-        return wrapped
-
-    with monkeypatch.context() as patch:
-        for name, kind in (("eigh", "eig"), ("eigvalsh", "eig"), ("solve", "solve")):
-            patch.setattr(np.linalg, name, counting(kind, getattr(np.linalg, name)))
-        records = convergence_sweep(fam, schedule, f, lam=lam)
-    ground = np.linalg.solve(frame_operator(fam), f)
+    linalg_calls.clear()
+    records = convergence_sweep(fam, schedule, f, lam=lam)
     ks = {r.n + r.m_n for r in records}
     assert any(r.m_n > 0 for r in records)  # the search does real work
     assert len(ks) > 1  # and k moves
-    assert calls["eig"] <= fam.count - n0 + 1
-    assert calls["solve"] <= len(ks)
+    assert len(named(linalg_calls, "eigh", "eigvalsh")) <= fam.count - n0 + 1
+    assert len(named(linalg_calls, "solve")) <= len(ks)
+    assert named(linalg_calls, "qr") == []
+    ground = np.linalg.solve(frame_operator(fam), f)
     for r in records:
         assert r.r_n == fam.dim_h
         assert r.m_n == find_oversampling(fam, r.n, lam)
@@ -292,38 +269,22 @@ def test_running_factorization_matches_direct_svd(case):
         assert np.allclose(q.conj().T @ q, np.eye(basis.rank), atol=1e-12)
 
 
-def test_sweep_factors_each_prefix_from_the_previous(monkeypatch):
-    """No Cholesky, no eigen-solve of a plain section, and every per-prefix
-    SVD at most dim_h + one block wide."""
+def test_sweep_factors_each_prefix_from_the_previous(linalg_calls):
+    """No Cholesky, no eigen-solve of a plain section, no QR, and every
+    per-prefix SVD at most dim_h + one block wide."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
     frame_bounds(fam)  # factors the whole family first: not a per-prefix SVD
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
-    calls = {"chol": 0, "eig": 0, "svd_cols": []}
-
-    def counting(kind, orig):
-        def wrapped(a, *args, **kwargs):
-            if kind == "svd_cols":
-                calls[kind].append(np.shape(a)[1])
-            else:
-                calls[kind] += 1
-            return orig(a, *args, **kwargs)
-
-        return wrapped
-
-    for module, name, kind in (
-        (np.linalg, "cholesky", "chol"),
-        (np.linalg, "eigh", "eig"),
-        (np.linalg, "eigvalsh", "eig"),
-        (np.linalg, "svd", "svd_cols"),
-    ):
-        monkeypatch.setattr(module, name, counting(kind, getattr(module, name)))
+    linalg_calls.clear()
     records = convergence_sweep(fam, SectionSchedule.parse("prefix:all", fam.count), f)
+    svd_cols = [a.shape[1] for _, a, _ in named(linalg_calls, "svd")]
     rows = len(records)
     assert any(r.m_n > 0 for r in records)  # the search does real work
-    assert calls["chol"] == 0
-    assert calls["eig"] <= 2 * rows + fam.count
-    assert len(calls["svd_cols"]) == rows - 1  # n = count reads the cached SVD
-    assert max(calls["svd_cols"]) <= fam.dim_h + fam.dim_k**2
+    assert named(linalg_calls, "cholesky") == []
+    assert len(named(linalg_calls, "eigh", "eigvalsh")) <= 2 * rows + fam.count
+    assert len(svd_cols) == rows - 1  # n = count reads the cached SVD
+    assert max(svd_cols) <= fam.dim_h + fam.dim_k**2
+    assert named(linalg_calls, "qr") == []
 
 
 def test_plain_section_is_diagonal_in_its_basis():

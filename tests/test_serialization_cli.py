@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import gc
 import io
 import json
@@ -30,6 +31,7 @@ import hsframe
 from hsframe import serialization
 from hsframe.cli import main
 from hsframe.serialization import family_to_document, format_sig
+from conftest import named, shapes
 
 EDGE_FLOATS = (-0.0, 5e-324, 1e-300, -1e-300, 1e16, 1e22, 1.7976931348623157e308, 0.1)
 
@@ -248,31 +250,34 @@ class TestFamilyFile:
     @pytest.mark.parametrize("depth, kind", [
         *((depth, kind) for depth in range(4)
           for kind in ("short", "string", "dict", "number")),
-        (4, "list"),
+        *((4, kind) for kind in ("list", "string", "true", "null")),
     ])
     def test_malformed_nesting_names_operator(self, tmp_path, depth, kind):
         """At each depth of operators[1], a short list or a non-list where a
-        list belongs (depths 0-3), or a list where a number belongs (depth 4)."""
+        list belongs (depths 0-3), or a list, a numeric string, true or null
+        where a number belongs (depth 4)."""
         doc = family_to_document(random_family(2, 2, 3, SpectrumSpec.flat(), seed=1))
         index = (0,) * depth
         item = _entry(doc, 1, index)
         if kind in ("short", "list"):
             bad = item[:-1] if kind == "short" else [item]
         else:
-            bad = {"string": "1.0", "dict": {}, "number": 1.0}[kind]
+            bad = {"string": "1.0", "dict": {}, "number": 1.0, "true": True,
+                   "null": None}[kind]
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(_with_entry(doc, 1, index, bad)))
         with pytest.raises(ValidationError, match=r"operators\[1\] "):
             load_family(str(path))
         assert main(["analyze", "--input", str(path)]) == 2
 
-    def test_numeric_string_entries_are_numbers(self, tmp_path):
+    def test_integer_entries_are_numbers(self, tmp_path):
         fam = random_family(2, 1, 3, SpectrumSpec.flat(), seed=4)
-        doc = family_to_document(fam)
-        value = _entry(doc, 2, (1, 0, 0, 1))
         path = tmp_path / "fam.json"
-        path.write_text(json.dumps(_with_entry(doc, 2, (1, 0, 0, 1), repr(value))))
-        assert np.array_equal(load_family(str(path)).images, fam.images)
+        doc = _with_entry(family_to_document(fam), 2, (1, 0, 0, 1), 3)
+        path.write_text(json.dumps(doc))
+        expected = fam.images.copy()
+        expected[2, 1, 0, 0] = expected[2, 1, 0, 0].real + 3j
+        assert np.array_equal(load_family(str(path)).images, expected)
 
     def test_non_utf8_file_is_parse_error(self, tmp_path):
         path = tmp_path / "fam.json"
@@ -436,29 +441,28 @@ class TestMemo:
         assert not any(t.is_alive() for t in threads)
         assert failures == []
 
-    def test_cli_round_factors_the_family_once(self, tmp_path, monkeypatch):
+    def test_cli_round_factors_the_family_once(self, tmp_path, linalg_calls):
         """analyze, perturb and invert reuse the SVD of T that generate took:
         the only other whole-family SVD is of the perturbed family."""
         fam = str(tmp_path / "fam.json")
         assert main(["generate", "--kind", "random", "--dim-h", "4", "--dim-k", "1",
                      "--count", "6", "--seed", "2", "--out", fam]) == 0
-        svd, calls = np.linalg.svd, []
-
-        def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        linalg_calls.clear()
         assert main(["analyze", "--input", fam]) == 0
         assert main(["invert", "--input", fam, "--schedule", "6",
                      "--out", str(tmp_path / "inv.csv")]) == 0
-        assert calls == []
+        assert named(linalg_calls, "svd") == []
+        assert shapes(linalg_calls) == [("solve", (4, 4), None)]  # invert's S_6^-1 f
+        linalg_calls.clear()
         assert main(["perturb", "--input", fam, "--mode", "scale",
                      "--magnitude", "0.1"]) == 0
+        svds = [a.shape for _, a, _ in named(linalg_calls, "svd")]
         # T~ (4 x 6) once; the others factor the deviation (T - T~)^H and
         # its whitened form, 6 x 4: under twice as tall as wide, so they
         # take the plain thin SVD, not the R factor's
-        assert calls.count((4, 6)) == 1
+        assert svds.count((4, 6)) == 1
+        assert shapes(linalg_calls) == [("svd", (4, 6), None), ("svd", (6, 4), None),
+                                        ("svd", (6, 4), None)]
 
 
 class TestGenerateCommand:
@@ -629,6 +633,19 @@ class TestInvertCommand:
         header = read(out).strip().splitlines()[0].split(",")
         assert float(last[header.index("err_plain")]) <= 1e-10
         assert float(last[header.index("err_oversampled")]) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["a,b.json", 'a"b.json'])
+    def test_family_name_is_quoted_in_the_csv(self, tmp_path, name):
+        fam_path = tmp_path / name
+        main(["generate", "--kind", "onb", "--dim-h", "3", "--out", str(fam_path)])
+        out = tmp_path / "sweep.csv"
+        assert main(["invert", "--input", str(fam_path), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            assert len(row) == 11 and None not in row.values()
+            assert row["experiment"] == f"invert:{name}"
 
     def test_schedule_beyond_count_rejected(self, tmp_path, capsys):
         fam_path = tmp_path / "onb.json"
