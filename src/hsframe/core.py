@@ -200,14 +200,16 @@ def _spectral_norm(a: np.ndarray) -> float:
     A tall ``a`` = Q R, or a wide one through a^H, has the singular values
     of its square R factor, so only R is factored (Chan's R-SVD): LAPACK
     would otherwise take a wide ``a`` through its slower LQ path.  A
-    near-square ``a`` goes to ``np.linalg.norm(a, 2)`` as it is, bit for
-    bit; through R the last bits may move.
+    near-square ``a`` is factored as it is, bit for bit
+    ``np.linalg.norm(a, 2)``; through R the last bits may move.  The norm
+    is a values-only ``np.linalg.svd`` call, the one ``norm`` makes
+    internally, so a count of ``np.linalg.svd`` calls sees it.
     """
     if _tall(a.shape):
         a = np.linalg.qr(a, mode="r")
     elif _tall(a.shape[::-1]):
         a = np.linalg.qr(a.conj().T, mode="r")
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def hs_norm(a) -> float:

@@ -246,5 +246,5 @@ def decaying_family(
         block.real = rng.standard_normal((dim_h, blk))
         block.imag = rng.standard_normal((dim_h, blk))
     scales = [tail_ratio**j for j in range(1, count - head + 1)]
-    tail *= (scales / np.linalg.norm(tail, ord=2, axis=(1, 2)))[:, None, None]
+    tail *= (scales / np.linalg.svd(tail, compute_uv=False)[:, 0])[:, None, None]
     return HSFrameFamily.from_synthesis_matrix(dim_h, dim_k, t)

@@ -130,7 +130,8 @@ def family_from_document(doc) -> HSFrameFamily:
     for key in ("format_version", "dim_h", "dim_k", "count", "scalar", "operators"):
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
-    if doc["format_version"] != FORMAT_VERSION:
+    # an int, not a bool or float that compares equal to one
+    if type(doc["format_version"]) is not int or doc["format_version"] != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
     if doc["scalar"] != "complex128":
         raise ParseError(f"unsupported scalar type {doc['scalar']!r}")
@@ -164,8 +165,12 @@ def _flat_floats(items: list, shape: tuple[int, ...]) -> np.ndarray:
     although ``float()`` would take it."""
     size = len(items)
     for depth, n in enumerate(shape):
-        if set(map(list.__len__, _nested(items, depth))) != {n}:
-            raise ValueError("nested lists of the wrong length")
+        try:
+            lengths = set(map(list.__len__, _nested(items, depth)))
+        except TypeError:
+            raise TypeError(f"an item at depth {depth} is not a list") from None
+        if lengths != {n}:
+            raise ValueError(f"a list at depth {depth} is not of length {n}")
         size *= n
     for kind in set(map(type, _nested(items, len(shape)))):
         if kind is bool or not issubclass(kind, (int, float)):
@@ -190,7 +195,7 @@ def _check_operator(j: int, op, shape: tuple[int, ...]) -> None:
         ) from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(
-            f"operators[{j}] is not nested lists of shape {shape} of numbers"
+            f"operators[{j}] is not nested lists of shape {shape} of numbers: {exc}"
         ) from exc
 
 

@@ -48,16 +48,20 @@ def rng():
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Every call the test makes to numpy.linalg's factorizations and
-    solvers, in order, as (name, copy of the input, QR mode or None).
-    numpy's own internal calls, such as the SVD inside ``norm(ord=2)``, are
-    not seen.  The test's reference values are recorded too: clear the list
-    before the code measured and read it before computing them."""
+    solvers, in order, as (name, copy of the input, mode): the QR mode,
+    "values" for a values-only SVD, else None.  numpy's own internal calls,
+    such as the SVD inside ``norm(ord=2)``, are not seen; the package
+    takes every spectral norm by a values-only SVD, which is.  The test's
+    reference values are recorded too: clear the list before the code
+    measured and read it before computing them."""
     calls = []
     for name in ("svd", "qr", "eigh", "eigvalsh", "solve", "cholesky", "lstsq"):
         def recorded(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             mode = None
             if _name == "qr":
                 mode = kwargs.get("mode", args[0] if args else "reduced")
+            elif _name == "svd" and not kwargs.get("compute_uv", args[1] if args[1:] else True):
+                mode = "values"
             calls.append((_name, np.array(a), mode))
             return _real(a, *args, **kwargs)
 

@@ -2,6 +2,9 @@
 
 import ast
 import json
+import sys
+import types
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -23,6 +26,8 @@ from hsframe import (
     frame_operator,
     frame_operator_hs_norm_bound,
     kernel_consistency,
+    load_family,
+    perturb_family,
     random_family,
     reconstruct,
     riesz_family,
@@ -30,6 +35,7 @@ from hsframe import (
     save_family,
 )
 import hsframe
+from hsframe import serialization
 from hsframe.cli import main
 from hsframe.family import ThinSVD
 from hsframe.core import _left_svd, _right_svd, _spectral_norm, _tall
@@ -85,6 +91,12 @@ def whole_family(calls, fam):
     ]
 
 
+def through_r(rows, h, mode=None):
+    """An SVD (values-only when ``mode`` is "values") of a rows x h matrix
+    taken through its h x h R factor."""
+    return [("qr", (rows, h), "r"), ("svd", (h, h), mode)]
+
+
 def test_family_is_factored_once(linalg_calls):
     """T (6 x 20, wide) is factored once through its short side, one QR of
     T^H and one SVD of its R, and no other factorization, solve or
@@ -125,14 +137,12 @@ def test_package_imports_no_scipy():
 
 
 def test_matrix_spectral_norms_go_through_core():
-    """Every matrix spectral norm in the package is core._spectral_norm's,
-    read off the short side.  The one ord=2 np.linalg.norm left outside
-    core is decaying_family's batched one, whose values fix the bytes of
-    generated files."""
+    """No module, core included, calls np.linalg.norm with ord=2: every
+    matrix spectral norm is a values-only np.linalg.svd call, which a count
+    of np.linalg.svd calls sees (numpy's norm calls its own svd).  Outside
+    core._spectral_norm, that is decaying_family's batched one."""
     found = []
     for path in sorted(Path(hsframe.__file__).parent.glob("*.py")):
-        if path.name == "core.py":
-            continue
         text = path.read_text()
         for node in ast.walk(ast.parse(text, str(path))):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -141,7 +151,7 @@ def test_matrix_spectral_norms_go_through_core():
             ords = [k.value for k in node.keywords if k.arg == "ord"] + node.args[1:2]
             if any(isinstance(o, ast.Constant) and o.value == 2 for o in ords):
                 found.append((path.name, ast.get_source_segment(text, node)))
-    assert found == [("generators.py", "np.linalg.norm(tail, ord=2, axis=(1, 2))")]
+    assert found == []
 
 
 def test_perturbation_factors_only_through_core():
@@ -249,16 +259,20 @@ def test_cli_round_never_forms_vh(tmp_path, monkeypatch):
 def test_analyze_factors_the_family_once(tmp_path, linalg_calls):
     """The canonical dual carries U diag(1/s) V^H as its factorization and
     its synthesis matrix is S^-1 T, so ``analyze`` on a frame factors T once,
-    one QR of T^H and one SVD of its R, and forms no V^H."""
+    one QR of T^H and one SVD of its R, and forms no V^H.  Its only other
+    calls are the two spectral norms of the dual check, values-only SVDs of
+    dim_h x dim_h matrices."""
     fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
     fam_path = tmp_path / "fam.json"
     save_family(fam, str(fam_path))
     out = tmp_path / "report.json"
+    linalg_calls.clear()  # the generator's own QRs
     assert main(["analyze", "--input", str(fam_path), "--out", str(out)]) == 0
     calls = list(linalg_calls)
     assert json.loads(out.read_text())["canonical_dual"] is not None
     assert whole_family(calls, fam) == [("qr", "T^H", "r"), ("svd", "R", None)]
-    assert [a.shape for _, a, _ in named(calls, "svd")] == [(fam.dim_h, fam.dim_h)]
+    h, n = fam.synthesis_matrix.shape
+    assert shapes(calls) == through_r(n, h) + [("svd", (h, h), "values")] * 2
     assert "vh" not in vars(fam.svd)
 
     dual = canonical_dual(fam)
@@ -270,6 +284,84 @@ def test_analyze_factors_the_family_once(tmp_path, linalg_calls):
     assert frame_bounds(dual) == pytest.approx(
         (1.0 / frame_bounds(fam)[1], 1.0 / frame_bounds(fam)[0]), rel=1e-12
     )
+
+
+def load_workloads():
+    """perfbench/workloads.py, run from its source so that nothing is written
+    beside it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    sys.modules[module.__name__] = module  # dataclasses looks the module up
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+WORKLOADS = load_workloads()
+
+
+#: Per benchmark workload, the calls of one round beyond those every round
+#: makes: the draws of ``generate`` before it factors T, and ``invert``'s
+#: calls, listed in order or, for the 56-row sweep, counted as (name, mode)
+ROUND_CALLS = {
+    "sweep-oversample": {
+        "draws": [("qr", (224, 56), "reduced"), ("qr", (56, 56), "reduced")],
+        # 55 SVDs + 76 eigen-solves over 56 rows: 2.339 factorizations a section
+        "invert": {("svd", None): 55, ("eigvalsh", None): 76, ("solve", None): 19},
+    },
+    "probe-decay": {
+        "draws": [("svd", (96, 128, 4), "values")],  # the tail blocks' norms
+        "invert": [("svd", (128, 64), None), ("solve", (64, 64), None),
+                   *through_r(256, 128), ("solve", (128, 128), None),
+                   ("solve", (128, 128), None)],
+    },
+    "wide": {
+        "draws": [("qr", (2048, 24), "reduced"), ("qr", (24, 24), "reduced")],
+        "invert": [("solve", (24, 24), None)],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_round_calls(name, tmp_path, monkeypatch, linalg_calls):
+    """Round 0 of seed 1 of each benchmark workload, run through the CLI
+    with the family memo empty, makes exactly these numpy.linalg calls, and
+    no Cholesky.  generate factors T once through its R; analyze takes the
+    dual check's two spectral norms; perturb takes the drawn deviation's
+    norm, factors T~ and then the deviation D, each through its R; invert
+    reuses T's SVD.  The only whole-family factorizations are T^H's in
+    generate and T~^H's in perturb."""
+    wl = WORKLOADS.WORKLOADS[name]
+    seed = WORKLOADS.family_seed(1, 0)
+    h, n = wl.dim_h, wl.count * wl.dim_k**2
+    want = {
+        "generate": ROUND_CALLS[name]["draws"] + through_r(n, h),
+        "analyze": [("svd", (h, h), "values")] * 2,
+        "perturb": through_r(n, h, "values") + through_r(n, h) + through_r(n, h),
+        "invert": ROUND_CALLS[name]["invert"],
+    }
+    monkeypatch.setattr(serialization, "_memo", None)
+    calls = {}
+    for command, argv in WORKLOADS.round_commands(wl, seed, tmp_path):
+        linalg_calls.clear()
+        assert main(argv) == 0
+        calls[command] = list(linalg_calls)
+    for command, expected in want.items():
+        got = shapes(calls[command])
+        if isinstance(expected, dict):
+            got = dict(Counter((call, mode) for call, _, mode in got))
+        assert got == expected, command
+
+    fam = load_family(str(tmp_path / "family.json"))
+    tilde, _ = perturb_family(fam, "additive-analysis", wl.magnitude, seed=seed)
+    route = [("qr", "T^H", "r"), ("svd", "R", None)]
+    assert {c: whole_family(calls[c], fam) for c in ("generate", "analyze", "perturb")} == {
+        "generate": route, "analyze": [], "perturb": []
+    }
+    assert whole_family(calls["perturb"], tilde) == route
+    # invert's last section can be S itself (sweep-oversample's S_56) or
+    # match T's R to rounding (probe-decay's 64-map prefix, whose other
+    # maps have norms below 2^-32), so only T and T^H are looked for
+    assert [c for c in whole_family(calls["invert"], fam) if c[1] in ("T", "T^H")] == []
 
 
 def with_singular_values(rng, rows, cols, values):

@@ -575,16 +575,18 @@ def test_single_constant_decision_factors_only_the_deviation(linalg_calls):
     """One active constant with an operator term reads the families' cached
     SVDs: the decision factors D once and whitens once, by SVD in every
     mode, Hermitian D = S - S~ included, and calls nothing else of
-    numpy.linalg.  Synthesis mode also tests ker T with a values-only norm,
-    which calls no ``np.linalg.svd``."""
+    numpy.linalg but, in synthesis mode, the values-only SVD of the ker T
+    test's norm, between the two."""
     g = seeded_family(3)
     gamma, _ = perturb_family(g, "additive-analysis", 0.1, seed=3)
     g.svd, gamma.svd  # computed once per family, before the decisions
     for mode in ("analysis", "synthesis", "frame-operator"):
         linalg_calls.clear()
         check_condition(mode, g, gamma, PerturbationConstants(lambda1=0.5))
-        assert [name for name, _, _ in linalg_calls] == ["svd", "svd"], mode
-        assert named(linalg_calls, "eigh") == [], mode
+        h, n = g.synthesis_matrix.shape  # 14 x 18
+        d = {"analysis": (n, h), "synthesis": (h, n), "frame-operator": (h, h)}[mode]
+        kernel = [("svd", (h, n), "values")] if mode == "synthesis" else []
+        assert shapes(linalg_calls) == [("svd", d, None), *kernel, ("svd", d, None)], mode
 
 
 def test_tall_deviation_is_factored_through_its_r_factor(linalg_calls):

@@ -207,6 +207,8 @@ class TestFamilyFile:
         (lambda doc: [doc], ParseError, 4),
         (lambda doc: 5, ParseError, 4),  # `key in 5` would raise TypeError
         (lambda doc: {**doc, "format_version": 2}, ParseError, 4),
+        (lambda doc: {**doc, "format_version": True}, ParseError, 4),  # True == 1
+        (lambda doc: {**doc, "format_version": 1.0}, ParseError, 4),
         (lambda doc: {**doc, "scalar": "float32"}, ParseError, 4),
         (lambda doc: {**doc, "count": 5}, ValidationError, 2),  # 2 operators
         (lambda doc: {**doc, "count": 5, "operators": ["x"] * 5}, ValidationError, 2),
@@ -214,7 +216,8 @@ class TestFamilyFile:
         (lambda doc: _with_entry(doc, 1, (0, 0, 0, 0), 10**400), ValidationError, 2),
         # checked against the operators before anything of that size is allocated
         (lambda doc: {**doc, "dim_k": 10**6}, ValidationError, 2),
-    ], ids=["list", "number", "format_version", "scalar", "operator_count",
+    ], ids=["list", "number", "format_version", "format_version_true",
+            "format_version_float", "scalar", "operator_count",
             "operator_entry", "overflowing_int", "huge_header_dim"])
     def test_bad_document_rejected(self, tmp_path, edit, error, code):
         path = tmp_path / "fam.json"
@@ -255,7 +258,7 @@ class TestFamilyFile:
     def test_malformed_nesting_names_operator(self, tmp_path, depth, kind):
         """At each depth of operators[1], a short list or a non-list where a
         list belongs (depths 0-3), or a list, a numeric string, true or null
-        where a number belongs (depth 4)."""
+        where a number belongs (depth 4).  The message gives the reason."""
         doc = family_to_document(random_family(2, 2, 3, SpectrumSpec.flat(), seed=1))
         index = (0,) * depth
         item = _entry(doc, 1, index)
@@ -266,7 +269,14 @@ class TestFamilyFile:
                    "null": None}[kind]
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(_with_entry(doc, 1, index, bad)))
-        with pytest.raises(ValidationError, match=r"operators\[1\] "):
+        if depth == 4:
+            reason = {"list": "list", "string": "str", "true": "bool", "null": "NoneType"}[kind]
+            reason = f"an entry is a {reason}, not a number"
+        elif kind == "short":
+            reason = f"a list at depth {depth} is not of length 2"
+        else:
+            reason = f"an item at depth {depth} is not a list"
+        with pytest.raises(ValidationError, match=rf"operators\[1\] .*: {reason}$"):
             load_family(str(path))
         assert main(["analyze", "--input", str(path)]) == 2
 
@@ -443,7 +453,8 @@ class TestMemo:
 
     def test_cli_round_factors_the_family_once(self, tmp_path, linalg_calls):
         """analyze, perturb and invert reuse the SVD of T that generate took:
-        the only other whole-family SVD is of the perturbed family."""
+        the only other whole-family SVD is of the perturbed family.  analyze
+        adds the two spectral norms of its dual check, values-only SVDs."""
         fam = str(tmp_path / "fam.json")
         assert main(["generate", "--kind", "random", "--dim-h", "4", "--dim-k", "1",
                      "--count", "6", "--seed", "2", "--out", fam]) == 0
@@ -451,8 +462,8 @@ class TestMemo:
         assert main(["analyze", "--input", fam]) == 0
         assert main(["invert", "--input", fam, "--schedule", "6",
                      "--out", str(tmp_path / "inv.csv")]) == 0
-        assert named(linalg_calls, "svd") == []
-        assert shapes(linalg_calls) == [("solve", (4, 4), None)]  # invert's S_6^-1 f
+        assert shapes(linalg_calls) == [("svd", (4, 4), "values"), ("svd", (4, 4), "values"),
+                                        ("solve", (4, 4), None)]  # invert's S_6^-1 f
         linalg_calls.clear()
         assert main(["perturb", "--input", fam, "--mode", "scale",
                      "--magnitude", "0.1"]) == 0
@@ -1086,21 +1097,19 @@ class TestInputBoundary:
         assert "overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["perturb", "analyze"])
-    def test_negative_trials_rejected(self, fam_path, tmp_path, capsys, command):
-        # perturb rejects the value; analyze draws nothing and has no --trials
+    def test_trials_flag_is_unrecognized(self, fam_path, tmp_path, capsys, command):
+        # no command takes --trials: argparse rejects it as an unknown flag
+        # before anything is written
         extra = ["--mode", "scale", "--magnitude", "0.1"] if command == "perturb" else []
         code = exit_code([
             command, "--input", str(fam_path), *extra, "--trials", "-3",
             "--out", str(tmp_path / "r.json"),
         ])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "trials" in err
-        if command == "analyze":
-            assert "unrecognized arguments: --trials" in err
+        assert "unrecognized arguments: --trials" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_negative_trials_rejected_for_non_frame(self, tmp_path, capsys):
+    def test_trials_flag_is_unrecognized_for_non_frame(self, tmp_path, capsys):
         path = tmp_path / "line.json"
         save_family(from_scalar_frame([[1, 0], [2, 0]]), str(path))
         assert exit_code(["analyze", "--input", str(path), "--trials", "-3"]) == 2
