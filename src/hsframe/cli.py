@@ -1,9 +1,9 @@
 """Command line front end: generate | analyze | invert | perturb.
 
 Exit codes: 0 success, 2 validation or precondition failure, 3 numeric
-failure, 4 I/O or parse failure.  ``--seed`` falls back to the
-HSFRAME_SEED environment variable, then 0; it must be an int >= 0.  ``analyze``
-checks it like every command but draws nothing.
+failure (any failed LAPACK call), 4 I/O or parse failure.  ``--seed`` falls
+back to the HSFRAME_SEED environment variable, then 0; it must be an
+int >= 0.  ``analyze`` checks it like every command but draws nothing.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, OSError) as exc:

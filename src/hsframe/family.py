@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -232,7 +232,7 @@ class ThinSVD:
 
     ``u`` is (dim_h, k) and ``s`` (k,), k = min(dim_h, columns of T).  The
     (k, columns of T) ``vh`` is formed by ``right()`` on its first read, so
-    a caller of u and s alone never pays for it; unpacking reads all three.
+    a caller of u and s alone never pays for it.
     """
 
     def __init__(self, u: np.ndarray, s: np.ndarray, right: Callable[[], np.ndarray]):
@@ -244,9 +244,6 @@ class ThinSVD:
         vh = self._right()
         vh.flags.writeable = False
         return vh
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter((self.u, self.s, self.vh))
 
 
 class CoefficientSequence:
@@ -316,7 +313,6 @@ class FrameReport:
 class DualCheck:
     ok: bool
     max_residual: float
-    identity_gap: float
 
 
 def _check_coefficients(family: HSFrameFamily, coeffs: CoefficientSequence):
@@ -507,23 +503,18 @@ def reconstruct(
 def verify_alternate_dual(
     family: HSFrameFamily, candidate: HSFrameFamily, tol: float = 1e-9
 ) -> DualCheck:
-    """Check both dual reconstruction identities exactly.
+    """Check the dual reconstruction identity exactly.
 
-    A candidate {V_j} is a dual of {G_j} when f = sum_j G_j* V_j f and
-    f = sum_j V_j* G_j f for every f, i.e. P = T V^H and P^H equal I.  The
-    two identities are adjoint to each other, so both residuals are
-    |P - I| (spectral norm); their mutual gap |P - P^H| is reported as a
-    diagnostic.
+    A candidate {V_j} is a dual of {G_j} when f = sum_j G_j* V_j f for
+    every f, i.e. P = T V^H equals I.  The other identity,
+    f = sum_j V_j* G_j f, is its adjoint P^H = I and has the same residual,
+    so the one spectral norm |P - I| decides both.
     """
     check_real("tol", tol, 0.0, math.inf, closed=(True, False))
     _check_pair(family, candidate, "candidate")
     p = family.synthesis_matrix @ candidate.synthesis_matrix.conj().T
     max_residual = _spectral_norm(p - np.eye(family.dim_h))
-    return DualCheck(
-        ok=bool(max_residual <= tol),
-        max_residual=max_residual,
-        identity_gap=_spectral_norm(p - p.conj().T),
-    )
+    return DualCheck(ok=bool(max_residual <= tol), max_residual=max_residual)
 
 
 def frame_operator_hs_norm_bound(family: HSFrameFamily) -> tuple[float, float]:

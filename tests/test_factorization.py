@@ -5,7 +5,6 @@ import json
 import sys
 import types
 from collections import Counter
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,6 @@ from hsframe import (
 import hsframe
 from hsframe import serialization
 from hsframe.cli import main
-from hsframe.family import ThinSVD
 from hsframe.core import _left_svd, _right_svd, _spectral_norm, _tall
 from hsframe.projection import _prefix_bases
 from conftest import complex_unit, named, shapes
@@ -233,35 +231,30 @@ def test_family_svd_matches_numpy(fam):
     assert np.abs((u * s) @ fam.svd.vh - t).max() <= 1e-12 * s_ref[0]
 
 
-def test_cli_round_never_forms_vh(tmp_path, monkeypatch):
+def test_cli_round_never_forms_vh(tmp_path, linalg_calls):
     """generate, analyze, perturb and invert on a wide family (8 x 64) read
-    U and s alone: no family's V^H is formed."""
-    formed, form = [], ThinSVD.vh.func
-
-    def recorded(svd):
-        formed.append(svd.u.shape)
-        return form(svd)
-
-    prop = cached_property(recorded)
-    prop.__set_name__(ThinSVD, "vh")
-    monkeypatch.setattr(ThinSVD, "vh", prop)
+    U and s alone: no family's V^H is formed.  A wide T's V^H is formed
+    only from a reduced QR of T^H, and with at most one active constant
+    (``_decide_boxes`` takes a reduced QR for two) no command after
+    generate makes a reduced QR at all."""
     fam = str(tmp_path / "fam.json")
     assert main(["generate", "--kind", "random", "--dim-h", "8", "--dim-k", "2",
                  "--count", "16", "--seed", "3", "--out", fam]) == 0
+    linalg_calls.clear()  # the generator's draws are reduced QRs
     assert main(["analyze", "--input", fam]) == 0
     assert main(["perturb", "--input", fam, "--mode", "additive-analysis",
                  "--magnitude", "0.1"]) == 0
     assert main(["invert", "--input", fam, "--schedule", "2,8,16",
                  "--out", str(tmp_path / "inv.csv")]) == 0
-    assert formed == []
+    assert {mode for _, _, mode in named(linalg_calls, "qr")} == {"r"}
 
 
 def test_analyze_factors_the_family_once(tmp_path, linalg_calls):
     """The canonical dual carries U diag(1/s) V^H as its factorization and
     its synthesis matrix is S^-1 T, so ``analyze`` on a frame factors T once,
     one QR of T^H and one SVD of its R, and forms no V^H.  Its only other
-    calls are the two spectral norms of the dual check, values-only SVDs of
-    dim_h x dim_h matrices."""
+    call is the dual check's spectral norm, a values-only SVD of a
+    dim_h x dim_h matrix."""
     fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
     fam_path = tmp_path / "fam.json"
     save_family(fam, str(fam_path))
@@ -272,15 +265,15 @@ def test_analyze_factors_the_family_once(tmp_path, linalg_calls):
     assert json.loads(out.read_text())["canonical_dual"] is not None
     assert whole_family(calls, fam) == [("qr", "T^H", "r"), ("svd", "R", None)]
     h, n = fam.synthesis_matrix.shape
-    assert shapes(calls) == through_r(n, h) + [("svd", (h, h), "values")] * 2
+    assert shapes(calls) == through_r(n, h) + [("svd", (h, h), "values")]
     assert "vh" not in vars(fam.svd)
 
     dual = canonical_dual(fam)
-    u, s, vh = dual.svd
+    u, s, vh = dual.svd.u, dual.svd.s, dual.svd.vh
     fresh = np.linalg.svd(dual.synthesis_matrix, compute_uv=False)
     assert np.allclose(s, fresh, rtol=1e-12, atol=0)
     assert np.allclose((u * s) @ vh, dual.synthesis_matrix, rtol=0, atol=1e-12 * s[0])
-    assert not any(a.flags.writeable for a in dual.svd)
+    assert not any(a.flags.writeable for a in (u, s, vh))
     assert frame_bounds(dual) == pytest.approx(
         (1.0 / frame_bounds(fam)[1], 1.0 / frame_bounds(fam)[0]), rel=1e-12
     )
@@ -326,7 +319,7 @@ def test_benchmark_round_calls(name, tmp_path, monkeypatch, linalg_calls):
     """Round 0 of seed 1 of each benchmark workload, run through the CLI
     with the family memo empty, makes exactly these numpy.linalg calls, and
     no Cholesky.  generate factors T once through its R; analyze takes the
-    dual check's two spectral norms; perturb takes the drawn deviation's
+    dual check's one spectral norm; perturb takes the drawn deviation's
     norm, factors T~ and then the deviation D, each through its R; invert
     reuses T's SVD.  The only whole-family factorizations are T^H's in
     generate and T~^H's in perturb."""
@@ -335,7 +328,7 @@ def test_benchmark_round_calls(name, tmp_path, monkeypatch, linalg_calls):
     h, n = wl.dim_h, wl.count * wl.dim_k**2
     want = {
         "generate": ROUND_CALLS[name]["draws"] + through_r(n, h),
-        "analyze": [("svd", (h, h), "values")] * 2,
+        "analyze": [("svd", (h, h), "values")],
         "perturb": through_r(n, h, "values") + through_r(n, h) + through_r(n, h),
         "invert": ROUND_CALLS[name]["invert"],
     }

@@ -393,7 +393,6 @@ class TestAlternateDual:
         fam = seeded_family(4)
         check = verify_alternate_dual(fam, canonical_dual(fam))
         assert check.ok
-        assert check.identity_gap <= 1e-9
 
     def test_ill_conditioned_canonical_dual_passes(self):
         # cond(T) = 1e4: S^-1 T formed as (U diag(1/s^2) U^H) T would leave a
@@ -463,7 +462,6 @@ class TestAlternateDual:
         )
         check = verify_alternate_dual(fam, candidate)
         assert check.max_residual == pytest.approx(eps, rel=1e-9)
-        assert check.identity_gap <= 1e-12  # P = I + eps e1 e1^H is Hermitian
         assert not check.ok
 
 

@@ -24,6 +24,7 @@ from hsframe import (
     from_scalar_frame,
     load_family,
     onb_family,
+    perturb_family,
     random_family,
     save_family,
 )
@@ -346,8 +347,8 @@ class TestMemo:
         monkeypatch.setattr(serialization, "_memo", None)
         parsed = load_family(str(path))
         assert parsed is not kept
-        for a, b in zip(kept.svd, parsed.svd):
-            assert np.array_equal(a, b)
+        for attr in ("u", "s", "vh"):
+            assert np.array_equal(getattr(kept.svd, attr), getattr(parsed.svd, attr))
         assert kept.images is dual.images  # kept without a copy
 
     def test_same_length_edit_is_parsed(self, tmp_path):
@@ -454,7 +455,7 @@ class TestMemo:
     def test_cli_round_factors_the_family_once(self, tmp_path, linalg_calls):
         """analyze, perturb and invert reuse the SVD of T that generate took:
         the only other whole-family SVD is of the perturbed family.  analyze
-        adds the two spectral norms of its dual check, values-only SVDs."""
+        adds the spectral norm of its dual check, a values-only SVD."""
         fam = str(tmp_path / "fam.json")
         assert main(["generate", "--kind", "random", "--dim-h", "4", "--dim-k", "1",
                      "--count", "6", "--seed", "2", "--out", fam]) == 0
@@ -462,7 +463,7 @@ class TestMemo:
         assert main(["analyze", "--input", fam]) == 0
         assert main(["invert", "--input", fam, "--schedule", "6",
                      "--out", str(tmp_path / "inv.csv")]) == 0
-        assert shapes(linalg_calls) == [("svd", (4, 4), "values"), ("svd", (4, 4), "values"),
+        assert shapes(linalg_calls) == [("svd", (4, 4), "values"),
                                         ("solve", (4, 4), None)]  # invert's S_6^-1 f
         linalg_calls.clear()
         assert main(["perturb", "--input", fam, "--mode", "scale",
@@ -824,6 +825,30 @@ class TestPerturbCommand:
         err = capsys.readouterr().err
         assert "sigma_min = 1e-170" in err and "lower must be" not in err
 
+    def test_uncertified_report_writes_its_witness(self, tmp_path):
+        """With mu = 0.05 below |D| = 0.1 the condition fails, and the
+        report's witness, a unit vector as [re, im] pairs, is one that D
+        stretches past mu."""
+        fam_path, out = tmp_path / "fam.json", tmp_path / "verdict.json"
+        assert main(["generate", "--kind", "random", "--dim-h", "4", "--count", "6",
+                     "--seed", "1", "--out", str(fam_path)]) == 0
+        assert main([
+            "perturb", "--input", str(fam_path), "--mode", "additive-analysis",
+            "--magnitude", "0.1", "--mu", "0.05", "--seed", "2", "--out", str(out),
+        ]) == 0
+        doc = json.loads(read(out))
+        assert doc["certified"] is False
+        assert doc["empirical_margin"] == pytest.approx(-0.05, abs=1e-12)
+        assert len(doc["witness"]) == 4
+        assert all(len(pair) == 2 for pair in doc["witness"])
+        w = np.array([complex(re, im) for re, im in doc["witness"]])
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        fam = load_family(str(fam_path))
+        tilde, _ = perturb_family(fam, "additive-analysis", 0.1, seed=2)
+        d = (tilde.synthesis_matrix - fam.synthesis_matrix).conj().T
+        assert np.linalg.norm(d @ w) == pytest.approx(0.1, abs=1e-12)
+        assert np.linalg.norm(d @ w) > 0.05 * np.linalg.norm(w)
+
     def test_seeded_rerun_identical_modulo_timestamp(self, tmp_path):
         fam_path = tmp_path / "fam.json"
         main([
@@ -839,6 +864,45 @@ class TestPerturbCommand:
         assert strip_timestamp_json(read(tmp_path / "a.json")) == strip_timestamp_json(
             read(tmp_path / "b.json")
         )
+
+
+class TestLinAlgFailure:
+    """A LAPACK call outside the family's own SVD that fails exits 3 as that
+    SVD's failure does: "numeric error: ...", no traceback, no output."""
+
+    # command -> (numpy.linalg function, which of its calls fail)
+    FAILING = {
+        "generate": ("qr", lambda a, kwargs: True),  # a draw's QR
+        "analyze": ("svd", lambda a, kwargs: kwargs.get("compute_uv") is False),
+        "perturb": ("svd", lambda a, kwargs: np.shape(a) == (6, 4)),  # D
+        "invert": ("eigvalsh", lambda a, kwargs: True),
+    }
+
+    @pytest.mark.parametrize("command", sorted(FAILING))
+    def test_failed_call_exits_3(self, command, tmp_path, monkeypatch, capsys):
+        fam, out = str(tmp_path / "fam.json"), tmp_path / "out"
+        assert main(["generate", "--kind", "random", "--dim-h", "4", "--count", "6",
+                     "--seed", "1", "--out", fam]) == 0
+        argv = {
+            "generate": ["--kind", "random", "--dim-h", "4", "--count", "6"],
+            "analyze": ["--input", fam],
+            "perturb": ["--input", fam, "--mode", "additive-analysis",
+                        "--magnitude", "0.1"],
+            "invert": ["--input", fam],
+        }[command] + ["--out", str(out)]
+        name, fails = self.FAILING[command]
+
+        def failing(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            if fails(a, kwargs):
+                raise np.linalg.LinAlgError(f"{name} did not converge")
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, failing)
+        capsys.readouterr()
+        assert main([command] + argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"numeric error: {name} did not converge\n"
+        assert not out.exists()
 
 
 class TestReportKeys:
