@@ -16,19 +16,10 @@ same reason; JSON reports are strict, with a non-finite value written as
 ``null``, and carry ``format_version`` (``REPORT_FORMAT_VERSION``).  All
 writes go through a temporary file plus rename.
 
-A process that reads back a family file it wrote does not parse it.
-``save_family`` keeps the family it last wrote, keyed by the SHA-256 of
-the file's bytes; a ``load_family`` of bytes with that digest returns the
-kept family, with the synthesis matrix and SVD it has cached, so
-``generate`` and the commands run after it on its file in one process
-(``hsframe.cli.main``) factor the family once.  The key is the content,
-not the path or the file's mtime, so a rewrite that changes any byte is
-parsed again.  Only the digest is kept, not the bytes.  The kept family
-stays in memory until the next ``save_family`` or a ``load_family`` of
-other bytes; there is no other way to free it.  A read hashes only while a
-family is kept, and keeps nothing itself: a process that only reads, such
-as one ``hsframe`` command other than ``generate``, hashes nothing, and
-``generate`` pays the hashing, about 1 ms per MB.
+The module keeps no state: ``save_family`` only writes, and
+``load_family`` always parses.  The commands of ``hsframe.cli`` keep the
+family ``generate`` last wrote, so a read of that file in the same
+process skips the parse and the SVD; the library does not.
 """
 
 from __future__ import annotations
@@ -37,7 +28,6 @@ import contextlib
 import csv
 import dataclasses
 import gc
-import hashlib
 import io
 import itertools
 import json
@@ -241,45 +231,16 @@ def _family_text(family: HSFrameFamily) -> Iterator[str]:
     yield "\n ]\n}\n"
 
 
-#: The family this process last wrote, as (SHA-256 digest of the file's
-#: bytes, family), or None.
-_memo: tuple[bytes, HSFrameFamily] | None = None
-
-
-def _hashed(chunks: Iterable[str], digest) -> Iterator[bytes]:
-    """Each chunk encoded once, fed to ``digest`` and passed on."""
-    for text in chunks:
-        data = text.encode()
-        digest.update(data)
-        yield data
-
-
 def save_family(family: HSFrameFamily, path: str) -> None:
-    """Write ``family`` to ``path``.  Reading these bytes back in this
-    process returns ``family`` itself, or, when it already carries an SVD
-    (a canonical dual's is derived, not computed), a family on the same
-    images that will factor them as a parsed one would."""
-    global _memo
+    """Write ``family`` to ``path``."""
     check_instance("family", family, HSFrameFamily)
-    _memo = None  # the previous family is not held while this one is encoded
-    digest = hashlib.sha256()
-    _atomic_write(path, _hashed(_family_text(family), digest))
-    if "svd" in vars(family):
-        family = HSFrameFamily._of_images(family.images)
-    _memo = digest.digest(), family
+    _atomic_write(path, map(str.encode, _family_text(family)))
 
 
 def load_family(path: str) -> HSFrameFamily:
-    """The family in ``path``: the one ``save_family`` kept if the file's
-    bytes are those it last wrote, else parsed from them."""
-    global _memo
+    """The family parsed from the file at ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    memo = _memo  # read once, so another thread cannot swap it mid-check
-    if memo is not None:
-        if hashlib.sha256(data).digest() == memo[0]:
-            return memo[1]
-        _memo = None  # not held through the parse of other bytes
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
@@ -293,6 +254,8 @@ def load_family(path: str) -> HSFrameFamily:
                 f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}"
             ) from exc
+        except RecursionError as exc:  # deeper than json's decoder goes
+            raise ParseError(f"{path}: nested too deeply to parse") from exc
         del text  # not kept through the conversion
         try:
             family = family_from_document(doc)
@@ -306,16 +269,13 @@ def load_family(path: str) -> HSFrameFamily:
 
 
 def write_convergence_csv(
-    path: str,
-    records: list[ConvergenceRecord],
-    experiment: str,
-    seed,
-    timestamp: str | None = None,
+    path: str, records: list[ConvergenceRecord], experiment: str, seed
 ) -> None:
-    """One row per record; ``format_sig`` of an int is its ``str``.  A field
-    is quoted only when it needs it, as an experiment id naming a family
-    file with a comma or a double quote in its name does."""
-    ts = timestamp if timestamp is not None else utc_timestamp()
+    """One row per record, each stamped with the current ``utc_timestamp``;
+    ``format_sig`` of an int is its ``str``.  A field is quoted only when it
+    needs it, as an experiment id naming a family file with a comma or a
+    double quote in its name does."""
+    ts = utc_timestamp()
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(CONVERGENCE_COLUMNS)

@@ -37,7 +37,6 @@ from hsframe import (
     save_family,
     subspace_basis,
 )
-from hsframe import serialization
 from hsframe.cli import main as cli_main
 from conftest import complex_unit, seeded_family
 from oracle_scalar import ScalarFrameOracle
@@ -305,7 +304,7 @@ def test_criterion_7_kernel_consistency():
     )
 
 
-def test_criterion_8_cli_io_round_trips(tmp_path, monkeypatch):
+def test_criterion_8_cli_io_round_trips(tmp_path):
     started = time.monotonic()
     # bit-exact save/load on families from every generator
     from hsframe import from_g_frame, GFrameSpec, onb_family, random_family
@@ -322,7 +321,6 @@ def test_criterion_8_cli_io_round_trips(tmp_path, monkeypatch):
     for idx, fam in enumerate(families):
         path = tmp_path / f"fam{idx}.json"
         save_family(fam, str(path))
-        monkeypatch.setattr(serialization, "_memo", None)  # parse the file
         loaded = load_family(str(path))
         assert loaded is not fam
         for m_in, m_out in zip(fam.maps, loaded.maps):

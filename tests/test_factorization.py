@@ -34,7 +34,7 @@ from hsframe import (
     save_family,
 )
 import hsframe
-from hsframe import serialization
+from hsframe import cli
 from hsframe.cli import main
 from hsframe.core import _left_svd, _right_svd, _spectral_norm, _tall
 from hsframe.projection import _prefix_bases
@@ -317,7 +317,7 @@ ROUND_CALLS = {
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_benchmark_round_calls(name, tmp_path, monkeypatch, linalg_calls):
     """Round 0 of seed 1 of each benchmark workload, run through the CLI
-    with the family memo empty, makes exactly these numpy.linalg calls, and
+    with no family kept from an earlier generate, makes exactly these numpy.linalg calls, and
     no Cholesky.  generate factors T once through its R; analyze takes the
     dual check's one spectral norm; perturb takes the drawn deviation's
     norm, factors T~ and then the deviation D, each through its R; invert
@@ -332,7 +332,7 @@ def test_benchmark_round_calls(name, tmp_path, monkeypatch, linalg_calls):
         "perturb": through_r(n, h, "values") + through_r(n, h) + through_r(n, h),
         "invert": ROUND_CALLS[name]["invert"],
     }
-    monkeypatch.setattr(serialization, "_memo", None)
+    monkeypatch.setattr(cli, "_written", None)
     calls = {}
     for command, argv in WORKLOADS.round_commands(wl, seed, tmp_path):
         linalg_calls.clear()

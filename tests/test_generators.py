@@ -40,6 +40,8 @@ class TestSpectrumSpec:
             SpectrumSpec.parse("explicit:2,1").resolve(3)
         with pytest.raises(ValidationError):
             SpectrumSpec.explicit([1.0, -1.0]).resolve(2)
+        with pytest.raises(ValidationError, match="unknown spectrum kind 'bogus'"):
+            SpectrumSpec(kind="bogus").resolve(3)
 
     # made in the test: explicit values are checked when the spec is made
     @pytest.mark.parametrize("spectrum, n", [

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 
 from hsframe import (
     HSFrameFamily,
+    NumericError,
     ParseError,
     SpectrumSpec,
     ValidationError,
-    canonical_dual,
     decaying_family,
     from_scalar_frame,
     load_family,
@@ -29,7 +30,7 @@ from hsframe import (
     save_family,
 )
 import hsframe
-from hsframe import serialization
+from hsframe import cli
 from hsframe.cli import main
 from hsframe.serialization import family_to_document, format_sig
 from conftest import named, shapes
@@ -99,11 +100,10 @@ class TestFamilyFile:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
-    def test_round_trip_bit_exact(self, tmp_path, monkeypatch):
+    def test_round_trip_bit_exact(self, tmp_path):
         fam = random_family(5, 2, 3, SpectrumSpec.geometric(0.6), seed=11)
         path = tmp_path / "fam.json"
         save_family(fam, str(path))
-        monkeypatch.setattr(serialization, "_memo", None)  # parse the file
         loaded = load_family(str(path))
         assert loaded is not fam
         for m_in, m_out in zip(fam.maps, loaded.maps):
@@ -169,7 +169,6 @@ class TestFamilyFile:
         fam = random_family(6, 2, 6, SpectrumSpec.geometric(0.6), seed=5)
         path = tmp_path / "fam.json"
         save_family(fam, str(path))
-        monkeypatch.setattr(serialization, "_memo", None)  # parse the file
         loaded = load_family(str(path))
         assert loaded is not fam
         for m_in, m_out in zip(fam.maps, loaded.maps):
@@ -227,12 +226,11 @@ class TestFamilyFile:
             load_family(str(path))
         assert main(["analyze", "--input", str(path)]) == code
 
-    def test_load_starts_no_collection(self, tmp_path, monkeypatch):
+    def test_load_starts_no_collection(self, tmp_path):
         """The parsed document is freed before the collector is enabled again,
         so its thousands of lists leave no allocation count to start a pass."""
         path = tmp_path / "fam.json"
         save_family(random_family(32, 2, 32, SpectrumSpec.flat(), seed=3), str(path))
-        monkeypatch.setattr(serialization, "_memo", None)  # parse the file
         starts = []
 
         def callback(phase, info):
@@ -306,86 +304,104 @@ class TestFamilyFile:
 
 
 class TestMemo:
-    """A process does not parse a file it wrote: the family last saved is
-    kept, keyed by the SHA-256 of the file's bytes."""
+    """A process does not parse a file its ``generate`` wrote: the CLI keeps
+    the family last generated, keyed by the SHA-256 of the file's bytes.
+    The library keeps nothing."""
 
-    def test_load_after_save_returns_the_saved_family(self, tmp_path):
+    def test_library_keeps_nothing(self, tmp_path):
+        """``load_family`` after ``save_family`` parses the file: a new
+        family on a new array, with nothing cached."""
         fam = random_family(4, 2, 3, SpectrumSpec.flat(), seed=1)
+        fam.svd  # a cached SVD is not handed on either
         path = tmp_path / "fam.json"
         save_family(fam, str(path))
-        assert load_family(str(path)) is fam
-        assert load_family(str(path)) is fam
+        first, second = load_family(str(path)), load_family(str(path))
+        for loaded in (first, second):
+            assert loaded is not fam and not np.shares_memory(loaded.images, fam.images)
+            assert np.array_equal(loaded.images, fam.images)
+            assert "svd" not in vars(loaded)
+        assert first is not second
 
-    def test_same_bytes_hit_the_memo(self, tmp_path):
-        """Keyed on content: a copy at another path is the same family."""
-        fam = random_family(4, 2, 3, SpectrumSpec.flat(), seed=2)
+    @staticmethod
+    def generate(path):
+        assert main(["generate", "--kind", "random", "--dim-h", "4", "--dim-k", "2",
+                     "--count", "3", "--seed", "2", "--out", str(path)]) == 0
+        digest, fam = cli._written
+        assert digest == hashlib.sha256(path.read_bytes()).digest()
+        return fam
+
+    def test_same_bytes_hit_the_memo(self, tmp_path, monkeypatch):
+        """Keyed on content: a copy at another path is the same family, and
+        no command parses it."""
         path, copy = tmp_path / "fam.json", tmp_path / "copy.json"
-        save_family(fam, str(path))
+        fam = self.generate(path)
         copy.write_bytes(path.read_bytes())
-        assert load_family(str(copy)) is fam
-        assert load_family(str(path)) is fam
+        monkeypatch.setattr(cli, "load_family", lambda p: pytest.fail(f"parsed {p}"))
+        for source in (copy, path):
+            assert main(["analyze", "--input", str(source)]) == 0
+            assert main(["perturb", "--input", str(source), "--mode", "scale",
+                         "--magnitude", "0.1"]) == 0
+            assert main(["invert", "--input", str(source),
+                         "--out", str(tmp_path / "inv.csv")]) == 0
+            assert cli._written[1] is fam
 
     def test_reads_keep_nothing_and_hash_nothing(self, tmp_path, monkeypatch):
-        """With no family kept, as in a process that only reads, a load
+        """With no family kept, as in a process that only reads, a command
         parses without hashing and keeps nothing."""
         path = tmp_path / "fam.json"
         save_family(onb_family(3), str(path))
-        monkeypatch.setattr(serialization, "_memo", None)
-        monkeypatch.setattr(serialization.hashlib, "sha256", None)  # not called
-        first = load_family(str(path))
-        assert serialization._memo is None
-        assert load_family(str(path)) is not first
+        monkeypatch.setattr(cli, "_written", None)
+        monkeypatch.setattr(hashlib, "sha256", None)  # not called
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert main(["perturb", "--input", str(path), "--mode", "scale",
+                     "--magnitude", "0.1"]) == 0
+        assert main(["invert", "--input", str(path),
+                     "--out", str(tmp_path / "inv.csv")]) == 0
+        assert cli._written is None
 
-    def test_kept_dual_factors_as_a_parsed_one(self, tmp_path, monkeypatch):
-        """A canonical dual carries an SVD derived from its family's, not
-        LAPACK's: what is kept for it is factored as a parsed file is."""
-        fam = random_family(5, 2, 4, SpectrumSpec.parse("geometric:0.5"), seed=4)
-        dual = canonical_dual(fam)
-        path = tmp_path / "dual.json"
-        save_family(dual, str(path))
-        kept = load_family(str(path))
-        monkeypatch.setattr(serialization, "_memo", None)
-        parsed = load_family(str(path))
-        assert parsed is not kept
-        for attr in ("u", "s", "vh"):
-            assert np.array_equal(getattr(kept.svd, attr), getattr(parsed.svd, attr))
-        assert kept.images is dual.images  # kept without a copy
-
-    def test_same_length_edit_is_parsed(self, tmp_path):
-        """A rewrite that keeps the size (and may keep the mtime) misses."""
-        fam = from_scalar_frame([[1.5, 0.0], [0.0, 2.5], [0.5, 0.5]])
+    def test_same_length_edit_is_parsed(self, tmp_path, capsys):
+        """A rewrite that keeps the size (and may keep the mtime) misses,
+        and the kept family is dropped."""
         path = tmp_path / "fam.json"
-        save_family(fam, str(path))
+        assert main(["generate", "--kind", "onb", "--dim-h", "3", "--out", str(path)]) == 0
         text = read(path)
-        path.write_text(text.replace("2.5", "3.5", 1))
-        loaded = load_family(str(path))
-        assert loaded is not fam
+        path.write_text(text.replace("1.0", "2.0", 1))
         assert len(read(path)) == len(text)
-        assert loaded.images[1, 1, 0, 0] == 3.5
-        assert np.array_equal(np.delete(loaded.images, 1, 0), np.delete(fam.images, 1, 0))
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}: frame+riesz bounds=(1, 4)\n"
+        assert cli._written is None
 
-    def test_truncated_rewrite_after_save_is_parse_error(self, tmp_path):
+    def test_truncated_rewrite_after_save_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "fam.json"
-        save_family(onb_family(3), str(path))
+        self.generate(path)
         text = read(path)
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(ParseError):
-            load_family(str(path))
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(path)]) == 4
+        assert "malformed JSON" in capsys.readouterr().err
+        assert cli._written is None
 
-    @pytest.mark.parametrize("text, error", [
-        ("{ not json", ParseError),
-        (json.dumps({**family_to_document(onb_family(2)), "count": 5}), ValidationError),
+    @pytest.mark.parametrize("text, code", [
+        ("{ not json", 4),
+        (json.dumps({**family_to_document(onb_family(2)), "count": 5}), 2),
     ], ids=["json", "document"])
-    def test_failed_parse_leaves_no_entry(self, tmp_path, text, error):
+    def test_failed_parse_leaves_no_entry(self, tmp_path, monkeypatch, text, code):
         path, bad = tmp_path / "fam.json", tmp_path / "bad.json"
-        fam = onb_family(2)
-        save_family(fam, str(path))
+        fam = self.generate(path)
         bad.write_text(text)
-        with pytest.raises(error):
-            load_family(str(bad))
-        assert serialization._memo is None
-        loaded = load_family(str(path))
-        assert loaded is not fam and np.array_equal(loaded.images, fam.images)
+        assert main(["analyze", "--input", str(bad)]) == code
+        assert cli._written is None
+        parsed = []
+
+        def spy(p, _load=cli.load_family):
+            parsed.append(_load(p))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "load_family", spy)
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert len(parsed) == 1 and parsed[0] is not fam
+        assert np.array_equal(parsed[0].images, fam.images)
 
     def test_cli_outputs_identical_with_memo_cleared(self, tmp_path, monkeypatch):
         """generate, analyze, perturb and invert write the same bytes, bar
@@ -408,7 +424,7 @@ class TestMemo:
             ]
             for argv in commands:
                 if clear:
-                    monkeypatch.setattr(serialization, "_memo", None)
+                    monkeypatch.setattr(cli, "_written", None)
                 assert main(argv) == 0
             return [
                 read(workdir / "fam.json"),
@@ -424,8 +440,9 @@ class TestMemo:
         assert remembered == parsed
 
     def test_threads_never_get_another_file_s_family(self, tmp_path):
-        """Threads saving and loading different files at once: every load
-        returns the family its own file holds, whichever entry is kept."""
+        """Threads saving and loading different files at once: saves are
+        atomic and loads parse, so every load returns the family its own
+        file holds."""
         families = [random_family(3, 1, 4, SpectrumSpec.flat(), seed=s) for s in range(4)]
         failures = []
 
@@ -904,6 +921,24 @@ class TestLinAlgFailure:
         assert err == f"numeric error: {name} did not converge\n"
         assert not out.exists()
 
+    def test_failed_family_svd_is_numeric_error(self, tmp_path, monkeypatch, capsys):
+        """A failed SVD of T itself is named as such, in the library and by
+        the CLI's exit 3."""
+        fam_path = tmp_path / "fam.json"
+        save_family(random_family(4, 1, 6, SpectrumSpec.flat(), seed=1), str(fam_path))
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("svd did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        message = "SVD of the synthesis matrix failed: svd did not converge"
+        with pytest.raises(NumericError, match=message):
+            load_family(str(fam_path)).svd
+        monkeypatch.setattr(cli, "_written", None)
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(fam_path)]) == 3
+        assert capsys.readouterr().err == f"numeric error: {message}\n"
+
 
 class TestReportKeys:
     """Each fact has one key; a change to the key sets bumps format_version."""
@@ -1159,6 +1194,28 @@ class TestInputBoundary:
         ])
         assert code == 3
         assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "perturb", "invert"])
+    @pytest.mark.parametrize("where", ["top", "operators"])
+    def test_nesting_beyond_the_decoder_is_parse_error(
+        self, tmp_path, capsys, monkeypatch, command, where
+    ):
+        """json's decoder raises RecursionError past its depth limit; the
+        command exits 4 naming the file, not with a traceback."""
+        path = tmp_path / "deep.json"
+        if where == "top":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        else:
+            header = json.dumps({**family_to_document(onb_family(1)), "operators": 0})
+            path.write_text(header.replace('"operators": 0', '"operators": '
+                                           + "[" * 50_000 + "]" * 50_000))
+        monkeypatch.setattr(cli, "_written", None)
+        extra = {"analyze": [], "invert": ["--out", str(tmp_path / "x.csv")],
+                 "perturb": ["--mode", "scale", "--magnitude", "0.1"]}[command]
+        assert main([command, "--input", str(path), *extra]) == 4
+        err = capsys.readouterr().err
+        assert err == f"i/o error: {path}: nested too deeply to parse\n"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["perturb", "analyze"])
     def test_trials_flag_is_unrecognized(self, fam_path, tmp_path, capsys, command):
