@@ -14,20 +14,26 @@ S^-1 f of the full family:
   oversampling amount that pushes the smallest eigenvalue of the compressed
   operator above A/lambda.
 
+Both are one operator, Q_n (Q_n^H S_k Q_n)^-1 Q_n^H f, taken at k = n and at
+k = n + m(n), and both go through one solve.
+
 A sweep is one pass over the schedule with one running factorization: prefix
 n's thin SVD U s V^H is taken of [U' diag(s'), T_{n'+1..n}] (n' the previous
 prefix), which has T_n's Gram matrix.  Only U and s are read, so when that
 block is at least twice as wide as tall (a jump over many maps) it is
 factored through the R factor of its conjugate transpose, whose right
 singular vectors are U, and its V^H is never formed; a nearer-square block
-takes the plain thin SVD.  With Q_n = U[:, :r_n] the plain
-section Q_n^H S_n Q_n is diag(s_r^2), and each compression at k > n adds the
-Gram matrix of blocks n+1..k of Q_n^H T.  By Cauchy interlacing (H_n in
-H_{n+1}, S_k <= S_{k+1}), lambda_min of the compression is non-increasing in
-n and non-decreasing in k, so k(n) = n + m(n) never decreases and each search
-starts at the previous k.  The skip is guarded: when the compression at
-k - 1 already reaches A/lambda, the search rescans from k = n, so m(n) is
-always the one-step-at-a-time scan's answer.  That happens through roundoff,
+takes the plain thin SVD.  With Q_n = U[:, :r_n] the plain section
+Q_n^H S_n Q_n is diag(s_r^2), so the solve at k = n divides by s_r^2 and
+makes no LAPACK call.  Each compression at k > n adds the Gram matrix of
+blocks n+1..k of Q_n^H T, and only there is a dense matrix built and solved.
+By Cauchy interlacing (H_n in H_{n+1}, S_k <= S_{k+1}), lambda_min of the
+compression is non-increasing in n and non-decreasing in k, so k(n) = n +
+m(n) never decreases and each search starts at the previous k.  The search
+asserts that the spectrum of the compression it returns lies in
+[A/lambda, B].  The skip is guarded: when the compression at k - 1 already
+reaches A/lambda, the search rescans from k = n, so m(n) is always the
+one-step-at-a-time scan's answer.  That happens through roundoff,
 or when a rank decision breaks the nesting: a direction kept in H_n can fall
 below rank_tol * sigma_max, and out of H_{n+1}, once a large map arrives.
 
@@ -37,10 +43,12 @@ k(n) = max(n, k_H), where k_H is the k found by the last search on a
 full-rank section.  The sweep keeps that search's pair (k_H, S_k^-1 f), and
 a later full-rank prefix with n <= k_H takes it with no search or solve.
 
-Every entry point reads one ``_Section`` per prefix, the one place that
-knows a prefix's edge cases: the empty section (rank 0) and a plain section
-the SVD cannot resolve.  The latter's oversampled compression is still
-bounded below by A/lambda, so a sweep keeps that half of a flagged row.
+Every entry point reads one ``_Section`` per prefix and takes every
+sectional inverse from its one solve.  It is the one place that knows a
+prefix's edge cases: the empty section (rank 0), whose search returns k = n
+and whose solve, through a zero-width Q_n, is 0, and a plain section the SVD
+cannot resolve.  The latter's oversampled compression is still bounded below
+by A/lambda, so a sweep keeps that half of a flagged row.
 """
 
 from __future__ import annotations
@@ -105,10 +113,14 @@ class SectionSchedule:
 
     def __post_init__(self):
         lengths = as_tuple("lengths", self.lengths)
-        prev = 0  # strictly increasing from 1
-        for n in lengths:
-            prev = check_int("lengths", n, prev + 1)
-        object.__setattr__(self, "lengths", tuple(int(n) for n in lengths))
+        lengths = tuple(check_int("lengths", n, 1) for n in lengths)
+        for prev, n in zip(lengths, lengths[1:]):
+            if n <= prev:
+                raise ValidationError(
+                    "lengths must be strictly increasing integers >= 1, "
+                    f"got {prev} then {n}"
+                )
+        object.__setattr__(self, "lengths", lengths)
 
     @classmethod
     def full(cls, count: int) -> "SectionSchedule":
@@ -262,11 +274,12 @@ def project(basis: SubspaceBasis, f) -> np.ndarray:
 class _Section:
     """One prefix n: Q_n, s_r and the tail of Q_n^H T; Q_n^H S_n Q_n = diag(s_r^2).
 
-    Each compression at k > n adds the Gram matrix of blocks n+1..k of
-    Q_n^H T; its eigenvalues are computed at most once per k, and the last
-    one built is kept for the solve.  The edge cases live here: the floor
-    check guards the plain inverse alone, and the empty section (rank 0)
-    needs no oversampling and inverts to 0.
+    Every sectional inverse is one ``solve(k, y)``: the plain one at k = n,
+    which divides by s_r^2, and the oversampled one at the k the search
+    returns.  Each compression at k > n adds the Gram matrix of blocks
+    n+1..k of Q_n^H T; its eigenvalues are computed at most once per k.  The
+    floor check guards the plain inverse alone, and the empty section (rank
+    0) needs no oversampling and solves to 0.
     """
 
     def __init__(self, family: HSFrameFamily, basis: SubspaceBasis):
@@ -276,7 +289,6 @@ class _Section:
         self._blk = family.dim_k * family.dim_k
         self._sig2 = basis.sigma**2
         self._evals: dict[int, np.ndarray] = {self.n: self._sig2[::-1]}
-        self._built = (None, None)  # the last compression built, (k, matrix)
 
     @cached_property
     def _tail(self) -> np.ndarray:
@@ -285,64 +297,61 @@ class _Section:
         return self.basis.q.conj().T @ t[:, self.n * self._blk :]
 
     def compressed(self, k: int) -> np.ndarray:
-        """Q_n^H S_k Q_n."""
-        if self._built[0] != k:
-            w = self._tail[:, : (k - self.n) * self._blk]
-            gram = w @ w.conj().T
-            self._built = k, np.diag(self._sig2) + (gram + gram.conj().T) / 2.0
-        return self._built[1]
+        """Q_n^H S_k Q_n for k > n."""
+        w = self._tail[:, : (k - self.n) * self._blk]
+        gram = w @ w.conj().T
+        return np.diag(self._sig2) + (gram + gram.conj().T) / 2.0
 
     def evals(self, k: int) -> np.ndarray:
         if k not in self._evals:
             self._evals[k] = np.linalg.eigvalsh(self.compressed(k))
         return self._evals[k]
 
-    def inv_apply(self, y: np.ndarray) -> np.ndarray:
-        """Q (Q^H S_n Q)^-1 Q^H y = Q (Q^H y / s_r^2) for a vector y."""
-        _check_floor(self.basis)
+    def solve(self, k: int, y: np.ndarray) -> np.ndarray:
+        """Q (Q^H S_k Q)^-1 Q^H y for a vector y; at k = n, Q (Q^H y / s_r^2)."""
         q = self.basis.q
-        return q @ ((q.conj().T @ y) / self._sig2)
+        z = q.conj().T @ y
+        if k == self.n:
+            return q @ (z / self._sig2)
+        return q @ np.linalg.solve(self.compressed(k), z)
 
-    def oversampling(self, target: float, start: int) -> int:
-        """Smallest k >= n with lambda_min(Q_n^H S_k Q_n) >= target, at most count.
+    def inv_apply(self, y: np.ndarray) -> np.ndarray:
+        """S_n^-1 P_n y, after the floor check."""
+        _check_floor(self.basis)
+        return self.solve(self.n, y)
+
+    def oversampling(self, bounds: tuple[float, float], lam: float, start: int) -> int:
+        """Smallest k >= n with lambda_min(Q_n^H S_k Q_n) >= A/lam, at most count.
 
         The scan starts at ``start``.  A sweep passes the previous prefix's
         k: by interlacing, every smaller k falls short for this prefix too.
         The skip is trusted only when k = start - 1 does fall short;
         otherwise roundoff or a rank decision broke the nesting and the scan
-        restarts at k = n.  The empty section needs none: it returns n.
+        restarts at k = n.  The k returned is certified: its compression's
+        spectrum lies in [A/lam, B], asserted because a failure would be a
+        bug, not bad data.  The empty section needs none: it returns n.
         """
         if self.basis.rank == 0:
             return self.n
+        a, b = bounds
+        target = a / lam
         k = start
         if k > self.n and self.evals(k - 1)[0] >= target:
             k = self.n
         while k < self._family.count and self.evals(k)[0] < target:
             k += 1
-        return k
-
-    def oversampled_apply(
-        self, k: int, bounds: tuple[float, float], lam: float, y: np.ndarray
-    ) -> np.ndarray:
-        """(Q^H S_k Q)^-1 Q^H y mapped back to H, after asserting that the
-        compression's spectrum lies in [A/lam, B]; 0 on the empty section."""
-        if self.basis.rank == 0:
-            return np.zeros_like(y)
-        a, b = bounds
-        evals = self.evals(k)
-        lam_min, lam_max = float(evals[0]), float(evals[-1])
+        lam_min, lam_max = float(self.evals(k)[0]), float(self.evals(k)[-1])
         slack = 1e-12 * max(1.0, b)
         if lam_max > b + slack:
             raise InternalConsistencyError(
                 f"compressed operator norm {lam_max} exceeds upper bound {b}"
             )
-        if lam_min < a / lam - slack:
+        if lam_min < target - slack:
             raise InternalConsistencyError(
                 f"compressed operator smallest eigenvalue {lam_min} below "
-                f"certified level {a / lam}"
+                f"certified level {target}"
             )
-        q = self.basis.q
-        return q @ np.linalg.solve(self.compressed(k), q.conj().T @ y)
+        return k
 
 
 def projection_formula(family: HSFrameFamily, basis: SubspaceBasis, f) -> np.ndarray:
@@ -383,15 +392,18 @@ def find_oversampling(
 
     Always terminates: at m = count - n the compressed operator is the
     restriction of the full frame operator, whose smallest eigenvalue is at
-    least the optimal lower bound A.  The empty section needs none (m = 0).
-    An A that underflows to 0 raises ``NumericError``.
+    least the optimal lower bound A.  The search asserts that the chosen
+    compression's spectrum lies in [A/lam, B]; a failure raises
+    ``InternalConsistencyError``, since it would indicate a bug rather than
+    bad data.  The empty section needs none (m = 0).  An A that underflows
+    to 0 raises ``NumericError``.
     """
     check_instance("family", family, HSFrameFamily)
     _check_lambda(lam)
     _require_frame(family, rank_tol)
-    a = _positive_bounds(family)[0]
+    bounds = _positive_bounds(family)
     section = _Section(family, subspace_basis(family, n, rank_tol))
-    return section.oversampling(a / lam, n) - n
+    return section.oversampling(bounds, lam, n) - n
 
 
 def oversampled_inverse_apply(
@@ -403,10 +415,11 @@ def oversampled_inverse_apply(
 ) -> np.ndarray:
     """(P_n S_{n+m(n)})^-1 P_n f with certified section conditioning.
 
-    After choosing m(n), the compressed operator must satisfy
-    lambda_max <= B and lambda_min >= A/lambda; both are asserted and a
-    failure raises, since it would indicate a bug rather than bad data.
-    The empty section gives 0.  An A that underflows to 0 (sigma_min below
+    The search that chooses m(n) asserts lambda_max <= B and lambda_min >=
+    A/lambda for the compressed operator, as ``find_oversampling`` does.
+    At m(n) = 0 this is the plain inverse, bit for bit and with no LAPACK
+    call: both are the k = n solve, a division by s_r^2.  The empty section
+    gives 0.  An A that underflows to 0 (sigma_min below
     about 1.5e-162) raises ``NumericError`` naming sigma_min.
     """
     check_instance("family", family, HSFrameFamily)
@@ -415,8 +428,7 @@ def oversampled_inverse_apply(
     _require_frame(family, rank_tol)
     bounds = _positive_bounds(family)
     section = _Section(family, subspace_basis(family, n, rank_tol))
-    k = section.oversampling(bounds[0] / lam, n)
-    return section.oversampled_apply(k, bounds, lam, fv)
+    return section.solve(section.oversampling(bounds, lam, n), fv)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is raised below
@@ -468,8 +480,8 @@ def convergence_sweep(
         if full and spanning is not None and n <= spanning[0]:
             k, over = spanning
         else:
-            k = section.oversampling(bounds[0] / lam, max(n, k))
-            over = section.oversampled_apply(k, bounds, lam, fv)
+            k = section.oversampling(bounds, lam, max(n, k))
+            over = section.solve(k, fv)
             if full:
                 spanning = k, over
         err_over = _norm(over - ground)

@@ -299,17 +299,17 @@ ROUND_CALLS = {
     "sweep-oversample": {
         "draws": [("qr", (224, 56), "reduced"), ("qr", (56, 56), "reduced")],
         # 55 SVDs + 76 eigen-solves over 56 rows: 2.339 factorizations a section
-        "invert": {("svd", None): 55, ("eigvalsh", None): 76, ("solve", None): 19},
+        "invert": {("svd", None): 55, ("eigvalsh", None): 76, ("solve", None): 14},
     },
     "probe-decay": {
         "draws": [("svd", (96, 128, 4), "values")],  # the tail blocks' norms
-        "invert": [("svd", (128, 64), None), ("solve", (64, 64), None),
-                   *through_r(256, 128), ("solve", (128, 128), None),
-                   ("solve", (128, 128), None)],
+        # m_n = 0 on every row: the plain and oversampled inverses are both
+        # the k = n solve, a division by s_r^2
+        "invert": [("svd", (128, 64), None), *through_r(256, 128)],
     },
     "wide": {
         "draws": [("qr", (2048, 24), "reduced"), ("qr", (24, 24), "reduced")],
-        "invert": [("solve", (24, 24), None)],
+        "invert": [],  # one row, n = count, m_n = 0: the cached SVD alone
     },
 }
 

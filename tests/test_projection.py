@@ -46,9 +46,14 @@ class TestSectionSchedule:
         assert SectionSchedule.parse("prefix:all", 3).lengths == (1, 2, 3)
 
     def test_monotone_required(self):
-        with pytest.raises(ValidationError):
+        rule = "^lengths must be strictly increasing integers >= 1, got "
+        with pytest.raises(ValidationError, match=rule + "2 then 2$"):
             SectionSchedule((2, 2))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=rule + "3 then 1$"):
+            SectionSchedule((3, 1))
+        with pytest.raises(ValidationError, match=rule + "4 then 3$"):
+            SectionSchedule((1, 4, 3))
+        with pytest.raises(ValidationError, match="^lengths must be >= 1"):
             SectionSchedule((0, 1))
 
     def test_validate_against_family(self):

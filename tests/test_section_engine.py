@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hsframe import (
     HSFrameFamily,
+    InternalConsistencyError,
     SectionSchedule,
     SpectrumSpec,
     ValidationError,
@@ -174,7 +175,7 @@ def test_sweep_cost_is_bounded(linalg_calls):
     assert len(named(linalg_calls, "eigh", "eigvalsh")) <= 2 * rows + fam.count
     assert len(named(linalg_calls, "svd")) <= rows
     assert Counter(name for name, _, _ in linalg_calls) == {
-        "eigvalsh": 31, "svd": 24, "solve": 8, "qr": 1,
+        "eigvalsh": 31, "svd": 24, "solve": 6, "qr": 1,
     }
     assert shapes(named(linalg_calls, "qr")) == [("qr", (96, 24), "r")]  # the family's
 
@@ -213,6 +214,69 @@ def test_full_rank_rows_share_one_search(linalg_calls, step, lam):
         assert r.err_oversampled == pytest.approx(
             float(np.linalg.norm(over - ground)), rel=1e-9, abs=1e-12
         )
+
+
+def test_k_equals_n_is_the_plain_inverse(linalg_calls):
+    """Where the search returns k = n, the oversampled inverse is the plain
+    one bit for bit, both being the k = n solve (a division by s_r^2), and
+    it takes no solve and no eigen-solve.  In the prefix:all sweep, k_H = 22
+    and the row n = 22 is left out of the bitwise check: it takes the
+    spanning pair (22, S_22^-1 f) that prefix 6's search solved in prefix
+    6's basis, which rounds differently from Q_22, so its two errors agree
+    to the last digits only."""
+    fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    frame_bounds(fam)  # factors the whole family first
+    ns = [n for n in range(1, fam.count + 1) if find_oversampling(fam, n, 2.0) == 0]
+    assert ns == [22, 23, 24]
+    for n in ns:
+        linalg_calls.clear()
+        over = oversampled_inverse_apply(fam, n, 2.0, f)
+        assert named(linalg_calls, "solve", "eigh", "eigvalsh") == []
+        assert np.array_equal(over, plain_inverse_apply(fam, n, f))
+
+    linalg_calls.clear()
+    records = convergence_sweep(fam, SectionSchedule(tuple(ns)), f)
+    assert named(linalg_calls, "solve", "eigh", "eigvalsh") == []
+    assert [r.m_n for r in records] == [0, 0, 0]
+    assert all(r.err_oversampled == r.err_plain for r in records)
+
+    records = convergence_sweep(fam, SectionSchedule.full(fam.count), f)
+    spanning, searched = records[21], records[22:]
+    assert (spanning.n, spanning.m_n, records[20].n + records[20].m_n) == (22, 0, 22)
+    assert spanning.err_oversampled == records[20].err_oversampled  # the kept pair
+    assert spanning.err_oversampled == pytest.approx(spanning.err_plain, rel=1e-12)
+    assert [r.m_n for r in searched] == [0, 0]
+    assert all(r.err_oversampled == r.err_plain for r in searched)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda fam, n, f: oversampled_inverse_apply(fam, n, 2.0, f),
+    lambda fam, n, f: find_oversampling(fam, n, 2.0),
+], ids=["oversampled_inverse_apply", "find_oversampling"])
+class TestSearchCertifiesItsK:
+    """The search asserts the spectrum of the compression it returns lies in
+    [A/lambda, B].  Only a bug can trip that, so the bounds it is given are
+    patched: a B below lambda_max, then an A/lambda above lambda_max(S)."""
+
+    FAM = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
+    F = complex_unit(np.random.default_rng(0), 24)
+
+    @pytest.mark.parametrize("n", [1, 24])
+    def test_upper_bound(self, monkeypatch, entry, n):
+        a, b = frame_bounds(self.FAM)
+        monkeypatch.setattr(projection, "_positive_bounds", lambda fam: (a, b / 2))
+        with pytest.raises(InternalConsistencyError, match=" exceeds upper bound "):
+            entry(self.FAM, n, self.F)
+
+    def test_lower_bound(self, monkeypatch, linalg_calls, entry):
+        b = frame_bounds(self.FAM)[1]
+        monkeypatch.setattr(projection, "_positive_bounds", lambda fam: (4 * b, b))
+        linalg_calls.clear()
+        with pytest.raises(InternalConsistencyError, match=" below certified level "):
+            entry(self.FAM, 1, self.F)
+        # the search ran to count: one eigen-solve for each k in 2..24
+        assert len(named(linalg_calls, "eigvalsh")) == self.FAM.count - 1
 
 
 @pytest.mark.parametrize("rank_tol", [0.0, 1.5, float("nan"), "1e-10", True])

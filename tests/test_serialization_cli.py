@@ -480,8 +480,8 @@ class TestMemo:
         assert main(["analyze", "--input", fam]) == 0
         assert main(["invert", "--input", fam, "--schedule", "6",
                      "--out", str(tmp_path / "inv.csv")]) == 0
-        assert shapes(linalg_calls) == [("svd", (4, 4), "values"),
-                                        ("solve", (4, 4), None)]  # invert's S_6^-1 f
+        # invert's S_6^-1 f is the k = n solve, a division by s_r^2
+        assert shapes(linalg_calls) == [("svd", (4, 4), "values")]
         linalg_calls.clear()
         assert main(["perturb", "--input", fam, "--mode", "scale",
                      "--magnitude", "0.1"]) == 0
@@ -684,6 +684,21 @@ class TestInvertCommand:
             "--schedule", "1,5", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("schedule, pair", [("3,3", "3 then 3"), ("3,1", "3 then 1")])
+    def test_schedule_not_increasing_rejected(self, tmp_path, capsys, schedule, pair):
+        fam_path = tmp_path / "onb.json"
+        main(["generate", "--kind", "onb", "--dim-h", "4", "--out", str(fam_path)])
+        capsys.readouterr()
+        code = main([
+            "invert", "--input", str(fam_path), "--schedule", schedule,
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: lengths must be strictly increasing integers >= 1, got {pair}\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
 
     def test_flagged_row_keeps_its_oversampled_half(self, tmp_path):
         # row 2's plain section is singular at rank_tol 1e-20
