@@ -203,17 +203,9 @@ def cmd_perturb(args) -> int:
     gamma, certified_constants = perturb_family(
         family, args.mode, args.magnitude, seed=seed
     )
-    overrides = {
-        "lambda1": args.lambda1,
-        "lambda2": args.lambda2,
-        "mu": args.mu,
-    }
-    if any(v is not None for v in overrides.values()):
-        constants = PerturbationConstants(
-            **{k: (v if v is not None else 0.0) for k, v in overrides.items()}
-        )
-    else:
-        constants = certified_constants
+    given = {k: vars(args)[k] for k in ("lambda1", "lambda2", "mu")
+             if vars(args)[k] is not None}
+    constants = PerturbationConstants(**given) if given else certified_constants
     verdict = check_condition("analysis", family, gamma, constants)
     doc = {
         "experiment": f"perturb:{os.path.basename(args.input)}",

@@ -43,11 +43,15 @@ k(n) = max(n, k_H), where k_H is the k found by the last search on a
 full-rank section.  The sweep keeps that search's pair (k_H, S_k^-1 f), and
 a later full-rank prefix with n <= k_H takes it with no search or solve.
 
-Every entry point reads one ``_Section`` per prefix and takes every
-sectional inverse from its one solve.  It is the one place that knows a
-prefix's edge cases: the empty section (rank 0), whose search returns k = n
-and whose solve, through a zero-width Q_n, is 0, and a plain section the SVD
-cannot resolve.  The latter's oversampled compression is still bounded below
+Every entry point gets its sections from one factory, ``_sections``, which
+yields one ``_Section`` per prefix of a schedule from the running
+factorization (``subspace_basis`` is its one-prefix case), and takes every
+sectional inverse from that section's one solve; the two single-prefix
+searches share one helper.  ``projection_formula`` alone wraps a basis its
+caller passes.  ``_Section`` is the one place that knows a prefix's edge
+cases: the empty section (rank 0), whose search returns k = n and whose
+solve, through a zero-width Q_n, is 0, and a plain section the SVD cannot
+resolve.  The latter's oversampled compression is still bounded below
 by A/lambda, so a sweep keeps that half of a flagged row.
 """
 
@@ -196,14 +200,19 @@ def subspace_basis(
     family: HSFrameFamily, n: int, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SubspaceBasis:
     """Orthonormal basis of span{adjoint ranges of the first n maps}."""
+    return _section(family, n, rank_tol).basis
+
+
+def _section(family: HSFrameFamily, n: int, rank_tol: float) -> _Section:
+    """The section of prefix n, after checking ``family``, ``n`` and ``rank_tol``."""
     check_instance("family", family, HSFrameFamily)
     check_int("n", n, 1, family.count)
     check_rank_tol(rank_tol)
-    return next(_prefix_bases(family, (n,), rank_tol))
+    return next(_sections(family, (n,), rank_tol))
 
 
-def _prefix_bases(family: HSFrameFamily, ns, rank_tol: float):
-    """Basis of each prefix in the increasing ``ns``, from one running SVD.
+def _sections(family: HSFrameFamily, ns, rank_tol: float):
+    """The ``_Section`` of each prefix in the increasing ``ns``, from one running SVD.
 
     [U' diag(s'), T[:, n' blk : n blk]] has T_n's Gram matrix, so its U and s
     are T_n's.  Every column of U' s' is kept, so rank drops stay exact; the
@@ -221,7 +230,7 @@ def _prefix_bases(family: HSFrameFamily, ns, rank_tol: float):
         rank = numerical_rank(s, rank_tol)
         q, sigma = u[:, :rank].copy(), s[:rank].copy()
         q.flags.writeable = sigma.flags.writeable = False
-        yield SubspaceBasis(q=q, rank=rank, n=n, sigma=sigma)
+        yield _Section(family, SubspaceBasis(q=q, rank=rank, n=n, sigma=sigma))
 
 
 def _check_floor(basis: SubspaceBasis) -> None:
@@ -274,7 +283,9 @@ def project(basis: SubspaceBasis, f) -> np.ndarray:
 class _Section:
     """One prefix n: Q_n, s_r and the tail of Q_n^H T; Q_n^H S_n Q_n = diag(s_r^2).
 
-    Every sectional inverse is one ``solve(k, y)``: the plain one at k = n,
+    Made by ``_sections``, the one factory, from the running factorization,
+    and by ``projection_formula`` around its caller's basis.  Every
+    sectional inverse is one ``solve(k, y)``: the plain one at k = n,
     which divides by s_r^2, and the oversampled one at the k the search
     returns.  Each compression at k > n adds the Gram matrix of blocks
     n+1..k of Q_n^H T; its eigenvalues are computed at most once per k.  The
@@ -379,7 +390,18 @@ def plain_inverse_apply(
     """S_n^-1 P_n f with the sectional inverse taken on H_n only."""
     check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
-    return _Section(family, subspace_basis(family, n, rank_tol)).inv_apply(fv)
+    return _section(family, n, rank_tol).inv_apply(fv)
+
+
+def _search(family: HSFrameFamily, n: int, lam: float, rank_tol: float):
+    """(section, k): the section of prefix n and the k = n + m(n) its
+    oversampling search certifies, after checking lambda, that the family
+    is a frame with A > 0, and n."""
+    _check_lambda(lam)
+    _require_frame(family, rank_tol)
+    bounds = _positive_bounds(family)
+    section = _section(family, n, rank_tol)
+    return section, section.oversampling(bounds, lam, n)
 
 
 def find_oversampling(
@@ -399,11 +421,7 @@ def find_oversampling(
     to 0 raises ``NumericError``.
     """
     check_instance("family", family, HSFrameFamily)
-    _check_lambda(lam)
-    _require_frame(family, rank_tol)
-    bounds = _positive_bounds(family)
-    section = _Section(family, subspace_basis(family, n, rank_tol))
-    return section.oversampling(bounds, lam, n) - n
+    return _search(family, n, lam, rank_tol)[1] - n
 
 
 def oversampled_inverse_apply(
@@ -424,11 +442,8 @@ def oversampled_inverse_apply(
     """
     check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
-    _check_lambda(lam)
-    _require_frame(family, rank_tol)
-    bounds = _positive_bounds(family)
-    section = _Section(family, subspace_basis(family, n, rank_tol))
-    return section.solve(section.oversampling(bounds, lam, n), fv)
+    section, k = _search(family, n, lam, rank_tol)
+    return section.solve(k, fv)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is raised below
@@ -448,8 +463,8 @@ def convergence_sweep(
     computed first and on its own; a section whose plain inverse is
     singular flags its record, which keeps n, m_n, r_n and err_oversampled
     and has nan in the four columns that need that inverse, and the sweep
-    continues.  One pass: each prefix gets its basis from one running
-    factorization and one ``_Section``, and its oversampling search starts
+    continues.  One pass: each prefix gets its ``_Section`` from one running
+    factorization, and its oversampling search starts
     at the previous prefix's k.  Every search on a full-rank section sets
     the pair (k, S_k^-1 f); a later full-rank prefix with n <= that k takes
     the pair, m_n = k - n, with no search or solve.  A ground truth or a
@@ -473,10 +488,9 @@ def convergence_sweep(
 
     records = []
     k, spanning = 0, None  # the last k found; (k, S_k^-1 f) once H_n = H
-    for basis in _prefix_bases(family, schedule, rank_tol):
-        n = basis.n
-        section = _Section(family, basis)
-        full = basis.rank == family.dim_h
+    for section in _sections(family, schedule, rank_tol):
+        n, rank = section.n, section.basis.rank
+        full = rank == family.dim_h
         if full and spanning is not None and n <= spanning[0]:
             k, over = spanning
         else:
@@ -508,7 +522,7 @@ def convergence_sweep(
         records.append(ConvergenceRecord(
             n=n,
             m_n=k - n,
-            r_n=basis.rank,
+            r_n=rank,
             err_plain=err_plain,
             err_oversampled=err_over,
             crit2=crit2,
@@ -537,9 +551,9 @@ def uniform_bound_scan(
     g_j = family.maps[index]  # G_j* G_j f; not adjoint_apply, which checks G_j f
     w = g_j.images.reshape(family.dim_h, -1).conj() @ g_j(fv).reshape(-1)
     ns, values = tuple(range(index + 1, family.count + 1)), []
-    for basis in _prefix_bases(family, ns, rank_tol):
+    for section in _sections(family, ns, rank_tol):
         try:
-            values.append(_norm(_Section(family, basis).inv_apply(w)))
+            values.append(_norm(section.inv_apply(w)))
         except SectionSingularError:
             values.append(math.nan)
     finite = [v for v in values if not math.isnan(v)]
@@ -582,9 +596,8 @@ def kernel_consistency(
     kernel_norm = _norm(kernel_vec)
 
     r_full, r_kernel, gaps = [], [], []
-    for basis in _prefix_bases(family, schedule, rank_tol):
-        section, cut = _Section(family, basis), basis.n * blk
-        q = basis.q  # P_n g needs Q_n only; g is computed, so not project()
+    for section in _sections(family, schedule, rank_tol):
+        q, cut = section.basis.q, section.n * blk  # g is computed: no project() checks
         gaps.append(_norm(q @ (q.conj().T @ g) - g))
         try:
             x_n = section.inv_apply(t[:, :cut] @ c_vec[:cut])

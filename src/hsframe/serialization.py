@@ -14,7 +14,8 @@ checks the parsed ``operators`` level by level and converts them with one
 ``np.fromiter`` call.  Report numerics use 17 significant digits for the
 same reason; JSON reports are strict, with a non-finite value written as
 ``null``, and carry ``format_version`` (``REPORT_FORMAT_VERSION``).  All
-writes go through a temporary file plus rename.
+writes go through a temporary file in the target's directory plus rename; a
+failed write removes it, and its ``OSError`` names the target.
 
 The module keeps no state: ``save_family`` only writes, and
 ``load_family`` always parses.  The commands of ``hsframe.cli`` keep the
@@ -81,16 +82,22 @@ def format_sig(x: float) -> str:
 
 
 def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
-    """Write the concatenated chunks through a temporary file plus rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hsframe-", suffix=".tmp")
+    """Write the concatenated chunks through a temporary file in ``path``'s
+    directory plus rename.  A failure leaves no temporary file, and an
+    ``OSError`` names ``path``, not the temporary file."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(path) or ".", prefix=".hsframe-", suffix=".tmp"
+        )
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -37,7 +37,7 @@ import hsframe
 from hsframe import cli
 from hsframe.cli import main
 from hsframe.core import _left_svd, _right_svd, _spectral_norm, _tall
-from hsframe.projection import _prefix_bases
+from hsframe.projection import _sections
 from conftest import complex_unit, named, shapes
 
 
@@ -444,7 +444,7 @@ class TestOneSidedSVD:
         fam = decaying_family(8, 2, 20, 0.5, seed=4)
         fam.svd  # the whole family's
         linalg_calls.clear()
-        bases = list(_prefix_bases(fam, (2, 8, 16), 1e-10))
+        bases = [s.basis for s in _sections(fam, (2, 8, 16), 1e-10)]
         assert [a.shape for _, a, _ in named(linalg_calls, "svd")] == [(8, 8)] * 3
         assert shapes(linalg_calls) == [
             ("svd", (8, 8), None),

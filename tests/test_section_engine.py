@@ -250,6 +250,35 @@ def test_k_equals_n_is_the_plain_inverse(linalg_calls):
     assert all(r.err_oversampled == r.err_plain for r in searched)
 
 
+@pytest.mark.parametrize("n, m", [(4, 5), (11, 0), (12, 0)])
+def test_single_prefix_entries_factor_one_prefix(linalg_calls, n, m):
+    """Each single-prefix entry makes one SVD, of its prefix, and none at
+    n = count, where the family's cached SVD is read.  The two searches make
+    the same eigen-solves, one per k in n+1..n+m, and only the oversampled
+    inverse adds a solve, of the compression at k = n + m when m > 0."""
+    fam = random_family(6, 1, 12, SpectrumSpec.flat(), seed=1)
+    frame_bounds(fam)  # factors the whole family first
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    r = min(n, fam.dim_h)
+    prefix = [] if n == fam.count else [("svd", (fam.dim_h, n), None)]
+    search = [("eigvalsh", (r, r), None)] * m
+    solve = [("solve", (r, r), None)] * (m > 0)
+    eigen = []
+    for entry, expected in [
+        (lambda: subspace_basis(fam, n), prefix),
+        (lambda: plain_inverse_apply(fam, n, f), prefix),
+        (lambda: find_oversampling(fam, n, 2.0), prefix + search),
+        (lambda: oversampled_inverse_apply(fam, n, 2.0, f), prefix + search + solve),
+    ]:
+        linalg_calls.clear()
+        entry()
+        assert shapes(linalg_calls) == expected
+        eigen.append([a for _, a, _ in named(linalg_calls, "eigvalsh")])
+    find, over = eigen[2:]
+    assert all(map(np.array_equal, find, over))
+    assert find_oversampling(fam, n, 2.0) == m
+
+
 @pytest.mark.parametrize("entry", [
     lambda fam, n, f: oversampled_inverse_apply(fam, n, 2.0, f),
     lambda fam, n, f: find_oversampling(fam, n, 2.0),
@@ -319,7 +348,7 @@ def test_running_factorization_matches_direct_svd(case):
     """Each prefix factored from the previous one has numpy's singular
     values and rank for that prefix."""
     fam, schedule = case
-    bases = list(projection._prefix_bases(fam, schedule, RANK_TOL))
+    bases = [s.basis for s in projection._sections(fam, schedule, RANK_TOL)]
     assert [b.n for b in bases] == list(schedule)
     for basis in bases:
         direct = np.linalg.svd(

@@ -32,7 +32,12 @@ from hsframe import (
 import hsframe
 from hsframe import cli
 from hsframe.cli import main
-from hsframe.serialization import family_to_document, format_sig
+from hsframe.serialization import (
+    family_to_document,
+    format_sig,
+    write_convergence_csv,
+    write_json_report,
+)
 from conftest import named, shapes
 
 EDGE_FLOATS = (-0.0, 5e-324, 1e-300, -1e-300, 1e16, 1e22, 1.7976931348623157e308, 0.1)
@@ -301,6 +306,52 @@ class TestFamilyFile:
         with pytest.raises(IsADirectoryError):
             save_family(onb_family(2), str(target))
         assert list(tmp_path.glob(".hsframe-*.tmp")) == []
+
+
+class TestOutputPath:
+    """A write that fails names the path it was given, never its temporary
+    file, and leaves no temporary file behind; the CLI exits 4 with that
+    message."""
+
+    @staticmethod
+    def target(tmp_path, monkeypatch, where):
+        """An output path in a missing directory, an existing directory, or
+        the empty path, from a working directory one level below tmp_path."""
+        (tmp_path / "cwd" / "adir").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "cwd")
+        return {"missing": os.path.join("missing", "out"), "directory": "adir",
+                "empty": ""}[where]
+
+    @pytest.mark.parametrize("where", ["missing", "directory", "empty"])
+    @pytest.mark.parametrize("write", [
+        lambda path: save_family(onb_family(2), path),
+        lambda path: write_convergence_csv(path, [], experiment="x", seed=0),
+        lambda path: write_json_report(path, {}),
+    ], ids=["save_family", "write_convergence_csv", "write_json_report"])
+    def test_library_writers(self, tmp_path, monkeypatch, where, write):
+        path = self.target(tmp_path, monkeypatch, where)
+        with pytest.raises(OSError) as info:
+            write(path)
+        message = str(info.value)
+        assert message.endswith(f": {path!r}") and ".hsframe-" not in message
+        assert list(tmp_path.rglob(".hsframe-*")) == []
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    @pytest.mark.parametrize("command", [
+        ["generate", "--kind", "onb", "--dim-h", "3"],
+        ["analyze", "--input", "onb.json"],
+        ["perturb", "--input", "onb.json", "--mode", "additive-analysis",
+         "--magnitude", "0.1"],
+        ["invert", "--input", "onb.json"],
+    ], ids=lambda argv: argv[0])
+    def test_cli_commands(self, tmp_path, monkeypatch, capsys, where, command):
+        out = self.target(tmp_path, monkeypatch, where)
+        save_family(onb_family(3), "onb.json")
+        assert main(command + ["--out", out]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.endswith(f": {out!r}\n")
+        assert ".hsframe-" not in err
+        assert list(tmp_path.rglob(".hsframe-*")) == []
 
 
 class TestMemo:
@@ -880,6 +931,25 @@ class TestPerturbCommand:
         d = (tilde.synthesis_matrix - fam.synthesis_matrix).conj().T
         assert np.linalg.norm(d @ w) == pytest.approx(0.1, abs=1e-12)
         assert np.linalg.norm(d @ w) > 0.05 * np.linalg.norm(w)
+
+    def test_one_given_constant_replaces_the_certified_ones(self, tmp_path):
+        """--lambda1 0 alone sets every constant: the others keep their
+        default of 0, so the certified mu = 0.1 is gone, the nonzero D fails
+        the condition and the report carries a witness."""
+        fam_path, out = tmp_path / "fam.json", tmp_path / "verdict.json"
+        assert main(["generate", "--kind", "random", "--dim-h", "4", "--count", "6",
+                     "--seed", "1", "--out", str(fam_path)]) == 0
+        argv = [
+            "perturb", "--input", str(fam_path), "--mode", "additive-analysis",
+            "--magnitude", "0.1", "--seed", "2", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert json.loads(read(out))["constants"]["mu"] == pytest.approx(0.1)
+        assert main(argv + ["--lambda1", "0"]) == 0
+        doc = json.loads(read(out))
+        assert doc["constants"] == {"lambda1": 0.0, "lambda2": 0.0, "mu": 0.0, "nu": 0.0}
+        assert doc["certified"] is False
+        assert len(doc["witness"]) == 4
 
     def test_seeded_rerun_identical_modulo_timestamp(self, tmp_path):
         fam_path = tmp_path / "fam.json"
