@@ -159,7 +159,7 @@ def cmd_analyze(args) -> int:
         }
     else:
         doc["canonical_dual"] = None
-    if args.out:
+    if args.out is not None:
         write_json_report(args.out, doc)
     flags = "+".join(n for n in ("frame", "riesz") if getattr(report, n))
     print(
@@ -225,7 +225,7 @@ def cmd_perturb(args) -> int:
         if verdict.witness is not None
         else None,
     }
-    if args.out:
+    if args.out is not None:
         write_json_report(args.out, doc)
     pa, pb = verdict.predicted_bounds
     aa, ab = verdict.actual_bounds

@@ -43,16 +43,18 @@ k(n) = max(n, k_H), where k_H is the k found by the last search on a
 full-rank section.  The sweep keeps that search's pair (k_H, S_k^-1 f), and
 a later full-rank prefix with n <= k_H takes it with no search or solve.
 
-Every entry point gets its sections from one factory, ``_sections``, which
-yields one ``_Section`` per prefix of a schedule from the running
-factorization (``subspace_basis`` is its one-prefix case), and takes every
-sectional inverse from that section's one solve; the two single-prefix
-searches share one helper.  ``projection_formula`` alone wraps a basis its
-caller passes.  ``_Section`` is the one place that knows a prefix's edge
-cases: the empty section (rank 0), whose search returns k = n and whose
-solve, through a zero-width Q_n, is 0, and a plain section the SVD cannot
-resolve.  The latter's oversampled compression is still bounded below
-by A/lambda, so a sweep keeps that half of a flagged row.
+A section is one object, ``SubspaceBasis``: Q_n and s_r together with the
+family, its solve and its search.  Every entry point gets its sections from
+one factory, ``_sections``, which yields one per prefix of a schedule from
+the running factorization (``subspace_basis`` is its one-prefix case), and
+takes every sectional inverse from that section's one solve; the two
+single-prefix searches share one helper, and ``projection_formula`` solves
+on the basis its caller passes.  ``SubspaceBasis`` is the one place that
+knows a prefix's edge cases: the empty section (rank 0), whose search
+returns k = n and whose solve, through a zero-width Q_n, is 0, and a plain
+section the SVD cannot resolve.  The latter's oversampled compression is
+still bounded below by A/lambda, so a sweep keeps that half of a flagged
+row.
 """
 
 from __future__ import annotations
@@ -154,16 +156,6 @@ class SectionSchedule:
 
 
 @dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of a section space H_n and its singular values."""
-
-    q: np.ndarray  # (dim_h, rank), orthonormal columns
-    rank: int
-    n: int
-    sigma: np.ndarray  # (rank,), descending: Q^H S_n Q = diag(sigma^2)
-
-
-@dataclass(frozen=True)
 class ConvergenceRecord:
     n: int
     m_n: int
@@ -199,12 +191,8 @@ class KernelConsistencyReport:
 def subspace_basis(
     family: HSFrameFamily, n: int, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SubspaceBasis:
-    """Orthonormal basis of span{adjoint ranges of the first n maps}."""
-    return _section(family, n, rank_tol).basis
-
-
-def _section(family: HSFrameFamily, n: int, rank_tol: float) -> _Section:
-    """The section of prefix n, after checking ``family``, ``n`` and ``rank_tol``."""
+    """Orthonormal basis of span{adjoint ranges of the first n maps}: the
+    section of prefix n, after checking ``family``, ``n`` and ``rank_tol``."""
     check_instance("family", family, HSFrameFamily)
     check_int("n", n, 1, family.count)
     check_rank_tol(rank_tol)
@@ -212,7 +200,7 @@ def _section(family: HSFrameFamily, n: int, rank_tol: float) -> _Section:
 
 
 def _sections(family: HSFrameFamily, ns, rank_tol: float):
-    """The ``_Section`` of each prefix in the increasing ``ns``, from one running SVD.
+    """The ``SubspaceBasis`` of each prefix in the increasing ``ns``, from one running SVD.
 
     [U' diag(s'), T[:, n' blk : n blk]] has T_n's Gram matrix, so its U and s
     are T_n's.  Every column of U' s' is kept, so rank drops stay exact; the
@@ -228,9 +216,7 @@ def _sections(family: HSFrameFamily, ns, rank_tol: float):
             u, s, _ = _left_svd(np.hstack([us, t[:, prev * blk : n * blk]]))
         us, prev = u * s, n
         rank = numerical_rank(s, rank_tol)
-        q, sigma = u[:, :rank].copy(), s[:rank].copy()
-        q.flags.writeable = sigma.flags.writeable = False
-        yield _Section(family, SubspaceBasis(q=q, rank=rank, n=n, sigma=sigma))
+        yield SubspaceBasis(family, n, u[:, :rank], s[:rank])
 
 
 def _check_floor(basis: SubspaceBasis) -> None:
@@ -280,12 +266,13 @@ def project(basis: SubspaceBasis, f) -> np.ndarray:
     return basis.q @ (basis.q.conj().T @ fv)
 
 
-class _Section:
-    """One prefix n: Q_n, s_r and the tail of Q_n^H T; Q_n^H S_n Q_n = diag(s_r^2).
+class SubspaceBasis:
+    """One section, prefix n: an orthonormal basis Q_n of H_n, its singular
+    values s_r and every sectional inverse; Q_n^H S_n Q_n = diag(s_r^2).
 
-    Made by ``_sections``, the one factory, from the running factorization,
-    and by ``projection_formula`` around its caller's basis.  Every
-    sectional inverse is one ``solve(k, y)``: the plain one at k = n,
+    ``q`` and ``sigma`` are read-only copies, and ``rank`` is ``sigma.size``.
+    Made by ``_sections``, the one factory, from the running factorization.
+    Every sectional inverse is one ``solve(k, y)``: the plain one at k = n,
     which divides by s_r^2, and the oversampled one at the k the search
     returns.  Each compression at k > n adds the Gram matrix of blocks
     n+1..k of Q_n^H T; its eigenvalues are computed at most once per k.  The
@@ -293,19 +280,25 @@ class _Section:
     0) needs no oversampling and solves to 0.
     """
 
-    def __init__(self, family: HSFrameFamily, basis: SubspaceBasis):
-        self.n = basis.n
-        self.basis = basis
+    def __init__(self, family: HSFrameFamily, n: int, q: np.ndarray, sigma: np.ndarray):
+        self.n = n
+        self.q = q.copy()  # (dim_h, rank), orthonormal columns
+        self.sigma = sigma.copy()  # (rank,), descending
+        self.q.flags.writeable = self.sigma.flags.writeable = False
         self._family = family
         self._blk = family.dim_k * family.dim_k
-        self._sig2 = basis.sigma**2
-        self._evals: dict[int, np.ndarray] = {self.n: self._sig2[::-1]}
+        self._sig2 = self.sigma**2
+        self._evals: dict[int, np.ndarray] = {n: self._sig2[::-1]}
+
+    @property
+    def rank(self) -> int:
+        return self.sigma.size
 
     @cached_property
     def _tail(self) -> np.ndarray:
         """Blocks n+1..count of Q_n^H T."""
         t = self._family.synthesis_matrix
-        return self.basis.q.conj().T @ t[:, self.n * self._blk :]
+        return self.q.conj().T @ t[:, self.n * self._blk :]
 
     def compressed(self, k: int) -> np.ndarray:
         """Q_n^H S_k Q_n for k > n."""
@@ -320,7 +313,7 @@ class _Section:
 
     def solve(self, k: int, y: np.ndarray) -> np.ndarray:
         """Q (Q^H S_k Q)^-1 Q^H y for a vector y; at k = n, Q (Q^H y / s_r^2)."""
-        q = self.basis.q
+        q = self.q
         z = q.conj().T @ y
         if k == self.n:
             return q @ (z / self._sig2)
@@ -328,7 +321,7 @@ class _Section:
 
     def inv_apply(self, y: np.ndarray) -> np.ndarray:
         """S_n^-1 P_n y, after the floor check."""
-        _check_floor(self.basis)
+        _check_floor(self)
         return self.solve(self.n, y)
 
     def oversampling(self, bounds: tuple[float, float], lam: float, start: int) -> int:
@@ -342,7 +335,7 @@ class _Section:
         spectrum lies in [A/lam, B], asserted because a failure would be a
         bug, not bad data.  The empty section needs none: it returns n.
         """
-        if self.basis.rank == 0:
+        if self.rank == 0:
             return self.n
         a, b = bounds
         target = a / lam
@@ -381,7 +374,7 @@ def projection_formula(family: HSFrameFamily, basis: SubspaceBasis, f) -> np.nda
         )
     fv = as_vector("f", f, family.dim_h)
     prefix = family.synthesis_matrix[:, : basis.n * family.dim_k**2]
-    return _Section(family, basis).inv_apply(prefix @ (prefix.conj().T @ fv))
+    return basis.inv_apply(prefix @ (prefix.conj().T @ fv))
 
 
 def plain_inverse_apply(
@@ -390,7 +383,7 @@ def plain_inverse_apply(
     """S_n^-1 P_n f with the sectional inverse taken on H_n only."""
     check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
-    return _section(family, n, rank_tol).inv_apply(fv)
+    return subspace_basis(family, n, rank_tol).inv_apply(fv)
 
 
 def _search(family: HSFrameFamily, n: int, lam: float, rank_tol: float):
@@ -400,7 +393,7 @@ def _search(family: HSFrameFamily, n: int, lam: float, rank_tol: float):
     _check_lambda(lam)
     _require_frame(family, rank_tol)
     bounds = _positive_bounds(family)
-    section = _section(family, n, rank_tol)
+    section = subspace_basis(family, n, rank_tol)
     return section, section.oversampling(bounds, lam, n)
 
 
@@ -463,9 +456,9 @@ def convergence_sweep(
     computed first and on its own; a section whose plain inverse is
     singular flags its record, which keeps n, m_n, r_n and err_oversampled
     and has nan in the four columns that need that inverse, and the sweep
-    continues.  One pass: each prefix gets its ``_Section`` from one running
-    factorization, and its oversampling search starts
-    at the previous prefix's k.  Every search on a full-rank section sets
+    continues.  One pass: each prefix gets its ``SubspaceBasis`` from one
+    running factorization, and its oversampling search starts at the
+    previous prefix's k.  Every search on a full-rank section sets
     the pair (k, S_k^-1 f); a later full-rank prefix with n <= that k takes
     the pair, m_n = k - n, with no search or solve.  A ground truth or a
     reported value that is not finite (f too large to represent them)
@@ -489,7 +482,7 @@ def convergence_sweep(
     records = []
     k, spanning = 0, None  # the last k found; (k, S_k^-1 f) once H_n = H
     for section in _sections(family, schedule, rank_tol):
-        n, rank = section.n, section.basis.rank
+        n, rank = section.n, section.rank
         full = rank == family.dim_h
         if full and spanning is not None and n <= spanning[0]:
             k, over = spanning
@@ -597,7 +590,7 @@ def kernel_consistency(
 
     r_full, r_kernel, gaps = [], [], []
     for section in _sections(family, schedule, rank_tol):
-        q, cut = section.basis.q, section.n * blk  # g is computed: no project() checks
+        q, cut = section.q, section.n * blk  # g is computed: no project() checks
         gaps.append(_norm(q @ (q.conj().T @ g) - g))
         try:
             x_n = section.inv_apply(t[:, :cut] @ c_vec[:cut])

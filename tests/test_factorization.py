@@ -32,6 +32,7 @@ from hsframe import (
     riesz_family,
     riesz_inequality_check,
     save_family,
+    uniform_bound_scan,
 )
 import hsframe
 from hsframe import cli
@@ -118,6 +119,42 @@ def test_family_is_factored_once(linalg_calls):
     rest = linalg_calls[first:]  # read before whole_family records its reference R
     assert whole_family(linalg_calls[:first], fam) == [("qr", "T^H", "r"), ("svd", "R", None)]
     assert whole_family(rest, fam) == [("qr", "T^H", "reduced")]
+
+
+def test_uniform_bound_scan_calls(linalg_calls):
+    """On a fresh 6/2/5 family (T 6 x 20, wide) with index 1, the scan
+    factors T once through its R (the frame check), then prefixes 2..4
+    from the previous one, each running block too narrow to route through
+    an R: 6 x 8, then the 6 columns of U' s' and one 4-column block.  Prefix
+    5 reads T's SVD, and every plain section is a division: no solve and no
+    eigen-solve."""
+    fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    linalg_calls.clear()  # the generator's draws are reduced QRs
+    profile = uniform_bound_scan(fam, 1, f)
+    assert profile.ns == (2, 3, 4, 5)
+    assert shapes(linalg_calls) == through_r(20, 6) + [
+        ("svd", (6, 8), None), ("svd", (6, 10), None), ("svd", (6, 10), None),
+    ]
+
+
+def test_kernel_consistency_calls(linalg_calls):
+    """On a fresh 6/2/5 family (T 6 x 20) with the schedule 1, 3, 5,
+    kernel_consistency factors T through its R and forms V^H from a reduced
+    QR of T^H.  Prefix 1 takes the plain SVD of its 6 x 4 block; prefix 3's
+    block, the 4 columns of U' s' and two maps (6 x 12), is twice as wide as
+    tall and goes through its R; prefix 5 reads T's SVD.  The plain
+    sections are divisions: no solve and no eigen-solve."""
+    fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
+    coeffs = CoefficientSequence.from_stacked(
+        complex_unit(np.random.default_rng(1), fam.synthesis_matrix.shape[1]), fam.dim_k
+    )
+    linalg_calls.clear()  # the generator's draws are reduced QRs
+    report = kernel_consistency(fam, coeffs, SectionSchedule((1, 3, 5)))
+    assert report.co_vanish
+    assert shapes(linalg_calls) == through_r(20, 6) + [
+        ("qr", (20, 6), "reduced"), ("svd", (6, 4), None), *through_r(12, 6),
+    ]
 
 
 def test_package_imports_no_scipy():
@@ -444,7 +481,7 @@ class TestOneSidedSVD:
         fam = decaying_family(8, 2, 20, 0.5, seed=4)
         fam.svd  # the whole family's
         linalg_calls.clear()
-        bases = [s.basis for s in _sections(fam, (2, 8, 16), 1e-10)]
+        bases = list(_sections(fam, (2, 8, 16), 1e-10))
         assert [a.shape for _, a, _ in named(linalg_calls, "svd")] == [(8, 8)] * 3
         assert shapes(linalg_calls) == [
             ("svd", (8, 8), None),

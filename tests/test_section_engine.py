@@ -348,7 +348,7 @@ def test_running_factorization_matches_direct_svd(case):
     """Each prefix factored from the previous one has numpy's singular
     values and rank for that prefix."""
     fam, schedule = case
-    bases = [s.basis for s in projection._sections(fam, schedule, RANK_TOL)]
+    bases = list(projection._sections(fam, schedule, RANK_TOL))
     assert [b.n for b in bases] == list(schedule)
     for basis in bases:
         direct = np.linalg.svd(
@@ -387,3 +387,29 @@ def test_plain_section_is_diagonal_in_its_basis():
     assert np.allclose(sec, np.diag(basis.sigma**2), rtol=0, atol=1e-12)
     w = basis.q.conj().T @ fam.synthesis_matrix[:, : 2 * fam.dim_k**2]
     assert np.allclose(sec, w @ w.conj().T, atol=1e-12)
+
+
+def test_subspace_basis_is_the_sweeps_section():
+    """``subspace_basis`` is the one-prefix case of the sweep's factory:
+    where both factor the same matrix, the first prefix of a schedule and
+    the whole family, their q and sigma agree bit for bit.  Every section,
+    the empty one included (the first map is zero), has read-only q and
+    sigma and rank == q.shape[1] == sigma.size."""
+    t = random_family(6, 2, 5, SpectrumSpec.flat(), seed=3).synthesis_matrix.copy()
+    t[:, :4] = 0.0
+    fam = HSFrameFamily.from_synthesis_matrix(6, 2, t)
+    schedule = (1, 3, 5)
+    sweep = list(projection._sections(fam, schedule, RANK_TOL))
+    assert [s.n for s in sweep] == list(schedule)
+    assert [s.rank for s in sweep] == [0, 6, 6]
+    for one, swept in ((subspace_basis(fam, 1, RANK_TOL), sweep[0]),
+                       (subspace_basis(fam, 5, RANK_TOL), sweep[-1])):
+        assert one.n == swept.n
+        assert one.q.tobytes() == swept.q.tobytes() and one.q.shape == swept.q.shape
+        assert one.sigma.tobytes() == swept.sigma.tobytes()
+    for basis in sweep:
+        assert basis.rank == basis.q.shape[1] == basis.sigma.size
+        assert basis.q.shape[0] == fam.dim_h
+        for array in (basis.q, basis.sigma):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0

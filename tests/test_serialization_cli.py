@@ -336,7 +336,7 @@ class TestOutputPath:
         assert message.endswith(f": {path!r}") and ".hsframe-" not in message
         assert list(tmp_path.rglob(".hsframe-*")) == []
 
-    @pytest.mark.parametrize("where", ["missing", "directory"])
+    @pytest.mark.parametrize("where", ["missing", "directory", "empty"])
     @pytest.mark.parametrize("command", [
         ["generate", "--kind", "onb", "--dim-h", "3"],
         ["analyze", "--input", "onb.json"],
