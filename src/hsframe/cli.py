@@ -6,18 +6,19 @@ back to the HSFRAME_SEED environment variable, then 0; it must be an
 int >= 0.  ``analyze`` checks it like every command but draws nothing.
 
 A process does not parse a family file that ``generate`` wrote in it.
-``generate`` keeps the family it last wrote, keyed by the SHA-256 of the
-file's bytes, and ``analyze``, ``perturb`` and ``invert`` return it for a
-file with that digest, with the synthesis matrix and SVD it has cached; so
-``generate`` followed by the other commands on its file in one process
-(as ``perfbench`` runs them) factors the family once.  The key is the
-content, not the path or the mtime, so a rewrite that changes any byte is
-parsed again.  Only the digest is kept, not the bytes, and the digest is of
-the file as read back just after the write.  The kept family stays in
-memory until the next ``generate`` or a read of other bytes.  A read hashes
-only while a family is kept: a process that only reads, such as one
-``hsframe`` command other than ``generate``, hashes nothing, and
-``generate`` pays the hashing, about 1 ms per MB.
+``generate`` keeps the family it last wrote, keyed by the file's bytes as
+read back just after the write, and ``analyze``, ``perturb`` and ``invert``
+return it for a file whose bytes are those, with the synthesis matrix and
+SVD it has cached; so ``generate`` followed by the other commands on its
+file in one process (as ``perfbench`` runs them) factors the family once.
+The key is the whole content, compared exactly, not the path, the size or
+the mtime, so a rewrite that changes any byte is parsed again.  A check
+costs one read of the file and a compare, and the kept family holds its
+file's bytes in memory until the next ``generate`` or a read of other
+bytes, which drops both before it parses the bytes it read.  A read
+compares only while a family is kept: a process that only reads, such as
+one ``hsframe`` command other than ``generate``, reads its input once and
+parses it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import os
 import sys
 
@@ -47,6 +47,8 @@ from .family import (
 from .perturbation import PerturbationConstants, check_condition, perturb_family
 from .projection import SectionSchedule, convergence_sweep
 from .serialization import (
+    _parse_family,
+    _read,
     format_sig,
     load_family,
     save_family,
@@ -68,14 +70,10 @@ def _resolve_seed(value):
     return check_int("seed", value, 0)
 
 
-#: The family ``generate`` last wrote in this process, as (SHA-256 digest of
-#: the file's bytes, family), or None.
+#: The family ``generate`` last wrote in this process, as (the file's bytes
+#: as read back just after the write, family), or None.  The bytes are the
+#: key, so they stay in memory as long as the family does.
 _written: tuple[bytes, HSFrameFamily] | None = None
-
-
-def _digest(path) -> bytes:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).digest()
 
 
 def _load(path) -> HSFrameFamily:
@@ -83,11 +81,13 @@ def _load(path) -> HSFrameFamily:
     are those it wrote, else parsed from them."""
     global _written
     written = _written  # read once, so another thread cannot swap it mid-check
-    if written is not None:
-        if _digest(path) == written[0]:
-            return written[1]
-        _written = None  # not held through the parse of other bytes
-    return load_family(path)
+    if written is None:
+        return load_family(path)
+    data = _read(path)
+    if data == written[0]:
+        return written[1]
+    written = _written = None  # the old family is not held through the parse
+    return _parse_family(data, path)
 
 
 def _parse_vector(text):
@@ -124,7 +124,7 @@ def cmd_generate(args) -> int:
         else:
             family = generators.decaying_family(*shape, spectrum.ratio, seed)
     save_family(family, args.out)
-    _written = _digest(args.out), family
+    _written = _read(args.out), family
     lo, hi = frame_bounds(family)
     print(
         f"wrote {args.out}: dim_h={family.dim_h} dim_k={family.dim_k} "

@@ -246,8 +246,20 @@ def save_family(family: HSFrameFamily, path: str) -> None:
 
 def load_family(path: str) -> HSFrameFamily:
     """The family parsed from the file at ``path``."""
+    # passed, not bound: on CPython 3.11+ a call hands its arguments over, so
+    # the parse holds the only reference and frees the bytes once decoded
+    return _parse_family(_read(path), path)
+
+
+def _read(path: str) -> bytes:
+    """The bytes of the file at ``path``, read once."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def _parse_family(data: bytes, path: str) -> HSFrameFamily:
+    """The family in ``data``, the bytes read from ``path``, which the
+    messages name."""
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:

@@ -1,13 +1,13 @@
 import contextlib
 import csv
 import gc
-import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,25 @@ def strip_timestamp_json(text):
     doc = json.loads(text)
     doc["timestamp"] = "<ts>"
     return json.dumps(doc)
+
+
+needs_dev_fd = pytest.mark.skipif(
+    not os.path.isdir("/dev/fd"), reason="names a pipe by /dev/fd (POSIX)"
+)
+
+
+@contextlib.contextmanager
+def piped(data):
+    """A path whose first read yields ``data`` and every later one nothing:
+    the read end of a pipe, named through /dev/fd."""
+    assert len(data) <= 4096  # the writes below fit the pipe without a reader
+    r, w = os.pipe()
+    try:
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
 
 
 def _entry(doc, j, index):
@@ -231,6 +250,29 @@ class TestFamilyFile:
             load_family(str(path))
         assert main(["analyze", "--input", str(path)]) == code
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="a call holds its arguments until it returns")
+    def test_load_frees_the_bytes_before_the_json_parse(self, tmp_path, monkeypatch):
+        """``load_family`` keeps the file's bytes only until they are
+        decoded: the bytes and the parsed document are never held at once."""
+        path = tmp_path / "fam.json"
+        save_family(onb_family(3), str(path))
+        events = []
+
+        class Bytes(bytes):
+            def __del__(self):
+                events.append("bytes freed")
+
+        def loads(*args, _loads=json.loads, **kwargs):
+            events.append("json parse")
+            return _loads(*args, **kwargs)
+
+        monkeypatch.setattr(hsframe.serialization, "_read",
+                            lambda p: Bytes(path.read_bytes()))
+        monkeypatch.setattr(json, "loads", loads)
+        load_family(str(path))
+        assert events == ["bytes freed", "json parse"]
+
     def test_load_starts_no_collection(self, tmp_path):
         """The parsed document is freed before the collector is enabled again,
         so its thousands of lists leave no allocation count to start a pass."""
@@ -356,8 +398,8 @@ class TestOutputPath:
 
 class TestMemo:
     """A process does not parse a file its ``generate`` wrote: the CLI keeps
-    the family last generated, keyed by the SHA-256 of the file's bytes.
-    The library keeps nothing."""
+    the family last generated, keyed by the file's bytes.  The library keeps
+    nothing."""
 
     def test_library_keeps_nothing(self, tmp_path):
         """``load_family`` after ``save_family`` parses the file: a new
@@ -377,8 +419,8 @@ class TestMemo:
     def generate(path):
         assert main(["generate", "--kind", "random", "--dim-h", "4", "--dim-k", "2",
                      "--count", "3", "--seed", "2", "--out", str(path)]) == 0
-        digest, fam = cli._written
-        assert digest == hashlib.sha256(path.read_bytes()).digest()
+        kept, fam = cli._written
+        assert kept == path.read_bytes()
         return fam
 
     def test_same_bytes_hit_the_memo(self, tmp_path, monkeypatch):
@@ -387,7 +429,8 @@ class TestMemo:
         path, copy = tmp_path / "fam.json", tmp_path / "copy.json"
         fam = self.generate(path)
         copy.write_bytes(path.read_bytes())
-        monkeypatch.setattr(cli, "load_family", lambda p: pytest.fail(f"parsed {p}"))
+        for name in ("load_family", "_parse_family"):
+            monkeypatch.setattr(cli, name, lambda *a: pytest.fail(f"parsed {a[-1]}"))
         for source in (copy, path):
             assert main(["analyze", "--input", str(source)]) == 0
             assert main(["perturb", "--input", str(source), "--mode", "scale",
@@ -396,19 +439,90 @@ class TestMemo:
                          "--out", str(tmp_path / "inv.csv")]) == 0
             assert cli._written[1] is fam
 
-    def test_reads_keep_nothing_and_hash_nothing(self, tmp_path, monkeypatch):
+    @needs_dev_fd
+    def test_reads_keep_nothing_and_read_once(self, tmp_path, monkeypatch):
         """With no family kept, as in a process that only reads, a command
-        parses without hashing and keeps nothing."""
+        takes ``load_family``'s path alone: it compares nothing, reads its
+        input once (a pipe, which a second read finds empty) and keeps
+        nothing."""
         path = tmp_path / "fam.json"
         save_family(onb_family(3), str(path))
+        data = path.read_bytes()
         monkeypatch.setattr(cli, "_written", None)
-        monkeypatch.setattr(hashlib, "sha256", None)  # not called
-        assert main(["analyze", "--input", str(path)]) == 0
-        assert main(["perturb", "--input", str(path), "--mode", "scale",
-                     "--magnitude", "0.1"]) == 0
-        assert main(["invert", "--input", str(path),
-                     "--out", str(tmp_path / "inv.csv")]) == 0
+        for name in ("_read", "_parse_family"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(name))
+        loaded = []
+
+        def spy(p, _load=cli.load_family):
+            loaded.append(p)
+            return _load(p)
+
+        monkeypatch.setattr(cli, "load_family", spy)
+        sources = []
+        for command, *rest in (["analyze"],
+                               ["perturb", "--mode", "scale", "--magnitude", "0.1"],
+                               ["invert", "--out", str(tmp_path / "inv.csv")]):
+            with piped(data) as source:
+                assert main([command, "--input", source, *rest]) == 0
+            sources.append(source)
+        assert loaded == sources
         assert cli._written is None
+
+    @needs_dev_fd
+    def test_miss_parses_the_bytes_it_read(self, tmp_path, capsys):
+        """After ``generate``, a read of other bytes parses the bytes it
+        read, not a second read of the file: from a pipe, it gives the
+        family the pipe held and drops the kept one."""
+        other = tmp_path / "onb.json"
+        save_family(onb_family(3), str(other))
+        self.generate(tmp_path / "fam.json")
+        capsys.readouterr()
+        with piped(other.read_bytes()) as source:
+            assert main(["analyze", "--input", source]) == 0
+        assert capsys.readouterr().out == f"{source}: frame+riesz bounds=(1, 1)\n"
+        assert cli._written is None
+
+    def test_miss_frees_the_kept_family_before_parsing(self, tmp_path, monkeypatch):
+        """A read of other bytes drops every reference to the kept family
+        before the JSON parse starts, so the two are never held at once."""
+        other = tmp_path / "onb.json"
+        save_family(onb_family(3), str(other))
+        kept = weakref.ref(self.generate(tmp_path / "fam.json"))
+        alive = []
+
+        def spy(*args, _loads=json.loads, **kwargs):
+            alive.append(kept() is not None)
+            return _loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        assert main(["analyze", "--input", str(other)]) == 0
+        assert alive == [False]
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text + "\n",
+        lambda text: text.replace('\n "dim_h"', '\n  "dim_h"', 1),
+    ], ids=["trailing_newline", "indent"])
+    def test_same_family_other_bytes_is_parsed(self, tmp_path, monkeypatch, edit):
+        """The key is the bytes, not the family they hold: an edit that keeps
+        the family equal misses, is parsed and drops the kept family, and the
+        report is the same bar its timestamp."""
+        path, out = tmp_path / "fam.json", tmp_path / "analyze.json"
+        fam = self.generate(path)
+        assert main(["analyze", "--input", str(path), "--out", str(out)]) == 0
+        report = strip_timestamp_json(read(out))
+        path.write_text(edit(read(path)))
+        assert np.array_equal(load_family(str(path)).images, fam.images)
+        parsed = []
+
+        def spy(data, p, _parse=cli._parse_family):
+            parsed.append(_parse(data, p))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "_parse_family", spy)
+        assert main(["analyze", "--input", str(path), "--out", str(out)]) == 0
+        assert len(parsed) == 1 and parsed[0] is not fam
+        assert cli._written is None
+        assert strip_timestamp_json(read(out)) == report
 
     def test_same_length_edit_is_parsed(self, tmp_path, capsys):
         """A rewrite that keeps the size (and may keep the mtime) misses,
