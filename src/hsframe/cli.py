@@ -83,11 +83,11 @@ def _load(path) -> HSFrameFamily:
     written = _written  # read once, so another thread cannot swap it mid-check
     if written is None:
         return load_family(path)
-    data = _read(path)
-    if data == written[0]:
+    box = [_read(path)]  # popped into the call, so only the parse holds the bytes
+    if box[0] == written[0]:
         return written[1]
     written = _written = None  # the old family is not held through the parse
-    return _parse_family(data, path)
+    return _parse_family(box.pop(), path)
 
 
 def _parse_vector(text):

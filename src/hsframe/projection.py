@@ -4,7 +4,7 @@ For a nested run of prefixes J_n = {first n indices}, the section space H_n
 is the span of the adjoint ranges of the first n maps.  The sectional frame
 operator S_n is inverted only on H_n (it is singular on the complement), by
 compressing with an orthonormal basis Q_n of H_n obtained from a
-rank-revealing SVD.
+rank-revealing SVD, or Q_n = I once H_n is all of H.
 
 Two inverse approximations are computed against the dense ground truth
 S^-1 f of the full family:
@@ -17,16 +17,28 @@ S^-1 f of the full family:
 Both are one operator, Q_n (Q_n^H S_k Q_n)^-1 Q_n^H f, taken at k = n and at
 k = n + m(n), and both go through one solve.
 
-A sweep is one pass over the schedule with one running factorization: prefix
-n's thin SVD U s V^H is taken of [U' diag(s'), T_{n'+1..n}] (n' the previous
-prefix), which has T_n's Gram matrix.  Only U and s are read, so when that
-block is at least twice as wide as tall (a jump over many maps) it is
-factored through the R factor of its conjugate transpose, whose right
-singular vectors are U, and its V^H is never formed; a nearer-square block
-takes the plain thin SVD.  With Q_n = U[:, :r_n] the plain section
-Q_n^H S_n Q_n is diag(s_r^2), so the solve at k = n divides by s_r^2 and
-makes no LAPACK call.  Each compression at k > n adds the Gram matrix of
-blocks n+1..k of Q_n^H T, and only there is a dense matrix built and solved.
+A sweep is one pass over the schedule with one running factor F, F F^H =
+S_n' for the previous prefix n', so [F, T_{n'+1..n}] has T_n's Gram
+matrix.  Every section has Q_n^H S_n Q_n = L^H L, in one of two forms.
+Until F is square (dim_h columns), and after a rank drop, a section is read
+off the thin SVD U s V^H of that block: Q_n = U[:, :r_n], L = diag(s_r)
+and the next F is U s.  Only U and s are read, so a block at least twice as
+wide as tall (a jump over many maps) is factored through the R factor of
+its conjugate transpose, whose right singular vectors are U, and its V^H is
+never formed; a nearer-square block takes the plain thin SVD.  Once F is
+square, the block's conjugate transpose has an R factor with R^H R = S_n,
+and s is read off one values-only SVD of R, which the rank rule and the
+floor check use.  While the rank is dim_h, H_n = H and the section needs
+no basis: Q_n = I, L = R and the next F is R^H, so the prefixes after the
+first that spans H take no singular vectors.  Where the rank drops, R's
+right singular vectors give U and the section is an SVD one.  R sections
+agree with an SVD of T_n to rounding, so the reported errors can move in
+their last digits, while r_n and m_n do not.  The plain solve at k = n is
+a division by s_r^2, or two triangular solves with R, and a row whose
+search returns k = n takes it once for both inverses.  Each compression at
+k > n adds the Gram matrix of blocks n+1..k of Q_n^H T to L^H L, and only
+there is a dense matrix built and solved.
+
 By Cauchy interlacing (H_n in H_{n+1}, S_k <= S_{k+1}), lambda_min of the
 compression is non-increasing in n and non-decreasing in k, so k(n) = n +
 m(n) never decreases and each search starts at the previous k.  The search
@@ -43,13 +55,13 @@ k(n) = max(n, k_H), where k_H is the k found by the last search on a
 full-rank section.  The sweep keeps that search's pair (k_H, S_k^-1 f), and
 a later full-rank prefix with n <= k_H takes it with no search or solve.
 
-A section is one object, ``SubspaceBasis``: Q_n and s_r together with the
-family, its solve and its search.  Every entry point gets its sections from
-one factory, ``_sections``, which yields one per prefix of a schedule from
-the running factorization (``subspace_basis`` is its one-prefix case), and
-takes every sectional inverse from that section's one solve; the two
-single-prefix searches share one helper, and ``projection_formula`` solves
-on the basis its caller passes.  ``SubspaceBasis`` is the one place that
+A section is one object, ``SubspaceBasis``: Q_n, s_r and L together with
+the family, its projection, its solve and its search.  Every entry point
+gets its sections from one factory, ``_sections``, which yields one per
+prefix of a schedule from the running factorization (``subspace_basis`` is
+its one-prefix case), and takes every sectional inverse from that
+section's one solve; the two single-prefix searches share one helper, and
+``projection_formula`` solves on the basis its caller passes.  ``SubspaceBasis`` is the one place that
 knows a prefix's edge cases: the empty section (rank 0), whose search
 returns k = n and whose solve, through a zero-width Q_n, is 0, and a plain
 section the SVD cannot resolve.  The latter's oversampled compression is
@@ -200,21 +212,38 @@ def subspace_basis(
 
 
 def _sections(family: HSFrameFamily, ns, rank_tol: float):
-    """The ``SubspaceBasis`` of each prefix in the increasing ``ns``, from one running SVD.
+    """The ``SubspaceBasis`` of each prefix in the increasing ``ns``, from one running factor.
 
-    [U' diag(s'), T[:, n' blk : n blk]] has T_n's Gram matrix, so its U and s
-    are T_n's.  Every column of U' s' is kept, so rank drops stay exact; the
-    whole family reads its cached SVD.
+    The running factor F of the previous prefix n' has F F^H = S_n', so
+    [F, T[:, n' blk : n blk]] has T_n's Gram matrix.  Until F is square
+    (dim_h columns), its thin SVD gives T_n's U and s, and F is U s, every
+    column of it kept, so rank drops stay exact.  Once F is square, the
+    R factor of that block's conjugate transpose has R^H R = S_n, and a
+    values-only SVD of R gives s; while the rank stays dim_h the section
+    is R itself (Q_n = I) and F is R^H, and where it drops, R's right
+    singular vectors give U (Chan's R-SVD).  The whole family reads its
+    cached SVD.
     """
     t = family.synthesis_matrix
-    blk = family.dim_k * family.dim_k
-    us, prev = t[:, :0], 0
+    dim_h, blk = family.dim_h, family.dim_k * family.dim_k
+    run, prev = t[:, :0], 0
     for n in ns:
+        block = t[:, prev * blk : n * blk]
+        prev = n
         if n == family.count:
             u, s = family.svd.u, family.svd.s
+        elif run.shape[1] < dim_h:
+            u, s, _ = _left_svd(np.hstack([run, block]))
         else:
-            u, s, _ = _left_svd(np.hstack([us, t[:, prev * blk : n * blk]]))
-        us, prev = u * s, n
+            r = np.linalg.qr(np.hstack([run, block]).conj().T, mode="r")
+            s = np.linalg.svd(r, compute_uv=False)
+            if numerical_rank(s, rank_tol) == dim_h:
+                run = r.conj().T
+                yield SubspaceBasis._spanning(family, n, r, s)
+                continue
+            _, s, wh = np.linalg.svd(r, full_matrices=False)
+            u = wh.conj().T
+        run = u * s
         rank = numerical_rank(s, rank_tol)
         yield SubspaceBasis(family, n, u[:, :rank], s[:rank])
 
@@ -247,7 +276,8 @@ def _check_lambda(lam) -> None:
 
 
 def sectional_operator(basis: SubspaceBasis) -> np.ndarray:
-    """Compression Q_n^H S_n Q_n = diag(sigma^2) of S_n to H_n, n = basis.n.
+    """Compression Q_n^H S_n Q_n = L^H L of S_n to H_n, n = basis.n:
+    diag(sigma^2) in an SVD basis, R^H R once Q_n = I.
 
     Positive definite there by construction (0 x 0 for the empty section); a
     singular value the SVD cannot resolve (``_check_floor``) means the rank
@@ -256,28 +286,31 @@ def sectional_operator(basis: SubspaceBasis) -> np.ndarray:
     """
     check_instance("basis", basis, SubspaceBasis)
     _check_floor(basis)
-    return np.diag(basis.sigma**2)
+    return basis._plain.copy()
 
 
 def project(basis: SubspaceBasis, f) -> np.ndarray:
     """Orthogonal projection Q_n Q_n^H f onto the section space."""
     check_instance("basis", basis, SubspaceBasis)
-    fv = as_vector("f", f, basis.q.shape[0])
-    return basis.q @ (basis.q.conj().T @ fv)
+    return basis.project(as_vector("f", f, basis.q.shape[0]))
 
 
 class SubspaceBasis:
-    """One section, prefix n: an orthonormal basis Q_n of H_n, its singular
-    values s_r and every sectional inverse; Q_n^H S_n Q_n = diag(s_r^2).
+    """One section, prefix n: an orthonormal basis Q_n of H_n, the singular
+    values s_r of T_n and every sectional inverse.  Q_n^H S_n Q_n = L^H L,
+    where L is diag(s_r) for a section read off an SVD (Q_n = U[:, :r_n]),
+    and L is the square R factor of T_n^H, with Q_n = I, for a section that
+    ``_sections`` takes from its running R once H_n = H.
 
     ``q`` and ``sigma`` are read-only copies, and ``rank`` is ``sigma.size``.
     Made by ``_sections``, the one factory, from the running factorization.
     Every sectional inverse is one ``solve(k, y)``: the plain one at k = n,
-    which divides by s_r^2, and the oversampled one at the k the search
-    returns.  Each compression at k > n adds the Gram matrix of blocks
-    n+1..k of Q_n^H T; its eigenvalues are computed at most once per k.  The
-    floor check guards the plain inverse alone, and the empty section (rank
-    0) needs no oversampling and solves to 0.
+    which divides by s_r^2 or takes two triangular solves with R, and the
+    oversampled one at the k the search returns.  Each compression at k > n
+    adds the Gram matrix of blocks n+1..k of Q_n^H T to L^H L; its
+    eigenvalues are computed at most once per k, and at k = n they are
+    s_r^2.  The floor check guards the plain inverse alone, and the empty
+    section (rank 0) needs no oversampling and solves to 0.
     """
 
     def __init__(self, family: HSFrameFamily, n: int, q: np.ndarray, sigma: np.ndarray):
@@ -287,32 +320,58 @@ class SubspaceBasis:
         self.q.flags.writeable = self.sigma.flags.writeable = False
         self._family = family
         self._blk = family.dim_k * family.dim_k
+        self._r: np.ndarray | None = None  # R with R^H R = S_n when q is I
         self._sig2 = self.sigma**2
         self._evals: dict[int, np.ndarray] = {n: self._sig2[::-1]}
+
+    @classmethod
+    def _spanning(cls, family: HSFrameFamily, n: int, r: np.ndarray, sigma: np.ndarray):
+        """The section of a prefix with H_n = H from the R of T_n^H and its
+        singular values: Q_n = I and L = R."""
+        section = cls(family, n, np.eye(family.dim_h, dtype=r.dtype), sigma)
+        section._r = r
+        return section
 
     @property
     def rank(self) -> int:
         return self.sigma.size
 
     @cached_property
+    def _plain(self) -> np.ndarray:
+        """The plain section Q_n^H S_n Q_n = L^H L."""
+        if self._r is None:
+            return np.diag(self._sig2)
+        gram = self._r.conj().T @ self._r
+        return (gram + gram.conj().T) / 2.0
+
+    @cached_property
     def _tail(self) -> np.ndarray:
         """Blocks n+1..count of Q_n^H T."""
-        t = self._family.synthesis_matrix
-        return self.q.conj().T @ t[:, self.n * self._blk :]
+        tail = self._family.synthesis_matrix[:, self.n * self._blk :]
+        return tail if self._r is not None else self.q.conj().T @ tail
 
     def compressed(self, k: int) -> np.ndarray:
         """Q_n^H S_k Q_n for k > n."""
         w = self._tail[:, : (k - self.n) * self._blk]
         gram = w @ w.conj().T
-        return np.diag(self._sig2) + (gram + gram.conj().T) / 2.0
+        return self._plain + (gram + gram.conj().T) / 2.0
 
     def evals(self, k: int) -> np.ndarray:
         if k not in self._evals:
             self._evals[k] = np.linalg.eigvalsh(self.compressed(k))
         return self._evals[k]
 
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """P_n y = Q_n Q_n^H y, which is y itself when Q_n = I."""
+        return self.q @ (self.q.conj().T @ y)
+
     def solve(self, k: int, y: np.ndarray) -> np.ndarray:
-        """Q (Q^H S_k Q)^-1 Q^H y for a vector y; at k = n, Q (Q^H y / s_r^2)."""
+        """Q (Q^H S_k Q)^-1 Q^H y for a vector y.  At k = n that is
+        Q (Q^H y / s_r^2), or R^-1 R^-H y when Q = I."""
+        if self._r is not None:
+            if k == self.n:
+                return np.linalg.solve(self._r, np.linalg.solve(self._r.conj().T, y))
+            return np.linalg.solve(self.compressed(k), y)
         q = self.q
         z = q.conj().T @ y
         if k == self.n:
@@ -460,7 +519,8 @@ def convergence_sweep(
     running factorization, and its oversampling search starts at the
     previous prefix's k.  Every search on a full-rank section sets
     the pair (k, S_k^-1 f); a later full-rank prefix with n <= that k takes
-    the pair, m_n = k - n, with no search or solve.  A ground truth or a
+    the pair, m_n = k - n, with no search or solve.  A row with k = n takes
+    one solve for both inverses.  A ground truth or a
     reported value that is not finite (f too large to represent them)
     raises ``NumericError``, as does an A that underflows to 0, checked
     after the ground truth.  Errors are taken without squaring entries, so
@@ -494,11 +554,12 @@ def convergence_sweep(
         err_over = _norm(over - ground)
         err_plain = crit2 = crit3 = strong = math.nan  # stay nan on a flagged row
         try:
-            plain = section.inv_apply(fv)
+            _check_floor(section)
         except SectionSingularError:
             flagged = True
         else:
             flagged = False
+            plain = over if k == n else section.solve(n, fv)  # one k = n solve
             y = t_h @ plain  # G_j x_n for every j
             cut = n * blk
             err_plain = _norm(plain - ground)
@@ -590,8 +651,8 @@ def kernel_consistency(
 
     r_full, r_kernel, gaps = [], [], []
     for section in _sections(family, schedule, rank_tol):
-        q, cut = section.q, section.n * blk  # g is computed: no project() checks
-        gaps.append(_norm(q @ (q.conj().T @ g) - g))
+        cut = section.n * blk
+        gaps.append(_norm(section.project(g) - g))  # 0 once Q_n = I
         try:
             x_n = section.inv_apply(t[:, :cut] @ c_vec[:cut])
             y_n = section.inv_apply(t[:, :cut] @ kernel_vec[:cut])

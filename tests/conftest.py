@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,15 @@ def linalg_calls(monkeypatch):
     return calls
 
 
+def counted(calls):
+    """How many calls of each (name, mode) were made, a solve with a
+    section's R or R^H (see ``solves``) counted as ("solve", "R")."""
+    with_r, compressions = solves(calls)
+    counts = Counter((name, mode) for name, _, mode in calls if name != "solve")
+    counts.update({("solve", "R"): len(with_r), ("solve", None): len(compressions)})
+    return dict(+counts)  # without the zero counts
+
+
 def named(calls, *names):
     """The recorded calls to the given numpy.linalg functions."""
     return [call for call in calls if call[0] in names]
@@ -77,3 +87,22 @@ def named(calls, *names):
 def shapes(calls):
     """(name, input shape, QR mode) of each recorded call."""
     return [(name, a.shape, mode) for name, a, mode in calls]
+
+
+def solves(calls):
+    """The recorded solves, split as (with a section's R or R^H, with a
+    compression).  Once Q_n = I a plain inverse is two solves, with a lower
+    triangular R^H and then with R, its conjugate transpose; each
+    compression Q_n^H S_k Q_n (k > n) is solved at most once."""
+    found = named(calls, "solve")
+    paired = set()
+    for i in range(len(found) - 1):
+        low, up = found[i][1], found[i + 1][1]
+        if i not in paired and np.array_equal(np.tril(low), low) and np.array_equal(
+            up, low.conj().T
+        ):
+            paired |= {i, i + 1}
+    return (
+        [call for i, call in enumerate(found) if i in paired],
+        [call for i, call in enumerate(found) if i not in paired],
+    )

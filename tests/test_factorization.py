@@ -4,7 +4,6 @@ import ast
 import json
 import sys
 import types
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from hsframe import cli
 from hsframe.cli import main
 from hsframe.core import _left_svd, _right_svd, _spectral_norm, _tall
 from hsframe.projection import _sections
-from conftest import complex_unit, named, shapes
+from conftest import complex_unit, counted, named, shapes
 
 
 def ill_conditioned_riesz():
@@ -123,19 +122,28 @@ def test_family_is_factored_once(linalg_calls):
 
 def test_uniform_bound_scan_calls(linalg_calls):
     """On a fresh 6/2/5 family (T 6 x 20, wide) with index 1, the scan
-    factors T once through its R (the frame check), then prefixes 2..4
-    from the previous one, each running block too narrow to route through
-    an R: 6 x 8, then the 6 columns of U' s' and one 4-column block.  Prefix
-    5 reads T's SVD, and every plain section is a division: no solve and no
-    eigen-solve."""
+    factors T once through its R (the frame check), then prefix 2 by the
+    plain SVD of its 6 x 8 block, too narrow to route through an R.  That
+    prefix spans H, so prefixes 3 and 4 each take the R factor of the
+    conjugate transpose of [U' s', one 4-column block] (10 x 6) and only
+    its singular values; both keep rank 6, so each plain inverse is two
+    triangular solves, with R^H and then R.  Prefix 5 reads T's SVD and
+    divides by its s^2: no eigen-solve anywhere."""
     fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
     linalg_calls.clear()  # the generator's draws are reduced QRs
     profile = uniform_bound_scan(fam, 1, f)
     assert profile.ns == (2, 3, 4, 5)
-    assert shapes(linalg_calls) == through_r(20, 6) + [
-        ("svd", (6, 8), None), ("svd", (6, 10), None), ("svd", (6, 10), None),
+    through_running_r = [
+        ("qr", (10, 6), "r"), ("svd", (6, 6), "values"),
+        ("solve", (6, 6), None), ("solve", (6, 6), None),
     ]
+    assert shapes(linalg_calls) == through_r(20, 6) + [
+        ("svd", (6, 8), None), *through_running_r, *through_running_r,
+    ]
+    pairs = [a for _, a, _ in named(linalg_calls, "solve")]
+    assert all(np.array_equal(np.tril(a), a) for a in pairs[::2])  # R^H
+    assert all(np.array_equal(np.triu(a), a) for a in pairs[1::2])  # R
 
 
 def test_kernel_consistency_calls(linalg_calls):
@@ -335,8 +343,13 @@ WORKLOADS = load_workloads()
 ROUND_CALLS = {
     "sweep-oversample": {
         "draws": [("qr", (224, 56), "reduced"), ("qr", (56, 56), "reduced")],
-        # 55 SVDs + 76 eigen-solves over 56 rows: 2.339 factorizations a section
-        "invert": {("svd", None): 55, ("eigvalsh", None): 76, ("solve", None): 14},
+        # prefixes 1-14 take an SVD with vectors; H_14 = H, so 15-55 take a QR
+        # and a values-only SVD of their R, each plain inverse two solves
+        # with it but row k_H's, which is its kept S_k^-1 f; 56 reads T's SVD
+        "invert": {
+            ("svd", None): 14, ("svd", "values"): 41, ("qr", "r"): 41,
+            ("eigvalsh", None): 76, ("solve", None): 14, ("solve", "R"): 80,
+        },
     },
     "probe-decay": {
         "draws": [("svd", (96, 128, 4), "values")],  # the tail blocks' norms
@@ -376,10 +389,8 @@ def test_benchmark_round_calls(name, tmp_path, monkeypatch, linalg_calls):
         assert main(argv) == 0
         calls[command] = list(linalg_calls)
     for command, expected in want.items():
-        got = shapes(calls[command])
-        if isinstance(expected, dict):
-            got = dict(Counter((call, mode) for call, _, mode in got))
-        assert got == expected, command
+        got = counted if isinstance(expected, dict) else shapes
+        assert got(calls[command]) == expected, command
 
     fam = load_family(str(tmp_path / "family.json"))
     tilde, _ = perturb_family(fam, "additive-analysis", wl.magnitude, seed=seed)
@@ -474,20 +485,23 @@ class TestOneSidedSVD:
             assert norm == ref
 
     def test_routed_prefix_matches_a_direct_svd(self, linalg_calls):
-        """Prefixes 8 and 16 of a decaying 8/2/20 family jump over 24 and 32
-        columns, so their running blocks, 8 x 32 and 8 x 40, are wide and
-        factored through a square 8 x 8 R; each basis has the rank and the
-        projector Q_n Q_n^H of a direct SVD of the prefix."""
+        """Prefix 8 of a decaying 8/2/20 family after prefix 1 jumps over
+        28 columns, so its running block, 8 x 32, is wide and factored
+        through a square 8 x 8 R.  That prefix spans H, so prefix 16 takes
+        the R factor of its 40 x 8 running block's conjugate transpose and
+        only its singular values, and keeps R as its section (Q_16 = I).
+        Each basis has the rank and the projector Q_n Q_n^H of a direct SVD
+        of the prefix."""
         fam = decaying_family(8, 2, 20, 0.5, seed=4)
         fam.svd  # the whole family's
         linalg_calls.clear()
-        bases = list(_sections(fam, (2, 8, 16), 1e-10))
-        assert [a.shape for _, a, _ in named(linalg_calls, "svd")] == [(8, 8)] * 3
+        bases = list(_sections(fam, (1, 8, 16), 1e-10))
         assert shapes(linalg_calls) == [
-            ("svd", (8, 8), None),
+            ("svd", (8, 4), None),
             ("qr", (32, 8), "r"), ("svd", (8, 8), None),
-            ("qr", (40, 8), "r"), ("svd", (8, 8), None),
+            ("qr", (40, 8), "r"), ("svd", (8, 8), "values"),
         ]
+        assert np.array_equal(bases[-1].q, np.eye(8))
         for basis in bases:
             u, sig, _ = np.linalg.svd(fam.synthesis_matrix[:, : basis.n * 4],
                                       full_matrices=False)

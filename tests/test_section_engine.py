@@ -1,13 +1,12 @@
 """One-pass section engine: exact answers of the linear scan, bounded cost."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsframe import (
+    CoefficientSequence,
     HSFrameFamily,
     InternalConsistencyError,
     SectionSchedule,
@@ -18,6 +17,7 @@ from hsframe import (
     frame_bounds,
     frame_operator,
     from_scalar_frame,
+    kernel_consistency,
     oversampled_inverse_apply,
     plain_inverse_apply,
     random_family,
@@ -25,7 +25,7 @@ from hsframe import (
     subspace_basis,
 )
 from hsframe import projection
-from conftest import complex_unit, named, shapes
+from conftest import complex_unit, counted, named, shapes, solves
 
 RANK_TOL = 1e-10
 
@@ -130,13 +130,24 @@ def test_spanning_pair_survives_a_rank_drop(linalg_calls):
     """H_2 = H, H_3 does not (the 1e-6 direction falls below rank_tol once
     1e5 arrives), and H_4 = H again with n = 4 <= k(2) = 6: the prefixes
     after the drop take k(2) and S_6^-1 f from prefix 2 instead of searching
-    and solving again."""
+    and solving again.  Prefixes 3-5 follow a running factor with dim_h
+    columns, so each takes the R of its running block and that R's singular
+    values; prefix 3's values show the drop, so only it takes R's SVD with
+    vectors, and prefixes 4 and 5 keep R, each plain inverse two solves
+    with it."""
     fam = from_scalar_frame([[1, 0], [0, 1e-6], [1e5, 0], [0, 1], [0, 1], [0, 10]])
     linalg_calls.clear()
     records = convergence_sweep(fam, SectionSchedule.full(6), [1.0, 1.0])
+    with_r, compressions = solves(linalg_calls)
     assert len(named(linalg_calls, "eigh", "eigvalsh")) <= 7
-    assert len(named(linalg_calls, "solve")) <= 3
-    assert shapes(named(linalg_calls, "qr")) == [("qr", (6, 2), "r")]  # the family's
+    assert len(compressions) <= 3
+    assert len(with_r) == 4
+    assert shapes(named(linalg_calls, "qr", "svd")) == [
+        ("qr", (6, 2), "r"), ("svd", (2, 2), None),  # the family's
+        ("svd", (2, 1), None), ("svd", (2, 2), None),
+        ("qr", (3, 2), "r"), ("svd", (2, 2), "values"), ("svd", (2, 2), None),
+        *[("qr", (3, 2), "r"), ("svd", (2, 2), "values")] * 2,
+    ]
     assert [r.r_n for r in records] == [1, 2, 1, 2, 2, 2]
     assert [r.m_n for r in records] == [2, 4, 0, 2, 1, 0]
     assert [r.m_n for r in records] == [
@@ -163,35 +174,139 @@ def test_errors_lie_in_the_residual_bracket(case):
             assert residual / b - slack <= err <= residual / a + slack
 
 
+@st.composite
+def dropping_cases(draw):
+    """A family whose rank drops after H_n = H, and lambda.  Its dim_h first
+    maps (dim_k 1) are random and span H; the next dim_h lie along an
+    orthonormal basis and are 1e12 times larger, so the rank falls to 1 and
+    climbs back to dim_h, and up to three large random maps follow."""
+    dim_h = draw(st.integers(2, 6))
+    extra = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    large = np.hstack([np.linalg.qr(gauss(dim_h, dim_h))[0], gauss(dim_h, extra)])
+    t = np.hstack([gauss(dim_h, dim_h), 1e12 * large])
+    lam = draw(st.floats(1.1, 8.0, exclude_min=True, exclude_max=True))
+    return HSFrameFamily.from_synthesis_matrix(dim_h, 1, t), lam
+
+
+def check_rows_match_single_prefix(fam, lam, tol_by_error=False):
+    """Each row of the prefix:all sweep has the rank and m_n of the
+    single-prefix entries, and its err_plain agrees with
+    ``plain_inverse_apply``'s to 1e-12 |S^-1 f| (with ``tol_by_error``, to
+    1e-12 of the larger of |S^-1 f| and the error itself), against the
+    ground truth the sweep takes.  A row of rank dim_h after a prefix with
+    at least dim_h columns, but n = count, takes its section from the
+    running R (Q_n = I), so ``kernel_consistency``'s |P_n g - g| there is
+    exactly 0.  Returns the sweep's records."""
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    ground = projection._inverse_frame_apply(fam, f)
+    scale = float(np.linalg.norm(ground))
+    schedule = SectionSchedule.full(fam.count)
+    records = convergence_sweep(fam, schedule, f, lam=lam)
+    for r in records:
+        assert r.r_n == subspace_basis(fam, r.n).rank
+        assert r.m_n == find_oversampling(fam, r.n, lam)
+        plain = float(np.linalg.norm(plain_inverse_apply(fam, r.n, f) - ground))
+        tol = 1e-12 * (max(scale, plain) if tol_by_error else scale)
+        assert abs(r.err_plain - plain) <= tol
+    coeffs = CoefficientSequence.from_stacked(
+        complex_unit(np.random.default_rng(1), fam.synthesis_matrix.shape[1]), fam.dim_k
+    )
+    gaps = kernel_consistency(fam, coeffs, schedule).projection_gap
+    for r, gap in zip(records, gaps):
+        if (r.n - 1) * fam.dim_k**2 >= fam.dim_h and r.r_n == fam.dim_h and r.n < fam.count:
+            assert gap == 0.0
+    return records
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sweep_cases())
+def test_sweep_rows_match_single_prefix_entries(case):
+    check_rows_match_single_prefix(*case)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(dropping_cases())
+def test_sweep_rows_match_single_prefix_entries_through_a_rank_drop(case):
+    """As above where the rank drops after H_n = H: the prefix after the
+    first large map takes the SVD of its running R with vectors, and the
+    rank climbs back to dim_h one large map at a time.  The sections
+    before the first large map are about 1e24 times weaker than S, so
+    their plain errors are far above |S^-1 f| and agree to 1e-12 of
+    themselves."""
+    fam, lam = case
+    records = check_rows_match_single_prefix(fam, lam, tol_by_error=True)
+    ranks = list(range(1, fam.dim_h + 1))
+    assert [r.r_n for r in records] == ranks + ranks + [fam.dim_h] * (
+        fam.count - 2 * fam.dim_h
+    )
+
+
+def test_kernel_consistency_takes_r_once_h_is_spanned(linalg_calls):
+    """kernel_consistency on the prefix:all schedule of a 24/2/24 family
+    takes an SVD with vectors for prefixes 1-6 alone: H_6 = H, so prefixes
+    7-23 are R sections, where P_n = I and |P_n g - g| is exactly 0."""
+    fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
+    frame_bounds(fam)  # factors the whole family first
+    coeffs = CoefficientSequence.from_stacked(
+        complex_unit(np.random.default_rng(1), fam.synthesis_matrix.shape[1]), fam.dim_k
+    )
+    linalg_calls.clear()
+    report = kernel_consistency(fam, coeffs, SectionSchedule.full(fam.count))
+    with_uv = [a.shape for _, a, mode in named(linalg_calls, "svd") if mode is None]
+    assert with_uv == [(24, 4 * n) for n in range(1, 7)]
+    assert len(named(linalg_calls, "svd")) == 6 + 17
+    assert report.projection_gap[6:23] == (0.0,) * 17
+    assert all(gap > 0.0 for gap in report.projection_gap[:5])
+
+
 def test_sweep_cost_is_bounded(linalg_calls):
-    """At most 2 rows + count eigen-solves, one SVD per row and one QR, the
-    family's, for a whole sweep; the counts this family takes are pinned."""
+    """At most 2 rows + count eigen-solves, one SVD per row and one
+    compression solve per eigen-solve for a whole sweep; the counts this
+    family takes are pinned.  Prefixes 1-6 take an SVD with vectors, and
+    H_6 = H, so prefixes 7-23 take a QR and a values-only SVD of their
+    running R, and each plain inverse is two solves with that R but row
+    22's: k_H = 22, so that row reads the pair prefix 6 kept."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
     linalg_calls.clear()
     records = convergence_sweep(fam, SectionSchedule.full(fam.count), f)
     rows = len(records)
+    eigen = len(named(linalg_calls, "eigh", "eigvalsh"))
     assert any(r.m_n > 0 for r in records)  # the search does real work
-    assert len(named(linalg_calls, "eigh", "eigvalsh")) <= 2 * rows + fam.count
+    assert eigen <= 2 * rows + fam.count
     assert len(named(linalg_calls, "svd")) <= rows
-    assert Counter(name for name, _, _ in linalg_calls) == {
-        "eigvalsh": 31, "svd": 24, "solve": 6, "qr": 1,
+    assert len(solves(linalg_calls)[1]) <= eigen
+    assert counted(linalg_calls) == {
+        ("eigvalsh", None): 31, ("svd", None): 7, ("svd", "values"): 17,
+        ("qr", "r"): 18, ("solve", None): 6, ("solve", "R"): 32,
     }
-    assert shapes(named(linalg_calls, "qr")) == [("qr", (96, 24), "r")]  # the family's
+    assert shapes(named(linalg_calls, "qr")) == (
+        [("qr", (96, 24), "r")] + [("qr", (28, 24), "r")] * 17  # the family's first
+    )
 
 
 @pytest.mark.parametrize(
-    "step, lam",
+    "step, lam, r_solves",
     [
-        (1, 2.0),  # every prefix from n0 on: k stays put, then moves with n
-        (3, 2.0),  # gapped
-        (1, 8.0),  # a weaker target: the search stops earlier
-        (2, 4.0),
+        (1, 2.0, 32),  # every prefix from n0 on: k stays put, then moves with n
+        (3, 2.0, 10),  # gapped
+        (1, 8.0, 32),  # a weaker target: the search stops earlier
+        (2, 4.0, 16),
     ],
+    ids=["1-2.0", "3-2.0", "1-8.0", "2-4.0"],
 )
-def test_full_rank_rows_share_one_search(linalg_calls, step, lam):
+def test_full_rank_rows_share_one_search(linalg_calls, step, lam, r_solves):
     """Once H_n = H, each S_k is eigen-solved and solved at most once, and
-    every row still gets the single-prefix answer."""
+    every row still gets the single-prefix answer.  Every row between the
+    first and n = count factors only the R of its running block (dim_h +
+    step blocks tall), whose plain inverse is two solves with R, but a row
+    n = k_H, whose plain inverse is the kept S_n^-1 f: 2 (rows - 2) R
+    solves, less 2 where k_H is scheduled (lam 2 and 8, step 1)."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
     frame_bounds(fam)  # factors the whole family first
     n0 = next(n for n in range(1, fam.count + 1)
@@ -201,11 +316,16 @@ def test_full_rank_rows_share_one_search(linalg_calls, step, lam):
     linalg_calls.clear()
     records = convergence_sweep(fam, schedule, f, lam=lam)
     ks = {r.n + r.m_n for r in records}
+    with_r, compressions = solves(linalg_calls)
     assert any(r.m_n > 0 for r in records)  # the search does real work
     assert len(ks) > 1  # and k moves
     assert len(named(linalg_calls, "eigh", "eigvalsh")) <= fam.count - n0 + 1
-    assert len(named(linalg_calls, "solve")) <= len(ks)
-    assert named(linalg_calls, "qr") == []
+    assert len(compressions) <= len(ks)
+    assert len(with_r) == r_solves
+    assert schedule.lengths[-1] == fam.count
+    assert shapes(named(linalg_calls, "qr")) == (
+        [("qr", (fam.dim_h + step * fam.dim_k**2, fam.dim_h), "r")] * (len(records) - 2)
+    )
     ground = np.linalg.solve(frame_operator(fam), f)
     for r in records:
         assert r.r_n == fam.dim_h
@@ -218,12 +338,12 @@ def test_full_rank_rows_share_one_search(linalg_calls, step, lam):
 
 def test_k_equals_n_is_the_plain_inverse(linalg_calls):
     """Where the search returns k = n, the oversampled inverse is the plain
-    one bit for bit, both being the k = n solve (a division by s_r^2), and
-    it takes no solve and no eigen-solve.  In the prefix:all sweep, k_H = 22
-    and the row n = 22 is left out of the bitwise check: it takes the
-    spanning pair (22, S_22^-1 f) that prefix 6's search solved in prefix
-    6's basis, which rounds differently from Q_22, so its two errors agree
-    to the last digits only."""
+    one bit for bit, both being the one k = n solve: a division by s_r^2,
+    with no solve and no eigen-solve, or, on a row after H_n = H, two
+    solves with its R, taken once.  In the prefix:all sweep, k_H = 22, so
+    the row n = 22 takes the spanning pair (22, S_22^-1 f) that prefix 6's
+    search solved in prefix 6's basis, and that vector is its plain inverse
+    too."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
     frame_bounds(fam)  # factors the whole family first
@@ -237,7 +357,9 @@ def test_k_equals_n_is_the_plain_inverse(linalg_calls):
 
     linalg_calls.clear()
     records = convergence_sweep(fam, SectionSchedule(tuple(ns)), f)
-    assert named(linalg_calls, "solve", "eigh", "eigvalsh") == []
+    with_r, compressions = solves(linalg_calls)
+    assert named(linalg_calls, "eigh", "eigvalsh") == [] and compressions == []
+    assert len(with_r) == 2  # row 23's R^H and R
     assert [r.m_n for r in records] == [0, 0, 0]
     assert all(r.err_oversampled == r.err_plain for r in records)
 
@@ -245,7 +367,7 @@ def test_k_equals_n_is_the_plain_inverse(linalg_calls):
     spanning, searched = records[21], records[22:]
     assert (spanning.n, spanning.m_n, records[20].n + records[20].m_n) == (22, 0, 22)
     assert spanning.err_oversampled == records[20].err_oversampled  # the kept pair
-    assert spanning.err_oversampled == pytest.approx(spanning.err_plain, rel=1e-12)
+    assert spanning.err_oversampled == spanning.err_plain
     assert [r.m_n for r in searched] == [0, 0]
     assert all(r.err_oversampled == r.err_plain for r in searched)
 
@@ -363,21 +485,23 @@ def test_running_factorization_matches_direct_svd(case):
 
 
 def test_sweep_factors_each_prefix_from_the_previous(linalg_calls):
-    """No Cholesky, no eigen-solve of a plain section, no QR, and every
-    per-prefix SVD at most dim_h + one block wide."""
+    """No Cholesky and no eigen-solve of a plain section.  Until H_n = H
+    (n = 6), each prefix takes one SVD with vectors of its running block,
+    at most dim_h + one block wide; after, one QR of that block's conjugate
+    transpose, dim_h + one block tall, and a values-only SVD of its R."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
     frame_bounds(fam)  # factors the whole family first: not a per-prefix SVD
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
     linalg_calls.clear()
     records = convergence_sweep(fam, SectionSchedule.parse("prefix:all", fam.count), f)
-    svd_cols = [a.shape[1] for _, a, _ in named(linalg_calls, "svd")]
     rows = len(records)
     assert any(r.m_n > 0 for r in records)  # the search does real work
     assert named(linalg_calls, "cholesky") == []
     assert len(named(linalg_calls, "eigh", "eigvalsh")) <= 2 * rows + fam.count
-    assert len(svd_cols) == rows - 1  # n = count reads the cached SVD
-    assert max(svd_cols) <= fam.dim_h + fam.dim_k**2
-    assert named(linalg_calls, "qr") == []
+    assert shapes(named(linalg_calls, "svd", "qr")) == (
+        [("svd", (fam.dim_h, 4 * n), None) for n in range(1, 7)]
+        + [("qr", (28, 24), "r"), ("svd", (24, 24), "values")] * (rows - 7)
+    )  # n = count reads the cached SVD
 
 
 def test_plain_section_is_diagonal_in_its_basis():

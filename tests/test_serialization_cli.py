@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from hsframe import (
     save_family,
 )
 import hsframe
+import hsframe_script
 from hsframe import cli
 from hsframe.cli import main
 from hsframe.serialization import (
@@ -497,6 +499,28 @@ class TestMemo:
         monkeypatch.setattr(json, "loads", spy)
         assert main(["analyze", "--input", str(other)]) == 0
         assert alive == [False]
+
+    def test_miss_holds_the_bytes_no_longer_than_load_family(self, tmp_path):
+        """A read of other bytes hands them to the parse, as ``load_family``
+        does, so they are freed once decoded: its tracemalloc peak is within
+        5 % of ``load_family``'s on the same file."""
+        path = tmp_path / "decaying.json"
+        save_family(decaying_family(48, 2, 48, 0.5, seed=1), str(path))
+
+        def peak(read):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                read(str(path))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        parsed = peak(load_family)
+        self.generate(tmp_path / "fam.json")
+        missed = peak(cli._load)
+        assert cli._written is None  # it missed
+        assert missed <= 1.05 * parsed
 
     @pytest.mark.parametrize("edit", [
         lambda text: text + "\n",
@@ -1564,6 +1588,54 @@ def test_cli_flag_fuzz(fuzz_files, argv):
         code = exit_code(argv)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_console_script_runs_on_one_blas_thread(tmp_path):
+    """The console script's module, ``hsframe_script``, sets one BLAS thread
+    where the environment names none, so a seeded ``generate --kind
+    random`` and an ``analyze`` of its file write the same bytes, bar the
+    report's timestamp, with no thread variable set as with
+    OPENBLAS_NUM_THREADS=1.  With the package's own ``main`` the family's
+    bytes differ on a machine with two or more cores, where OpenBLAS
+    starts one thread per core; on one core the two runs match either way,
+    so there the test cannot fail."""
+    src = str(Path(hsframe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = path
+    commands = [
+        ["generate", "--kind", "random", "--dim-h", "56", "--dim-k", "2", "--count", "56",
+         "--spectrum", "flat", "--seed", "7", "--out", "family.json"],
+        ["analyze", "--input", "family.json", "--out", "analyze.json"],
+    ]
+    program = ("import json, sys, hsframe_script\n"
+               "sys.exit(max(hsframe_script.main(a) for a in json.loads(sys.argv[1])))")
+    outputs = []
+    for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", program, json.dumps(commands)],
+                              env={**env, **extra}, cwd=cwd, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(((cwd / "family.json").read_bytes(),
+                        strip_timestamp_json(read(cwd / "analyze.json"))))
+    assert outputs[0] == outputs[1]
+
+
+def test_console_script_keeps_a_thread_count_the_user_set(tmp_path, monkeypatch):
+    """``hsframe_script.main`` sets to 1 only the thread variables that are
+    unset, then runs the CLI's ``main`` on its argv."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    for name in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "x")  # so that the undo restores the real state
+        monkeypatch.delenv(name)
+    out = tmp_path / "onb.json"
+    assert hsframe_script.main(["generate", "--kind", "onb", "--dim-h", "3",
+                                "--out", str(out)]) == 0
+    assert load_family(str(out)).dim_h == 3
+    assert [os.environ[k] for k in hsframe_script.THREAD_VARIABLES] == ["2", "1", "1"]
 
 
 def test_module_entry_point_exit_codes(tmp_path):
