@@ -220,6 +220,16 @@ class HSFrameFamily:
         t_4d = t.reshape(dim_h, -1, dim_k, dim_k)  # a view, whatever t's layout
         return cls._of_images(np.conjugate(t_4d.transpose(1, 0, 2, 3), order="C"))
 
+    @classmethod
+    def _keeping(cls, dim_h: int, dim_k: int, t: np.ndarray) -> "HSFrameFamily":
+        """``from_synthesis_matrix`` for a fresh Fortran-ordered complex128
+        ``t``, which the family keeps, read-only, as its synthesis matrix:
+        it is never derived again from ``images``."""
+        family = cls.from_synthesis_matrix(dim_h, dim_k, t)
+        t.flags.writeable = False
+        family.synthesis_matrix = t
+        return family
+
     def __repr__(self) -> str:
         return (
             f"<HSFrameFamily dim_h={self.dim_h} dim_k={self.dim_k} "
@@ -469,9 +479,7 @@ def canonical_dual(
     else:
         left, right = svd.u / s, svd.vh
     t_dual = (right.T @ left.T).T  # Fortran-ordered, as synthesis_matrix is
-    dual = HSFrameFamily.from_synthesis_matrix(family.dim_h, family.dim_k, t_dual)
-    t_dual.flags.writeable = False
-    dual.synthesis_matrix = t_dual
+    dual = HSFrameFamily._keeping(family.dim_h, family.dim_k, t_dual)
     dual.svd = ThinSVD(svd.u[:, ::-1], (1.0 / s)[::-1], lambda: svd.vh[::-1])
     return dual
 

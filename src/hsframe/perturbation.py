@@ -17,11 +17,16 @@ D = I - U, lambda1 I and lambda2 U.  Admissible constants (small enough
 against the lower bound) force the perturbed family to be a frame, with
 closed-form bounds on the analysis/synthesis levels.
 
-D is factored once, in every mode, into its singular values and right
-singular vectors alone, the directions x in D's domain.  A tall D, as
-analysis mode's (T - T~)^H usually is, and every tall whitened matrix go
-through their square R factor (``core._right_svd``), so their tall U is
-never formed.
+D is factored at most once, into its singular values and right singular
+vectors alone, the directions x in D's domain.  A tall D, as analysis
+mode's (T - T~)^H usually is, and every tall whitened matrix go through
+their square R factor (``core._right_svd``), so their tall U is never
+formed.  A family drawn by ``perturb_family``'s additive modes, T~ = T +
+Delta, carries the factors of its Delta: checked in analysis mode against
+the family it was drawn from, D is -Delta^H up to rounding, and its
+factorization is replaced by Delta's right singular vectors and the Weyl
+bound sigma_max(D) <= sigma_max(Delta) + |D + Delta^H|_F.  D is factored
+after all only when that bound does not settle a sigma_max rule.
 Each A_i is held only as its thin SVD, read from the family's cached one
 (T^H = V s U^H, S = U s^2 U^H): |A_i x| is |diag(s_i) W_i^H x|, W_i its
 right singular vectors, and no dense T^H is copied for it.  On H (T^H and
@@ -37,6 +42,7 @@ over the directions it probed.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    _norm,
     _right_svd,
     _spectral_norm,
     as_matrix,
@@ -303,6 +310,21 @@ def _whiten(
     return float(w[0]) <= c * (1.0 + _CERT_RTOL) + 1e-14, x / np.linalg.norm(x)
 
 
+class _Spectrum(NamedTuple):
+    """sigma_max(D), or an upper bound on it when not ``exact``, and right
+    singular vectors whose first and last rows are D's extreme directions."""
+
+    top: float
+    vh: np.ndarray
+    exact: bool = True
+
+
+def _spectrum(d: np.ndarray) -> _Spectrum:
+    """D's own spectrum, from one factorization."""
+    s, vh = _right_svd(d)
+    return _Spectrum(float(s[0]), vh)
+
+
 class _Decision(NamedTuple):
     """Holds (``certified``), violated (``witness``) or undecided (neither)."""
 
@@ -311,8 +333,10 @@ class _Decision(NamedTuple):
     margin: float
 
 
-def _decide(d: np.ndarray, terms: list[_Term]) -> _Decision:
-    """Decide |D x| <= sum_i c_i |A_i x| for all x, factoring D once.
+def _decide(
+    d: np.ndarray, terms: list[_Term], carried: _Spectrum | None = None
+) -> _Decision:
+    """Decide |D x| <= sum_i c_i |A_i x| for all x, factoring D at most once.
 
     The active constants pick one rule, which gives whether it holds and
     the directions it tested.  None: D must vanish.  One: sigma_max(D) <=
@@ -320,27 +344,32 @@ def _decide(d: np.ndarray, terms: list[_Term]) -> _Decision:
     Several: ``_decide_boxes``.  The probes are D's and the lambda1/lambda2
     operators' extreme directions plus every tested one; if the condition
     does not hold, the worst probe is the witness when it violates it
-    beyond the whitening test's slack.
+    beyond the whitening test's slack.  A ``carried`` spectrum stands in
+    for D's factorization; when it bounds sigma_max(D) above a sigma_max
+    rule's limit, D is factored after all.
     """
-    # sigma_max(D) and D's extreme directions from one factorization
-    s, vh = _right_svd(d)
-    d_norm, probes = float(s[0]), [vh[0].conj(), vh[-1].conj()]
-    for t in terms[:2]:
-        if t.vh is not None:
-            probes += [t.vh[0].conj(), t.vh[-1].conj()]
+    spectrum = _spectrum(d) if carried is None else carried
     active = [t for t in terms if t.c > 0.0]
     if len(active) > 1:
         holds, tested = _decide_boxes(d, terms, active)
-    elif not active:
-        scale = 1.0 if terms[0].s is None else float(terms[0].s[0])
-        holds, tested = d_norm <= 1e-13 * max(scale, 1.0), []
-    elif active[0].s is None or active[0].s[0] == 0.0:  # |I| = 1, |0| = 0
-        limit = active[0].c if active[0].s is None else 0.0
-        holds, tested = d_norm <= limit * (1.0 + _CERT_RTOL) + 1e-14, []
-    else:
+    elif active and active[0].s is not None and active[0].s[0] > 0.0:
         (t,) = active
         holds, x = _whiten(d, t.s, t.vh, t.c, t.kernel_tol)
         tested = [x]
+    else:
+        if not active:
+            scale = 1.0 if terms[0].s is None else float(terms[0].s[0])
+            limit = 1e-13 * max(scale, 1.0)
+        else:  # |I| = 1, |0| = 0
+            c = active[0].c if active[0].s is None else 0.0
+            limit = c * (1.0 + _CERT_RTOL) + 1e-14
+        if spectrum.top > limit and not spectrum.exact:
+            spectrum = _spectrum(d)
+        holds, tested = spectrum.top <= limit, []
+    probes = [spectrum.vh[0].conj(), spectrum.vh[-1].conj()]
+    for t in terms[:2]:
+        if t.vh is not None:
+            probes += [t.vh[0].conj(), t.vh[-1].conj()]
     x = np.column_stack(probes + tested)
     gaps, violated = _gaps(d, terms, x)
     worst = int(np.argmin(np.where(violated, gaps, np.inf)))
@@ -442,6 +471,17 @@ def cc_lemma_check(u, lambda1: float, lambda2: float) -> CCLemmaReport:
     )
 
 
+def _carried(
+    mode: str, family: HSFrameFamily, candidate: HSFrameFamily
+) -> _Spectrum | None:
+    """The bound on D that ``perturb_family`` left on ``candidate``, in
+    analysis mode and against the very object it perturbed alone."""
+    base, spectrum = getattr(candidate, "_deviation", (None, None))
+    if mode == "analysis" and base is not None and base() is family:
+        return spectrum
+    return None
+
+
 def check_condition(
     mode: str,
     family: HSFrameFamily,
@@ -469,7 +509,7 @@ def check_condition(
     check_admissible(constants, a_g, bessel_of_candidate=actual[1], mode=mode)
 
     d, terms = _condition(mode, family, candidate, constants)
-    decision = _decide(d, terms)
+    decision = _decide(d, terms, _carried(mode, family, candidate))
     predicted = None
     if mode in ("analysis", "synthesis"):
         c = constants
@@ -500,14 +540,21 @@ def perturb_family(
       (lambda1=magnitude, 0, 0).
     * blockwise: like additive-analysis but supported on a subset of
       indices (random nonempty subset unless given).
+
+    The copy keeps the synthesis matrix it was built from, Fortran-ordered
+    and read-only.  The additive modes take |delta|_2 from the SVD of
+    delta^H (``core._right_svd``), and the copy carries its right singular
+    vectors with the bound |Delta|_2 + |D + Delta^H|_F on sigma_max of D =
+    (T - T~)^H, so ``check_condition`` in analysis mode against ``family``
+    itself need not factor D.
     """
     check_instance("family", family, HSFrameFamily)
     magnitude = check_real("magnitude", magnitude, 0.0, math.inf, closed=(True, False))
     t = family.synthesis_matrix
     rng = np.random.default_rng(check_int("seed", seed, 0))
     if mode == "scale":
-        gamma = HSFrameFamily.from_synthesis_matrix(
-            family.dim_h, family.dim_k, (1.0 - magnitude) * t
+        gamma = HSFrameFamily._keeping(
+            family.dim_h, family.dim_k, np.multiply(1.0 - magnitude, t, order="F")
         )
         return gamma, PerturbationConstants(lambda1=magnitude)
     if mode not in ("additive-analysis", "blockwise"):
@@ -526,13 +573,21 @@ def perturb_family(
             j = check_int("indices", j, 0, family.count - 1)
             mask[j * blk : (j + 1) * blk] = True
         delta[:, ~mask] = 0.0
-    norm = _spectral_norm(delta)
+    s, vh = _right_svd(delta.conj().T)
+    norm = float(s[0])
     if magnitude == 0.0 or norm == 0.0:
         delta = np.zeros_like(delta)
-        magnitude = 0.0
+        magnitude = scale = 0.0
     else:
-        delta *= magnitude / norm
-    gamma = HSFrameFamily.from_synthesis_matrix(family.dim_h, family.dim_k, t + delta)
+        scale = magnitude / norm
+        delta *= scale
+    t_tilde = np.add(t, delta, order="F")
+    # D + Delta^H = (T - T~ + Delta)^H, the rounding of T + Delta
+    rounding = t - t_tilde
+    rounding += delta
+    top = scale * norm + _norm(rounding)
+    gamma = HSFrameFamily._keeping(family.dim_h, family.dim_k, t_tilde)
+    gamma._deviation = (weakref.ref(family), _Spectrum(top, vh, exact=False))
     return gamma, PerturbationConstants(mu=magnitude)
 
 

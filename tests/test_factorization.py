@@ -369,17 +369,18 @@ def test_benchmark_round_calls(name, tmp_path, monkeypatch, linalg_calls):
     """Round 0 of seed 1 of each benchmark workload, run through the CLI
     with no family kept from an earlier generate, makes exactly these numpy.linalg calls, and
     no Cholesky.  generate factors T once through its R; analyze takes the
-    dual check's one spectral norm; perturb takes the drawn deviation's
-    norm, factors T~ and then the deviation D, each through its R; invert
-    reuses T's SVD.  The only whole-family factorizations are T^H's in
-    generate and T~^H's in perturb."""
+    dual check's one spectral norm; perturb factors the drawn deviation
+    delta^H, with vectors, and then T~^H, each through its R, and bounds
+    D = (T - T~)^H from delta's factors; invert reuses T's SVD.  The only
+    whole-family factorizations are T^H's in generate and T~^H's in
+    perturb."""
     wl = WORKLOADS.WORKLOADS[name]
     seed = WORKLOADS.family_seed(1, 0)
     h, n = wl.dim_h, wl.count * wl.dim_k**2
     want = {
         "generate": ROUND_CALLS[name]["draws"] + through_r(n, h),
         "analyze": [("svd", (h, h), "values")],
-        "perturb": through_r(n, h, "values") + through_r(n, h) + through_r(n, h),
+        "perturb": through_r(n, h) + through_r(n, h),
         "invert": ROUND_CALLS[name]["invert"],
     }
     monkeypatch.setattr(cli, "_written", None)

@@ -571,14 +571,23 @@ def test_tight_multi_constant_conditions_carry_no_witness():
     assert lemma.certified and lemma.sandwich_ok and scale.certified
 
 
+def drawn_pair(seed):
+    """seeded_family(seed), perturbed as perturb_family draws it, and the
+    same candidate rebuilt from its synthesis matrix, which carries
+    nothing: the decision on it takes the exact path."""
+    g = seeded_family(seed)
+    gamma, constants = perturb_family(g, "additive-analysis", 0.1, seed=seed)
+    rebuilt = HSFrameFamily.from_synthesis_matrix(g.dim_h, g.dim_k, gamma.synthesis_matrix)
+    return g, gamma, rebuilt, constants
+
+
 def test_single_constant_decision_factors_only_the_deviation(linalg_calls):
     """One active constant with an operator term reads the families' cached
     SVDs: the decision factors D once and whitens once, by SVD in every
     mode, Hermitian D = S - S~ included, and calls nothing else of
     numpy.linalg but, in synthesis mode, the values-only SVD of the ker T
     test's norm, between the two."""
-    g = seeded_family(3)
-    gamma, _ = perturb_family(g, "additive-analysis", 0.1, seed=3)
+    g, _, gamma, _ = drawn_pair(3)
     g.svd, gamma.svd  # computed once per family, before the decisions
     for mode in ("analysis", "synthesis", "frame-operator"):
         linalg_calls.clear()
@@ -594,12 +603,100 @@ def test_tall_deviation_is_factored_through_its_r_factor(linalg_calls):
     4-dimensional H, so its SVD is taken of the square 4 x 4 R factor, and
     the decision never forms D's 12 x 4 left singular vectors."""
     g = random_family(4, 1, 12, SpectrumSpec.flat(), seed=5)
-    gamma, constants = perturb_family(g, "additive-analysis", 0.1, seed=5)
+    drawn, constants = perturb_family(g, "additive-analysis", 0.1, seed=5)
+    gamma = HSFrameFamily.from_synthesis_matrix(4, 1, drawn.synthesis_matrix)
     g.svd, gamma.svd  # computed once per family, before the decision
     linalg_calls.clear()
     assert check_condition("analysis", g, gamma, constants).certified
     assert [a.shape for _, a, _ in named(linalg_calls, "svd")] == [(4, 4)]
     assert shapes(linalg_calls) == [("qr", (12, 4), "r"), ("svd", (4, 4), None)]
+
+
+def test_drawn_pair_reads_the_carried_factors(linalg_calls):
+    """perturb_family factors its draw delta^H once, with vectors, and the
+    candidate carries those factors: in analysis mode against the family
+    it was drawn from, mu alone is settled by their bound with no
+    numpy.linalg call, and lambda1 alone makes only the whitening SVD."""
+    g = seeded_family(3)
+    g.svd
+    linalg_calls.clear()
+    gamma, constants = perturb_family(g, "additive-analysis", 0.1, seed=3)
+    h, n = g.synthesis_matrix.shape  # 14 x 18, not tall enough for R
+    assert shapes(linalg_calls) == [("svd", (n, h), None)]
+    gamma.svd
+    linalg_calls.clear()
+    assert check_condition("analysis", g, gamma, constants).certified
+    assert linalg_calls == []
+    check_condition("analysis", g, gamma, PerturbationConstants(lambda1=0.5))
+    assert shapes(linalg_calls) == [("svd", (n, h), None)]
+
+
+def test_carried_factors_are_read_against_their_own_base_alone(linalg_calls):
+    """A base family equal to the perturbed one but another object, or
+    another mode than analysis, takes the exact path and factors D."""
+    g, gamma, _, constants = drawn_pair(3)
+    twin = HSFrameFamily.from_synthesis_matrix(g.dim_h, g.dim_k, g.synthesis_matrix)
+    assert np.array_equal(twin.images, g.images)
+    g.svd, twin.svd, gamma.svd
+    linalg_calls.clear()
+    assert check_condition("analysis", twin, gamma, constants).certified
+    h, n = g.synthesis_matrix.shape
+    assert shapes(linalg_calls) == [("svd", (n, h), None)]
+    linalg_calls.clear()
+    check_condition("synthesis", g, gamma, constants)
+    assert shapes(linalg_calls) == [("svd", (h, n), None)]
+
+
+def test_bound_above_the_limit_falls_back_to_factoring_the_deviation(linalg_calls):
+    """On a flat 1e7 family with mu = 1e-3 the Frobenius slack of T + Delta's
+    rounding is above 1e-10 mu, so the carried bound does not settle the
+    mu rule: D is factored, through its R, and certifies as on the exact
+    path."""
+    g = random_family(6, 1, 12, SpectrumSpec.flat(1e7), seed=0)
+    gamma, constants = perturb_family(g, "additive-analysis", 1e-3, seed=0)
+    rebuilt = HSFrameFamily.from_synthesis_matrix(6, 1, gamma.synthesis_matrix)
+    g.svd, gamma.svd, rebuilt.svd
+    linalg_calls.clear()
+    verdict = check_condition("analysis", g, gamma, constants)
+    assert shapes(linalg_calls) == [("qr", (12, 6), "r"), ("svd", (6, 6), None)]
+    assert verdict.certified
+    assert verdict == check_condition("analysis", g, rebuilt, constants)
+
+
+@st.composite
+def drawn_perturbations(draw):
+    """A random flat family, level 1e-6 to 1e8, perturbed by an additive
+    mode of perturb_family at mu from 1e-8 to 0.45 of sqrt(A), and the mu
+    to check against: the drawn one, half of it (violated) or twice it."""
+    dim_h = draw(st.integers(1, 8))
+    dim_k = draw(st.integers(1, 2))
+    count = draw(st.integers(-(-dim_h // dim_k**2), 8))
+    level = 10.0 ** draw(st.floats(-6.0, 8.0))
+    mu = np.sqrt(level) * 10.0 ** draw(st.floats(-8.0, np.log10(0.45)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    fam = random_family(dim_h, dim_k, count, SpectrumSpec.flat(level), seed)
+    mode = draw(st.sampled_from(["additive-analysis", "blockwise"]))
+    gamma, _ = perturb_family(fam, mode, mu, seed=seed)
+    return fam, gamma, mu * draw(st.sampled_from([0.5, 1.0, 2.0]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(drawn_perturbations())
+def test_carried_factors_decide_as_the_exact_path(case):
+    """The candidate's carried factors and a rebuilt candidate's exact
+    factorization of D give the same verdict; a certified one has the
+    exact sigma_max(D) within the mu rule's limit."""
+    fam, gamma, mu = case
+    constants = PerturbationConstants(mu=mu)
+    carried = check_condition("analysis", fam, gamma, constants)
+    rebuilt = HSFrameFamily.from_synthesis_matrix(fam.dim_h, fam.dim_k, gamma.synthesis_matrix)
+    exact = check_condition("analysis", fam, rebuilt, constants)
+    assert carried.certified == exact.certified
+    assert (carried.witness is None) == (exact.witness is None)
+    assert carried.actual_bounds == exact.actual_bounds
+    if carried.certified:
+        d = (fam.synthesis_matrix - gamma.synthesis_matrix).conj().T
+        assert np.linalg.norm(d, ord=2) <= mu * (1.0 + 1e-10) + 1e-14
 
 
 class TestPerturbFamily:
@@ -633,6 +730,14 @@ class TestPerturbFamily:
         delta = g.synthesis_matrix - gamma.synthesis_matrix
         assert np.linalg.norm(delta[:, blk:]) == 0.0
         assert np.linalg.norm(delta[:, :blk], ord=2) == pytest.approx(0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["additive-analysis", "scale", "blockwise"])
+    def test_keeps_its_synthesis_matrix(self, mode):
+        g = seeded_family(4)
+        gamma, _ = perturb_family(g, mode, 0.1, seed=4)
+        t = vars(gamma)["synthesis_matrix"]  # kept, not yet derived from images
+        assert t.flags.f_contiguous and not t.flags.writeable
+        assert np.array_equal(t, HSFrameFamily(gamma.maps).synthesis_matrix)
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValidationError):
