@@ -287,6 +287,12 @@ def _gaps(
     return gaps, gaps < -(_CERT_RTOL * rhs + 1e-14)
 
 
+def _limit(c: float) -> float:
+    """The largest value a bound sigma <= c is certified at: c with the
+    whitening test's slack, _CERT_RTOL of c plus 1e-14."""
+    return c * (1.0 + _CERT_RTOL) + 1e-14
+
+
 def _whiten(
     d: np.ndarray, s: np.ndarray, vh: np.ndarray, c: float, kernel_tol: float
 ) -> tuple[bool, np.ndarray]:
@@ -307,7 +313,7 @@ def _whiten(
             return False, _right_svd(off_kernel)[1][0].conj()
     w, w_vh = _right_svd(restricted / s[:rank])
     x = v_r.conj().T @ (w_vh[0].conj() / s[:rank])
-    return float(w[0]) <= c * (1.0 + _CERT_RTOL) + 1e-14, x / np.linalg.norm(x)
+    return float(w[0]) <= _limit(c), x / np.linalg.norm(x)
 
 
 class _Spectrum(NamedTuple):
@@ -362,7 +368,7 @@ def _decide(
             limit = 1e-13 * max(scale, 1.0)
         else:  # |I| = 1, |0| = 0
             c = active[0].c if active[0].s is None else 0.0
-            limit = c * (1.0 + _CERT_RTOL) + 1e-14
+            limit = _limit(c)
         if spectrum.top > limit and not spectrum.exact:
             spectrum = _spectrum(d)
         holds, tested = spectrum.top <= limit, []
@@ -534,8 +540,11 @@ def perturb_family(
     """Construct a perturbed copy together with constants it certifies.
 
     * additive-analysis: adds a dense random synthesis perturbation scaled
-      so the summed analysis deviation is exactly magnitude^2, certifying
-      (0, 0, mu=magnitude).
+      so the summed analysis deviation is magnitude^2, certifying
+      (0, 0, mu): mu = magnitude when the carried bound on sigma_max of
+      the realized deviation (below) is within the mu rule's slack of
+      magnitude, and that bound itself when the rounding of T + Delta
+      pushes it past (large entries and a small magnitude).
     * scale: multiplies every map by (1 - magnitude), certifying
       (lambda1=magnitude, 0, 0).
     * blockwise: like additive-analysis but supported on a subset of
@@ -588,7 +597,7 @@ def perturb_family(
     top = scale * norm + _norm(rounding)
     gamma = HSFrameFamily._keeping(family.dim_h, family.dim_k, t_tilde)
     gamma._deviation = (weakref.ref(family), _Spectrum(top, vh, exact=False))
-    return gamma, PerturbationConstants(mu=magnitude)
+    return gamma, PerturbationConstants(mu=magnitude if top <= _limit(magnitude) else top)
 
 
 def riesz_stability_check(

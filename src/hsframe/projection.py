@@ -28,7 +28,10 @@ its conjugate transpose, whose right singular vectors are U, and its V^H is
 never formed; a nearer-square block takes the plain thin SVD.  Once F is
 square, the block's conjugate transpose has an R factor with R^H R = S_n,
 and s is read off one values-only SVD of R, which the rank rule and the
-floor check use.  While the rank is dim_h, H_n = H and the section needs
+floor check use, until one such row certifies full rank for the rest of
+the sweep (S_n0 <= S_n <= S bounds every later s; see ``_sections``).
+A certified row takes its QR and no SVD, and reads s off R only if its
+search asks for it.  While the rank is dim_h, H_n = H and the section needs
 no basis: Q_n = I, L = R and the next F is R^H, so the prefixes after the
 first that spans H take no singular vectors.  Where the rank drops, R's
 right singular vectors give U and the section is an SVD one.  R sections
@@ -223,10 +226,34 @@ def _sections(family: HSFrameFamily, ns, rank_tol: float):
     is R itself (Q_n = I) and F is R^H, and where it drops, R's right
     singular vectors give U (Chan's R-SVD).  The whole family reads its
     cached SVD.
+
+    Full rank is certified once, so later R rows take their QR and no SVD.
+    A full-rank R row passes the rank rule and the floor check (both
+    ``_check_floor`` and ``numerical_rank`` on its own s) exactly when
+    s_min > tau s_max, tau = max(rank_tol, 16 dim_h eps).  For every later
+    prefix n, S_n0 <= S_n <= S, so sigma_min(T_n) >= sigma_min(T_n0) and
+    sigma_max(T_n) <= sigma_max(T).  The computed s of a row carries the
+    rounding of at most count running QRs and one SVD, each about
+    dim_h eps sigma_max(T): within rho = (count + 1) dim_h eps sigma_max(T)
+    of T_n's exact values.  So, with s0 the computed s of an R row n0,
+
+        s_min(R_n) >= s0_min - 2 rho,   s_max(R_n) <= sigma_max(T) + rho,
+
+    and every later row passes both rules when s0_min > tau sigma_max(T)
+    + (2 + tau) rho.  As tau < 1, an R row certifies the rest once
+
+        s0_min > tau sigma_max(T) + 3 rho.
+
+    After that row a section knows its rank is dim_h without s, passes the
+    floor check without reading it, and takes s from the same values-only
+    SVD of its R on first read.  ``family.svd`` is read only at the first
+    full-rank R row, so a one-prefix schedule, which has no R row, factors
+    nothing new.
     """
     t = family.synthesis_matrix
     dim_h, blk = family.dim_h, family.dim_k * family.dim_k
     run, prev = t[:, :0], 0
+    floor, certified = None, False  # the s0_min that certifies; once cleared
     for n in ns:
         block = t[:, prev * blk : n * blk]
         prev = n
@@ -236,8 +263,14 @@ def _sections(family: HSFrameFamily, ns, rank_tol: float):
             u, s, _ = _left_svd(np.hstack([run, block]))
         else:
             r = np.linalg.qr(np.hstack([run, block]).conj().T, mode="r")
-            s = np.linalg.svd(r, compute_uv=False)
-            if numerical_rank(s, rank_tol) == dim_h:
+            s = None if certified else np.linalg.svd(r, compute_uv=False)
+            if certified or numerical_rank(s, rank_tol) == dim_h:
+                if not certified:
+                    if floor is None:
+                        eps, top = np.finfo(float).eps, family.svd.s[0]
+                        rho = (family.count + 1) * dim_h * eps * top
+                        floor = max(rank_tol, 16.0 * dim_h * eps) * top + 3.0 * rho
+                    certified = s[-1] > floor
                 run = r.conj().T
                 yield SubspaceBasis._spanning(family, n, r, s)
                 continue
@@ -254,8 +287,11 @@ def _check_floor(basis: SubspaceBasis) -> None:
     The plain section is diag(sigma_r^2) read off that SVD, so its accuracy
     follows sigma_max / sigma_r, and the floor is on sigma, in the units of
     the rank rule.  With rank_tol above 16 r eps it never fires, and the
-    empty section has nothing to resolve.
+    empty section has nothing to resolve, nor has a section whose sweep
+    certified its full rank (``_sections``).
     """
+    if basis._certified:
+        return
     sigma = basis.sigma
     if sigma.size and sigma[-1] <= 16.0 * sigma.size * np.finfo(float).eps * sigma[0]:
         raise SectionSingularError(
@@ -302,8 +338,12 @@ class SubspaceBasis:
     and L is the square R factor of T_n^H, with Q_n = I, for a section that
     ``_sections`` takes from its running R once H_n = H.
 
-    ``q`` and ``sigma`` are read-only copies, and ``rank`` is ``sigma.size``.
-    Made by ``_sections``, the one factory, from the running factorization.
+    ``q`` and ``sigma`` are read-only copies, and ``rank`` is the number of
+    Q_n's columns, ``sigma.size``.  A section after the row where
+    ``_sections`` certified full rank is made without s_r: it passes the
+    floor check unread, and ``sigma`` is the values-only SVD of its R,
+    taken on first read.  Made by ``_sections``, the one factory, from the
+    running factorization.
     Every sectional inverse is one ``solve(k, y)``: the plain one at k = n,
     which divides by s_r^2 or takes two triangular solves with R, and the
     oversampled one at the k the search returns.  Each compression at k > n
@@ -313,28 +353,46 @@ class SubspaceBasis:
     section (rank 0) needs no oversampling and solves to 0.
     """
 
-    def __init__(self, family: HSFrameFamily, n: int, q: np.ndarray, sigma: np.ndarray):
+    def __init__(
+        self, family: HSFrameFamily, n: int, q: np.ndarray, sigma: np.ndarray | None
+    ):
         self.n = n
         self.q = q.copy()  # (dim_h, rank), orthonormal columns
-        self.sigma = sigma.copy()  # (rank,), descending
-        self.q.flags.writeable = self.sigma.flags.writeable = False
+        self.q.flags.writeable = False
+        if sigma is not None:
+            self.sigma = sigma.copy()  # (rank,), descending
+            self.sigma.flags.writeable = False
+        self._certified = sigma is None  # full rank, certified by the sweep
         self._family = family
         self._blk = family.dim_k * family.dim_k
         self._r: np.ndarray | None = None  # R with R^H R = S_n when q is I
-        self._sig2 = self.sigma**2
-        self._evals: dict[int, np.ndarray] = {n: self._sig2[::-1]}
+        self._evals: dict[int, np.ndarray] = {}
 
     @classmethod
-    def _spanning(cls, family: HSFrameFamily, n: int, r: np.ndarray, sigma: np.ndarray):
+    def _spanning(
+        cls, family: HSFrameFamily, n: int, r: np.ndarray, sigma: np.ndarray | None = None
+    ):
         """The section of a prefix with H_n = H from the R of T_n^H and its
-        singular values: Q_n = I and L = R."""
+        singular values, or none once its full rank is certified: Q_n = I
+        and L = R."""
         section = cls(family, n, np.eye(family.dim_h, dtype=r.dtype), sigma)
         section._r = r
         return section
 
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """s_r of a certified section, off one values-only SVD of its R."""
+        sigma = np.linalg.svd(self._r, compute_uv=False)
+        sigma.flags.writeable = False
+        return sigma
+
+    @cached_property
+    def _sig2(self) -> np.ndarray:
+        return self.sigma**2
+
     @property
     def rank(self) -> int:
-        return self.sigma.size
+        return self.q.shape[1]
 
     @cached_property
     def _plain(self) -> np.ndarray:
@@ -358,7 +416,9 @@ class SubspaceBasis:
 
     def evals(self, k: int) -> np.ndarray:
         if k not in self._evals:
-            self._evals[k] = np.linalg.eigvalsh(self.compressed(k))
+            self._evals[k] = (
+                self._sig2[::-1] if k == self.n else np.linalg.eigvalsh(self.compressed(k))
+            )
         return self._evals[k]
 
     def project(self, y: np.ndarray) -> np.ndarray:

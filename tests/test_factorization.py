@@ -125,21 +125,21 @@ def test_uniform_bound_scan_calls(linalg_calls):
     factors T once through its R (the frame check), then prefix 2 by the
     plain SVD of its 6 x 8 block, too narrow to route through an R.  That
     prefix spans H, so prefixes 3 and 4 each take the R factor of the
-    conjugate transpose of [U' s', one 4-column block] (10 x 6) and only
-    its singular values; both keep rank 6, so each plain inverse is two
-    triangular solves, with R^H and then R.  Prefix 5 reads T's SVD and
-    divides by its s^2: no eigen-solve anywhere."""
+    conjugate transpose of [U' s', one 4-column block] (10 x 6).  Prefix
+    3 takes only R's singular values, which certify full rank for prefix
+    4, so that prefix takes no SVD; both keep rank 6, so each plain inverse
+    is two triangular solves, with R^H and then R.  Prefix 5 reads T's SVD
+    and divides by its s^2: no eigen-solve anywhere."""
     fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
     linalg_calls.clear()  # the generator's draws are reduced QRs
     profile = uniform_bound_scan(fam, 1, f)
     assert profile.ns == (2, 3, 4, 5)
-    through_running_r = [
-        ("qr", (10, 6), "r"), ("svd", (6, 6), "values"),
-        ("solve", (6, 6), None), ("solve", (6, 6), None),
-    ]
+    r_solves = [("solve", (6, 6), None), ("solve", (6, 6), None)]
     assert shapes(linalg_calls) == through_r(20, 6) + [
-        ("svd", (6, 8), None), *through_running_r, *through_running_r,
+        ("svd", (6, 8), None),
+        ("qr", (10, 6), "r"), ("svd", (6, 6), "values"), *r_solves,
+        ("qr", (10, 6), "r"), *r_solves,
     ]
     pairs = [a for _, a, _ in named(linalg_calls, "solve")]
     assert all(np.array_equal(np.tril(a), a) for a in pairs[::2])  # R^H
@@ -344,10 +344,12 @@ ROUND_CALLS = {
     "sweep-oversample": {
         "draws": [("qr", (224, 56), "reduced"), ("qr", (56, 56), "reduced")],
         # prefixes 1-14 take an SVD with vectors; H_14 = H, so 15-55 take a QR
-        # and a values-only SVD of their R, each plain inverse two solves
-        # with it but row k_H's, which is its kept S_k^-1 f; 56 reads T's SVD
+        # of their running block, each plain inverse two solves with its R
+        # but row k_H's, which is its kept S_k^-1 f; 56 reads T's SVD.  Row
+        # 15's values-only SVD certifies full rank for 16-55, and only the
+        # rows past k_H read their singular values, for the search at k = n
         "invert": {
-            ("svd", None): 14, ("svd", "values"): 41, ("qr", "r"): 41,
+            ("svd", None): 14, ("svd", "values"): 5, ("qr", "r"): 41,
             ("eigvalsh", None): 76, ("solve", None): 14, ("solve", "R"): 80,
         },
     },

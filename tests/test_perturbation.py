@@ -650,10 +650,13 @@ def test_carried_factors_are_read_against_their_own_base_alone(linalg_calls):
 def test_bound_above_the_limit_falls_back_to_factoring_the_deviation(linalg_calls):
     """On a flat 1e7 family with mu = 1e-3 the Frobenius slack of T + Delta's
     rounding is above 1e-10 mu, so the carried bound does not settle the
-    mu rule: D is factored, through its R, and certifies as on the exact
-    path."""
+    mu rule at mu = 1e-3: D is factored, through its R, and certifies as
+    on the exact path.  perturb_family itself returns that bound as mu
+    there, so mu = 1e-3 is passed explicitly."""
     g = random_family(6, 1, 12, SpectrumSpec.flat(1e7), seed=0)
-    gamma, constants = perturb_family(g, "additive-analysis", 1e-3, seed=0)
+    gamma, returned = perturb_family(g, "additive-analysis", 1e-3, seed=0)
+    constants = PerturbationConstants(mu=1e-3)
+    assert returned.mu > perturbation._limit(1e-3)
     rebuilt = HSFrameFamily.from_synthesis_matrix(6, 1, gamma.synthesis_matrix)
     g.svd, gamma.svd, rebuilt.svd
     linalg_calls.clear()
@@ -661,6 +664,30 @@ def test_bound_above_the_limit_falls_back_to_factoring_the_deviation(linalg_call
     assert shapes(linalg_calls) == [("qr", (12, 6), "r"), ("svd", (6, 6), None)]
     assert verdict.certified
     assert verdict == check_condition("analysis", g, rebuilt, constants)
+
+
+@pytest.mark.parametrize("level", [1e6, 1e7, 1e8])
+def test_additive_modes_certify_the_mu_they_return(level):
+    """perturb_family's additive modes return mu = magnitude only where the
+    carried bound on sigma_max(T - T~) settles the mu rule there, and that
+    bound otherwise, so check_condition certifies what they return with no
+    witness.  On flat 1e6-1e8 levels at magnitude 1e-5 the rounding of
+    T + Delta (entries near sqrt(level)) takes the bound past the rule's
+    1e-10 mu + 1e-14 slack; seed 4 at 1e6 is a case where mu = magnitude
+    itself is violated, with a witness."""
+    for seed in range(20):
+        g = random_family(8, 1, 16, SpectrumSpec.flat(level), seed)
+        for mode in ("additive-analysis", "blockwise"):
+            gamma, constants = perturb_family(g, mode, 1e-5, seed=seed)
+            carried = gamma._deviation[1].top
+            assert constants.mu == (1e-5 if carried <= perturbation._limit(1e-5) else carried)
+            verdict = check_condition("analysis", g, gamma, constants)
+            assert verdict.certified and verdict.witness is None
+    if level == 1e6:
+        g = random_family(8, 1, 16, SpectrumSpec.flat(1e6), 4)
+        gamma, _ = perturb_family(g, "additive-analysis", 1e-5, seed=4)
+        verdict = check_condition("analysis", g, gamma, PerturbationConstants(mu=1e-5))
+        assert not verdict.certified and verdict.witness is not None
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """One-pass section engine: exact answers of the linear scan, bounded cost."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hsframe import (
     HSFrameFamily,
     InternalConsistencyError,
     SectionSchedule,
+    SectionSingularError,
     SpectrumSpec,
     ValidationError,
     convergence_sweep,
@@ -25,6 +28,7 @@ from hsframe import (
     subspace_basis,
 )
 from hsframe import projection
+from hsframe.family import numerical_rank
 from conftest import complex_unit, counted, named, shapes, solves
 
 RANK_TOL = 1e-10
@@ -131,10 +135,12 @@ def test_spanning_pair_survives_a_rank_drop(linalg_calls):
     1e5 arrives), and H_4 = H again with n = 4 <= k(2) = 6: the prefixes
     after the drop take k(2) and S_6^-1 f from prefix 2 instead of searching
     and solving again.  Prefixes 3-5 follow a running factor with dim_h
-    columns, so each takes the R of its running block and that R's singular
-    values; prefix 3's values show the drop, so only it takes R's SVD with
-    vectors, and prefixes 4 and 5 keep R, each plain inverse two solves
-    with it."""
+    columns, so each takes the R of its running block; prefix 3's singular
+    values show the drop, so only it takes R's SVD with vectors.  Prefix
+    4's smallest singular value, about 1, clears the certificate
+    (rank_tol 1e-10 of sigma_max(T), about 1e5, plus rounding), so prefix 5
+    takes its QR alone.  Prefixes 4 and 5 keep R, each plain inverse two
+    solves with it."""
     fam = from_scalar_frame([[1, 0], [0, 1e-6], [1e5, 0], [0, 1], [0, 1], [0, 10]])
     linalg_calls.clear()
     records = convergence_sweep(fam, SectionSchedule.full(6), [1.0, 1.0])
@@ -146,7 +152,8 @@ def test_spanning_pair_survives_a_rank_drop(linalg_calls):
         ("qr", (6, 2), "r"), ("svd", (2, 2), None),  # the family's
         ("svd", (2, 1), None), ("svd", (2, 2), None),
         ("qr", (3, 2), "r"), ("svd", (2, 2), "values"), ("svd", (2, 2), None),
-        *[("qr", (3, 2), "r"), ("svd", (2, 2), "values")] * 2,
+        ("qr", (3, 2), "r"), ("svd", (2, 2), "values"),  # certifies rank 2
+        ("qr", (3, 2), "r"),
     ]
     assert [r.r_n for r in records] == [1, 2, 1, 2, 2, 2]
     assert [r.m_n for r in records] == [2, 4, 0, 2, 1, 0]
@@ -249,7 +256,9 @@ def test_sweep_rows_match_single_prefix_entries_through_a_rank_drop(case):
 def test_kernel_consistency_takes_r_once_h_is_spanned(linalg_calls):
     """kernel_consistency on the prefix:all schedule of a 24/2/24 family
     takes an SVD with vectors for prefixes 1-6 alone: H_6 = H, so prefixes
-    7-23 are R sections, where P_n = I and |P_n g - g| is exactly 0."""
+    7-23 are R sections, where P_n = I and |P_n g - g| is exactly 0.
+    Prefix 7's values-only SVD certifies full rank for the rest, and no
+    later prefix reads its singular values."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
     frame_bounds(fam)  # factors the whole family first
     coeffs = CoefficientSequence.from_stacked(
@@ -259,7 +268,7 @@ def test_kernel_consistency_takes_r_once_h_is_spanned(linalg_calls):
     report = kernel_consistency(fam, coeffs, SectionSchedule.full(fam.count))
     with_uv = [a.shape for _, a, mode in named(linalg_calls, "svd") if mode is None]
     assert with_uv == [(24, 4 * n) for n in range(1, 7)]
-    assert len(named(linalg_calls, "svd")) == 6 + 17
+    assert len(named(linalg_calls, "svd")) == 6 + 1
     assert report.projection_gap[6:23] == (0.0,) * 17
     assert all(gap > 0.0 for gap in report.projection_gap[:5])
 
@@ -268,9 +277,11 @@ def test_sweep_cost_is_bounded(linalg_calls):
     """At most 2 rows + count eigen-solves, one SVD per row and one
     compression solve per eigen-solve for a whole sweep; the counts this
     family takes are pinned.  Prefixes 1-6 take an SVD with vectors, and
-    H_6 = H, so prefixes 7-23 take a QR and a values-only SVD of their
-    running R, and each plain inverse is two solves with that R but row
-    22's: k_H = 22, so that row reads the pair prefix 6 kept."""
+    H_6 = H, so prefixes 7-23 take a QR of their running block, and each
+    plain inverse is two solves with that R but row 22's: k_H = 22, so that
+    row reads the pair prefix 6 kept.  Prefix 7's values-only SVD certifies
+    full rank for the rest, and only row 23, past k_H, reads its singular
+    values, for the search at k = n: 2 values-only SVDs."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
     linalg_calls.clear()
@@ -282,7 +293,7 @@ def test_sweep_cost_is_bounded(linalg_calls):
     assert len(named(linalg_calls, "svd")) <= rows
     assert len(solves(linalg_calls)[1]) <= eigen
     assert counted(linalg_calls) == {
-        ("eigvalsh", None): 31, ("svd", None): 7, ("svd", "values"): 17,
+        ("eigvalsh", None): 31, ("svd", None): 7, ("svd", "values"): 2,
         ("qr", "r"): 18, ("solve", None): 6, ("solve", "R"): 32,
     }
     assert shapes(named(linalg_calls, "qr")) == (
@@ -488,7 +499,9 @@ def test_sweep_factors_each_prefix_from_the_previous(linalg_calls):
     """No Cholesky and no eigen-solve of a plain section.  Until H_n = H
     (n = 6), each prefix takes one SVD with vectors of its running block,
     at most dim_h + one block wide; after, one QR of that block's conjugate
-    transpose, dim_h + one block tall, and a values-only SVD of its R."""
+    transpose, dim_h + one block tall.  Prefix 7 takes a values-only SVD of
+    its R, which certifies full rank for the rest; only row 23, past
+    k_H = 22, reads its singular values, after its QR."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
     frame_bounds(fam)  # factors the whole family first: not a per-prefix SVD
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
@@ -500,7 +513,9 @@ def test_sweep_factors_each_prefix_from_the_previous(linalg_calls):
     assert len(named(linalg_calls, "eigh", "eigvalsh")) <= 2 * rows + fam.count
     assert shapes(named(linalg_calls, "svd", "qr")) == (
         [("svd", (fam.dim_h, 4 * n), None) for n in range(1, 7)]
-        + [("qr", (28, 24), "r"), ("svd", (24, 24), "values")] * (rows - 7)
+        + [("qr", (28, 24), "r"), ("svd", (24, 24), "values")]
+        + [("qr", (28, 24), "r")] * (rows - 8)
+        + [("svd", (24, 24), "values")]
     )  # n = count reads the cached SVD
 
 
@@ -537,3 +552,105 @@ def test_subspace_basis_is_the_sweeps_section():
         for array in (basis.q, basis.sigma):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+
+def own_verdict(section, rank_tol):
+    """Rank, floor verdict and singular values of an R section as a
+    values-only SVD of its own R decides them."""
+    own = np.linalg.svd(section._r, compute_uv=False)
+    floor = own[-1] > 16.0 * own.size * np.finfo(float).eps * own[0]
+    return numerical_rank(own, rank_tol), floor, own
+
+
+def section_verdict(section):
+    """The section's rank and whether it passes the floor check."""
+    try:
+        projection._check_floor(section)
+    except SectionSingularError:
+        return section.rank, False
+    return section.rank, True
+
+
+@st.composite
+def certificate_cases(draw):
+    """A random family whose singular values run from 1 down to a
+    sigma_min/sigma_max between 1e-30 and 1, a rank_tol between 1e-200 and
+    0.5, and a schedule, the whole prefix run or a gapped one."""
+    dim_h = draw(st.integers(1, 8))
+    dim_k = draw(st.integers(1, 2))
+    count = draw(st.integers(-(-dim_h // dim_k**2), 16))
+    ratio = 10.0 ** draw(st.floats(-30.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = np.exp(rng.uniform(math.log(ratio), 0.0, dim_h))
+    sigma[0], sigma[-1] = ratio, 1.0
+    fam = random_family(dim_h, dim_k, count, SpectrumSpec.explicit(sigma**2),
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    rank_tol = 10.0 ** draw(st.floats(-200.0, math.log10(0.5)))
+    full = draw(st.booleans())
+    ns = range(1, count + 1) if full else sorted(
+        draw(st.lists(st.integers(1, count), min_size=1, unique=True))
+    )
+    return fam, SectionSchedule(tuple(ns)), rank_tol
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(certificate_cases())
+def test_certified_sections_decide_as_their_own_svd(case):
+    """Every R section ``_sections`` yields, certified or not, has the rank,
+    the floor verdict and, once read, the singular values bit for bit that
+    a values-only SVD of its own R gives.  A certified section has not
+    read them before they are asked for."""
+    fam, schedule, rank_tol = case
+    for section in projection._sections(fam, schedule, rank_tol):
+        if section._r is None:  # an SVD section: s is its factor's own
+            continue
+        assert ("sigma" in vars(section)) != section._certified
+        rank, floor, own = own_verdict(section, rank_tol)
+        assert section_verdict(section) == (rank, floor)
+        assert section.sigma.tobytes() == own.tobytes()
+
+
+@pytest.mark.parametrize("rank_tol", [1e-10, 1e-200, 0.3])
+def test_a_spanning_r_short_of_the_certificate_keeps_every_svd(linalg_calls, rank_tol):
+    """T = [e1, x e2, 0, 0, 0, 0] (dim_h 2, dim_k 1, count 6) has
+    sigma_max(T) = 1, and prefix 3's R, its first, has s = (1, x).  With
+    tau = max(rank_tol, 16 dim_h eps), x = tau plus 21 eps clears the rank
+    rule and the floor but falls short of the certificate, tau + 3 rho with
+    rho = (count + 1) dim_h eps, so prefixes 4 and 5 take their own
+    values-only SVDs.  At x = 2 (tau + 3 rho) they take none."""
+    eps = np.finfo(float).eps
+    tau = max(rank_tol, 32.0 * eps)
+    for x, values in [(tau + 21.0 * eps, 3), (2.0 * (tau + 42.0 * eps), 1)]:
+        t = np.zeros((2, 6))
+        t[0, 0], t[1, 1] = 1.0, x
+        fam = HSFrameFamily.from_synthesis_matrix(2, 1, t)
+        fam.svd  # the family's own factorization, not a section's
+        linalg_calls.clear()
+        sections = list(projection._sections(fam, range(1, 7), rank_tol))
+        assert [mode for _, _, mode in named(linalg_calls, "svd")] == (
+            [None, None] + ["values"] * values
+        )
+        for section in sections[2:5]:
+            assert section_verdict(section) == (2, True)
+            assert section_verdict(section) == own_verdict(section, rank_tol)[:2]
+            assert section.sigma.tolist() == [1.0, x]
+
+
+def test_certificate_at_a_vanishing_rank_tol(linalg_calls):
+    """At rank_tol = 1e-200, tau is the floor's 16 dim_h eps, below the
+    rounding bound count dim_h eps; prefix 7 of the 24/2/24 family still
+    certifies full rank for the rest.  The sweep takes the two values-only
+    SVDs it takes at rank_tol 1e-10, and the same records bit for bit, and
+    each R section decides as its own SVD."""
+    fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    schedule = SectionSchedule.full(fam.count)
+    default = convergence_sweep(fam, schedule, f)
+    linalg_calls.clear()
+    records = convergence_sweep(fam, schedule, f, rank_tol=1e-200)
+    assert counted(linalg_calls)[("svd", "values")] == 2
+    assert records == default
+    sections = list(projection._sections(fam, schedule, 1e-200))
+    assert [s._certified for s in sections] == [False] * 7 + [True] * 16 + [False]
+    for section in sections[6:23]:
+        assert section_verdict(section) == own_verdict(section, 1e-200)[:2]
