@@ -33,30 +33,40 @@ the sweep (S_n0 <= S_n <= S bounds every later s; see ``_sections``).
 A certified row takes its QR and no SVD, and reads s off R only if its
 search asks for it.  While the rank is dim_h, H_n = H and the section needs
 no basis: Q_n = I, L = R and the next F is R^H, so the prefixes after the
-first that spans H take no singular vectors.  Where the rank drops, R's
-right singular vectors give U and the section is an SVD one.  R sections
-agree with an SVD of T_n to rounding, so the reported errors can move in
-their last digits, while r_n and m_n do not.  The plain solve at k = n is
+first that spans H take no singular vectors, and the next QR factors R
+stacked on the new blocks' conjugate transposes.  These R sections share
+one read-only identity as Q_n.  Where the rank drops, R's right singular
+vectors give U and the section is an SVD one.  R sections agree with an
+SVD of T_n to rounding, so the reported errors can move in their last
+digits, while r_n and m_n do not.  The plain solve at k = n is
 a division by s_r^2, or two triangular solves with R, and a row whose
 search returns k = n takes it once for both inverses.  Each compression at
 k > n adds the Gram matrix of blocks n+1..k of Q_n^H T to L^H L, and only
-there is a dense matrix built and solved.
+there is a dense matrix built and solved.  A section keeps the one it built
+last, so the search's tests at its k and the solve share one build.
 
 By Cauchy interlacing (H_n in H_{n+1}, S_k <= S_{k+1}), lambda_min of the
 compression is non-increasing in n and non-decreasing in k, so k(n) = n +
-m(n) never decreases and each search starts at the previous k.  The search
-asserts that the spectrum of the compression it returns lies in
-[A/lambda, B].  The skip is guarded: when the compression at k - 1 already
-reaches A/lambda, the search rescans from k = n, so m(n) is always the
-one-step-at-a-time scan's answer.  That happens through roundoff,
-or when a rank decision breaks the nesting: a direction kept in H_n can fall
-below rank_tol * sigma_max, and out of H_{n+1}, once a large map arrives.
+m(n) never decreases and each search starts at the previous k.  A step
+asks only whether C_k - (A/lambda) I is positive definite, C_k the
+compression at k, and a Cholesky test answers that: the search factors
+C_k - (A/lambda -+ delta) I, delta a bound on the rounding of the tests
+and of eigvalsh, and calls eigvalsh only when lambda_min lies within delta
+of A/lambda, so every decision is eigvalsh's verdict bit for bit (see
+``SubspaceBasis._at_least``).  The search asserts that the spectrum of
+the compression it returns lies in [A/lambda, B].  The skip is guarded:
+when the compression at k - 1 already reaches A/lambda, the search rescans
+from k = n, so m(n) is always the one-step-at-a-time scan's answer.  That
+happens through roundoff, or when a rank decision breaks the nesting: a
+direction kept in H_n can fall below rank_tol * sigma_max, and out of
+H_{n+1}, once a large map arrives.
 
 Once H_n is all of H, Q_n is unitary, so Q_n^H S_k Q_n is unitarily similar
 to S_k and neither its spectrum nor the oversampled solution depends on n:
 k(n) = max(n, k_H), where k_H is the k found by the last search on a
 full-rank section.  The sweep keeps that search's pair (k_H, S_k^-1 f), and
-a later full-rank prefix with n <= k_H takes it with no search or solve.
+a later full-rank prefix with n <= k_H takes it, and the error it gave,
+with no search or solve.
 
 A section is one object, ``SubspaceBasis``: Q_n, s_r and L together with
 the family, its projection, its solve and its search.  Every entry point
@@ -103,6 +113,7 @@ from .family import (
     _inverse_frame_apply,
     _positive_bounds,
     _require_frame,
+    _squared,
     check_rank_tol,
     numerical_rank,
 )
@@ -224,7 +235,9 @@ def _sections(family: HSFrameFamily, ns, rank_tol: float):
     R factor of that block's conjugate transpose has R^H R = S_n, and a
     values-only SVD of R gives s; while the rank stays dim_h the section
     is R itself (Q_n = I) and F is R^H, and where it drops, R's right
-    singular vectors give U (Chan's R-SVD).  The whole family reads its
+    singular vectors give U (Chan's R-SVD).  F^H is kept, not F, once a
+    row takes an R: the next QR factors [F^H; block^H], the numbers of
+    [F, block]^H, so R^H is never formed.  The whole family reads its
     cached SVD.
 
     Full rank is certified once, so later R rows take their QR and no SVD.
@@ -252,33 +265,45 @@ def _sections(family: HSFrameFamily, ns, rank_tol: float):
     """
     t = family.synthesis_matrix
     dim_h, blk = family.dim_h, family.dim_k * family.dim_k
-    run, prev = t[:, :0], 0
+    eye = np.eye(dim_h, dtype=t.dtype)  # Q_n of every R section
+    eye.flags.writeable = False
+    run, top, prev = t[:, :0], None, 0  # F, or F^H in top once an R row takes it
     floor, certified = None, False  # the s0_min that certifies; once cleared
     for n in ns:
         block = t[:, prev * blk : n * blk]
         prev = n
         if n == family.count:
             u, s = family.svd.u, family.svd.s
-        elif run.shape[1] < dim_h:
+        elif top is None and run.shape[1] < dim_h:
             u, s, _ = _left_svd(np.hstack([run, block]))
         else:
-            r = np.linalg.qr(np.hstack([run, block]).conj().T, mode="r")
+            if top is None:
+                top = run.conj().T
+            r = np.linalg.qr(np.vstack([top, block.conj().T]), mode="r")
             s = None if certified else np.linalg.svd(r, compute_uv=False)
             if certified or numerical_rank(s, rank_tol) == dim_h:
                 if not certified:
                     if floor is None:
-                        eps, top = np.finfo(float).eps, family.svd.s[0]
-                        rho = (family.count + 1) * dim_h * eps * top
-                        floor = max(rank_tol, 16.0 * dim_h * eps) * top + 3.0 * rho
+                        eps, smax = np.finfo(float).eps, family.svd.s[0]
+                        rho = (family.count + 1) * dim_h * eps * smax
+                        floor = max(rank_tol, 16.0 * dim_h * eps) * smax + 3.0 * rho
                     certified = s[-1] > floor
-                run = r.conj().T
-                yield SubspaceBasis._spanning(family, n, r, s)
+                    s = _frozen(s)
+                top = r
+                yield SubspaceBasis(family, n, eye, s, r)
                 continue
             _, s, wh = np.linalg.svd(r, full_matrices=False)
             u = wh.conj().T
-        run = u * s
+        run, top = u * s, None
         rank = numerical_rank(s, rank_tol)
-        yield SubspaceBasis(family, n, u[:, :rank], s[:rank])
+        yield SubspaceBasis(family, n, _frozen(u[:, :rank]), _frozen(s[:rank]))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def _check_floor(basis: SubspaceBasis) -> None:
@@ -338,46 +363,42 @@ class SubspaceBasis:
     and L is the square R factor of T_n^H, with Q_n = I, for a section that
     ``_sections`` takes from its running R once H_n = H.
 
-    ``q`` and ``sigma`` are read-only copies, and ``rank`` is the number of
-    Q_n's columns, ``sigma.size``.  A section after the row where
-    ``_sections`` certified full rank is made without s_r: it passes the
-    floor check unread, and ``sigma`` is the values-only SVD of its R,
-    taken on first read.  Made by ``_sections``, the one factory, from the
-    running factorization.
+    ``q`` and ``sigma`` are read-only, and ``rank`` is the number of Q_n's
+    columns, ``sigma.size``; the R sections of a sweep share one identity
+    as ``q``.  A section after the row where ``_sections`` certified full
+    rank is made without s_r: it passes the floor check unread, and
+    ``sigma`` is the values-only SVD of its R, taken on first read.  Made
+    by ``_sections``, the one factory, from the running factorization.
     Every sectional inverse is one ``solve(k, y)``: the plain one at k = n,
     which divides by s_r^2 or takes two triangular solves with R, and the
-    oversampled one at the k the search returns.  Each compression at k > n
-    adds the Gram matrix of blocks n+1..k of Q_n^H T to L^H L; its
-    eigenvalues are computed at most once per k, and at k = n they are
-    s_r^2.  The floor check guards the plain inverse alone, and the empty
-    section (rank 0) needs no oversampling and solves to 0.
+    oversampled one at the k the search returns.  Each compression C_k =
+    Q_n^H S_k Q_n at k > n adds the Gram matrix of blocks n+1..k of Q_n^H T
+    to L^H L; the section keeps the latest one built, which the search's
+    tests and the solve at its k share.  The search decides each step by
+    ``_at_least``, Cholesky tests with eigenvalues computed at most once
+    per k and only where the tests cannot decide; at k = n the eigenvalues
+    are s_r^2.  The floor check guards the plain inverse alone, and the
+    empty section (rank 0) needs no oversampling and solves to 0.
     """
 
     def __init__(
-        self, family: HSFrameFamily, n: int, q: np.ndarray, sigma: np.ndarray | None
+        self,
+        family: HSFrameFamily,
+        n: int,
+        q: np.ndarray,
+        sigma: np.ndarray | None,
+        r: np.ndarray | None = None,
     ):
         self.n = n
-        self.q = q.copy()  # (dim_h, rank), orthonormal columns
-        self.q.flags.writeable = False
+        self.q = q  # (dim_h, rank), orthonormal columns
         if sigma is not None:
-            self.sigma = sigma.copy()  # (rank,), descending
-            self.sigma.flags.writeable = False
+            self.sigma = sigma  # (rank,), descending
         self._certified = sigma is None  # full rank, certified by the sweep
         self._family = family
         self._blk = family.dim_k * family.dim_k
-        self._r: np.ndarray | None = None  # R with R^H R = S_n when q is I
+        self._r = r  # R with R^H R = S_n when q is I
         self._evals: dict[int, np.ndarray] = {}
-
-    @classmethod
-    def _spanning(
-        cls, family: HSFrameFamily, n: int, r: np.ndarray, sigma: np.ndarray | None = None
-    ):
-        """The section of a prefix with H_n = H from the R of T_n^H and its
-        singular values, or none once its full rank is certified: Q_n = I
-        and L = R."""
-        section = cls(family, n, np.eye(family.dim_h, dtype=r.dtype), sigma)
-        section._r = r
-        return section
+        self._latest: tuple[int, np.ndarray] | None = None  # (k, C_k) built last
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -409,10 +430,14 @@ class SubspaceBasis:
         return tail if self._r is not None else self.q.conj().T @ tail
 
     def compressed(self, k: int) -> np.ndarray:
-        """Q_n^H S_k Q_n for k > n."""
-        w = self._tail[:, : (k - self.n) * self._blk]
-        gram = w @ w.conj().T
-        return self._plain + (gram + gram.conj().T) / 2.0
+        """C_k = Q_n^H S_k Q_n for k > n, read-only."""
+        if self._latest is None or self._latest[0] != k:
+            w = self._tail[:, : (k - self.n) * self._blk]
+            gram = w @ w.conj().T
+            c = self._plain + (gram + gram.conj().T) / 2.0
+            c.flags.writeable = False
+            self._latest = k, c
+        return self._latest[1]
 
     def evals(self, k: int) -> np.ndarray:
         if k not in self._evals:
@@ -421,22 +446,88 @@ class SubspaceBasis:
             )
         return self._evals[k]
 
+    @cached_property
+    def _margin(self) -> float:
+        """delta = 8 (m + 1)^2 eps B of ``_at_least``, m the rank."""
+        b = _squared(self._family.svd.s[0])
+        return 8.0 * (self.rank + 1) ** 2 * np.finfo(float).eps * b
+
+    def _at_least(self, k: int, level: float) -> bool:
+        """The verdict of eigvalsh(C_k)[0] >= level, C_k = Q_n^H S_k Q_n,
+        from Cholesky tests where they decide it.
+
+        At k = n that is s_r^2 read off sigma.  Beyond, C_k - (level -
+        delta) I is tested first: if Cholesky fails, False; then C_k -
+        (level + delta) I: if it succeeds, True.  Only a level within delta
+        of lambda_min falls through to the cached ``evals``, and the margin
+        makes the tests agree with them, so every decision, and with it
+        m(n), is the eigen-scan's.
+
+        Let M be a shifted compression of order m = rank, gamma_j = j eps /
+        (1 - j eps) and c_m = m gamma_{m+1} / (1 - m gamma_{m+1}).  Forming
+        M rounds only its diagonal, each entry by at most eps |m_ii|.  A
+        Cholesky that succeeds factors M + E with |E|_2 <= c_m |M|_2, by
+        its backward error (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., Thm 10.3), so lambda_min(M) >= -c_m |M|_2.  One
+        that fails had lambda_min(M) <= c_m max m_ii, by Demmel's scaled
+        condition (Thm 10.7).  eigvalsh's computed values lie within
+        p(m) eps |C_k|_2 of the exact ones, with |C_k|_2 <= B, B the
+        family's upper frame bound, for a modest p(m).  A test can only
+        contradict the computed eigenvalue where its shift lies within
+        these errors of the spectrum, where |M|_2 and max m_ii are at most
+        2B + delta, so the verdicts agree once
+
+            delta > c_m (2B + delta) + 2 eps B + p(m) eps B.
+
+        As c_m is about m (m + 1) eps, delta = 8 (m + 1)^2 eps B leaves
+        about 6 (m + 1)^2 eps B for eigvalsh's error.
+        """
+        if k > self.n:
+            c, delta = self.compressed(k), self._margin
+            if not _definite(c, level - delta, 1):
+                return False
+            if _definite(c, level + delta, 1):
+                return True
+        return bool(self.evals(k)[0] >= level)
+
+    def _at_most(self, k: int, level: float) -> bool:
+        """The verdict of eigvalsh(C_k)[-1] <= level, by the mirror image of
+        ``_at_least``'s second test: True if Cholesky factors (level -
+        delta) I - C_k, else the cached ``evals`` decide.  Its one caller
+        raises on False, which reads the eigenvalues anyway, so the test
+        that can only refute is not made."""
+        if k > self.n and _definite(self.compressed(k), level - self._margin, -1):
+            return True
+        return bool(self.evals(k)[-1] <= level)
+
     def project(self, y: np.ndarray) -> np.ndarray:
         """P_n y = Q_n Q_n^H y, which is y itself when Q_n = I."""
         return self.q @ (self.q.conj().T @ y)
 
     def solve(self, k: int, y: np.ndarray) -> np.ndarray:
         """Q (Q^H S_k Q)^-1 Q^H y for a vector y.  At k = n that is
-        Q (Q^H y / s_r^2), or R^-1 R^-H y when Q = I."""
+        Q (Q^H y / s_r^2), or R^-1 R^-H y when Q = I.  A compression that
+        LAPACK finds exactly singular, which the search's certificate leaves
+        possible only where B/A is beyond about 1/eps, raises
+        ``NumericError`` naming n and k."""
         if self._r is not None:
             if k == self.n:
                 return np.linalg.solve(self._r, np.linalg.solve(self._r.conj().T, y))
-            return np.linalg.solve(self.compressed(k), y)
+            return self._solve_compressed(k, y)
         q = self.q
         z = q.conj().T @ y
         if k == self.n:
             return q @ (z / self._sig2)
-        return q @ np.linalg.solve(self.compressed(k), z)
+        return q @ self._solve_compressed(k, z)
+
+    def _solve_compressed(self, k: int, y: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(self.compressed(k), y)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(
+                f"compressed operator Q_n^H S_k Q_n at n={self.n}, k={k} is "
+                f"singular to working precision ({exc})"
+            ) from exc
 
     def inv_apply(self, y: np.ndarray) -> np.ndarray:
         """S_n^-1 P_n y, after the floor check."""
@@ -452,29 +543,43 @@ class SubspaceBasis:
         otherwise roundoff or a rank decision broke the nesting and the scan
         restarts at k = n.  The k returned is certified: its compression's
         spectrum lies in [A/lam, B], asserted because a failure would be a
-        bug, not bad data.  The empty section needs none: it returns n.
+        bug, not bad data.  Every step, the guard and both ends of the
+        assertion are ``_at_least``'s (or its mirror's) verdicts, which are
+        those of eigvalsh.  The empty section needs none: it returns n.
         """
         if self.rank == 0:
             return self.n
         a, b = bounds
         target = a / lam
         k = start
-        if k > self.n and self.evals(k - 1)[0] >= target:
+        if k > self.n and self._at_least(k - 1, target):
             k = self.n
-        while k < self._family.count and self.evals(k)[0] < target:
+        while k < self._family.count and not self._at_least(k, target):
             k += 1
-        lam_min, lam_max = float(self.evals(k)[0]), float(self.evals(k)[-1])
         slack = 1e-12 * max(1.0, b)
-        if lam_max > b + slack:
+        if not self._at_most(k, b + slack):
             raise InternalConsistencyError(
-                f"compressed operator norm {lam_max} exceeds upper bound {b}"
+                f"compressed operator norm {float(self.evals(k)[-1])} exceeds "
+                f"upper bound {b}"
             )
-        if lam_min < target - slack:
+        # a climb that stopped below count did so on ev[0] >= target
+        if k == self._family.count and not self._at_least(k, target - slack):
             raise InternalConsistencyError(
-                f"compressed operator smallest eigenvalue {lam_min} below "
-                f"certified level {target}"
+                f"compressed operator smallest eigenvalue {float(self.evals(k)[0])} "
+                f"below certified level {target}"
             )
         return k
+
+
+def _definite(c: np.ndarray, shift: float, sign: int) -> bool:
+    """Does Cholesky factor sign (C - shift I)?  Its LinAlgError means no."""
+    m = sign * c
+    m.flat[:: m.shape[0] + 1] -= sign * shift
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def projection_formula(family: HSFrameFamily, basis: SubspaceBasis, f) -> np.ndarray:
@@ -579,12 +684,14 @@ def convergence_sweep(
     running factorization, and its oversampling search starts at the
     previous prefix's k.  Every search on a full-rank section sets
     the pair (k, S_k^-1 f); a later full-rank prefix with n <= that k takes
-    the pair, m_n = k - n, with no search or solve.  A row with k = n takes
-    one solve for both inverses.  A ground truth or a
-    reported value that is not finite (f too large to represent them)
-    raises ``NumericError``, as does an A that underflows to 0, checked
-    after the ground truth.  Errors are taken without squaring entries, so
-    they do not underflow to 0 near 1e-300.
+    the pair, m_n = k - n, and its err_oversampled, with no search or
+    solve.  A row with k = n takes one solve for both inverses.  A ground
+    truth or a reported value that is not finite (f too large to represent
+    them) raises ``NumericError``, as does an A that underflows to 0,
+    checked after the ground truth, and a compression that LAPACK finds
+    exactly singular (B/A beyond about 1/eps), naming n and k.  Errors are
+    taken without squaring entries, so they do not underflow to 0 near
+    1e-300.
     """
     check_instance("family", family, HSFrameFamily)
     fv = as_vector("f", f, family.dim_h)
@@ -600,18 +707,18 @@ def convergence_sweep(
     ground_coeffs = t_h @ ground
 
     records = []
-    k, spanning = 0, None  # the last k found; (k, S_k^-1 f) once H_n = H
+    k, spanning = 0, None  # the last k found; (k, S_k^-1 f, its error) once H_n = H
     for section in _sections(family, schedule, rank_tol):
         n, rank = section.n, section.rank
         full = rank == family.dim_h
         if full and spanning is not None and n <= spanning[0]:
-            k, over = spanning
+            k, over, err_over = spanning
         else:
             k = section.oversampling(bounds, lam, max(n, k))
             over = section.solve(k, fv)
+            err_over = _norm(over - ground)
             if full:
-                spanning = k, over
-        err_over = _norm(over - ground)
+                spanning = k, over, err_over
         err_plain = crit2 = crit3 = strong = math.nan  # stay nan on a flagged row
         try:
             _check_floor(section)

@@ -347,10 +347,14 @@ ROUND_CALLS = {
         # of their running block, each plain inverse two solves with its R
         # but row k_H's, which is its kept S_k^-1 f; 56 reads T's SVD.  Row
         # 15's values-only SVD certifies full rank for 16-55, and only the
-        # rows past k_H read their singular values, for the search at k = n
+        # rows past k_H read their singular values, for the search at k = n.
+        # The search decides each step by Cholesky tests; 5 upper-end
+        # checks fall within the margin (lambda_max = B on this tight
+        # family) and read eigvalsh
         "invert": {
             ("svd", None): 14, ("svd", "values"): 5, ("qr", "r"): 41,
-            ("eigvalsh", None): 76, ("solve", None): 14, ("solve", "R"): 80,
+            ("cholesky", None): 104, ("eigvalsh", None): 5,
+            ("solve", None): 14, ("solve", "R"): 80,
         },
     },
     "probe-decay": {
@@ -369,8 +373,9 @@ ROUND_CALLS = {
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_benchmark_round_calls(name, tmp_path, monkeypatch, linalg_calls):
     """Round 0 of seed 1 of each benchmark workload, run through the CLI
-    with no family kept from an earlier generate, makes exactly these numpy.linalg calls, and
-    no Cholesky.  generate factors T once through its R; analyze takes the
+    with no family kept from an earlier generate, makes exactly these
+    numpy.linalg calls, and no Cholesky outside invert's oversampling
+    search.  generate factors T once through its R; analyze takes the
     dual check's one spectral norm; perturb factors the drawn deviation
     delta^H, with vectors, and then T~^H, each through its R, and bounds
     D = (T - T~)^H from delta's factors; invert reuses T's SVD.  The only

@@ -1,6 +1,7 @@
 """One-pass section engine: exact answers of the linear scan, bounded cost."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hsframe import (
     CoefficientSequence,
     HSFrameFamily,
     InternalConsistencyError,
+    NumericError,
     SectionSchedule,
     SectionSingularError,
     SpectrumSpec,
@@ -24,10 +26,11 @@ from hsframe import (
     oversampled_inverse_apply,
     plain_inverse_apply,
     random_family,
+    save_family,
     sectional_operator,
     subspace_basis,
 )
-from hsframe import projection
+from hsframe import cli, projection
 from hsframe.family import numerical_rank
 from conftest import complex_unit, counted, named, shapes, solves
 
@@ -274,9 +277,12 @@ def test_kernel_consistency_takes_r_once_h_is_spanned(linalg_calls):
 
 
 def test_sweep_cost_is_bounded(linalg_calls):
-    """At most 2 rows + count eigen-solves, one SVD per row and one
-    compression solve per eigen-solve for a whole sweep; the counts this
-    family takes are pinned.  Prefixes 1-6 take an SVD with vectors, and
+    """At most 2 rows + count decided search steps, each at most two
+    Cholesky tests and one eigen-solve, and three tests more per row to
+    certify its k; one SVD per row, and each compression solved was tested
+    first, for a whole sweep.  The counts this family takes are pinned:
+    the one eigen-solve is an upper-end check within the margin, as
+    lambda_max = B on this tight family.  Prefixes 1-6 take an SVD with vectors, and
     H_6 = H, so prefixes 7-23 take a QR of their running block, and each
     plain inverse is two solves with that R but row 22's: k_H = 22, so that
     row reads the pair prefix 6 kept.  Prefix 7's values-only SVD certifies
@@ -288,13 +294,15 @@ def test_sweep_cost_is_bounded(linalg_calls):
     records = convergence_sweep(fam, SectionSchedule.full(fam.count), f)
     rows = len(records)
     eigen = len(named(linalg_calls, "eigh", "eigvalsh"))
+    tests = len(named(linalg_calls, "cholesky"))
     assert any(r.m_n > 0 for r in records)  # the search does real work
     assert eigen <= 2 * rows + fam.count
+    assert tests <= 2 * (2 * rows + fam.count) + 3 * rows
     assert len(named(linalg_calls, "svd")) <= rows
-    assert len(solves(linalg_calls)[1]) <= eigen
+    assert len(solves(linalg_calls)[1]) <= tests + eigen
     assert counted(linalg_calls) == {
-        ("eigvalsh", None): 31, ("svd", None): 7, ("svd", "values"): 2,
-        ("qr", "r"): 18, ("solve", None): 6, ("solve", "R"): 32,
+        ("cholesky", None): 43, ("eigvalsh", None): 1, ("svd", None): 7,
+        ("svd", "values"): 2, ("qr", "r"): 18, ("solve", None): 6, ("solve", "R"): 32,
     }
     assert shapes(named(linalg_calls, "qr")) == (
         [("qr", (96, 24), "r")] + [("qr", (28, 24), "r")] * 17  # the family's first
@@ -387,16 +395,18 @@ def test_k_equals_n_is_the_plain_inverse(linalg_calls):
 def test_single_prefix_entries_factor_one_prefix(linalg_calls, n, m):
     """Each single-prefix entry makes one SVD, of its prefix, and none at
     n = count, where the family's cached SVD is read.  The two searches make
-    the same eigen-solves, one per k in n+1..n+m, and only the oversampled
+    the same Cholesky tests and no eigen-solve: when m > 0, one test for
+    each k in n+1..n+m-1, which falls short, two at k = n + m, which
+    reaches A/lambda, and one of its upper end.  Only the oversampled
     inverse adds a solve, of the compression at k = n + m when m > 0."""
     fam = random_family(6, 1, 12, SpectrumSpec.flat(), seed=1)
     frame_bounds(fam)  # factors the whole family first
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
     r = min(n, fam.dim_h)
     prefix = [] if n == fam.count else [("svd", (fam.dim_h, n), None)]
-    search = [("eigvalsh", (r, r), None)] * m
+    search = [("cholesky", (r, r), None)] * (m + 2) * (m > 0)
     solve = [("solve", (r, r), None)] * (m > 0)
-    eigen = []
+    tests = []
     for entry, expected in [
         (lambda: subspace_basis(fam, n), prefix),
         (lambda: plain_inverse_apply(fam, n, f), prefix),
@@ -406,8 +416,8 @@ def test_single_prefix_entries_factor_one_prefix(linalg_calls, n, m):
         linalg_calls.clear()
         entry()
         assert shapes(linalg_calls) == expected
-        eigen.append([a for _, a, _ in named(linalg_calls, "eigvalsh")])
-    find, over = eigen[2:]
+        tests.append([a for _, a, _ in named(linalg_calls, "cholesky")])
+    find, over = tests[2:]
     assert all(map(np.array_equal, find, over))
     assert find_oversampling(fam, n, 2.0) == m
 
@@ -437,8 +447,11 @@ class TestSearchCertifiesItsK:
         linalg_calls.clear()
         with pytest.raises(InternalConsistencyError, match=" below certified level "):
             entry(self.FAM, 1, self.F)
-        # the search ran to count: one eigen-solve for each k in 2..24
-        assert len(named(linalg_calls, "eigvalsh")) == self.FAM.count - 1
+        # the search ran to count: one Cholesky test for each k in 2..24,
+        # which falls short, and one for each end at k = 24; the one
+        # eigen-solve gives the message its smallest eigenvalue
+        assert len(named(linalg_calls, "cholesky")) == self.FAM.count
+        assert len(named(linalg_calls, "eigvalsh")) == 1
 
 
 @pytest.mark.parametrize("rank_tol", [0.0, 1.5, float("nan"), "1e-10", True])
@@ -496,7 +509,8 @@ def test_running_factorization_matches_direct_svd(case):
 
 
 def test_sweep_factors_each_prefix_from_the_previous(linalg_calls):
-    """No Cholesky and no eigen-solve of a plain section.  Until H_n = H
+    """No Cholesky but the search's tests, of compressions at k > n, and
+    no eigen-solve of a plain section.  Until H_n = H
     (n = 6), each prefix takes one SVD with vectors of its running block,
     at most dim_h + one block wide; after, one QR of that block's conjugate
     transpose, dim_h + one block tall.  Prefix 7 takes a values-only SVD of
@@ -509,7 +523,9 @@ def test_sweep_factors_each_prefix_from_the_previous(linalg_calls):
     records = convergence_sweep(fam, SectionSchedule.parse("prefix:all", fam.count), f)
     rows = len(records)
     assert any(r.m_n > 0 for r in records)  # the search does real work
-    assert named(linalg_calls, "cholesky") == []
+    assert Counter(a.shape for _, a, _ in named(linalg_calls, "cholesky")) == {
+        (4, 4): 15, (8, 8): 5, (12, 12): 7, (16, 16): 5, (20, 20): 6, (24, 24): 5,
+    }  # a section of rank 4n until H_6 = H
     assert len(named(linalg_calls, "eigh", "eigvalsh")) <= 2 * rows + fam.count
     assert shapes(named(linalg_calls, "svd", "qr")) == (
         [("svd", (fam.dim_h, 4 * n), None) for n in range(1, 7)]
@@ -641,7 +657,8 @@ def test_certificate_at_a_vanishing_rank_tol(linalg_calls):
     rounding bound count dim_h eps; prefix 7 of the 24/2/24 family still
     certifies full rank for the rest.  The sweep takes the two values-only
     SVDs it takes at rank_tol 1e-10, and the same records bit for bit, and
-    each R section decides as its own SVD."""
+    each R section decides as its own SVD.  Its R sections share one
+    read-only identity as q."""
     fam = random_family(24, 2, 24, SpectrumSpec.flat(), seed=1)
     f = complex_unit(np.random.default_rng(0), fam.dim_h)
     schedule = SectionSchedule.full(fam.count)
@@ -652,5 +669,145 @@ def test_certificate_at_a_vanishing_rank_tol(linalg_calls):
     assert records == default
     sections = list(projection._sections(fam, schedule, 1e-200))
     assert [s._certified for s in sections] == [False] * 7 + [True] * 16 + [False]
+    eye = sections[6].q  # the R sections share one read-only identity
+    assert not eye.flags.writeable and np.array_equal(eye, np.eye(fam.dim_h))
+    assert all(s.q is eye for s in sections[6:23])
     for section in sections[6:23]:
         assert section_verdict(section) == own_verdict(section, 1e-200)[:2]
+
+
+#: Relative offsets of a level from the eigenvalue it is set against
+NEAR = (0.0, 1e-16, 3e-16, 1e-15, 1e-14, 1e-12)
+
+
+def around(x):
+    """Levels at and near x: its neighbouring floats, x (1 +- d) for d in
+    NEAR and further out."""
+    offsets = NEAR + (1e-10, 1e-6, 0.5)
+    return sorted({np.nextafter(x, -np.inf), np.nextafter(x, np.inf)}
+                  | {x * (1.0 + sign * d) for d in offsets for sign in (1, -1)})
+
+
+@st.composite
+def decision_cases(draw):
+    """A random family, tight (flat spectrum) or not, and a rank_tol."""
+    dim_h = draw(st.integers(1, 8))
+    dim_k = draw(st.integers(1, 2))
+    count = draw(st.integers(-(-dim_h // dim_k**2), 10))
+    spectrum = draw(st.one_of(
+        st.just(SpectrumSpec.flat()), st.floats(0.2, 1.0).map(SpectrumSpec.geometric)
+    ))
+    fam = random_family(dim_h, dim_k, count, spectrum,
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    lam = draw(st.floats(1.1, 8.0))
+    return fam, lam, draw(st.sampled_from([1e-10, 1e-3, 1e-200]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(decision_cases())
+def test_every_decision_is_the_eigen_verdict(case):
+    """Each Cholesky-tested decision is eigvalsh's verdict on the same
+    compression: every decision a sweep's searches make, and, on every
+    section and k > n, levels at and near both ends of the spectrum."""
+    fam, lam, rank_tol = case
+    decided = []
+    at_least = projection.SubspaceBasis._at_least
+
+    def recorded(section, k, level):
+        verdict = at_least(section, k, level)
+        if k > section.n:
+            decided.append((np.linalg.eigvalsh(section.compressed(k))[0], level, verdict))
+        return verdict
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projection.SubspaceBasis, "_at_least", recorded)
+        schedule = SectionSchedule.full(fam.count)
+        convergence_sweep(fam, schedule, np.ones(fam.dim_h), lam=lam, rank_tol=rank_tol)
+    assert all((low >= level) == verdict for low, level, verdict in decided)
+    for section in projection._sections(fam, range(1, fam.count + 1), rank_tol):
+        for k in range(section.n + 1, fam.count + 1):
+            if section.rank == 0:
+                continue
+            ev = np.linalg.eigvalsh(section.compressed(k))
+            for level in around(ev[0]):
+                assert section._at_least(k, level) == (ev[0] >= level)
+            for level in around(ev[-1]):
+                assert section._at_most(k, level) == (ev[-1] <= level)
+
+
+def eigen_scan(fam, n, lam):
+    """m(n) searched one eigvalsh at a time on the single-prefix section:
+    the least k >= n whose compression's smallest computed eigenvalue, s_r^2
+    at k = n, reaches A/lam."""
+    section = subspace_basis(fam, n)
+    target = frame_bounds(fam)[0] / lam
+    k, low = n, (section.sigma**2)[-1]
+    while k < fam.count and low < target:
+        k += 1
+        low = np.linalg.eigvalsh(section.compressed(k))[0]
+    return k - n
+
+
+@pytest.mark.parametrize("fam", [
+    random_family(8, 1, 12, SpectrumSpec.flat(), seed=5),
+    random_family(6, 2, 8, SpectrumSpec.flat(), seed=2),
+    random_family(10, 1, 16, SpectrumSpec.geometric(0.8), seed=7),
+    random_family(6, 2, 6, SpectrumSpec.geometric(0.6), seed=8),
+], ids=["flat-8-1-12", "flat-6-2-8", "geometric-10-1-16", "geometric-6-2-6"])
+def test_search_near_the_threshold_is_the_eigen_scan(fam):
+    """lambda set so that lambda_min(C_k) = A/lambda (1 + d), for d in
+    +-NEAR and every section and k between n and count: the search
+    returns the eigen-scan's m(n), the decisions within the margin falling
+    through to eigvalsh."""
+    a = frame_bounds(fam)[0]
+    cases = 0
+    for n in range(1, fam.count):
+        section = subspace_basis(fam, n)
+        for k in range(n + 1, fam.count):
+            low = np.linalg.eigvalsh(section.compressed(k))[0]
+            for lam in {a / (low * (1.0 + sign * d)) for d in NEAR for sign in (1, -1)}:
+                if lam >= 1.0:
+                    assert find_oversampling(fam, n, lam) == eigen_scan(fam, n, lam)
+                    cases += 1
+    assert cases >= 80
+
+
+def extreme_ratio_family():
+    """B/A about 5e18: seven maps spanning H with singular values from 1e-2
+    down to 1e-13, then two random maps."""
+    rng = np.random.default_rng(24)
+    u, w = (np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))[0]
+            for _ in range(2))
+    head = (u * np.geomspace(0.01, 1e-13, 7)) @ w.conj().T
+    tail = rng.standard_normal((7, 2)) / 4
+    return HSFrameFamily.from_synthesis_matrix(7, 1, np.hstack([head, tail]))
+
+
+@pytest.mark.parametrize("fam, n, k, single", [
+    # the single-prefix section of n = 7 rounds differently, and solves
+    (extreme_ratio_family(), 7, 9, False),
+    # S_2 = diag(1e-18, 1e-20), and the third map adds [[1, 1], [1, 1]],
+    # which swamps it: C_3 rounds to that rank-one matrix exactly
+    (from_scalar_frame([[1e-9, 0], [0, 1e-10], [1, 1]]), 2, 3, True),
+], ids=["rng-24", "rank-one-swamp"])
+def test_singular_compression_names_its_row(fam, n, k, single, tmp_path, capsys):
+    """B/A beyond 1/eps: the search certifies lambda_min(C_k) >= A/lambda
+    within its slack, yet LU meets an exactly zero pivot.  The sweep and
+    the CLI (exit 3) name n and k in a ``NumericError``, not numpy's bare
+    "Singular matrix", and so does the single-prefix inverse where its
+    section meets the same pivot."""
+    f = np.ones(fam.dim_h)
+    message = f"at n={n}, k={k} is singular to working precision"
+    with pytest.raises(NumericError, match=message):
+        convergence_sweep(fam, SectionSchedule.full(fam.count), f, rank_tol=1e-200)
+    if single:
+        with pytest.raises(NumericError, match=message):
+            oversampled_inverse_apply(fam, n, 2.0, f, rank_tol=1e-200)
+    path = tmp_path / "fam.json"
+    save_family(fam, str(path))
+    capsys.readouterr()
+    argv = ["invert", "--input", str(path), "--rank-tol", "1e-200",
+            "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
