@@ -317,12 +317,12 @@ def _whiten(
 
 
 class _Spectrum(NamedTuple):
-    """sigma_max(D), or an upper bound on it when not ``exact``, and right
-    singular vectors whose first and last rows are D's extreme directions."""
+    """sigma_max(D), or an upper bound on it when carried from
+    ``perturb_family``, and right singular vectors whose first and last rows
+    are D's extreme directions."""
 
     top: float
     vh: np.ndarray
-    exact: bool = True
 
 
 def _spectrum(d: np.ndarray) -> _Spectrum:
@@ -369,7 +369,7 @@ def _decide(
         else:  # |I| = 1, |0| = 0
             c = active[0].c if active[0].s is None else 0.0
             limit = _limit(c)
-        if spectrum.top > limit and not spectrum.exact:
+        if carried is not None and spectrum.top > limit:
             spectrum = _spectrum(d)
         holds, tested = spectrum.top <= limit, []
     probes = [spectrum.vh[0].conj(), spectrum.vh[-1].conj()]
@@ -596,7 +596,7 @@ def perturb_family(
     rounding += delta
     top = scale * norm + _norm(rounding)
     gamma = HSFrameFamily._keeping(family.dim_h, family.dim_k, t_tilde)
-    gamma._deviation = (weakref.ref(family), _Spectrum(top, vh, exact=False))
+    gamma._deviation = (weakref.ref(family), _Spectrum(top, vh))
     return gamma, PerturbationConstants(mu=magnitude if top <= _limit(magnitude) else top)
 
 

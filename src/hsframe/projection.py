@@ -17,33 +17,34 @@ S^-1 f of the full family:
 Both are one operator, Q_n (Q_n^H S_k Q_n)^-1 Q_n^H f, taken at k = n and at
 k = n + m(n), and both go through one solve.
 
-A sweep is one pass over the schedule with one running factor F, F F^H =
-S_n' for the previous prefix n', so [F, T_{n'+1..n}] has T_n's Gram
-matrix.  Every section has Q_n^H S_n Q_n = L^H L, in one of two forms.
-Until F is square (dim_h columns), and after a rank drop, a section is read
-off the thin SVD U s V^H of that block: Q_n = U[:, :r_n], L = diag(s_r)
-and the next F is U s.  Only U and s are read, so a block at least twice as
-wide as tall (a jump over many maps) is factored through the R factor of
-its conjugate transpose, whose right singular vectors are U, and its V^H is
-never formed; a nearer-square block takes the plain thin SVD.  Once F is
-square, the block's conjugate transpose has an R factor with R^H R = S_n,
-and s is read off one values-only SVD of R, which the rank rule and the
-floor check use, until one such row certifies full rank for the rest of
-the sweep (S_n0 <= S_n <= S bounds every later s; see ``_sections``).
-A certified row takes its QR and no SVD, and reads s off R only if its
-search asks for it.  While the rank is dim_h, H_n = H and the section needs
-no basis: Q_n = I, L = R and the next F is R^H, so the prefixes after the
-first that spans H take no singular vectors, and the next QR factors R
-stacked on the new blocks' conjugate transposes.  These R sections share
-one read-only identity as Q_n.  Where the rank drops, R's right singular
-vectors give U and the section is an SVD one.  R sections agree with an
-SVD of T_n to rounding, so the reported errors can move in their last
-digits, while r_n and m_n do not.  The plain solve at k = n is
-a division by s_r^2, or two triangular solves with R, and a row whose
-search returns k = n takes it once for both inverses.  Each compression at
-k > n adds the Gram matrix of blocks n+1..k of Q_n^H T to L^H L, and only
-there is a dense matrix built and solved.  A section keeps the one it built
-last, so the search's tests at its k and the solve share one build.
+A sweep is one pass over the schedule with one running factor, kept as
+F^H, where F F^H = S_n' for the previous prefix n'.  Every row but n =
+count, which reads the family's cached SVD, is factored from one stack
+[F^H; block^H], block = T[:, n' blk : n blk], whose Gram matrix is T_n's,
+and has Q_n^H S_n Q_n = L^H L.  A stack less than twice as tall as dim_h,
+while F is not yet square (dim_h columns), takes its own thin SVD: U s
+V^H of its conjugate transpose gives Q_n = U[:, :r_n] and L = diag(s_r),
+and the next F^H is (U s)^H.  Every other stack takes its QR, R^H R =
+S_n.  When F was square and the rank is dim_h, H_n = H and R is the
+section: Q_n = I, L = R and the next F^H is R itself, so the prefixes
+after the first that spans H take no singular vectors.  Otherwise R's
+right singular vectors give U (Chan's R-SVD), and V^H is never formed:
+a jump over many maps and a rank drop take the same lines.  The rank of
+an R after a square F is read off one values-only SVD of R, which the
+rank rule and the floor check use, until one such row certifies full
+rank for the rest of the sweep (S_n0 <= S_n <= S bounds every later s;
+see ``_sections``).  A certified row takes its QR and no SVD, and reads s
+off R only if its search asks for it.  These R sections share one
+read-only identity as Q_n.  R sections agree with an SVD of T_n to
+rounding, so the reported errors can move in their last digits, while
+r_n and m_n do not.  The plain solve at k = n is a division by s_r^2, or
+two triangular solves with R, and a row whose search returns k = n takes
+it once for both inverses.  Each compression at k > n adds the Gram
+matrix of blocks n+1..k of Q_n^H T to L^H L, and only there is a dense
+matrix built and solved, the same way for both kinds of section: a
+product with the identity Q_n is exact.  A section keeps the one it
+built last, so the search's tests at its k and the solve share one
+build.
 
 By Cauchy interlacing (H_n in H_{n+1}, S_k <= S_{k+1}), lambda_min of the
 compression is non-increasing in n and non-decreasing in k, so k(n) = n +
@@ -91,8 +92,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    _left_svd,
     _norm,
+    _tall,
     as_tuple,
     as_vector,
     check_instance,
@@ -228,17 +229,17 @@ def subspace_basis(
 def _sections(family: HSFrameFamily, ns, rank_tol: float):
     """The ``SubspaceBasis`` of each prefix in the increasing ``ns``, from one running factor.
 
-    The running factor F of the previous prefix n' has F F^H = S_n', so
-    [F, T[:, n' blk : n blk]] has T_n's Gram matrix.  Until F is square
-    (dim_h columns), its thin SVD gives T_n's U and s, and F is U s, every
-    column of it kept, so rank drops stay exact.  Once F is square, the
-    R factor of that block's conjugate transpose has R^H R = S_n, and a
-    values-only SVD of R gives s; while the rank stays dim_h the section
-    is R itself (Q_n = I) and F is R^H, and where it drops, R's right
-    singular vectors give U (Chan's R-SVD).  F^H is kept, not F, once a
-    row takes an R: the next QR factors [F^H; block^H], the numbers of
-    [F, block]^H, so R^H is never formed.  The whole family reads its
-    cached SVD.
+    The running factor is kept as F^H, F F^H = S_n' for the previous
+    prefix n', so the stack [F^H; T[:, n' blk : n blk]^H] has T_n's Gram
+    matrix.  A stack less than twice as tall as dim_h, while F has fewer
+    than dim_h columns, takes the thin SVD of its conjugate transpose,
+    which gives T_n's U and s, and F is U s, every column of it kept, so
+    rank drops stay exact.  Every other stack takes its R factor, R^H R =
+    S_n.  After a square F, a values-only SVD of R gives s; while the rank
+    is dim_h the section is R itself (Q_n = I) and F^H is R.  Any other R,
+    after a rank drop or a jump from a narrower F, gives U by its right
+    singular vectors (Chan's R-SVD).  The whole family reads its cached
+    SVD.
 
     Full rank is certified once, so later R rows take their QR and no SVD.
     A full-rank R row passes the rank rule and the floor check (both
@@ -267,21 +268,21 @@ def _sections(family: HSFrameFamily, ns, rank_tol: float):
     dim_h, blk = family.dim_h, family.dim_k * family.dim_k
     eye = np.eye(dim_h, dtype=t.dtype)  # Q_n of every R section
     eye.flags.writeable = False
-    run, top, prev = t[:, :0], None, 0  # F, or F^H in top once an R row takes it
+    top, prev = t[:, :0].conj().T, 0  # F^H
     floor, certified = None, False  # the s0_min that certifies; once cleared
     for n in ns:
-        block = t[:, prev * blk : n * blk]
+        square = top.shape[0] == dim_h  # F is square
+        if n < family.count:  # [F^H; block^H], column-major as LAPACK reads it
+            stack = np.hstack([top.T, t[:, prev * blk : n * blk].conj()]).T
         prev = n
         if n == family.count:
             u, s = family.svd.u, family.svd.s
-        elif top is None and run.shape[1] < dim_h:
-            u, s, _ = _left_svd(np.hstack([run, block]))
+        elif not square and not _tall(stack.shape):
+            u, s, _ = np.linalg.svd(stack.conj().T, full_matrices=False)
         else:
-            if top is None:
-                top = run.conj().T
-            r = np.linalg.qr(np.vstack([top, block.conj().T]), mode="r")
-            s = None if certified else np.linalg.svd(r, compute_uv=False)
-            if certified or numerical_rank(s, rank_tol) == dim_h:
+            r = np.linalg.qr(stack, mode="r")
+            s = np.linalg.svd(r, compute_uv=False) if square and not certified else None
+            if certified or s is not None and numerical_rank(s, rank_tol) == dim_h:
                 if not certified:
                     if floor is None:
                         eps, smax = np.finfo(float).eps, family.svd.s[0]
@@ -294,7 +295,7 @@ def _sections(family: HSFrameFamily, ns, rank_tol: float):
                 continue
             _, s, wh = np.linalg.svd(r, full_matrices=False)
             u = wh.conj().T
-        run, top = u * s, None
+        top = (u * s).conj().T
         rank = numerical_rank(s, rank_tol)
         yield SubspaceBasis(family, n, _frozen(u[:, :rank]), _frozen(s[:rank]))
 
@@ -361,7 +362,8 @@ class SubspaceBasis:
     values s_r of T_n and every sectional inverse.  Q_n^H S_n Q_n = L^H L,
     where L is diag(s_r) for a section read off an SVD (Q_n = U[:, :r_n]),
     and L is the square R factor of T_n^H, with Q_n = I, for a section that
-    ``_sections`` takes from its running R once H_n = H.
+    ``_sections`` takes from its running R once H_n = H.  Only the plain
+    section and its solve at k = n tell the two kinds apart.
 
     ``q`` and ``sigma`` are read-only, and ``rank`` is the number of Q_n's
     columns, ``sigma.size``; the R sections of a sweep share one identity
@@ -371,14 +373,15 @@ class SubspaceBasis:
     by ``_sections``, the one factory, from the running factorization.
     Every sectional inverse is one ``solve(k, y)``: the plain one at k = n,
     which divides by s_r^2 or takes two triangular solves with R, and the
-    oversampled one at the k the search returns.  Each compression C_k =
-    Q_n^H S_k Q_n at k > n adds the Gram matrix of blocks n+1..k of Q_n^H T
-    to L^H L; the section keeps the latest one built, which the search's
-    tests and the solve at its k share.  The search decides each step by
-    ``_at_least``, Cholesky tests with eigenvalues computed at most once
-    per k and only where the tests cannot decide; at k = n the eigenvalues
-    are s_r^2.  The floor check guards the plain inverse alone, and the
-    empty section (rank 0) needs no oversampling and solves to 0.
+    oversampled one at the k the search returns, Q_n C_k^-1 Q_n^H y.  Each
+    compression C_k = Q_n^H S_k Q_n at k > n adds the Gram matrix of blocks
+    n+1..k of Q_n^H T to L^H L; the section keeps the latest one built,
+    which the search's tests and the solve at its k share.  The search
+    decides each step by ``_at_least``, Cholesky tests with eigenvalues
+    computed at most once per k and only where the tests cannot decide; at
+    k = n the eigenvalues are s_r^2.  The floor check guards the plain
+    inverse alone, and the empty section (rank 0) needs no oversampling
+    and solves to 0.
     """
 
     def __init__(
@@ -426,8 +429,7 @@ class SubspaceBasis:
     @cached_property
     def _tail(self) -> np.ndarray:
         """Blocks n+1..count of Q_n^H T."""
-        tail = self._family.synthesis_matrix[:, self.n * self._blk :]
-        return tail if self._r is not None else self.q.conj().T @ tail
+        return self.q.conj().T @ self._family.synthesis_matrix[:, self.n * self._blk :]
 
     def compressed(self, k: int) -> np.ndarray:
         """C_k = Q_n^H S_k Q_n for k > n, read-only."""
@@ -510,24 +512,19 @@ class SubspaceBasis:
         LAPACK finds exactly singular, which the search's certificate leaves
         possible only where B/A is beyond about 1/eps, raises
         ``NumericError`` naming n and k."""
-        if self._r is not None:
-            if k == self.n:
-                return np.linalg.solve(self._r, np.linalg.solve(self._r.conj().T, y))
-            return self._solve_compressed(k, y)
         q = self.q
-        z = q.conj().T @ y
         if k == self.n:
-            return q @ (z / self._sig2)
-        return q @ self._solve_compressed(k, z)
-
-    def _solve_compressed(self, k: int, y: np.ndarray) -> np.ndarray:
+            if self._r is not None:
+                return np.linalg.solve(self._r, np.linalg.solve(self._r.conj().T, y))
+            return q @ ((q.conj().T @ y) / self._sig2)
         try:
-            return np.linalg.solve(self.compressed(k), y)
+            z = np.linalg.solve(self.compressed(k), q.conj().T @ y)
         except np.linalg.LinAlgError as exc:
             raise NumericError(
                 f"compressed operator Q_n^H S_k Q_n at n={self.n}, k={k} is "
                 f"singular to working precision ({exc})"
             ) from exc
+        return q @ z
 
     def inv_apply(self, y: np.ndarray) -> np.ndarray:
         """S_n^-1 P_n y, after the floor check."""

@@ -256,6 +256,78 @@ def test_sweep_rows_match_single_prefix_entries_through_a_rank_drop(case):
     )
 
 
+def test_seeded_sweep_rows_match_single_prefix_entries():
+    """Each row's r_n, m_n and err_plain are the single-prefix entries', on
+    300 families drawn as ``sweep_cases`` draws them, from one seeded
+    generator.  err_plain is held to 1e-12 of the larger of |S^-1 f| and
+    the error itself: a row whose section is much weaker than S has an
+    error far above |S^-1 f|, which the sweep and ``plain_inverse_apply``
+    round apart in its last digits."""
+    rng = np.random.default_rng(12345)
+    for _ in range(300):
+        dim_h, dim_k = int(rng.integers(1, 9)), int(rng.integers(1, 3))
+        count = int(rng.integers(-(-dim_h // dim_k**2), 11))
+        spectrum = SpectrumSpec.geometric(float(rng.uniform(0.2, 1.0)))
+        fam = random_family(dim_h, dim_k, count, spectrum, seed=int(rng.integers(2**32)))
+        lam = float(rng.uniform(1.1, 8.0))
+        f = complex_unit(np.random.default_rng(0), fam.dim_h)
+        ground = projection._inverse_frame_apply(fam, f)
+        scale = float(np.linalg.norm(ground))
+        for r in convergence_sweep(fam, SectionSchedule.full(fam.count), f, lam=lam):
+            assert r.r_n == subspace_basis(fam, r.n).rank
+            assert r.m_n == find_oversampling(fam, r.n, lam)
+            plain = float(np.linalg.norm(plain_inverse_apply(fam, r.n, f) - ground))
+            assert abs(r.err_plain - plain) <= 1e-12 * max(scale, plain)
+
+
+def r_search_family():
+    """dim_h 4, dim_k 1: four copies of e1, then 0.1 e2, 0.1 e3 and 0.1 e4,
+    then eight complex Gaussian maps.  F is square from row 5 on, and row 7,
+    the first of full rank, is an R section whose search climbs to k = 14,
+    below count = 15."""
+    rng = np.random.default_rng(0)
+    e = np.eye(4)
+    gauss = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+    head = [e[:, 0]] * 4 + [0.1 * e[:, j] for j in (1, 2, 3)]
+    return HSFrameFamily.from_synthesis_matrix(4, 1, np.column_stack(head + list(gauss.T)))
+
+
+def test_r_section_search_climbs_past_n(monkeypatch):
+    """An R section (Q_n = I) whose oversampled solve is at k > n: its m_n
+    is the eigen-scan's and its error is the dense |S_k^-1 f - S^-1 f|,
+    on the section ``_sections`` makes for row 7 and in the sweep."""
+    fam, lam = r_search_family(), 2.0
+    f = complex_unit(np.random.default_rng(0), fam.dim_h)
+    t = fam.synthesis_matrix
+    ground = np.linalg.solve(frame_operator(fam), f)
+
+    def dense_error(k):
+        return float(np.linalg.norm(np.linalg.solve(t[:, :k] @ t[:, :k].conj().T, f) - ground))
+
+    sections = list(projection._sections(fam, range(1, fam.count + 1), RANK_TOL))
+    assert [s.rank for s in sections[:7]] == [1, 1, 1, 1, 2, 3, 4]
+    section = sections[6]
+    assert np.array_equal(section.q, np.eye(4))
+    k = section.oversampling(projection._positive_bounds(fam), lam, section.n)
+    assert k - section.n == linear_scan_m(fam, 7, lam) == 7
+    err = float(np.linalg.norm(section.solve(k, f) - ground))
+    assert err == pytest.approx(dense_error(k), rel=1e-12)
+
+    swept = []
+    made = projection._sections
+
+    def recorded(*args):
+        for s in made(*args):
+            swept.append(s)
+            yield s
+
+    monkeypatch.setattr(projection, "_sections", recorded)
+    row = convergence_sweep(fam, SectionSchedule.full(fam.count), f, lam=lam)[6]
+    assert swept[6].n == 7 and np.array_equal(swept[6].q, np.eye(4))
+    assert (row.r_n, row.m_n) == (4, linear_scan_m(fam, 7, lam))
+    assert row.err_oversampled == pytest.approx(dense_error(14), rel=1e-12)
+
+
 def test_kernel_consistency_takes_r_once_h_is_spanned(linalg_calls):
     """kernel_consistency on the prefix:all schedule of a 24/2/24 family
     takes an SVD with vectors for prefixes 1-6 alone: H_6 = H, so prefixes
