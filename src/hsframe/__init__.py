@@ -78,6 +78,6 @@ from .projection import (
     subspace_basis,
     uniform_bound_scan,
 )
-from .serialization import load_family, save_family
+from .serialization import analyze_report, load_family, perturb_report, save_family
 
 __version__ = "0.1.0"

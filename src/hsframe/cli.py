@@ -5,6 +5,11 @@ failure (any failed LAPACK call), 4 I/O or parse failure.  ``--seed`` falls
 back to the HSFRAME_SEED environment variable, then 0; it must be an
 int >= 0.  ``analyze`` checks it like every command but draws nothing.
 
+The commands parse flags, write files and print; they build no report.
+``hsframe.serialization`` owns the report layout: ``analyze`` and
+``perturb`` write its ``analyze_report`` and ``perturb_report`` after the
+run's ``experiment``, ``timestamp`` and ``input``.
+
 A process does not parse a family file that ``generate`` wrote in it.
 ``generate`` keeps the family it last wrote, keyed by the file's bytes as
 read back just after the write, and ``analyze``, ``perturb`` and ``invert``
@@ -24,7 +29,6 @@ parses it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -34,23 +38,16 @@ import numpy as np
 from . import generators
 from .core import check_int
 from .errors import NumericError, ParseError, ValidationError
-from .family import (
-    DEFAULT_RANK_TOL,
-    HSFrameFamily,
-    canonical_dual,
-    classify,
-    frame_bounds,
-    frame_operator_hs_norm_bound,
-    riesz_inequality_check,
-    verify_alternate_dual,
-)
-from .perturbation import PerturbationConstants, check_condition, perturb_family
+from .family import DEFAULT_RANK_TOL, HSFrameFamily, frame_bounds
+from .perturbation import PerturbationConstants
 from .projection import SectionSchedule, convergence_sweep
 from .serialization import (
     _parse_family,
     _read,
+    analyze_report,
     format_sig,
     load_family,
+    perturb_report,
     save_family,
     utc_timestamp,
     write_convergence_csv,
@@ -88,6 +85,12 @@ def _load(path) -> HSFrameFamily:
         return written[1]
     written = _written = None  # the old family is not held through the parse
     return _parse_family(box.pop(), path)
+
+
+def _run_header(args) -> dict:
+    """The keys a report starts with: which command ran on which input, and when."""
+    name = f"{args.command}:{os.path.basename(args.input)}"
+    return {"experiment": name, "timestamp": utc_timestamp(), "input": args.input}
 
 
 def _parse_vector(text):
@@ -136,35 +139,14 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     family = _load(args.input)
     _resolve_seed(args.seed)  # checked like every command's; analyze draws nothing
-    report = classify(family, args.rank_tol)
-    hs, hs_bound = frame_operator_hs_norm_bound(family)
-    doc = {
-        "experiment": f"analyze:{os.path.basename(args.input)}",
-        "timestamp": utc_timestamp(),
-        "input": args.input,
-        "dim_h": family.dim_h,
-        "dim_k": family.dim_k,
-        "count": family.count,
-        "frame_report": dataclasses.asdict(report),
-        "riesz_ratio_check": {"min_ratio": riesz_inequality_check(family)},
-        "frame_operator_hs_norm": {"value": hs, "bound": hs_bound},
-    }
-    if report.frame:
-        dual = canonical_dual(family, args.rank_tol)
-        dual_check = verify_alternate_dual(family, dual)
-        doc["canonical_dual"] = {
-            "bounds": list(frame_bounds(dual)),
-            "dual_identity_ok": dual_check.ok,
-            "max_residual": dual_check.max_residual,
-        }
-    else:
-        doc["canonical_dual"] = None
+    doc = {**_run_header(args), **analyze_report(family, args.rank_tol)}
     if args.out is not None:
         write_json_report(args.out, doc)
-    flags = "+".join(n for n in ("frame", "riesz") if getattr(report, n))
+    report = doc["frame_report"]
+    flags = "+".join(n for n in ("frame", "riesz") if report[n])
     print(
         f"{args.input}: {flags or 'not a frame'} bounds="
-        f"({format_sig(report.lower_bound)}, {format_sig(report.upper_bound)})"
+        f"({format_sig(report['lower_bound'])}, {format_sig(report['upper_bound'])})"
     )
     return 0
 
@@ -185,7 +167,7 @@ def cmd_invert(args) -> int:
     write_convergence_csv(
         args.out,
         records,
-        experiment=f"invert:{os.path.basename(args.input)}",
+        experiment=_run_header(args)["experiment"],
         seed=seed if args.vector is None else "vector",
     )
     last = records[-1]
@@ -200,37 +182,16 @@ def cmd_invert(args) -> int:
 def cmd_perturb(args) -> int:
     family = _load(args.input)
     seed = _resolve_seed(args.seed)
-    gamma, certified_constants = perturb_family(
-        family, args.mode, args.magnitude, seed=seed
-    )
     given = {k: vars(args)[k] for k in ("lambda1", "lambda2", "mu")
              if vars(args)[k] is not None}
-    constants = PerturbationConstants(**given) if given else certified_constants
-    verdict = check_condition("analysis", family, gamma, constants)
-    doc = {
-        "experiment": f"perturb:{os.path.basename(args.input)}",
-        "timestamp": utc_timestamp(),
-        "input": args.input,
-        "perturbation_mode": args.mode,
-        "magnitude": args.magnitude,
-        "seed": seed,
-        "constants": dataclasses.asdict(constants),
-        "condition_mode": verdict.mode,
-        "certified": verdict.certified,
-        "empirical_margin": verdict.empirical_margin,
-        "original_bounds": list(frame_bounds(family)),
-        "predicted_bounds": list(verdict.predicted_bounds),
-        "actual_bounds": list(verdict.actual_bounds),
-        "witness": [[z.real, z.imag] for z in verdict.witness]
-        if verdict.witness is not None
-        else None,
-    }
+    constants = PerturbationConstants(**given) if given else None
+    report = perturb_report(family, args.mode, args.magnitude, seed, constants)
+    doc = {**_run_header(args), **report}
     if args.out is not None:
         write_json_report(args.out, doc)
-    pa, pb = verdict.predicted_bounds
-    aa, ab = verdict.actual_bounds
+    (pa, pb), (aa, ab) = doc["predicted_bounds"], doc["actual_bounds"]
     print(
-        f"{args.mode} magnitude={args.magnitude}: certified={verdict.certified} "
+        f"{args.mode} magnitude={args.magnitude}: certified={doc['certified']} "
         f"predicted=({format_sig(pa)}, {format_sig(pb)}) "
         f"actual=({format_sig(aa)}, {format_sig(ab)})"
     )

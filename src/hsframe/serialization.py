@@ -17,6 +17,12 @@ same reason; JSON reports are strict, with a non-finite value written as
 writes go through a temporary file in the target's directory plus rename; a
 failed write removes it, and its ``OSError`` names the target.
 
+This module owns the report layout: ``analyze_report`` and
+``perturb_report`` build the ``analyze`` and ``perturb`` documents key by
+key, and ``write_json_report`` stamps and writes them.  The commands of
+``hsframe.cli`` only add the run's ``experiment``, ``timestamp`` and
+``input``.
+
 The module keeps no state: ``save_family`` only writes, and
 ``load_family`` always parses.  The commands of ``hsframe.cli`` keep the
 family ``generate`` last wrote, so a read of that file in the same
@@ -42,7 +48,17 @@ import numpy as np
 
 from .core import check_instance, check_int
 from .errors import ParseError, ValidationError
-from .family import HSFrameFamily
+from .family import (
+    DEFAULT_RANK_TOL,
+    HSFrameFamily,
+    canonical_dual,
+    classify,
+    frame_bounds,
+    frame_operator_hs_norm_bound,
+    riesz_inequality_check,
+    verify_alternate_dual,
+)
+from .perturbation import PerturbationConstants, check_condition, perturb_family
 from .projection import ConvergenceRecord
 
 __all__ = [
@@ -56,6 +72,8 @@ __all__ = [
     "format_sig",
     "write_convergence_csv",
     "write_json_report",
+    "analyze_report",
+    "perturb_report",
     "utc_timestamp",
 ]
 
@@ -321,3 +339,62 @@ def write_json_report(path: str, doc: dict) -> None:
     doc = {"format_version": REPORT_FORMAT_VERSION, **doc}
     text = json.dumps(_finite_or_null(doc), indent=1, allow_nan=False)
     _atomic_write(path, (text.encode(), b"\n"))
+
+
+def analyze_report(family: HSFrameFamily, rank_tol: float = DEFAULT_RANK_TOL) -> dict:
+    """The ``analyze`` report of ``family``: its shape, its ``classify``
+    report, the Riesz ratio, |S|_HS against its bound, and the canonical
+    dual's bounds and dual-identity check, or None for a family that is not
+    a frame.  A non-finite value stays a float here; ``write_json_report``
+    writes it as null.  ``hsframe analyze`` writes the report after
+    ``experiment``, ``timestamp`` and ``input``."""
+    report = classify(family, rank_tol)
+    hs, hs_bound = frame_operator_hs_norm_bound(family)
+    doc = {
+        "dim_h": family.dim_h,
+        "dim_k": family.dim_k,
+        "count": family.count,
+        "frame_report": dataclasses.asdict(report),
+        "riesz_ratio_check": {"min_ratio": riesz_inequality_check(family)},
+        "frame_operator_hs_norm": {"value": hs, "bound": hs_bound},
+        "canonical_dual": None,
+    }
+    if report.frame:
+        dual = canonical_dual(family, rank_tol)
+        dual_check = verify_alternate_dual(family, dual)
+        doc["canonical_dual"] = {
+            "bounds": list(frame_bounds(dual)),
+            "dual_identity_ok": dual_check.ok,
+            "max_residual": dual_check.max_residual,
+        }
+    return doc
+
+
+def perturb_report(
+    family: HSFrameFamily, mode: str, magnitude: float, seed: int = 0, constants=None
+) -> dict:
+    """The ``perturb`` report: ``perturb_family(family, mode, magnitude,
+    seed)`` decided by ``check_condition`` in analysis mode against
+    ``constants``, or, when they are None, against the constants
+    ``perturb_family`` certifies.  Given constants are checked before
+    anything is drawn.  ``hsframe perturb`` writes the report after
+    ``experiment``, ``timestamp`` and ``input``."""
+    if constants is not None:
+        check_instance("constants", constants, PerturbationConstants)
+    gamma, certified = perturb_family(family, mode, magnitude, seed=seed)
+    constants = certified if constants is None else constants
+    verdict = check_condition("analysis", family, gamma, constants)
+    return {
+        "perturbation_mode": mode,
+        "magnitude": float(magnitude),
+        "seed": int(seed),
+        "constants": dataclasses.asdict(constants),
+        "condition_mode": verdict.mode,
+        "certified": verdict.certified,
+        "empirical_margin": verdict.empirical_margin,
+        "original_bounds": list(frame_bounds(family)),
+        "predicted_bounds": list(verdict.predicted_bounds),
+        "actual_bounds": list(verdict.actual_bounds),
+        "witness": None if verdict.witness is None
+        else [[z.real, z.imag] for z in verdict.witness],
+    }

@@ -11,9 +11,10 @@ whose message starts with the argument's name, and finite input whose
 result a float cannot hold raises NumericError.  A sequence argument is a
 nonempty iterable, and an object argument (a family, coefficient sequence,
 schedule, section basis, set of constants or g-frame spec) an instance of
-its class, and a second family shares the first one's shape.  A new entry
-point adds its rows to ``PAIRS``, ``ARRAYS``, ``SEQUENCES``, ``INSTANCES``,
-``SHAPES`` or ``OVERFLOWS``.
+its class, or None where None stands for a default, and a second family
+shares the first one's shape.  A new entry point adds its rows to
+``PAIRS``, ``ARRAYS``, ``SEQUENCES``, ``INSTANCES``, ``SHAPES`` or
+``OVERFLOWS``.
 """
 
 import math
@@ -34,6 +35,7 @@ from hsframe import (
     ValidationError,
     analysis_deviation,
     analyze,
+    analyze_report,
     canonical_dual,
     cc_lemma_check,
     check_condition,
@@ -54,6 +56,7 @@ from hsframe import (
     onb_family,
     oversampled_inverse_apply,
     perturb_family,
+    perturb_report,
     plain_inverse_apply,
     predicted_bounds,
     predicted_bounds_simple,
@@ -108,6 +111,7 @@ PAIRS = {
     "from_stacked-dim_k": (
         "dim_k", 0, lambda v: CoefficientSequence.from_stacked(np.ones(6), v)),
     "classify-rank_tol": ("rank_tol", None, lambda v: classify(F, v)),
+    "analyze_report-rank_tol": ("rank_tol", None, lambda v: analyze_report(F, v)),
     "verify_alternate_dual-tol": (
         "tol", None, lambda v: verify_alternate_dual(F, F, tol=v)),
     "subspace_basis-n": ("n", 0, lambda v: subspace_basis(F, v)),
@@ -134,6 +138,10 @@ PAIRS = {
         "seed", -1, lambda v: perturb_family(F, "additive-analysis", 0.1, seed=v)),
     "perturb_family-indices": (
         "indices", -1, lambda v: perturb_family(F, "blockwise", 0.1, indices=[v])),
+    "perturb_report-magnitude": (
+        "magnitude", None, lambda v: perturb_report(F, "scale", v)),
+    "perturb_report-seed": (
+        "seed", -1, lambda v: perturb_report(F, "additive-analysis", 0.1, seed=v)),
     "embed_vector-tol": (
         "tol", None, lambda v: embed_vector([1.0, 0.0], [3.0, 0.0], tol=v)),
 }
@@ -292,6 +300,10 @@ INSTANCES = {
     "check_condition-constants": (
         "constants", lambda v: check_condition("analysis", F, F, v)),
     "perturb_family-family": ("family", lambda v: perturb_family(v, "scale", 0.1)),
+    "analyze_report-family": ("family", analyze_report),
+    "perturb_report-family": ("family", lambda v: perturb_report(v, "scale", 0.1)),
+    "perturb_report-constants": (
+        "constants", lambda v: perturb_report(F, "scale", 0.1, constants=v)),
     "riesz_stability_check-family": (
         "family", lambda v: riesz_stability_check(v, F, CONSTANTS)),
     "riesz_stability_check-candidate": (
@@ -315,6 +327,8 @@ INSTANCES = {
         "candidate",
         lambda v: check_condition("analysis", F, v, PerturbationConstants())),
 }
+# object arguments whose None stands for a default, so None is accepted
+NONE_IS_DEFAULT = {"perturb_report-constants"}
 
 
 @pytest.mark.parametrize(
@@ -322,6 +336,9 @@ INSTANCES = {
 @pytest.mark.parametrize("pair", INSTANCES)
 def test_wrong_type_argument_rejected(pair, value):
     name, call = INSTANCES[pair]
+    if value is None and pair in NONE_IS_DEFAULT:
+        call(value)
+        return
     with pytest.raises(ValidationError, match=rf"^{name} must be "):
         call(value)
 
@@ -371,6 +388,8 @@ OVERFLOWS = {
     "check_condition": lambda: check_condition(
         "analysis", HUGE, HUGE, PerturbationConstants()),
     "analysis_deviation": lambda: analysis_deviation(HUGE, F),
+    "analyze_report": lambda: analyze_report(HUGE),
+    "perturb_report": lambda: perturb_report(HUGE, "scale", 0.1),
 }
 
 

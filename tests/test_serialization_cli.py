@@ -20,13 +20,16 @@ from hsframe import (
     HSFrameFamily,
     NumericError,
     ParseError,
+    PerturbationConstants,
     SpectrumSpec,
     ValidationError,
+    analyze_report,
     decaying_family,
     from_scalar_frame,
     load_family,
     onb_family,
     perturb_family,
+    perturb_report,
     random_family,
     save_family,
 )
@@ -35,6 +38,7 @@ import hsframe_script
 from hsframe import cli
 from hsframe.cli import main
 from hsframe.serialization import (
+    _finite_or_null,
     family_to_document,
     format_sig,
     write_convergence_csv,
@@ -1164,23 +1168,24 @@ class TestLinAlgFailure:
 
 
 class TestReportKeys:
-    """Each fact has one key; a change to the key sets bumps format_version."""
+    """Each fact has one key, in a fixed order, which is part of the report's
+    bytes; a change to the key lists bumps format_version."""
 
-    ANALYZE = {
+    ANALYZE = [
         "format_version", "experiment", "timestamp", "input", "dim_h", "dim_k",
         "count", "frame_report", "riesz_ratio_check", "frame_operator_hs_norm",
         "canonical_dual",
-    }
-    FRAME_REPORT = {
+    ]
+    FRAME_REPORT = [
         "lower_bound", "upper_bound", "frame", "riesz", "synthesis_norm",
         "pseudo_inverse_norm",
-    }
-    PERTURB = {
+    ]
+    PERTURB = [
         "format_version", "experiment", "timestamp", "input", "perturbation_mode",
         "magnitude", "seed", "constants", "condition_mode", "certified",
         "empirical_margin", "original_bounds", "predicted_bounds", "actual_bounds",
         "witness",
-    }
+    ]
 
     @pytest.mark.parametrize(
         "family", [onb_family(3), from_scalar_frame([[1, 0, 0]])], ids=["frame", "not-a-frame"]
@@ -1190,14 +1195,14 @@ class TestReportKeys:
         save_family(family, str(fam_path))
         assert main(["analyze", "--input", str(fam_path), "--out", str(out)]) == 0
         doc = json.loads(read(out))
-        assert set(doc) == self.ANALYZE and doc["format_version"] == 1
-        assert set(doc["frame_report"]) == self.FRAME_REPORT
-        assert set(doc["riesz_ratio_check"]) == {"min_ratio"}
-        assert set(doc["frame_operator_hs_norm"]) == {"value", "bound"}
+        assert list(doc) == self.ANALYZE and doc["format_version"] == 1
+        assert list(doc["frame_report"]) == self.FRAME_REPORT
+        assert list(doc["riesz_ratio_check"]) == ["min_ratio"]
+        assert list(doc["frame_operator_hs_norm"]) == ["value", "bound"]
         if doc["canonical_dual"] is not None:
-            assert set(doc["canonical_dual"]) == {
+            assert list(doc["canonical_dual"]) == [
                 "bounds", "dual_identity_ok", "max_residual"
-            }
+            ]
 
     def test_perturb(self, tmp_path):
         fam_path, out = tmp_path / "fam.json", tmp_path / "verdict.json"
@@ -1207,8 +1212,59 @@ class TestReportKeys:
             "--magnitude", "0.1", "--out", str(out),
         ]) == 0
         doc = json.loads(read(out))
-        assert set(doc) == self.PERTURB and doc["format_version"] == 1
-        assert set(doc["constants"]) == {"lambda1", "lambda2", "mu", "nu"}
+        assert list(doc) == self.PERTURB and doc["format_version"] == 1
+        assert list(doc["constants"]) == ["lambda1", "lambda2", "mu", "nu"]
+
+
+class TestReportBuilders:
+    """``analyze_report`` and ``perturb_report`` are the documents the
+    commands write, less the keys of the run: after the strict-JSON
+    transform ``write_json_report`` applies, equal key for key and in order."""
+
+    RUN_KEYS = ("format_version", "experiment", "timestamp", "input")
+    FRAME = random_family(4, 1, 6, SpectrumSpec.flat(), seed=1)
+    ZERO = HSFrameFamily([np.zeros((2, 1, 1)), np.zeros((2, 1, 1))])
+    CASES = {
+        "analyze-frame": (FRAME, ["analyze"], analyze_report),
+        # pseudo_inverse_norm is inf, written as null
+        "analyze-all-zero": (ZERO, ["analyze"], analyze_report),
+        # mu = 0.05 below |D| = 0.1: uncertified, with a witness
+        "perturb-witness": (
+            FRAME,
+            ["perturb", "--mode", "additive-analysis", "--magnitude", "0.1",
+             "--seed", "2", "--mu", "0.05"],
+            lambda fam: perturb_report(fam, "additive-analysis", 0.1, seed=2,
+                                       constants=PerturbationConstants(mu=0.05)),
+        ),
+        # no constants given: decided against the certified ones; a numpy
+        # seed is reported as the int it holds, which json can write
+        "perturb-certified": (
+            FRAME,
+            ["perturb", "--mode", "blockwise", "--magnitude", "0.1", "--seed", "3"],
+            lambda fam: perturb_report(fam, "blockwise", 0.1, seed=np.int64(3)),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cli_writes_the_library_document(self, tmp_path, case):
+        family, argv, build = self.CASES[case]
+        fam_path, out = tmp_path / "fam.json", tmp_path / "report.json"
+        save_family(family, str(fam_path))
+        assert main([*argv, "--input", str(fam_path), "--out", str(out)]) == 0
+        written = json.loads(read(out))
+        written = {k: v for k, v in written.items() if k not in self.RUN_KEYS}
+        built = _finite_or_null(build(load_family(str(fam_path))))
+        assert json.dumps(built) == json.dumps(written)
+        if case == "analyze-all-zero":
+            assert built["frame_report"]["pseudo_inverse_norm"] is None
+        if case.startswith("perturb"):
+            assert (built["witness"] is None) == (case == "perturb-certified")
+
+    def test_constants_checked_before_drawing(self):
+        # a NaN magnitude would be rejected by perturb_family, which draws
+        with pytest.raises(ValidationError, match="^constants must be"):
+            perturb_report(self.FRAME, "additive-analysis", float("nan"),
+                           constants={"mu": 0.1})
 
 
 class TestFormatting:
