@@ -7,15 +7,18 @@ a family file is exactly ``json.dumps(family_to_document(F), indent=1)``
 plus a newline.  The writer emits those bytes without json's encoder,
 whose ``indent`` mode is pure Python.  The text of one operator differs
 between maps only in its floats, so it is built once per family as a
-template with ``%r`` at every float, filled per map and written one map at
-a time.  ``%r`` of a float is ``float.__repr__``, the shortest round-trip
-form json writes, so load(save(F)) reproduces F bit for bit.  The reader
-checks the parsed ``operators`` level by level and converts them with one
-``np.fromiter`` call.  Report numerics use 17 significant digits for the
-same reason; JSON reports are strict, with a non-finite value written as
-``null``, and carry ``format_version`` (``REPORT_FORMAT_VERSION``).  All
-writes go through a temporary file in the target's directory plus rename; a
-failed write removes it, and its ``OSError`` names the target.
+template with ``%s`` at every float.  Each float is written as
+``float.__repr__`` writes it, the shortest round-trip form json writes, so
+load(save(F)) reproduces F bit for bit; ``_shortest.reprs`` computes those
+digits for a block of floats at once, identical to ``repr``, with
+subnormals through ``repr`` itself.  The file is streamed a block of whole
+operators at a time.  The reader checks the parsed ``operators`` level by
+level and converts them with one ``np.fromiter`` call.  Report numerics use
+17 significant digits for the same reason; JSON reports are strict, with a
+non-finite value written as ``null``, and carry ``format_version``
+(``REPORT_FORMAT_VERSION``).  All writes go through a temporary file in the
+target's directory plus rename; a failed write removes it, and its
+``OSError`` names the target.
 
 This module owns the report layout: ``analyze_report`` and
 ``perturb_report`` build the ``analyze`` and ``perturb`` documents key by
@@ -46,6 +49,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import _shortest
 from .core import check_instance, check_int
 from .errors import ParseError, ValidationError
 from .family import (
@@ -233,33 +237,37 @@ def _collector_paused():
 
 def _template(shape: tuple[int, ...], depth: int) -> str:
     """What ``json.dumps(indent=1)`` writes for a nested float list of this
-    shape at nesting ``depth``, with ``%r`` in place of every float."""
+    shape at nesting ``depth``, with ``%s`` in place of every float."""
     if not shape:
-        return "%r"
+        return "%s"
     pad = "\n" + " " * (depth + 1)
     item = _template(shape[1:], depth + 1)
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * depth + "]"
 
 
-def _family_text(family: HSFrameFamily) -> Iterator[str]:
+def _family_text(family: HSFrameFamily) -> Iterator[bytes]:
     """``json.dumps(family_to_document(family), indent=1)`` and a newline,
-    one operator at a time."""
+    encoded, a block of whole operators at a time."""
     fields = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in _metadata(family).items()]
-    yield "{\n " + ",\n ".join(fields) + ',\n "operators": [\n  '
+    yield ("{\n " + ",\n ".join(fields) + ',\n "operators": [\n  ').encode()
     # the family's images are stored C-contiguous and finite
     pairs = _float_pairs(family.images)
-    template = _template(pairs.shape[1:], 2)
-    for j, op in enumerate(pairs.reshape(family.count, -1)):
-        if j:
-            yield ",\n  "
-        yield template % tuple(op.tolist())
-    yield "\n ]\n}\n"
+    template = _template(pairs.shape[1:], 2).encode()
+    operators = pairs.reshape(family.count, -1)
+    per_block = max(1, _shortest.BLOCK // operators.shape[1])
+    for start in range(0, family.count, per_block):
+        block = operators[start:start + per_block]
+        if start:
+            yield b",\n  "
+        text = b",\n  ".join([template] * len(block))
+        yield text % tuple(_shortest.reprs(block.ravel()))
+    yield b"\n ]\n}\n"
 
 
 def save_family(family: HSFrameFamily, path: str) -> None:
     """Write ``family`` to ``path``."""
     check_instance("family", family, HSFrameFamily)
-    _atomic_write(path, map(str.encode, _family_text(family)))
+    _atomic_write(path, _family_text(family))
 
 
 def load_family(path: str) -> HSFrameFamily:

@@ -46,7 +46,19 @@ from hsframe.serialization import (
 )
 from conftest import named, shapes
 
-EDGE_FLOATS = (-0.0, 5e-324, 1e-300, -1e-300, 1e16, 1e22, 1.7976931348623157e308, 0.1)
+EDGE_FLOATS = (-0.0, 5e-324, 1e-300, -1e-300, 1e16, 1e22, 1.7976931348623157e308, 0.1,
+               2.0**53, 2.0**53 + 2, 1e15, 1e-4, 1e-5, 2.2250738585072014e-308,
+               2.225073858507201e-308)
+
+
+def edge_family(seed, dim_h, dim_k, count):
+    """A family whose entries are normal draws, four in ten replaced by
+    EDGE_FLOATS with random signs."""
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal(count * dim_h * dim_k * dim_k * 2)
+    edge = rng.random(entries.size) < 0.4
+    entries[edge] = rng.choice(EDGE_FLOATS, edge.sum()) * rng.choice([-1.0, 1.0], edge.sum())
+    return HSFrameFamily(entries.view(np.complex128).reshape(count, dim_h, dim_k, dim_k))
 
 
 def exit_code(argv):
@@ -187,6 +199,54 @@ class TestFamilyFile:
         path = tmp_path_factory.mktemp("writer") / "fam.json"
         save_family(fam, str(path))
         assert read(path) == json.dumps(family_to_document(fam), indent=1) + "\n"
+
+    @pytest.mark.parametrize("case", ["ragged_blocks", "operator_over_a_block"])
+    def test_saved_text_at_block_scale(self, tmp_path, case):
+        """The writer formats a block of whole operators at a time: a family
+        of several blocks whose last block is short, and one whose every
+        operator is larger than a block, are json.dumps(indent=1) text."""
+        block = hsframe._shortest.BLOCK
+        if case == "ragged_blocks":
+            dim_h, dim_k = 5, 3
+            count = 2 * (block // (dim_h * dim_k * dim_k * 2)) + 7
+        else:
+            dim_h, dim_k, count = block // 8 + 1, 2, 3
+        fam = edge_family(len(case), dim_h, dim_k, count)
+        path = tmp_path / "fam.json"
+        save_family(fam, str(path))
+        assert read(path) == json.dumps(family_to_document(fam), indent=1) + "\n"
+
+    def test_threads_save_at_once(self, tmp_path):
+        """Four threads save different families of several blocks at once,
+        the formatter's tables first built among them: each file is its own
+        family's json.dumps(indent=1) text."""
+        families = [edge_family(seed, 5, 3, 150 + seed) for seed in range(4)]
+        failures = []
+
+        def worker(j):
+            path = tmp_path / f"fam{j}.json"
+            try:
+                for _ in range(3):
+                    save_family(families[j], str(path))
+                    if read(path) != json.dumps(family_to_document(families[j]),
+                                                indent=1) + "\n":
+                        failures.append(j)
+            except Exception as exc:  # reported below, not lost in the thread
+                failures.append(exc)
+
+        hsframe._shortest._tables.cache_clear()
+        threads = [threading.Thread(target=worker, args=(j,)) for j in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
     def test_writer_does_not_run_json_encoder(self, tmp_path, monkeypatch):
         """json.dumps(indent=...) falls back to the pure-Python encoder, which
