@@ -70,17 +70,19 @@ a later full-rank prefix with n <= k_H takes it, and the error it gave,
 with no search or solve.
 
 A section is one object, ``SubspaceBasis``: Q_n, s_r and L together with
-the family, its projection, its solve and its search.  Every entry point
-gets its sections from one factory, ``_sections``, which yields one per
-prefix of a schedule from the running factorization (``subspace_basis`` is
-its one-prefix case), and takes every sectional inverse from that
-section's one solve; the two single-prefix searches share one helper, and
-``projection_formula`` solves on the basis its caller passes.  ``SubspaceBasis`` is the one place that
-knows a prefix's edge cases: the empty section (rank 0), whose search
-returns k = n and whose solve, through a zero-width Q_n, is 0, and a plain
-section the SVD cannot resolve.  The latter's oversampled compression is
-still bounded below by A/lambda, so a sweep keeps that half of a flagged
-row.
+the family, its projection, its solve, its search and its floor check.
+Every entry point gets its sections from one factory, ``_sections``, which
+yields one per prefix of a schedule from the running factorization
+(``subspace_basis`` is its one-prefix case), and takes every sectional
+inverse from that section's one solve, of a vector or of a block of them;
+the two single-prefix searches share one helper, and
+``projection_formula`` solves on the basis its caller passes.
+``SubspaceBasis`` is the one place that knows a prefix's edge cases: the
+empty section (rank 0), whose search returns k = n and whose solve,
+through a zero-width Q_n, is 0, and a plain section the SVD cannot
+resolve, which the section decides once.  The latter's oversampled
+compression is still bounded below by A/lambda, so a sweep keeps that
+half of a flagged row.
 """
 
 from __future__ import annotations
@@ -243,13 +245,14 @@ def _sections(family: HSFrameFamily, ns, rank_tol: float):
 
     Full rank is certified once, so later R rows take their QR and no SVD.
     A full-rank R row passes the rank rule and the floor check (both
-    ``_check_floor`` and ``numerical_rank`` on its own s) exactly when
-    s_min > tau s_max, tau = max(rank_tol, 16 dim_h eps).  For every later
-    prefix n, S_n0 <= S_n <= S, so sigma_min(T_n) >= sigma_min(T_n0) and
-    sigma_max(T_n) <= sigma_max(T).  The computed s of a row carries the
-    rounding of at most count running QRs and one SVD, each about
-    dim_h eps sigma_max(T): within rho = (count + 1) dim_h eps sigma_max(T)
-    of T_n's exact values.  So, with s0 the computed s of an R row n0,
+    ``numerical_rank`` and ``SubspaceBasis._singular`` on its own s)
+    exactly when s_min > tau s_max, tau = max(rank_tol, 16 dim_h eps).  For
+    every later prefix n, S_n0 <= S_n <= S, so sigma_min(T_n) >=
+    sigma_min(T_n0) and sigma_max(T_n) <= sigma_max(T).  The computed s of
+    a row carries the rounding of at most count running QRs and one SVD,
+    each about dim_h eps sigma_max(T): within rho = (count + 1) dim_h eps
+    sigma_max(T) of T_n's exact values.  So, with s0 the computed s of an R
+    row n0,
 
         s_min(R_n) >= s0_min - 2 rho,   s_max(R_n) <= sigma_max(T) + rho,
 
@@ -307,26 +310,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_floor(basis: SubspaceBasis) -> None:
-    """Reject a section its SVD cannot resolve: sigma_r <= 16 r eps sigma_max.
-
-    The plain section is diag(sigma_r^2) read off that SVD, so its accuracy
-    follows sigma_max / sigma_r, and the floor is on sigma, in the units of
-    the rank rule.  With rank_tol above 16 r eps it never fires, and the
-    empty section has nothing to resolve, nor has a section whose sweep
-    certified its full rank (``_sections``).
-    """
-    if basis._certified:
-        return
-    sigma = basis.sigma
-    if sigma.size and sigma[-1] <= 16.0 * sigma.size * np.finfo(float).eps * sigma[0]:
-        raise SectionSingularError(
-            f"sectional operator at n={basis.n} is numerically singular "
-            f"(singular value {sigma[-1]:.3e} vs top {sigma[0]:.3e}); "
-            "rank_tol is too loose for this family"
-        )
-
-
 def _check_schedule(schedule: SectionSchedule, family: HSFrameFamily) -> None:
     """``schedule`` is a ``SectionSchedule`` that stays within the family."""
     check_instance("schedule", schedule, SectionSchedule)
@@ -342,12 +325,13 @@ def sectional_operator(basis: SubspaceBasis) -> np.ndarray:
     diag(sigma^2) in an SVD basis, R^H R once Q_n = I.
 
     Positive definite there by construction (0 x 0 for the empty section); a
-    singular value the SVD cannot resolve (``_check_floor``) means the rank
-    tolerance used for the basis was too loose, and raises
+    singular value the SVD cannot resolve (``SubspaceBasis._singular``)
+    means the rank tolerance used for the basis was too loose, and raises
     ``SectionSingularError``.
     """
     check_instance("basis", basis, SubspaceBasis)
-    _check_floor(basis)
+    if basis._singular:
+        raise SectionSingularError(basis._singular)
     return basis._plain.copy()
 
 
@@ -363,7 +347,8 @@ class SubspaceBasis:
     where L is diag(s_r) for a section read off an SVD (Q_n = U[:, :r_n]),
     and L is the square R factor of T_n^H, with Q_n = I, for a section that
     ``_sections`` takes from its running R once H_n = H.  Only the plain
-    section and its solve at k = n tell the two kinds apart.
+    section and its solve at k = n tell the two kinds apart.  The section
+    owns its floor check: ``_singular`` is decided once, on first read.
 
     ``q`` and ``sigma`` are read-only, and ``rank`` is the number of Q_n's
     columns, ``sigma.size``; the R sections of a sweep share one identity
@@ -371,9 +356,10 @@ class SubspaceBasis:
     rank is made without s_r: it passes the floor check unread, and
     ``sigma`` is the values-only SVD of its R, taken on first read.  Made
     by ``_sections``, the one factory, from the running factorization.
-    Every sectional inverse is one ``solve(k, y)``: the plain one at k = n,
-    which divides by s_r^2 or takes two triangular solves with R, and the
-    oversampled one at the k the search returns, Q_n C_k^-1 Q_n^H y.  Each
+    Every sectional inverse is one ``solve(k, y)``, of a vector y or of a
+    (dim_h, p) block of them: the plain one at k = n, which divides by
+    s_r^2 or takes two triangular solves with R, and the oversampled one
+    at the k the search returns, Q_n C_k^-1 Q_n^H y.  Each
     compression C_k = Q_n^H S_k Q_n at k > n adds the Gram matrix of blocks
     n+1..k of Q_n^H T to L^H L; the section keeps the latest one built,
     which the search's tests and the solve at its k share.  The search
@@ -409,6 +395,29 @@ class SubspaceBasis:
         sigma = np.linalg.svd(self._r, compute_uv=False)
         sigma.flags.writeable = False
         return sigma
+
+    @cached_property
+    def _singular(self) -> str | None:
+        """The floor check: why the plain section is singular, or None.
+
+        It rejects a section its SVD cannot resolve, sigma_r <= 16 r eps
+        sigma_max.  The plain section is diag(sigma_r^2) read off that SVD,
+        so its accuracy follows sigma_max / sigma_r, and the floor is on
+        sigma, in the units of the rank rule.  With rank_tol above 16 r eps
+        it never fires, and the empty section has nothing to resolve, nor
+        has a section whose sweep certified its full rank (``_sections``),
+        which passes without reading sigma.
+        """
+        if self._certified:
+            return None
+        s = self.sigma
+        if s.size and s[-1] <= 16.0 * s.size * np.finfo(float).eps * s[0]:
+            return (
+                f"sectional operator at n={self.n} is numerically singular "
+                f"(singular value {s[-1]:.3e} vs top {s[0]:.3e}); "
+                "rank_tol is too loose for this family"
+            )
+        return None
 
     @cached_property
     def _sig2(self) -> np.ndarray:
@@ -507,16 +516,16 @@ class SubspaceBasis:
         return self.q @ (self.q.conj().T @ y)
 
     def solve(self, k: int, y: np.ndarray) -> np.ndarray:
-        """Q (Q^H S_k Q)^-1 Q^H y for a vector y.  At k = n that is
-        Q (Q^H y / s_r^2), or R^-1 R^-H y when Q = I.  A compression that
-        LAPACK finds exactly singular, which the search's certificate leaves
-        possible only where B/A is beyond about 1/eps, raises
-        ``NumericError`` naming n and k."""
+        """Q (Q^H S_k Q)^-1 Q^H y for a vector y, or for each column of a
+        (dim_h, p) block y in one call.  At k = n that is Q (Q^H y / s_r^2),
+        or R^-1 R^-H y when Q = I.  A compression that LAPACK finds exactly
+        singular, which the search's certificate leaves possible only where
+        B/A is beyond about 1/eps, raises ``NumericError`` naming n and k."""
         q = self.q
         if k == self.n:
             if self._r is not None:
                 return np.linalg.solve(self._r, np.linalg.solve(self._r.conj().T, y))
-            return q @ ((q.conj().T @ y) / self._sig2)
+            return q @ ((q.conj().T @ y).T / self._sig2).T  # row i over s_i^2
         try:
             z = np.linalg.solve(self.compressed(k), q.conj().T @ y)
         except np.linalg.LinAlgError as exc:
@@ -528,7 +537,8 @@ class SubspaceBasis:
 
     def inv_apply(self, y: np.ndarray) -> np.ndarray:
         """S_n^-1 P_n y, after the floor check."""
-        _check_floor(self)
+        if self._singular:
+            raise SectionSingularError(self._singular)
         return self.solve(self.n, y)
 
     def oversampling(self, bounds: tuple[float, float], lam: float, start: int) -> int:
@@ -717,12 +727,8 @@ def convergence_sweep(
             if full:
                 spanning = k, over, err_over
         err_plain = crit2 = crit3 = strong = math.nan  # stay nan on a flagged row
-        try:
-            _check_floor(section)
-        except SectionSingularError:
-            flagged = True
-        else:
-            flagged = False
+        flagged = section._singular is not None
+        if not flagged:
             plain = over if k == n else section.solve(n, fv)  # one k = n solve
             y = t_h @ plain  # G_j x_n for every j
             cut = n * blk
@@ -768,12 +774,11 @@ def uniform_bound_scan(
     _require_frame(family, rank_tol)
     g_j = family.maps[index]  # G_j* G_j f; not adjoint_apply, which checks G_j f
     w = g_j.images.reshape(family.dim_h, -1).conj() @ g_j(fv).reshape(-1)
-    ns, values = tuple(range(index + 1, family.count + 1)), []
-    for section in _sections(family, ns, rank_tol):
-        try:
-            values.append(_norm(section.inv_apply(w)))
-        except SectionSingularError:
-            values.append(math.nan)
+    ns = tuple(range(index + 1, family.count + 1))
+    values = [
+        math.nan if section._singular else _norm(section.solve(section.n, w))
+        for section in _sections(family, ns, rank_tol)
+    ]
     finite = [v for v in values if not math.isnan(v)]
     return UniformBoundProfile(
         index=index,
@@ -817,14 +822,14 @@ def kernel_consistency(
     for section in _sections(family, schedule, rank_tol):
         cut = section.n * blk
         gaps.append(_norm(section.project(g) - g))  # 0 once Q_n = I
-        try:
-            x_n = section.inv_apply(t[:, :cut] @ c_vec[:cut])
-            y_n = section.inv_apply(t[:, :cut] @ kernel_vec[:cut])
-            r_full.append(_norm(x_n - g))
-            r_kernel.append(_norm(y_n))
-        except SectionSingularError:
+        if section._singular:
             r_full.append(math.nan)
             r_kernel.append(math.nan)
+        else:  # both statements in one solve, each right side by its own gemv
+            rhs = np.column_stack([t[:, :cut] @ v[:cut] for v in (c_vec, kernel_vec)])
+            x_n, y_n = section.solve(section.n, rhs).T
+            r_full.append(_norm(x_n - g))
+            r_kernel.append(_norm(y_n))
     scale = tol * (1.0 + _norm(c_vec))
     co_vanish = (
         not math.isnan(r_full[-1])

@@ -38,7 +38,7 @@ from hsframe import cli
 from hsframe.cli import main
 from hsframe.core import _left_svd, _right_svd, _spectral_norm, _tall
 from hsframe.projection import _sections
-from conftest import complex_unit, counted, named, shapes
+from conftest import complex_unit, counted, named, shapes, solves
 
 
 def ill_conditioned_riesz():
@@ -163,6 +163,27 @@ def test_kernel_consistency_calls(linalg_calls):
     assert shapes(linalg_calls) == through_r(20, 6) + [
         ("qr", (20, 6), "reduced"), ("svd", (6, 4), None), *through_r(12, 6),
     ]
+
+
+def test_kernel_consistency_solves_both_statements_at_once(linalg_calls):
+    """On the same family with the full schedule, prefixes 1 and 2 take
+    SVDs and prefix 5 reads T's, all divisions.  Prefixes 3 and 4 are R
+    sections, and each solves the full sequence and its kernel part in one
+    pair of triangular solves, with R^H and then R: 4 solves in all, where
+    one pair per statement would make 8."""
+    fam = random_family(6, 2, 5, SpectrumSpec.geometric(0.7), seed=4)
+    coeffs = CoefficientSequence.from_stacked(
+        complex_unit(np.random.default_rng(1), fam.synthesis_matrix.shape[1]), fam.dim_k
+    )
+    linalg_calls.clear()
+    kernel_consistency(fam, coeffs, SectionSchedule.full(fam.count))
+    with_r, compressions = solves(linalg_calls)
+    assert len(with_r) == 4 and compressions == []
+    r_solves = [("solve", (6, 6), None), ("solve", (6, 6), None)]
+    assert shapes(named(linalg_calls, "qr", "solve"))[-6:] == [
+        ("qr", (10, 6), "r"), *r_solves, ("qr", (10, 6), "r"), *r_solves,
+    ]
+    assert not np.array_equal(with_r[1][1], with_r[3][1])  # rows 3 and 4, two R
 
 
 def test_package_imports_no_scipy():
