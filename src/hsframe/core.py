@@ -129,16 +129,23 @@ def _norm(x: np.ndarray) -> float:
     """Euclidean norm of all of ``x``'s entries, whose squares need not be
     representable.
 
-    The entries are scaled by the power of two nearest their largest
-    magnitude, which is exact, so in range the result is bit for bit
-    ``np.linalg.norm``'s, and norms near 1e-300 or 1e300 neither underflow
-    to 0 nor overflow to inf.
+    Outside a norm of 2**-400 to 2**400 the entries are scaled by the power
+    of two nearest their largest magnitude, which is exact, so norms near
+    1e-300 or 1e300 neither underflow to 0 nor overflow to inf.  Inside it
+    the result is ``np.linalg.norm``'s, unscaled: no square there overflows,
+    and squares that underflow sum to less than half an ulp of the total,
+    so scaling would give the same bits.  A norm past the largest float is
+    inf, with no numpy warning.
     """
-    peak = float(np.max(np.abs(x), initial=0.0))
-    if not 0.0 < peak < math.inf:
-        return peak  # 0, inf or nan
-    e = min(max(math.frexp(peak)[1], -1000), 1000)  # 2**-e stays finite
-    return float(np.ldexp(np.linalg.norm(x * math.ldexp(1.0, -e)), e))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+        if 2.0**-400 < norm < 2.0**400:
+            return norm
+        peak = float(np.max(np.abs(x), initial=0.0))
+        if not 0.0 < peak < math.inf:
+            return peak  # 0, inf or nan
+        e = min(max(math.frexp(peak)[1], -1000), 1000)  # 2**-e stays finite
+        return float(np.ldexp(np.linalg.norm(x * math.ldexp(1.0, -e)), e))
 
 
 #: A matrix with at least this many times as many rows as columns is tall:

@@ -321,6 +321,10 @@ class FrameReport:
 
 @dataclass(frozen=True)
 class DualCheck:
+    """``verify_alternate_dual``'s verdict: ``max_residual`` is |T V^H - I|_2,
+    and ``ok`` says it lies within the rounding bound of forming it, so that
+    the dual identity holds to working precision."""
+
     ok: bool
     max_residual: float
 
@@ -345,6 +349,31 @@ def _check_pair(family: HSFrameFamily, other: HSFrameFamily, name: str) -> None:
             f"{name} must share (dim_h, dim_k, count) with family: got "
             f"{shapes[1]}, family has {shapes[0]}"
         )
+
+
+def _product_rounding(family: HSFrameFamily) -> float:
+    """8 (N + dim_h) eps |T|_F, N = count d_k^2 the columns of T: a bound on
+    the rounding of a product with T, per unit norm of what T meets.
+    ``verify_alternate_dual`` and ``kernel_consistency`` scale it into the
+    bound each of their verdicts compares against.
+
+    An entry of T X^H, or of T x, is a complex inner product of length N.
+    Its real and imaginary parts are sums of 2N real products, so in any
+    summation order, blocked or fused, it rounds by at most
+    sqrt(2) gamma_2N <= 1.5 N eps times |t_i| |x_l| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sections 3.1, 3.5 and
+    3.6), and Cauchy-Schwarz row by row gives
+    |fl(T X^H) - T X^H|_2 <= 1.5 N eps |T|_F |X|_F.  The dim_h term counts
+    what is formed from the family's SVD: products with U, s and V^H have
+    inner dimension dim_h, and the SVD's backward error is a few eps |T|.
+    On random frames and families with cond(T) up to 1e9, both checks'
+    residuals stayed below 2.5 (N + dim_h) eps |T|_F times that norm, so
+    the constant 8 passes every result formed to working precision with a
+    margin of 3.  |T|_F is the norm of the cached s; a family not yet
+    factored is factored here, once.
+    """
+    # T is dim_h x N, so its shape sums to N + dim_h
+    return 8.0 * sum(family.synthesis_matrix.shape) * math.ulp(1.0) * _norm(family.svd.s)
 
 
 def analyze(family: HSFrameFamily, f) -> CoefficientSequence:
@@ -508,21 +537,29 @@ def reconstruct(
     return x
 
 
-def verify_alternate_dual(
-    family: HSFrameFamily, candidate: HSFrameFamily, tol: float = 1e-9
-) -> DualCheck:
-    """Check the dual reconstruction identity exactly.
+def verify_alternate_dual(family: HSFrameFamily, candidate: HSFrameFamily) -> DualCheck:
+    """Check the dual reconstruction identity to working precision, unsampled.
 
     A candidate {V_j} is a dual of {G_j} when f = sum_j G_j* V_j f for
     every f, i.e. P = T V^H equals I.  The other identity,
     f = sum_j V_j* G_j f, is its adjoint P^H = I and has the same residual,
-    so the one spectral norm |P - I| decides both.
+    so the one spectral norm |P - I| decides both.  ``ok`` means
+    |P - I| <= tau = 8 (N + dim_h) eps |T|_F |V|_F, N the columns of T
+    (``_product_rounding``, derived there): forming P rounds by at most
+    1.5 N eps |T|_F |V|_F, and subtracting I and the norm add relative
+    errors of order dim_h eps.  A candidate formed from the family's SVD,
+    as ``canonical_dual`` forms U diag(1/s) V^H, carries an exact residual
+    of at most a few eps |T| |V|.  So every dual formed to working
+    precision passes, and a candidate whose exact residual exceeds 1.2 tau
+    fails.  tau takes |T|_F off the cached s and one norm pass over V, and
+    a residual or a tau that is not finite fails, with no numpy warning.
     """
-    check_real("tol", tol, 0.0, math.inf, closed=(True, False))
     _check_pair(family, candidate, "candidate")
-    p = family.synthesis_matrix @ candidate.synthesis_matrix.conj().T
-    max_residual = _spectral_norm(p - np.eye(family.dim_h))
-    return DualCheck(ok=bool(max_residual <= tol), max_residual=max_residual)
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: inf below
+        p = family.synthesis_matrix @ candidate.synthesis_matrix.conj().T - np.eye(family.dim_h)
+    max_residual = _spectral_norm(p) if np.isfinite(p).all() else math.inf
+    tau = _product_rounding(family) * _norm(candidate.synthesis_matrix)
+    return DualCheck(ok=max_residual <= tau < math.inf, max_residual=max_residual)
 
 
 def frame_operator_hs_norm_bound(family: HSFrameFamily) -> tuple[float, float]:

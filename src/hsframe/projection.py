@@ -115,6 +115,7 @@ from .family import (
     _check_coefficients,
     _inverse_frame_apply,
     _positive_bounds,
+    _product_rounding,
     _require_frame,
     _squared,
     check_rank_tol,
@@ -793,7 +794,6 @@ def kernel_consistency(
     coeffs: CoefficientSequence,
     schedule: SectionSchedule,
     rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = 1e-8,
 ) -> KernelConsistencyReport:
     """Evaluate both sectional limit statements along the schedule.
 
@@ -803,11 +803,24 @@ def kernel_consistency(
     prefix synthesis of the full sequence against g; statement (2) tracks
     the same for the kernel part against zero.  The two residuals differ
     by at most |P_n g - g|, so they vanish or persist together.
+
+    ``co_vanish`` says that both last residuals lie within, or both
+    beyond, the rounding of the n = count solve, where both are 0 in exact
+    arithmetic: b = 8 (N + dim_h) eps |T|_F |c| / sigma_r^2, with N the
+    columns of T and sigma_r the least singular value kept
+    (``_product_rounding``; b = 0 for T = 0).  That solve is
+    S^-1 fl(T c) through the cached U and s, and fl(T c) rounds by at most
+    1.5 N eps |T|_F |c|, which S^-1 (norm 1/sigma_r^2) maps to x_n.  The
+    kernel part c - T^H g rounds with T^H g, a product of inner dimension
+    dim_h, by 1.5 dim_h eps |T|_F |g| with |g| <= |c| / sigma_r, which
+    reaches y_n through S^-1 T (norm 1/sigma_r).  The SVD's backward error,
+    a few eps |T|, reaches both the same way, since g and S^-1 are taken
+    through the same factors.  A flagged or infinite residual, or an
+    infinite b, gives False.
     """
     _check_coefficients(family, coeffs)
     _check_schedule(schedule, family)
     check_rank_tol(rank_tol)
-    check_real("tol", tol, 0.0, math.inf, closed=(True, False))
     t = family.synthesis_matrix
     blk = family.dim_k * family.dim_k
     c_vec = coeffs.stacked()
@@ -830,10 +843,10 @@ def kernel_consistency(
             x_n, y_n = section.solve(section.n, rhs).T
             r_full.append(_norm(x_n - g))
             r_kernel.append(_norm(y_n))
-    scale = tol * (1.0 + _norm(c_vec))
-    co_vanish = (
-        not math.isnan(r_full[-1])
-        and (r_full[-1] <= scale) == (r_kernel[-1] <= scale)
+    sigma_r = float(svd.s[rank - 1]) if rank else math.inf  # rank 0: T = 0, b = 0
+    bound = _product_rounding(family) * _norm(c_vec) / sigma_r / sigma_r
+    co_vanish = all(map(math.isfinite, (r_full[-1], r_kernel[-1], bound))) and (
+        (r_full[-1] <= bound) == (r_kernel[-1] <= bound)
     )
     return KernelConsistencyReport(
         ns=schedule.lengths,

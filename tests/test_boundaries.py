@@ -112,8 +112,6 @@ PAIRS = {
         "dim_k", 0, lambda v: CoefficientSequence.from_stacked(np.ones(6), v)),
     "classify-rank_tol": ("rank_tol", None, lambda v: classify(F, v)),
     "analyze_report-rank_tol": ("rank_tol", None, lambda v: analyze_report(F, v)),
-    "verify_alternate_dual-tol": (
-        "tol", None, lambda v: verify_alternate_dual(F, F, tol=v)),
     "subspace_basis-n": ("n", 0, lambda v: subspace_basis(F, v)),
     "find_oversampling-n": ("n", 0, lambda v: find_oversampling(F, v, 2.0)),
     "find_oversampling-lam": ("lambda", None, lambda v: find_oversampling(F, 1, v)),
@@ -123,8 +121,6 @@ PAIRS = {
     "SectionSchedule.full-count": ("count", 0, SectionSchedule.full),
     "uniform_bound_scan-index": (
         "index", -1, lambda v: uniform_bound_scan(F, v, F_VEC)),
-    "kernel_consistency-tol": (
-        "tol", None, lambda v: kernel_consistency(F, COEFFS, SCHEDULE, tol=v)),
     "PerturbationConstants-mu": ("mu", None, lambda v: PerturbationConstants(mu=v)),
     "predicted_bounds-lower": ("lower", None, lambda v: predicted_bounds(v, 2.0)),
     "predicted_bounds-upper": ("upper", None, lambda v: predicted_bounds(1.0, v)),

@@ -69,6 +69,24 @@ class TestHSNorm:
         assert hs_norm([scale, scale]) == pytest.approx(math.sqrt(2) * scale, rel=1e-15)
         assert hs_norm([[scale, 0], [0, -1j * scale]]) == hs_norm([scale, scale])
 
+    def test_norm_past_the_largest_float_is_inf(self):
+        assert hs_norm([1.5e308, 1.5e308]) == math.inf
+
+    def test_unscaled_norm_in_range_has_the_scaled_bits(self):
+        """Between 2**-400 and 2**400 the norm is taken unscaled; scaling by
+        the power of two of the largest entry would give the same bits,
+        also with entries whose squares underflow.  Outside, it is scaled."""
+        rng = np.random.default_rng(400)
+        for _ in range(3000):
+            size = int(rng.choice([1, 2, 5, 64, 1000]))
+            head = rng.standard_normal(size) * 2.0 ** rng.uniform(-600, 600)
+            tail = rng.standard_normal(size) * 2.0 ** rng.uniform(-1074, -400, size)
+            x = (head + 1j * tail) if rng.random() < 0.5 else np.concatenate([head, tail])
+            x = x.astype(complex)  # as hs_norm takes it: a real view strides apart
+            e = math.frexp(float(np.max(np.abs(x))))[1]
+            scaled = float(np.ldexp(np.linalg.norm(x * 2.0**-e), e))
+            assert hs_norm(x) == scaled
+
     def test_rank_one_factorizes(self, rng):
         # the norm of x tensor y is |x| * |y|
         for _ in range(10):

@@ -441,7 +441,7 @@ class TestAlternateDual:
         candidate = HSFrameFamily.from_synthesis_matrix(
             fam.dim_h, fam.dim_k, dual.synthesis_matrix + np.outer(w, kappa.conj())
         )
-        check = verify_alternate_dual(fam, candidate, tol=1e-8)
+        check = verify_alternate_dual(fam, candidate)
         assert check.ok
 
 
@@ -461,6 +461,69 @@ class TestAlternateDual:
         check = verify_alternate_dual(fam, candidate)
         assert check.max_residual == pytest.approx(eps, rel=1e-9)
         assert not check.ok
+
+    @staticmethod
+    def tau(fam, candidate):
+        """The documented bound 8 (N + dim_h) eps |T|_F |V|_F."""
+        n = fam.synthesis_matrix.shape[1]
+        t_norm = np.linalg.norm(fam.synthesis_matrix)
+        v_norm = np.linalg.norm(candidate.synthesis_matrix)
+        return 8 * (n + fam.dim_h) * np.finfo(float).eps * t_norm * v_norm
+
+    def test_canonical_duals_pass_to_working_precision(self):
+        """Every canonical dual passes, on 300 random frames with cond(T)
+        log-uniform up to 1e9, and on ``generate --kind random --dim-h 40
+        --dim-k 2 --count 100 --spectrum geometric:0.4 --seed 1``
+        (cond(T) = 5.8e7), whose residual 2.3e-9 a fixed 1e-9 rejected."""
+        fams = [random_family(40, 2, 100, SpectrumSpec.geometric(0.4), seed=1)]
+        rng = np.random.default_rng(39)
+        for _ in range(300):
+            dim_h, dim_k = int(rng.integers(1, 11)), int(rng.integers(1, 3))
+            count = int(rng.integers(-(-dim_h // dim_k**2), 13))
+            ratio = 10.0 ** (-18 * rng.random() / max(dim_h - 1, 1))
+            seed = int(rng.integers(2**32))
+            spectrum = SpectrumSpec.geometric(ratio)
+            fams.append(random_family(dim_h, dim_k, count, spectrum, seed=seed))
+        assert verify_alternate_dual(fams[0], canonical_dual(fams[0])).max_residual > 1e-9
+        for fam in fams:
+            dual = canonical_dual(fam)
+            check = verify_alternate_dual(fam, dual)
+            assert check.ok
+            assert check.max_residual <= self.tau(fam, dual) / 4
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    def test_one_direction_error_is_judged_against_tau(self, cond):
+        """An error T E^H = delta e1 e1^H is caught at delta = 10 tau and
+        passes at delta = tau / 10: tau is the scale of the verdict."""
+        spectrum = SpectrumSpec.geometric(cond ** (-2 / 7))
+        fam = random_family(8, 1, 16, spectrum, seed=5)
+        dual = canonical_dual(fam)
+        e1 = np.zeros(8)
+        e1[0] = 1.0
+        t_plus_e1 = dual.synthesis_matrix.conj().T @ e1
+        tau = self.tau(fam, dual)
+        for delta, ok in ((10 * tau, False), (tau / 10, True)):
+            candidate = HSFrameFamily.from_synthesis_matrix(
+                8, 1, dual.synthesis_matrix + delta * np.outer(e1, t_plus_e1.conj())
+            )
+            check = verify_alternate_dual(fam, candidate)
+            assert check.ok is ok
+            assert check.max_residual == pytest.approx(delta, rel=0.2)
+
+    def test_non_finite_residual_or_tau_never_passes(self):
+        fam = random_family(4, 1, 6, SpectrumSpec.flat(), seed=1)
+        t = fam.synthesis_matrix
+        # T V^H overflows: the residual is inf
+        big = HSFrameFamily.from_synthesis_matrix(4, 1, 1e10 * t)
+        huge = HSFrameFamily.from_synthesis_matrix(4, 1, 1e300 * t)
+        check = verify_alternate_dual(big, huge)
+        assert check.max_residual == np.inf and not check.ok
+        # an exact dual, residual 0, whose |V|_F = 2^1024 overflows: tau is inf
+        eye = np.eye(4)
+        tiny = HSFrameFamily.from_synthesis_matrix(4, 1, 2.0**-1023 * eye)
+        huge = HSFrameFamily.from_synthesis_matrix(4, 1, 2.0**1023 * eye)
+        check = verify_alternate_dual(tiny, huge)
+        assert check.max_residual == 0.0 and not check.ok
 
 
 class TestFrameOperatorHSNorm:

@@ -117,6 +117,18 @@ class TestSectionalOperator:
         want = np.linalg.eigvalsh(frame_operator(MB))
         assert np.allclose(got, want, atol=1e-12)
 
+    def test_unresolved_section_raises_the_plain_inverse_message(self):
+        from hsframe import SectionSingularError
+
+        # sigma_r / sigma_max = 5e-17: kept by rank_tol 1e-20, below 16 r eps
+        fam = from_scalar_frame([[1, 0], [1, 1e-16], [0, 1]])
+        with pytest.raises(SectionSingularError) as plain:
+            plain_inverse_apply(fam, 2, [1.0, 0.0], 1e-20)
+        with pytest.raises(SectionSingularError) as compressed:
+            sectional_operator(subspace_basis(fam, 2, 1e-20))
+        assert str(compressed.value) == str(plain.value)
+        assert "n=2" in str(compressed.value)
+
 
 class TestProject:
     def test_fixed_point_inside(self):
@@ -515,6 +527,58 @@ class TestKernelConsistency:
         )
         assert np.isnan(report.residual_full[1]) and np.isnan(report.residual_kernel[1])
         assert report.projection_gap[1] <= 1e-15
+
+    def test_co_vanish_reads_the_rounding_of_the_full_solve(self):
+        """At n = count both residuals are 0 in exact arithmetic, and their
+        rounding grows like eps |T| |c| / sigma_r^2: on this family
+        (cond(T) = 7.8e4) residual_full[-1] is 7.2e-7 and residual_kernel[-1]
+        3.2e-8, both far inside b = 8 (N + dim_h) eps |T|_F |c| / sigma_r^2.
+        A fixed 1e-8 (1 + |c|) split them."""
+        fam = random_family(8, 1, 8, SpectrumSpec.geometric(0.04), seed=2)
+        rng = np.random.default_rng(2)
+        blocks = rng.standard_normal((8, 1, 1)) + 1j * rng.standard_normal((8, 1, 1))
+        coeffs = CoefficientSequence(blocks)
+        report = kernel_consistency(fam, coeffs, SectionSchedule.full(8))
+        s = fam.svd.s
+        b = 8 * (8 + 8) * np.finfo(float).eps * np.linalg.norm(s)
+        b *= np.linalg.norm(coeffs.stacked()) / s[-1] ** 2
+        last = (report.residual_full[-1], report.residual_kernel[-1])
+        assert max(last) <= b / 100 and last[0] > 1e-8 * (1 + np.linalg.norm(blocks))
+        assert report.co_vanish
+
+    def test_full_schedule_co_vanishes_on_random_frames(self):
+        """Every unflagged full-schedule report co-vanishes, on 200 random
+        families (dim_h <= 6, cond(T) log-uniform up to 1e6) with complex
+        normal coefficients."""
+        rng = np.random.default_rng(86)
+        for _ in range(200):
+            dim_h, dim_k = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+            count = int(rng.integers(-(-dim_h // dim_k**2), 9))
+            ratio = 10.0 ** (-12 * rng.random() / max(dim_h - 1, 1))
+            fam = random_family(
+                dim_h, dim_k, count, SpectrumSpec.geometric(ratio),
+                seed=int(rng.integers(2**32)),
+            )
+            shape = (count, dim_k, dim_k)
+            blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            report = kernel_consistency(
+                fam, CoefficientSequence(blocks), SectionSchedule.full(count)
+            )
+            assert not math.isnan(report.residual_full[-1])
+            assert report.co_vanish
+
+    def test_non_finite_never_co_vanishes(self):
+        # a flagged last row: both residuals nan
+        fam = from_scalar_frame([[1.0, 0.0], [1.0, 1e-16], [0.0, 1.0]])
+        report = kernel_consistency(
+            fam, analyze(fam, [1.0, 2.0]), SectionSchedule((1, 2)), rank_tol=1e-20
+        )
+        assert not report.co_vanish
+        # both residuals exactly 0, but |c| and so b overflow to inf
+        c = CoefficientSequence(np.full((2, 1, 1), 1.5e308))
+        report = kernel_consistency(onb_family(2), c, SectionSchedule.full(2))
+        assert report.residual_full[-1] == report.residual_kernel[-1] == 0.0
+        assert not report.co_vanish
 
 
 class TestBlockValuedFamilies:

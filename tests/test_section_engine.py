@@ -279,6 +279,36 @@ def test_seeded_sweep_rows_match_single_prefix_entries():
             assert abs(r.err_plain - plain) <= 1e-12 * max(scale, plain)
 
 
+def test_seeded_sweep_err_plain_within_its_conditioned_rounding():
+    """The sweep's running factorization and ``plain_inverse_apply``'s
+    one-shot SVD of T_n round apart, and S_n^-1 amplifies that by up to
+    kappa(S_n) = (sigma_1 / sigma_r)^2 of the prefix.  So each row's
+    err_plain lies within C eps kappa(S_n) max(|x_n|, |S^-1 f|) of the
+    single-prefix one, x_n = S_n^-1 P_n f, with C = 64: the largest ratio
+    seen was 21.3, over 25 921 rows of 4000 families drawn as below (seeds
+    12345 and 54321), where a fixed 1e-12 |S^-1 f| missed on 43 of 2000.
+    Here 300 families from another seed."""
+    rng = np.random.default_rng(74)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        dim_h, dim_k = int(rng.integers(1, 9)), int(rng.integers(1, 3))
+        count = int(rng.integers(-(-dim_h // dim_k**2), 11))
+        spectrum = SpectrumSpec.geometric(float(rng.uniform(0.2, 1.0)))
+        fam = random_family(dim_h, dim_k, count, spectrum, seed=int(rng.integers(2**32)))
+        lam = float(rng.uniform(1.1, 8.0))
+        f = complex_unit(np.random.default_rng(0), fam.dim_h)
+        ground = projection._inverse_frame_apply(fam, f)
+        scale = float(np.linalg.norm(ground))
+        t, blk = fam.synthesis_matrix, fam.dim_k**2
+        for r in convergence_sweep(fam, SectionSchedule.full(fam.count), f, lam=lam):
+            x_n = plain_inverse_apply(fam, r.n, f)
+            s = np.linalg.svd(t[:, : r.n * blk], compute_uv=False)
+            kappa = (s[0] / s[r.r_n - 1]) ** 2
+            plain = float(np.linalg.norm(x_n - ground))
+            bound = 64 * eps * kappa * max(float(np.linalg.norm(x_n)), scale)
+            assert abs(r.err_plain - plain) <= bound
+
+
 def r_search_family():
     """dim_h 4, dim_k 1: four copies of e1, then 0.1 e2, 0.1 e3 and 0.1 e4,
     then eight complex Gaussian maps.  F is square from row 5 on, and row 7,

@@ -38,6 +38,7 @@ import hsframe_script
 from hsframe import cli
 from hsframe.cli import main
 from hsframe.serialization import (
+    _atomic_write,
     _finite_or_null,
     family_to_document,
     format_sig,
@@ -414,6 +415,23 @@ class TestFamilyFile:
         with pytest.raises(IsADirectoryError):
             save_family(onb_family(2), str(target))
         assert list(tmp_path.glob(".hsframe-*.tmp")) == []
+
+    def test_failing_chunks_propagate_unchanged(self, tmp_path):
+        """An error other than OSError from the chunks, mid-write, is raised
+        as it is; the temporary file goes and the target keeps its bytes."""
+        target = tmp_path / "fam.json"
+        target.write_bytes(b"old bytes")
+        error = ValueError("chunk failed")
+
+        def chunks():
+            yield b"new "
+            raise error
+
+        with pytest.raises(ValueError) as info:
+            _atomic_write(str(target), chunks())
+        assert info.value is error
+        assert list(tmp_path.glob(".hsframe-*.tmp")) == []
+        assert target.read_bytes() == b"old bytes"
 
 
 class TestOutputPath:
